@@ -7,6 +7,7 @@ groups flows into transfer events.
 
 import base64
 import hashlib
+import ipaddress
 
 from transferaudit.flows import (
     AppIdentity,
@@ -57,10 +58,8 @@ for fqdn in ("app.adjust.com", "cdn.viber.com", "tracker.unlisted.io"):
           f"owner={info.owner_name}")
 
 print("\n== geolocation ==")
-geo = GeoTable()
-import ipaddress
-geo.networks.append((ipaddress.ip_network("104.16.0.0/12"), "US"))
-geo.fqdns["yandex.net"] = "RU"
+geo = GeoTable(networks=((ipaddress.ip_network("104.16.0.0/12"), "US"),),
+               fqdns={"yandex.net": "RU"})
 print(f"  ip 104.18.3.7            -> {geolocate(geo, ip='104.18.3.7')}")
 print(f"  fqdn a.b.yandex.net      -> {geolocate(geo, fqdn='a.b.yandex.net')}")
 print(f"  pre-resolved wins        -> {geolocate(geo, ip='104.18.3.7', resolved='RU')}")

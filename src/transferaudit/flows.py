@@ -16,8 +16,10 @@ import ipaddress
 import json
 import logging
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 from .errors import DomainError, ParseError
 
@@ -184,16 +186,31 @@ def load_owner_list(path=None) -> dict[str, DomainOwnerEntry]:
     return owners
 
 
+def _is_ip_literal(host: str) -> bool:
+    try:
+        ipaddress.ip_address(host.strip().rstrip("."))
+    except ValueError:
+        return False
+    return True
+
+
 def _fqdn_labels(fqdn: str) -> list[str]:
     fqdn = fqdn.strip().lower().rstrip(".")
     labels = fqdn.split(".")
-    if len(labels) < 2 or not all(_LABEL_RE.match(l) for l in labels):
+    # no top-level domain is all-numeric, so this rejects IPv4 literals;
+    # the colons of an IPv6 literal fail the label pattern
+    if (len(labels) < 2 or labels[-1].isdigit()
+            or not all(_LABEL_RE.match(l) for l in labels)):
         raise DomainError(f"cannot parse FQDN {fqdn!r}")
     return labels
 
 
 def extract_sld(fqdn: str) -> str:
-    """Registrable domain under the shipped public-suffix snapshot."""
+    """Registrable domain under the shipped public-suffix snapshot.
+
+    Raises DomainError for a string that is not a hostname, an IPv4 or IPv6
+    literal included.
+    """
     labels = _fqdn_labels(fqdn)
     suffixes = public_suffixes()
     suffix_len = 1
@@ -225,7 +242,12 @@ def tokenize_app_identity(package_name: str, cert_org: str | None = None,
 
 def classify_recipient(app_tokens: frozenset[str], dest_fqdn: str,
                        owner_list: dict[str, DomainOwnerEntry]) -> RecipientInfo:
-    """First-party token match first, then owner-list lookup, else unknown."""
+    """First-party token match first, then owner-list lookup, else unknown.
+
+    An IP-literal destination names no domain, so its recipient is unknown.
+    """
+    if _is_ip_literal(dest_fqdn):
+        return RecipientInfo(kind=UNKNOWN)
     labels = _fqdn_labels(dest_fqdn)
     sld = extract_sld(dest_fqdn)
     suffix_count = sld.count(".")  # labels taken by the public suffix
@@ -239,25 +261,49 @@ def classify_recipient(app_tokens: frozenset[str], dest_fqdn: str,
     return RecipientInfo(kind=UNKNOWN)
 
 
-@dataclass
-class GeoTable:
-    """Offline CIDR->country plus FQDN->country lookups."""
+Network = ipaddress.IPv4Network | ipaddress.IPv6Network
 
-    networks: list[tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, str]] = \
-        field(default_factory=list)
-    fqdns: dict[str, str] = field(default_factory=dict)
+
+@dataclass(frozen=True)
+class GeoTable:
+    """Offline CIDR->country plus FQDN->country lookups.
+
+    An IP takes the code of the longest prefix of its own address family
+    that contains it; on a repeated CIDR the first-listed entry wins.  The
+    table is immutable: its prefix index is built once, at construction.
+    """
+
+    networks: tuple[tuple[Network, str], ...] = ()
+    fqdns: Mapping[str, str] = field(default_factory=dict)
+    # per IP version: (netmask, {network int: code}) per prefix length, longest first
+    _index: dict[int, list[tuple[int, dict[int, str]]]] = \
+        field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "networks", tuple(self.networks))
+        object.__setattr__(self, "fqdns", MappingProxyType(dict(self.fqdns)))
+        by_prefix: dict[tuple[int, int], dict[int, str]] = {}
+        for net, code in self.networks:
+            by_prefix.setdefault((net.version, net.prefixlen), {}) \
+                .setdefault(int(net.network_address), code)
+        index: dict[int, list[tuple[int, dict[int, str]]]] = {4: [], 6: []}
+        for (version, prefixlen), codes in sorted(by_prefix.items(),
+                                                  key=lambda item: -item[0][1]):
+            bits = 32 if version == 4 else 128
+            index[version].append((((1 << prefixlen) - 1) << (bits - prefixlen), codes))
+        object.__setattr__(self, "_index", index)
 
     def lookup_ip(self, ip: str) -> str | None:
         try:
             addr = ipaddress.ip_address(ip)
         except ValueError:
             return None
-        best = None
-        best_len = -1
-        for net, code in self.networks:
-            if addr in net and net.prefixlen > best_len:
-                best, best_len = code, net.prefixlen
-        return best
+        value = int(addr)
+        for mask, codes in self._index[addr.version]:
+            code = codes.get(value & mask)
+            if code is not None:
+                return code
+        return None
 
     def lookup_fqdn(self, fqdn: str) -> str | None:
         labels = fqdn.lower().rstrip(".").split(".")
@@ -270,7 +316,8 @@ class GeoTable:
 
 def load_geo_table(path) -> GeoTable:
     """Geo table: `cidr_or_fqdn TAB ISO code` per line."""
-    table = GeoTable()
+    networks: list[tuple[Network, str]] = []
+    fqdns: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -281,10 +328,10 @@ def load_geo_table(path) -> GeoTable:
                 raise ParseError("expected `cidr_or_fqdn TAB code`", lineno)
             key, code = parts
             try:
-                table.networks.append((ipaddress.ip_network(key, strict=False), code))
+                networks.append((ipaddress.ip_network(key, strict=False), code))
             except ValueError:
-                table.fqdns[key.lower()] = code
-    return table
+                fqdns[key.lower()] = code
+    return GeoTable(networks=tuple(networks), fqdns=fqdns)
 
 
 def geolocate(geo_table: GeoTable, *, ip: str | None = None,
@@ -356,8 +403,12 @@ def build_transfer_events(flows: list[FlowRecord], catalog: PersonalDataCatalog,
                           ) -> list[TransferEvent]:
     """Scan, attribute and geolocate flows, grouped per (app, SLD).
 
-    Flows with no detected personal data are discarded; unresolved countries
-    and unknown recipients are dropped with a logged warning.
+    Flows with no detected personal data are discarded; unresolved countries,
+    unparseable hostnames and unknown recipients are dropped with a logged
+    warning.  A group's recipient is third party if any of its flows was
+    attributed to the owner list, else first party, so it does not depend on
+    the order of the flows.  Third-party attributions within a group agree,
+    since all come from the owner-list entry of the group's SLD.
     """
     identities = identities or {}
     token_cache: dict[str, frozenset[str]] = {}
@@ -379,7 +430,13 @@ def build_transfer_events(flows: list[FlowRecord], catalog: PersonalDataCatalog,
                 store_name=flow.store_name)
             token_cache[flow.app_id] = tokenize_app_identity(
                 ident.package_name, ident.cert_org, ident.store_name)
-        recipient = classify_recipient(token_cache[flow.app_id], flow.dest_fqdn, owner_list)
+        try:
+            recipient = classify_recipient(token_cache[flow.app_id], flow.dest_fqdn,
+                                           owner_list)
+        except DomainError:
+            log.warning("dropping flow %s -> %s: unparseable hostname",
+                        flow.app_id, flow.dest_fqdn)
+            continue
         if recipient.kind == UNKNOWN:
             log.warning("dropping flow %s -> %s: unknown recipient",
                         flow.app_id, flow.dest_fqdn)
@@ -388,6 +445,8 @@ def build_transfer_events(flows: list[FlowRecord], catalog: PersonalDataCatalog,
         group = groups.setdefault(key, {
             "types": set(), "countries": set(), "idle": False, "recipient": recipient,
         })
+        if recipient.kind == THIRD_PARTY:
+            group["recipient"] = recipient
         group["types"] |= types
         group["countries"].add(country)
         group["idle"] |= flow.stage == IDLE

@@ -127,6 +127,22 @@ def test_check_date_override(model_dir, tmp_path, capsys):
     assert "\tAD\t" in after
 
 
+def test_scan_drops_unparseable_hostname(tmp_path, capsys, caplog):
+    args = ["--catalog", str(DATA / "catalog.tsv"), "--geo", str(DATA / "geo.tsv")]
+    assert main(["scan", "--flows", str(DATA / "flows.jsonl"), *args]) == 0
+    expected = capsys.readouterr().out
+
+    lines = (DATA / "flows.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = json.loads(lines[0])
+    bad["dest_fqdn"] = "not_a_domain"
+    lines.insert(len(lines) // 2, json.dumps(bad))
+    flows_path = tmp_path / "flows.jsonl"
+    flows_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["scan", "--flows", str(flows_path), *args]) == 0
+    assert capsys.readouterr().out == expected
+    assert "not_a_domain: unparseable hostname" in caplog.text
+
+
 def test_bad_corpus_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("only\ttwo\n", encoding="utf-8")

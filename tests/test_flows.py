@@ -1,13 +1,18 @@
 """Payload scanning, recipient attribution, geolocation and event grouping."""
 
 import base64
+import dataclasses
+import ipaddress
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transferaudit.errors import DomainError, ParseError
 from transferaudit.flows import (
     CatalogEntry,
     FlowRecord,
+    GeoTable,
     PersonalDataCatalog,
     build_transfer_events,
     classify_recipient,
@@ -110,6 +115,21 @@ def test_extract_sld_rejects_bare_suffix():
         extract_sld("com")
 
 
+@pytest.mark.parametrize("literal", ["185.151.204.10", "2001:db8::1"])
+def test_ip_literal_destination(literal, owner_list, catalog, caplog):
+    with pytest.raises(DomainError):
+        extract_sld(literal)
+    assert classify_recipient(frozenset({"viber"}), literal, owner_list).kind == "unknown"
+    # geolocated by its address, then dropped as an unknown recipient
+    geo = GeoTable(networks=((ipaddress.ip_network("185.151.204.0/22"), "US"),
+                             (ipaddress.ip_network("2001:db8::/32"), "DE")))
+    flow = FlowRecord("com.viber.voip", "1", "active", literal, dest_ip=literal,
+                      detected_types=frozenset({"AAID"}))
+    assert geolocate(geo, ip=literal, fqdn=literal) is not None
+    assert build_transfer_events([flow], catalog, owner_list, geo) == []
+    assert "unknown recipient" in caplog.text
+
+
 def test_classify_third_party(owner_list):
     info = classify_recipient(frozenset({"viber", "voip", "messenger"}),
                               "app.adjust.com", owner_list)
@@ -165,10 +185,77 @@ def test_geolocate_fqdn_suffix_walk(tmp_path):
 
 def test_geolocate_most_specific_cidr(tmp_path):
     path = tmp_path / "geo.tsv"
-    path.write_text("10.0.0.0/8\tUS\n10.1.0.0/16\tRU\n", encoding="utf-8")
+    path.write_text("10.0.0.0/8\tUS\n10.1.0.0/16\tRU\n10.1.0.0/16\tDE\n::/0\tJP\n",
+                    encoding="utf-8")
     table = load_geo_table(path)
-    assert geolocate(table, ip="10.1.2.3") == "RU"
+    assert geolocate(table, ip="10.1.2.3") == "RU"  # first-listed of a repeated CIDR
     assert geolocate(table, ip="10.2.2.3") == "US"
+    assert geolocate(table, ip="192.0.2.1") is None  # a v6 /0 holds no v4 address
+    assert geolocate(table, ip="2001:db8::1") == "JP"
+
+
+def test_geo_table_is_immutable(geo_table):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        geo_table.networks = ()
+    with pytest.raises(AttributeError):
+        geo_table.networks.append((ipaddress.ip_network("10.0.0.0/8"), "US"))
+    with pytest.raises(TypeError):
+        geo_table.fqdns["example.com"] = "US"
+
+
+def _linear_lookup(networks, ip):
+    """Reference: test every network, keep the first of the longest matches."""
+    try:
+        addr = ipaddress.ip_address(ip)
+    except ValueError:
+        return None
+    best, best_len = None, -1
+    for net, code in networks:
+        if addr in net and net.prefixlen > best_len:
+            best, best_len = code, net.prefixlen
+    return best
+
+
+_BITS = {4: 32, 6: 128}
+_NETWORK = {4: ipaddress.IPv4Network, 6: ipaddress.IPv6Network}
+_ADDRESS = {4: ipaddress.IPv4Address, 6: ipaddress.IPv6Address}
+_MALFORMED = ["", "not-an-ip", "1.2.3", "256.1.1.1", "1.2.3.4/24", "1.2.3.4.5",
+              "::g", "2001:db8::1::2", " 10.0.0.1"]
+
+
+@st.composite
+def _geo_cases(draw):
+    # few anchors per family, so networks nest, repeat and contain the probes
+    anchors = {v: draw(st.lists(st.integers(0, 2 ** _BITS[v] - 1), min_size=1, max_size=3))
+               for v in (4, 6)}
+    families = draw(st.sampled_from([(4,), (6,), (4, 6)]))
+    codes = st.sampled_from(["US", "RU", "DE", "JP"])
+    networks = []
+    for _ in range(draw(st.integers(0, 12))):
+        v = draw(st.sampled_from(families))
+        prefixlen = draw(st.one_of(st.sampled_from([0, _BITS[v]]),
+                                   st.integers(0, _BITS[v])))
+        net = _NETWORK[v]((draw(st.sampled_from(anchors[v])), prefixlen), strict=False)
+        networks.append((net, draw(codes)))
+    if networks:
+        repeated = draw(st.lists(st.sampled_from(networks), max_size=4))
+        networks += [(net, draw(codes)) for net, _ in repeated]
+    probes = list(_MALFORMED) + [draw(st.text(max_size=12))]
+    for v in (4, 6):
+        for anchor in anchors[v]:
+            flipped = anchor ^ (1 << draw(st.integers(0, _BITS[v] - 1)))
+            probes += [str(_ADDRESS[v](anchor)), str(_ADDRESS[v](flipped))]
+        probes += [str(_ADDRESS[v](x))
+                   for x in draw(st.lists(st.integers(0, 2 ** _BITS[v] - 1), max_size=3))]
+    return networks, probes
+
+
+@given(_geo_cases())
+def test_lookup_ip_matches_linear_reference(case):
+    networks, probes = case
+    table = GeoTable(networks=tuple(networks))
+    for ip in probes:
+        assert table.lookup_ip(ip) == _linear_lookup(networks, ip), ip
 
 
 def test_flow_record_validation():
@@ -204,6 +291,31 @@ def test_build_events_from_fixture(flow_records, catalog, owner_list, geo_table)
     # noise flows were dropped: no-personal-data and unknown-recipient
     assert ("com.tellurionmobile.primalcraft", "google.com") not in by_key
     assert all("unlisted" not in domain for _, domain in by_key)
+
+
+# one app reaching an owner-listed SLD both through an app-named host (first
+# party) and a third-party host: the group must not depend on flow order
+_MIXED_GROUP_FLOWS = [
+    FlowRecord("com.acme.app", "1", "active", "acme.onesignal.com", country="US",
+               detected_types=frozenset({"AAID"})),
+    FlowRecord("com.acme.app", "1", "idle", "api.onesignal.com", country="US",
+               detected_types=frozenset({"GPS_LOCATION"})),
+    FlowRecord("com.acme.app", "1", "active", "push.acme.onesignal.com", country="DE",
+               detected_types=frozenset({"AAID"})),
+]
+
+
+@given(st.randoms(use_true_random=False))
+def test_events_independent_of_flow_order(flow_records, catalog, owner_list, geo_table,
+                                          rnd):
+    flows = list(flow_records) + _MIXED_GROUP_FLOWS
+    expected = build_transfer_events(flows, catalog, owner_list, geo_table)
+    rnd.shuffle(flows)
+    assert build_transfer_events(flows, catalog, owner_list, geo_table) == expected
+    mixed = next(e for e in expected if e.app_id == "com.acme.app")
+    assert mixed.recipient.kind == "third_party"
+    assert (mixed.recipient.owner_name, mixed.recipient.hq_country,
+            mixed.recipient.category) == ("OneSignal", "US", "messaging")
 
 
 def test_event_grouping_is_partition(flow_records, catalog, owner_list, geo_table):
