@@ -77,28 +77,6 @@ def _load_annotator(args) -> transparency.SegmentAnnotator:
         rules=rules, dictionary=dictionary)
 
 
-def _annotation_json(app_id: str, policy: transparency.PolicyAnnotation) -> dict:
-    return {
-        "app_id": app_id,
-        "intention": policy.intention,
-        "countries": sorted(policy.countries),
-        "adequacy": policy.adequacy,
-        "scc": policy.scc,
-        "bcr": policy.bcr,
-        "explicit_consent": policy.explicit_consent,
-        "copy_means": policy.copy_means,
-        "representative": policy.representative,
-        "privacy_shield": policy.privacy_shield,
-        "segments": [
-            {"intention": s.intention, "countries": sorted(s.countries),
-             "adequacy": s.adequacy, "scc": s.scc, "bcr": s.bcr,
-             "explicit_consent": s.explicit_consent, "copy_means": s.copy_means,
-             "representative": s.representative, "privacy_shield": s.privacy_shield}
-            for s in policy.segments
-        ],
-    }
-
-
 def _cmd_annotate(args) -> int:
     annotator = _load_annotator(args)
     for path in args.policies:
@@ -106,7 +84,7 @@ def _cmd_annotate(args) -> int:
         doc = corpus.PolicyDocument(app_id=Path(path).stem, raw_text=text)
         segments = corpus.segment_policy(doc, args.mode)
         policy = annotator.annotate_policy([s.text for s in segments])
-        print(json.dumps(_annotation_json(doc.app_id, policy), sort_keys=True))
+        print(json.dumps(transparency.annotation_json(doc.app_id, policy), sort_keys=True))
     return 0
 
 
@@ -117,64 +95,36 @@ def _cmd_scan(args) -> int:
     geo = flows.load_geo_table(args.geo) if args.geo else flows.GeoTable()
     events = flows.build_transfer_events(records, catalog, owners, geo)
     for event in events:
-        print(json.dumps({
-            "app_id": event.app_id,
-            "recipient_domain": event.recipient_domain,
-            "data_types": sorted(event.data_types),
-            "dest_countries": sorted(event.dest_countries),
-            "recipient_kind": event.recipient.kind,
-            "recipient_owner": event.recipient.owner_name,
-            "recipient_hq": event.recipient.hq_country,
-            "any_idle_flow": event.any_idle_flow,
-        }, sort_keys=True))
+        print(json.dumps(flows.event_json(event), sort_keys=True))
     return 0
 
 
-def _load_events(path) -> dict[str, list[flows.TransferEvent]]:
-    by_app: dict[str, list[flows.TransferEvent]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            kind = obj.get("recipient_kind", flows.THIRD_PARTY)
-            event = flows.TransferEvent(
-                app_id=obj["app_id"],
-                recipient_domain=obj["recipient_domain"],
-                data_types=frozenset(obj.get("data_types", [])),
-                dest_countries=frozenset(obj["dest_countries"]),
-                recipient=flows.RecipientInfo(
-                    kind=kind, owner_name=obj.get("recipient_owner"),
-                    hq_country=obj.get("recipient_hq")),
-                any_idle_flow=bool(obj.get("any_idle_flow", False)),
-            )
-            by_app.setdefault(event.app_id, []).append(event)
-    return by_app
+def _assess_study(args, all_apps: bool):
+    """Load the events, the annotations and the jurisdiction; assess apps in id order.
 
-
-def _load_annotations(path) -> dict[str, transparency.PolicyAnnotation]:
-    annotations = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            segments = [
-                transparency.SegmentAnnotation(
-                    intention=s["intention"], countries=frozenset(s["countries"]),
-                    adequacy=s["adequacy"], scc=s["scc"], bcr=s["bcr"],
-                    explicit_consent=s["explicit_consent"], copy_means=s["copy_means"],
-                    representative=s["representative"], privacy_shield=s["privacy_shield"])
-                for s in obj.get("segments", [])
-            ]
-            policy = transparency.PolicyAnnotation(
-                intention=obj["intention"], countries=frozenset(obj["countries"]),
-                adequacy=obj["adequacy"], scc=obj["scc"], bcr=obj["bcr"],
-                explicit_consent=obj["explicit_consent"], copy_means=obj["copy_means"],
-                representative=obj["representative"],
-                privacy_shield=obj["privacy_shield"], segments=segments)
-            annotations[obj["app_id"]] = policy
-    return annotations
+    The apps are those with events, plus, with `all_apps`, those
+    that have only an annotation.  Returns the annotations and assessments.
+    """
+    with open(args.events, encoding="utf-8") as fh:
+        events_by_app = flows.read_events(fh)
+    with open(args.annotations, encoding="utf-8") as fh:
+        annotations = transparency.read_annotations(fh)
+    juris = compliance.load_jurisdiction(args.jurisdiction)
+    if args.date:
+        juris = compliance.JurisdictionConfig(
+            eu_set=juris.eu_set, adequacy_set=juris.adequacy_set,
+            invalidated_frameworks=juris.invalidated_frameworks,
+            assessment_date=datetime.date.fromisoformat(args.date))
+    app_ids = set(events_by_app)
+    if all_apps:
+        app_ids |= set(annotations)
+    empty = transparency.PolicyAnnotation()
+    assessments = [
+        compliance.assess_app(app_id, events_by_app.get(app_id, []),
+                              annotations.get(app_id, empty), juris)
+        for app_id in sorted(app_ids)
+    ]
+    return annotations, assessments
 
 
 def _verdict_line(v: compliance.Verdict) -> str:
@@ -191,35 +141,16 @@ def _verdict_line(v: compliance.Verdict) -> str:
 
 
 def _cmd_check(args) -> int:
-    events_by_app = _load_events(args.events)
-    annotations = _load_annotations(args.annotations)
-    juris = compliance.load_jurisdiction(args.jurisdiction)
-    if args.date:
-        juris = compliance.JurisdictionConfig(
-            eu_set=juris.eu_set, adequacy_set=juris.adequacy_set,
-            invalidated_frameworks=juris.invalidated_frameworks,
-            assessment_date=datetime.date.fromisoformat(args.date))
-    empty = transparency.PolicyAnnotation()
-    for app_id in sorted(events_by_app):
-        policy = annotations.get(app_id, empty)
-        assessment = compliance.assess_app(app_id, events_by_app[app_id], policy, juris)
+    _, assessments = _assess_study(args, all_apps=False)
+    for assessment in assessments:
         for verdict in assessment.verdicts:
             print(_verdict_line(verdict))
-        print(f"{app_id}\t-\t-\t-\t{assessment.overall}\t-\t-\t-")
+        print(f"{assessment.app_id}\t-\t-\t-\t{assessment.overall}\t-\t-\t-")
     return 0
 
 
 def _cmd_report(args) -> int:
-    events_by_app = _load_events(args.events)
-    annotations = _load_annotations(args.annotations)
-    juris = compliance.load_jurisdiction(args.jurisdiction)
-    assessments = []
-    empty = transparency.PolicyAnnotation()
-    app_ids = sorted(set(events_by_app) | set(annotations))
-    for app_id in app_ids:
-        assessments.append(compliance.assess_app(
-            app_id, events_by_app.get(app_id, []),
-            annotations.get(app_id, empty), juris))
+    annotations, assessments = _assess_study(args, all_apps=True)
     summary = reports.summarize(assessments, annotations)
     sys.stdout.buffer.write(reports.emit_report(summary, args.format))
     return 0
@@ -281,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jurisdiction")
     p.add_argument("--format", choices=[reports.TEXT_TABLE, reports.MACHINE_LINES],
                    default=reports.TEXT_TABLE)
-    p.set_defaults(fn=_cmd_report)
+    p.set_defaults(fn=_cmd_report, date=None)
     return parser
 
 

@@ -16,6 +16,8 @@ ELEMENT_LABELS = frozenset(
 )
 _COUNTRY_LABEL = re.compile(r"^country:[A-Z]{2}$")
 _BLANKLINE_SPLIT = re.compile(r"\n\s*\n")
+# a period followed by whitespace (as str.isspace() has it) or end of text
+_SEGMENT_END = re.compile(r"\.(?!\S)")
 
 
 def _check_labels(intention_label: int, element_labels: frozenset[str]) -> None:
@@ -84,15 +86,9 @@ def segment_policy(doc: PolicyDocument, separator_mode: str = FULLSTOP) -> list[
     elif separator_mode == FULLSTOP:
         chunks = []
         start = 0
-        for i, ch in enumerate(text):
-            if ch != "." or (i + 1 < len(text) and not text[i + 1].isspace()):
-                continue
-            run = 0
-            j = i - 1
-            while j >= 0 and text[j].isalpha():
-                run += 1
-                j -= 1
-            if run == 1:
+        for match in _SEGMENT_END.finditer(text):
+            i = match.start()
+            if i and text[i - 1].isalpha() and (i == 1 or not text[i - 2].isalpha()):
                 continue  # abbreviation such as "U.S."
             chunks.append(text[start:i].strip())
             start = i + 1

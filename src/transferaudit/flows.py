@@ -5,7 +5,8 @@ data in payloads (plain and Base64/MD5/SHA1/SHA256 encoded), attributes the
 recipient (first-party token match, then owner-list lookup) and geolocates
 the destination.  Flows without personal data, with unresolvable countries
 or with unknown recipients are dropped; the rest group into per-(app, SLD)
-transfer events.
+transfer events, whose JSON form (written by `scan`, read by `check` and
+`report`) is defined here too.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ from __future__ import annotations
 import base64
 import hashlib
 import ipaddress
-import json
 import logging
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
 
 from .errors import DomainError, ParseError
+from .jsonl import json_records
 
 log = logging.getLogger(__name__)
 
@@ -369,14 +370,7 @@ def load_flow_log(path) -> list[FlowRecord]:
     """One JSON object per line; `payload_b64` carries raw payload bytes."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", lineno) from exc
+        for lineno, obj in json_records(fh):
             try:
                 detected = obj.get("detected_types")
                 records.append(FlowRecord(
@@ -394,6 +388,55 @@ def load_flow_log(path) -> list[FlowRecord]:
             except (KeyError, ValueError) as exc:
                 raise ParseError(f"bad flow record: {exc}", lineno) from exc
     return records
+
+
+def event_json(event: TransferEvent) -> dict:
+    """The JSON object of one transfer event, as `scan` writes it."""
+    return {
+        "app_id": event.app_id,
+        "recipient_domain": event.recipient_domain,
+        "data_types": sorted(event.data_types),
+        "dest_countries": sorted(event.dest_countries),
+        "recipient_kind": event.recipient.kind,
+        "recipient_owner": event.recipient.owner_name,
+        "recipient_hq": event.recipient.hq_country,
+        "any_idle_flow": event.any_idle_flow,
+    }
+
+
+def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
+    """Parse `scan` output, one JSON object per line, grouped by app id.
+
+    Only `app_id`, `recipient_domain` and `dest_countries` are required; a
+    missing recipient kind reads as third party.  Equal recipients and equal
+    type or country lists share one frozen object each.
+    """
+    by_app: dict[str, list[TransferEvent]] = {}
+    recipients: dict[tuple, RecipientInfo] = {}
+    sets: dict[tuple, frozenset[str]] = {}
+    for lineno, obj in json_records(lines):
+        try:
+            recipient_key = (obj.get("recipient_kind", THIRD_PARTY),
+                             obj.get("recipient_owner"), obj.get("recipient_hq"))
+            types_key = tuple(obj.get("data_types", ()))
+            countries_key = tuple(obj["dest_countries"])
+            event = TransferEvent(
+                app_id=obj["app_id"],
+                recipient_domain=obj["recipient_domain"],
+                data_types=sets.get(types_key) or sets.setdefault(
+                    types_key, frozenset(types_key)),
+                dest_countries=sets.get(countries_key) or sets.setdefault(
+                    countries_key, frozenset(countries_key)),
+                recipient=recipients.get(recipient_key) or recipients.setdefault(
+                    recipient_key, RecipientInfo(*recipient_key)),
+                any_idle_flow=bool(obj.get("any_idle_flow", False)),
+            )
+        except KeyError as exc:
+            raise ParseError(f"event record lacks field {exc}", lineno) from exc
+        except TypeError as exc:
+            raise ParseError(f"bad event record: {exc}", lineno) from exc
+        by_app.setdefault(event.app_id, []).append(event)
+    return by_app
 
 
 def build_transfer_events(flows: list[FlowRecord], catalog: PersonalDataCatalog,

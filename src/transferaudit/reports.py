@@ -32,18 +32,10 @@ ELEMENTS = ("representative", "intention", "target_country", "adequacy",
             "scc", "bcr", "explicit_consent", "copy_means", "privacy_shield")
 
 
-def _element_flags(ann) -> dict[str, bool]:
-    return {
-        "representative": ann.representative,
-        "intention": ann.intention,
-        "target_country": bool(ann.countries),
-        "adequacy": ann.adequacy,
-        "scc": ann.scc,
-        "bcr": ann.bcr,
-        "explicit_consent": ann.explicit_consent,
-        "copy_means": ann.copy_means,
-        "privacy_shield": ann.privacy_shield,
-    }
+def _tally_elements(tally: Counter, ann, weight: int) -> None:
+    for name in ELEMENTS:
+        if getattr(ann, "countries" if name == "target_country" else name):
+            tally[name] += weight
 
 
 @dataclass
@@ -100,15 +92,14 @@ def summarize(assessments: list[AppAssessment],
     hq_tally: Counter = Counter(owner_hq.values())
     summary.third_party_hq = dict(hq_tally)
     element_apps: Counter = Counter()
-    element_statements: Counter = Counter()
+    segment_counts: Counter = Counter()
     for ann in annotations.values():
-        for name, on in _element_flags(ann).items():
-            if on:
-                element_apps[name] += 1
-        for seg in ann.segments:
-            for name, on in _element_flags(seg).items():
-                if on:
-                    element_statements[name] += 1
+        _tally_elements(element_apps, ann, 1)
+        segment_counts.update(ann.segments)
+    # equal segments (often one shared object) are tallied once, by value
+    element_statements: Counter = Counter()
+    for seg, count in segment_counts.items():
+        _tally_elements(element_statements, seg, count)
     summary.element_apps = {e: element_apps.get(e, 0) for e in ELEMENTS}
     summary.element_statements = {e: element_statements.get(e, 0) for e in ELEMENTS}
     summary.verdict_counts = {t: dict(c) for t, c in summary.verdict_counts.items()}

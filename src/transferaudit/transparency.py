@@ -5,12 +5,16 @@ only on flagged segments and extracts target countries (gazetteer), the
 adequacy claim (second linear classifier) and safeguard/copy elements
 (proximity rules).  Representative and privacy-shield rules run on every
 segment.  Policy-level annotations OR the segment flags and union countries.
+The annotation JSON form that `annotate` writes and `check`/`report` read is
+defined here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields
 from importlib import resources
+from operator import itemgetter
 
 from .classifier import TextClassifier
 from .countries import (
@@ -19,6 +23,8 @@ from .countries import (
     detect_target_countries,
     whitespace_tokens,
 )
+from .errors import ParseError
+from .jsonl import json_records
 from .rules import ProximityRule, load_rules, matched_elements
 
 GATED_ELEMENTS = ("scc", "bcr", "explicit_consent", "copy_means")
@@ -59,6 +65,60 @@ class PolicyAnnotation:
     segments: list[SegmentAnnotation] = field(default_factory=list)
 
 
+# The nine transparency elements as annotation fields, in field order; the
+# policy OR and the annotation JSON form are derived from this tuple.
+ELEMENT_FIELDS = tuple(f.name for f in fields(SegmentAnnotation))
+_FLAGS = tuple(name for name in ELEMENT_FIELDS if name != "countries")
+_flag_values = itemgetter(*_FLAGS)
+
+
+def _elements_json(ann) -> dict:
+    obj = {name: getattr(ann, name) for name in _FLAGS}
+    obj["countries"] = sorted(ann.countries)
+    return obj
+
+
+def annotation_json(app_id: str, policy: PolicyAnnotation) -> dict:
+    """The JSON object of one annotated policy, as `annotate` writes it."""
+    obj = _elements_json(policy)
+    obj["app_id"] = app_id
+    obj["segments"] = [_elements_json(s) for s in policy.segments]
+    return obj
+
+
+def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
+    """Parse `annotate` output, one JSON object per line, keyed by app id.
+
+    Segments with equal values load as one shared `SegmentAnnotation`, which
+    is safe because the class is frozen: a study repeats a few thousand
+    distinct segment values hundreds of thousands of times.
+    """
+    annotations: dict[str, PolicyAnnotation] = {}
+    # by_key skips building an object for JSON values seen before; by_value
+    # also unites values whose country lists differ only in order
+    by_key: dict[tuple, SegmentAnnotation] = {}
+    by_value: dict[SegmentAnnotation, SegmentAnnotation] = {}
+    for lineno, obj in json_records(lines):
+        try:
+            segments = []
+            for s in obj.get("segments", []):
+                key = (_flag_values(s), tuple(s["countries"]))
+                seg = by_key.get(key)
+                if seg is None:
+                    seg = SegmentAnnotation(countries=frozenset(key[1]),
+                                            **dict(zip(_FLAGS, key[0])))
+                    seg = by_key[key] = by_value.setdefault(seg, seg)
+                segments.append(seg)
+            annotations[obj["app_id"]] = PolicyAnnotation(
+                countries=frozenset(obj["countries"]), segments=segments,
+                **{name: obj[name] for name in _FLAGS})
+        except KeyError as exc:
+            raise ParseError(f"annotation record lacks field {exc}", lineno) from exc
+        except TypeError as exc:
+            raise ParseError(f"bad annotation record: {exc}", lineno) from exc
+    return annotations
+
+
 def annotate_segment(segment_text: str, intention_model: TextClassifier,
                      adequacy_model: TextClassifier | None,
                      rules: list[ProximityRule],
@@ -94,19 +154,11 @@ def annotate_segment(segment_text: str, intention_model: TextClassifier,
 
 def annotate_policy(segment_annotations: list[SegmentAnnotation]) -> PolicyAnnotation:
     """Element-wise OR over segments; a policy discloses what any segment does."""
-    policy = PolicyAnnotation(segments=list(segment_annotations))
-    countries: set[str] = set()
-    for ann in segment_annotations:
-        policy.intention |= ann.intention
-        policy.adequacy |= ann.adequacy
-        policy.scc |= ann.scc
-        policy.bcr |= ann.bcr
-        policy.explicit_consent |= ann.explicit_consent
-        policy.copy_means |= ann.copy_means
-        policy.representative |= ann.representative
-        policy.privacy_shield |= ann.privacy_shield
-        countries |= ann.countries
-    policy.countries = frozenset(countries)
+    segments = list(segment_annotations)
+    policy = PolicyAnnotation(segments=segments)
+    for name in _FLAGS:
+        setattr(policy, name, any(getattr(s, name) for s in segments))
+    policy.countries = frozenset().union(*(s.countries for s in segments))
     return policy
 
 

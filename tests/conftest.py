@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from transferaudit.classifier import fit_text_classifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
@@ -10,7 +11,13 @@ from transferaudit.countries import load_country_dictionary
 from transferaudit.features import TF, TFIDF, TokenPipelineConfig
 from transferaudit.flows import load_catalog, load_flow_log, load_geo_table, load_owner_list
 from transferaudit.linear import TrainConfig, adequacy_label, intention_label
-from transferaudit.transparency import SegmentAnnotator, default_rules
+from transferaudit.transparency import (
+    ELEMENT_FIELDS,
+    PolicyAnnotation,
+    SegmentAnnotation,
+    SegmentAnnotator,
+    default_rules,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -192,3 +199,16 @@ def geo_table():
 
 def policy_text(app_id: str) -> str:
     return (DATA / "policies" / f"{app_id}.txt").read_text(encoding="utf-8")
+
+
+def _annotations(cls, **extra):
+    """Strategy for an annotation of `cls` over a small value space, so that
+    generated segments repeat values."""
+    flags = {name: st.booleans() for name in ELEMENT_FIELDS if name != "countries"}
+    countries = st.frozensets(st.sampled_from(["US", "CN", "IL", "DE"]), max_size=3)
+    return st.builds(cls, countries=countries, **flags, **extra)
+
+
+segment_annotations = _annotations(SegmentAnnotation)
+policy_annotations = _annotations(
+    PolicyAnnotation, segments=st.lists(segment_annotations, max_size=8))

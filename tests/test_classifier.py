@@ -16,8 +16,7 @@ PROBES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def bundle():
+def _corpus():
     positives = [
         "we transfer personal data to other countries",
         "information is transferred outside the area",
@@ -33,8 +32,12 @@ def bundle():
                for i, t in enumerate(positives * 3)]
     samples += [LabeledSegment(PolicySegment("c", 90 + i, t), 0)
                 for i, t in enumerate(negatives * 3)]
-    return fit_text_classifier(Corpus(samples=samples),
-                               TokenPipelineConfig(ngram_min=1, ngram_max=2),
+    return Corpus(samples=samples)
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    return fit_text_classifier(_corpus(), TokenPipelineConfig(ngram_min=1, ngram_max=2),
                                TF, TrainConfig(seed=3), intention_label)
 
 
@@ -59,5 +62,36 @@ def test_load_detects_vocab_model_mismatch(bundle, tmp_path):
     lines[1] = f"{fa}\t{ib}\t{da}"
     lines[2] = f"{fb}\t{ia}\t{db}"
     vocab_path.write_text("\n".join([head, *lines[1:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError):
+        TextClassifier.load(tmp_path, "intention")
+
+
+def test_reload_keeps_pipeline_switches(tmp_path):
+    pipeline = TokenPipelineConfig(ngram_min=1, ngram_max=2, stem=False,
+                                   drop_numeric=False, stopword_list_id="none")
+    clf = fit_text_classifier(_corpus(), pipeline, TF, TrainConfig(seed=3),
+                              intention_label)
+    clf.save(tmp_path, "intention")
+    loaded = TextClassifier.load(tmp_path, "intention")
+    assert loaded.pipeline == pipeline
+    for probe in [*PROBES, "we transferred 3 records to the other countries"]:
+        assert loaded.predict_text(probe) == clf.predict_text(probe)
+
+
+def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
+    bundle.save(tmp_path, "intention")
+    lines = (tmp_path / "intention.model.tsv").read_text(encoding="utf-8").splitlines()
+    keys = [ln[1:].partition("=")[0] for ln in lines if ln.startswith("#")]
+    assert keys == ["scheme", "ngram", "alpha", "eta0", "epochs", "seed", "loss",
+                    "vocab_sha256", "bias"]
+
+
+@pytest.mark.parametrize("line", ["#stemmer=porter", "#stem=maybe",
+                                  "#stopword_list_id=klingon"])
+def test_load_rejects_bad_header_line(bundle, tmp_path, line):
+    bundle.save(tmp_path, "intention")
+    model_path = tmp_path / "intention.model.tsv"
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    model_path.write_text("\n".join([lines[0], line, *lines[1:]]) + "\n", encoding="utf-8")
     with pytest.raises(ParseError):
         TextClassifier.load(tmp_path, "intention")

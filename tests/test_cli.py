@@ -1,13 +1,22 @@
 """End-to-end CLI tests over the fixture data."""
 
+import contextlib
+import io
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
-
-from conftest import DATA
+from conftest import DATA, policy_annotations
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferaudit.cli import main
+from transferaudit.compliance import NO_TRANSFER
 from transferaudit.corpus import save_corpus
+from transferaudit.flows import FIRST_PARTY, THIRD_PARTY
+from transferaudit.transparency import annotation_json
 
 
 @pytest.fixture(scope="module")
@@ -101,20 +110,29 @@ def test_full_pipeline(model_dir, tmp_path, capsys):
     assert capsys.readouterr().out == report_out
 
 
-def test_check_date_override(model_dir, tmp_path, capsys):
+SHIELD_EVENT = {
+    "app_id": "shield.app", "recipient_domain": "tracker.example",
+    "dest_countries": ["US"], "recipient_kind": "third_party",
+    "recipient_owner": "Tracker", "recipient_hq": "US", "any_idle_flow": False}
+SHIELD_SEGMENT = {
+    "intention": True, "countries": ["US"], "adequacy": False, "scc": False,
+    "bcr": False, "explicit_consent": False, "copy_means": True,
+    "representative": False, "privacy_shield": True}
+SHIELD_ANNOTATION = {"app_id": "shield.app", **SHIELD_SEGMENT, "segments": []}
+
+
+def _write_study(tmp_path, events, annotations):
     events_path = tmp_path / "events.jsonl"
-    events_path.write_text(json.dumps({
-        "app_id": "shield.app", "recipient_domain": "tracker.example",
-        "dest_countries": ["US"], "recipient_kind": "third_party",
-        "recipient_owner": "Tracker", "recipient_hq": "US",
-        "any_idle_flow": False}) + "\n", encoding="utf-8")
+    events_path.write_text("".join(ln + "\n" for ln in events), encoding="utf-8")
     annotations_path = tmp_path / "annotations.jsonl"
-    annotations_path.write_text(json.dumps({
-        "app_id": "shield.app", "intention": True, "countries": ["US"],
-        "adequacy": False, "scc": False, "bcr": False,
-        "explicit_consent": False, "copy_means": True,
-        "representative": False, "privacy_shield": True,
-        "segments": []}) + "\n", encoding="utf-8")
+    annotations_path.write_text("".join(ln + "\n" for ln in annotations),
+                                encoding="utf-8")
+    return events_path, annotations_path
+
+
+def test_check_date_override(model_dir, tmp_path, capsys):
+    events_path, annotations_path = _write_study(
+        tmp_path, [json.dumps(SHIELD_EVENT)], [json.dumps(SHIELD_ANNOTATION)])
     assert main(["check", "--events", str(events_path),
                  "--annotations", str(annotations_path),
                  "--date", "2020-07-01"]) == 0
@@ -125,6 +143,39 @@ def test_check_date_override(model_dir, tmp_path, capsys):
                  "--date", "2020-07-20"]) == 0
     after = capsys.readouterr().out
     assert "\tAD\t" in after
+
+
+def _without(obj, key):
+    return json.dumps({k: v for k, v in obj.items() if k != key})
+
+
+_BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
+                           "segments": [SHIELD_SEGMENT, {"intention": False}]})
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("which, bad_line", [
+    ("events", _without(SHIELD_EVENT, "recipient_domain")),
+    ("events", _without(SHIELD_EVENT, "app_id")),
+    ("events", '{"app_id": "other.app",'),
+    ("events", '["not", "an", "object"]'),
+    ("annotations", _without(SHIELD_ANNOTATION, "scc")),
+    ("annotations", _BAD_SEGMENT),
+    ("annotations", "{not json}"),
+    ("annotations", '"text"'),
+], ids=["event-no-domain", "event-no-app", "event-bad-json", "event-not-object",
+        "annotation-no-scc", "segment-missing-fields", "annotation-bad-json",
+        "annotation-not-object"])
+def test_malformed_record_is_input_error(tmp_path, capsys, command, which, bad_line):
+    lines = {"events": [json.dumps(SHIELD_EVENT)],
+             "annotations": [json.dumps(SHIELD_ANNOTATION)]}
+    lines[which] += ["", bad_line]
+    events_path, annotations_path = _write_study(tmp_path, **lines)
+    assert main([command, "--events", str(events_path),
+                 "--annotations", str(annotations_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 3: ")
 
 
 def test_scan_drops_unparseable_hostname(tmp_path, capsys, caplog):
@@ -148,3 +199,49 @@ def test_bad_corpus_is_input_error(tmp_path, capsys):
     bad.write_text("only\ttwo\n", encoding="utf-8")
     assert main(["train", "--corpus", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+_events = st.lists(st.fixed_dictionaries({
+    "app_id": st.sampled_from(["a", "b", "c", "d"]),
+    "recipient_domain": st.sampled_from(["adjust.com", "yandex.net", "a.com"]),
+    "dest_countries": st.lists(st.sampled_from(["DE", "US", "IL", "CN", "JP"]),
+                               unique=True, max_size=3),
+    "recipient_kind": st.sampled_from([FIRST_PARTY, THIRD_PARTY]),
+    "any_idle_flow": st.booleans(),
+}), max_size=12)
+_annotations = st.dictionaries(st.sampled_from(["a", "b", "e", "f"]), policy_annotations,
+                               max_size=4)
+
+
+def _stdout_of(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    out.flush()
+    return out.buffer.getvalue().decode("utf-8")
+
+
+@settings(max_examples=30, deadline=None)
+@given(_events, _annotations)
+def test_check_and_report_agree(events, annotations):
+    with tempfile.TemporaryDirectory() as tmp:
+        events_path, annotations_path = _write_study(
+            Path(tmp), [json.dumps(e) for e in events],
+            [json.dumps(annotation_json(app, p)) for app, p in annotations.items()])
+        files = ["--events", str(events_path), "--annotations", str(annotations_path)]
+        rows = [ln.split("\t") for ln in _stdout_of(["check", *files]).splitlines()]
+        report = dict(ln.split("=", 1) for ln in _stdout_of(
+            ["report", *files, "--format", "machine_lines"]).splitlines())
+    verdicts = Counter((r[3], r[4]) for r in rows if r[1] != "-")
+    overall = Counter(r[4] for r in rows if r[1] == "-")
+    # report also assesses apps that only have an annotation
+    overall[NO_TRANSFER] += len(set(annotations) - {e["app_id"] for e in events})
+    for key, value in report.items():
+        kind, _, rest = key.partition(".")
+        if kind == "verdicts":
+            assert int(value) == verdicts[tuple(rest.split("."))], key
+        elif kind == "overall":
+            assert int(value) == overall[rest], key
+    assert sum(int(v) for k, v in report.items() if k.startswith("verdicts.")) == \
+        sum(verdicts.values())
+    assert int(report["total_apps"]) == sum(overall.values())

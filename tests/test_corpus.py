@@ -198,3 +198,34 @@ def test_stratification_property(n, ratio, seed):
     for _, test in folds:
         positives = sum(1 for i in test if i < pos)
         assert abs(positives - ideal) <= 1
+
+
+def _reference_fullstop_chunks(text):
+    """The character walk `segment_policy` used before its regex scan."""
+    chunks = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch != "." or (i + 1 < len(text) and not text[i + 1].isspace()):
+            continue
+        run = 0
+        j = i - 1
+        while j >= 0 and text[j].isalpha():
+            run += 1
+            j -= 1
+        if run == 1:
+            continue
+        chunks.append(text[start:i].strip())
+        start = i + 1
+    chunks.append(text[start:].strip())
+    return [c for c in chunks if c]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(
+    st.sampled_from([".", "..", "U.S.", "a.", "é.", "ß", "日本", "5.", "_.", "²."]),
+    st.sampled_from([" ", "\n", "\t", "\x1c", "\x85", " ", " ", "　"]),
+    st.text(max_size=4),
+), max_size=30).map("".join).filter(str.strip))
+def test_fullstop_segments_match_character_walk(text):
+    segments = segment_policy(PolicyDocument("app", text), FULLSTOP)
+    assert [s.text for s in segments] == _reference_fullstop_chunks(text.strip())

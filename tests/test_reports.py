@@ -1,6 +1,12 @@
 """Report aggregation and emission tests."""
 
+import dataclasses
+import json
+
 import pytest
+from conftest import policy_annotations
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transferaudit.compliance import (
     AD,
@@ -14,7 +20,12 @@ from transferaudit.compliance import (
 )
 from transferaudit.errors import AuditError
 from transferaudit.reports import MACHINE_LINES, TEXT_TABLE, emit_report, summarize
-from transferaudit.transparency import PolicyAnnotation, SegmentAnnotation
+from transferaudit.transparency import (
+    PolicyAnnotation,
+    SegmentAnnotation,
+    annotation_json,
+    read_annotations,
+)
 
 
 def verdict(cls, app, ttype=T3_NO_ADEQUACY, domain="x.com", country="US",
@@ -124,3 +135,16 @@ def test_unknown_format_rejected(sample_inputs):
     assessments, annotations = sample_inputs
     with pytest.raises(AuditError):
         emit_report(summarize(assessments, annotations), "yaml")
+
+
+@given(st.lists(policy_annotations, max_size=5))
+def test_segment_tallies_count_values_not_objects(policies):
+    lines = [json.dumps(annotation_json(f"app{i}", p)) for i, p in enumerate(policies)]
+    interned = read_annotations(lines)
+    fresh = {app: dataclasses.replace(p, segments=[dataclasses.replace(s) for s in p.segments])
+             for app, p in interned.items()}
+    statements = summarize([], interned).element_statements
+    assert statements == summarize([], fresh).element_statements
+    segments = [s for p in policies for s in p.segments]
+    assert statements["target_country"] == sum(bool(s.countries) for s in segments)
+    assert statements["scc"] == sum(s.scc for s in segments)

@@ -1,14 +1,19 @@
 """Two-layer annotation pipeline tests."""
 
 import dataclasses
+import json
 
-from conftest import policy_text
+from conftest import policy_annotations, policy_text
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transferaudit.corpus import BLANKLINE, PolicyDocument, segment_policy
 from transferaudit.transparency import (
     PolicyAnnotation,
     SegmentAnnotation,
     annotate_policy,
+    annotation_json,
+    read_annotations,
 )
 
 GATED = ("adequacy", "scc", "bcr", "explicit_consent", "copy_means")
@@ -146,3 +151,24 @@ def test_segment_annotation_is_frozen(annotator):
     ann = annotator.annotate_segment("We use cookies.")
     assert dataclasses.is_dataclass(ann)
     assert isinstance(ann.countries, frozenset)
+
+
+@given(policy_annotations)
+def test_annotation_json_round_trip(policy):
+    line = json.dumps(annotation_json("app", policy), sort_keys=True)
+    assert read_annotations([line]) == {"app": policy}
+
+
+@given(st.lists(policy_annotations, min_size=1, max_size=4))
+def test_equal_segments_load_as_one_object(policies):
+    lines = []
+    for i, policy in enumerate(policies):
+        obj = annotation_json(f"app{i}", policy)
+        for seg in obj["segments"][::2]:
+            seg["countries"].reverse()  # list order carries no meaning
+        lines.append(json.dumps(obj))
+    loaded = [s for p in read_annotations(lines).values() for s in p.segments]
+    assert loaded == [s for p in policies for s in p.segments]
+    for a in loaded:
+        for b in loaded:
+            assert (a == b) == (a is b)
