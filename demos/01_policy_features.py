@@ -43,11 +43,11 @@ print("\n== token pipeline ==")
 cfg = TokenPipelineConfig(ngram_min=1, ngram_max=2)
 text = "Transferred, 2 countries! The data is safe."
 print(f"input : {text!r}")
-print(f"tokens: {tokenize(text, cfg)}")
+print(f"tokens: {tokenize(text)}")
 
 print("\n== vocabulary and weighting ==")
 segments = segment_policy(POLICY, FULLSTOP)
-token_lists = [tokenize(s.text, cfg) for s in segments]
+token_lists = [tokenize(s.text) for s in segments]
 vocab = build_vocabulary(token_lists, cfg)
 print(f"{len(vocab)} features over {vocab.document_count} segments")
 

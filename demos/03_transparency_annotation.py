@@ -11,11 +11,10 @@ from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.countries import (
     detect_target_countries,
     load_country_dictionary,
-    whitespace_tokens,
 )
 from transferaudit.features import TF, TFIDF, TokenPipelineConfig
 from transferaudit.linear import TrainConfig, adequacy_label, intention_label
-from transferaudit.rules import match_rule, parse_rule
+from transferaudit.rules import matched_elements, parse_rule
 from transferaudit.transparency import SegmentAnnotator, default_rules
 
 dictionary = load_country_dictionary()
@@ -28,7 +27,7 @@ for text in [
     "Our servers are in Germany and Japan.",
     "As a California-based company we keep data at home.",
 ]:
-    found = detect_target_countries(whitespace_tokens(text), dictionary)
+    found = detect_target_countries(text.split(), dictionary)
     print(f"  {text!r:70} -> {sorted(found) or '{}'}")
 
 print("\n== proximity rules ==")
@@ -39,7 +38,7 @@ for sentence in [
     "our standards are high. The clause is separate.",
     "standard one two three four clauses",
 ]:
-    print(f"  match={match_rule(rule, sentence)!s:5}  {sentence!r}")
+    print(f"  match={bool(matched_elements([rule], sentence))!s:5}  {sentence!r}")
 
 print("\n== two-layer annotation ==")
 # minimal training corpora for the two linear models

@@ -20,7 +20,6 @@ from .compliance import (
     AppAssessment,
     JurisdictionConfig,
     Verdict,
-    aggregate_app,
     assess_app,
     classify_transfer_type,
     judge_event,
@@ -76,7 +75,7 @@ from .linear import (
     train,
 )
 from .reports import ReportSummary, emit_report, summarize
-from .rules import ProximityRule, match_rule, parse_rule
+from .rules import ProximityRule, matched_elements, parse_rule
 from .stemmer import stem
 from .transparency import (
     PolicyAnnotation,

@@ -206,6 +206,7 @@ class AppAssessment:
 
     @property
     def overall(self) -> str:
+        """Fully compliant only if every applicable judgment is a full disclosure."""
         if not self.verdicts:
             return NO_TRANSFER
         if any(v.verdict_class in (AD, ID, OD) for v in self.verdicts):
@@ -213,14 +214,9 @@ class AppAssessment:
         return COMPLIANT
 
 
-def aggregate_app(app_id: str, verdicts: list[Verdict]) -> AppAssessment:
-    """Fully compliant only if every applicable judgment is a full disclosure."""
-    return AppAssessment(app_id=app_id, verdicts=list(verdicts))
-
-
 def assess_app(app_id: str, events: list[TransferEvent], policy: PolicyAnnotation,
                juris: JurisdictionConfig) -> AppAssessment:
     verdicts = []
     for event in events:
         verdicts.extend(judge_event(event, policy, juris))
-    return aggregate_app(app_id, verdicts)
+    return AppAssessment(app_id=app_id, verdicts=verdicts)

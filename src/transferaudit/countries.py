@@ -30,10 +30,6 @@ def normalize_token(token: str) -> str:
     return _EDGE_STRIP.sub("", token.lower())
 
 
-def whitespace_tokens(text: str) -> list[str]:
-    return text.split()
-
-
 @dataclass
 class CountryDictionary:
     """Surface-form phrases (normalized token tuples) mapped to ISO codes."""
@@ -89,7 +85,10 @@ def load_country_dictionary(path=None) -> CountryDictionary:
 def detect_target_countries(segment_tokens_raw: list[str],
                             dictionary: CountryDictionary,
                             eu_codes: frozenset[str] = EU_MEMBERS_2020) -> set[str]:
-    """Non-EU country codes named in a segment, by longest-phrase scan."""
+    """Non-EU country codes named in a segment, by longest-phrase scan.
+
+    `segment_tokens_raw` is the segment's whitespace split, `text.split()`.
+    """
     tokens = [t for t in (normalize_token(t) for t in segment_tokens_raw) if t]
     found: set[str] = set()
     i = 0

@@ -1,8 +1,9 @@
 """Sparse n-gram features for policy segments.
 
-Pipeline order is fixed: normalize -> filter -> stop words -> stemming ->
-n-grams.  Vocabularies record document frequencies so TF-IDF weights can be
-computed as count * ln(N / n_i).
+The token pipeline is fixed: lowercase -> drop non-ASCII -> ASCII letter
+runs -> drop stop words -> stem; n-grams are built over its tokens.
+Vocabularies record document frequencies so TF-IDF weights can be computed
+as count * ln(N / n_i).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .errors import ParseError
@@ -21,64 +23,36 @@ TFIDF = "tfidf"
 SCHEMES = (BC, TF, TFIDF)
 
 _LETTER_RUNS = re.compile(r"[a-z]+")
-_ALNUM_RUNS = re.compile(r"[a-z0-9]+")
-_DIGIT = re.compile(r"[0-9]")
-
-_STOPWORD_CACHE: dict[str, frozenset[str]] = {}
 
 
-def stopword_list(list_id: str = "english-default") -> frozenset[str]:
-    """Return the named stop-word set; ``none`` is the empty set."""
-    if list_id == "none":
-        return frozenset()
-    if list_id not in _STOPWORD_CACHE:
-        if list_id != "english-default":
-            raise ParseError(f"unknown stop-word list: {list_id!r}")
-        text = resources.files("transferaudit.data").joinpath("stopwords.txt").read_text("utf-8")
-        words = [ln.strip() for ln in text.splitlines()
-                 if ln.strip() and not ln.startswith("#")]
-        _STOPWORD_CACHE[list_id] = frozenset(words)
-    return _STOPWORD_CACHE[list_id]
+@cache
+def stopword_list() -> frozenset[str]:
+    """The English stop-word set, loaded once."""
+    text = resources.files("transferaudit.data").joinpath("stopwords.txt").read_text("utf-8")
+    return frozenset(ln.strip() for ln in text.splitlines()
+                     if ln.strip() and not ln.startswith("#"))
 
 
 @dataclass(frozen=True)
 class TokenPipelineConfig:
-    """Switches for the segment-to-token pipeline."""
+    """The n-gram range; the token pipeline itself is fixed (see `tokenize`)."""
 
-    lowercase: bool = True
-    drop_numeric: bool = True
-    drop_punct: bool = True
-    drop_non_ascii: bool = True
-    stopword_list_id: str = "english-default"
-    stem: bool = True
     ngram_min: int = 1
     ngram_max: int = 1
 
     def __post_init__(self):
-        if not self.lowercase:
-            raise ValueError("lowercasing is not optional")
         if not (1 <= self.ngram_min <= self.ngram_max <= 4):
             raise ValueError(f"bad n-gram range {self.ngram_min}-{self.ngram_max}")
 
 
-def tokenize(text: str, cfg: TokenPipelineConfig) -> list[str]:
-    """Normalize text to a token list; may be empty."""
-    text = text.lower()
-    if cfg.drop_non_ascii:
-        text = text.encode("ascii", "ignore").decode("ascii")
-    if cfg.drop_punct:
-        # punctuation separates; digits separate too when numeric tokens drop
-        runs = _LETTER_RUNS if cfg.drop_numeric else _ALNUM_RUNS
-        tokens = runs.findall(text)
-    else:
-        tokens = text.split()
-        if cfg.drop_numeric:
-            tokens = [t for t in tokens if not _DIGIT.search(t)]
-    stops = stopword_list(cfg.stopword_list_id)
-    tokens = [t for t in tokens if t not in stops]
-    if cfg.stem:
-        tokens = [stem(t) for t in tokens]
-    return tokens
+def tokenize(text: str) -> list[str]:
+    """Normalize text to a token list; may be empty.
+
+    Punctuation and digits separate tokens and are dropped with them.
+    """
+    text = text.lower().encode("ascii", "ignore").decode("ascii")
+    stops = stopword_list()
+    return [stem(t) for t in _LETTER_RUNS.findall(text) if t not in stops]
 
 
 def extract_ngrams(tokens: list[str], ngram_min: int, ngram_max: int) -> list[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def cross_validate(corpus: Corpus, pipeline: TokenPipelineConfig, scheme: str,
     fits one vocabulary on the whole corpus instead (leaks document
     frequencies between folds; kept for compatibility experiments).
     """
-    tokens = [tokenize(s.segment.text, pipeline) for s in corpus.samples]
+    tokens = [tokenize(s.segment.text) for s in corpus.samples]
     labels = [label_fn(s) for s in corpus.samples]
     relabeled = Corpus(samples=[
         LabeledSegment(s.segment, y, s.element_labels if y else frozenset())
@@ -248,11 +248,8 @@ def vocabulary_hash(vocab: Vocabulary) -> str:
 
 
 def model_bytes(model: LinearModel, *, scheme: str, ngram_min: int, ngram_max: int,
-                vocab_hash: str, extra_header: Sequence[tuple[str, str]] = ()) -> bytes:
-    """Exact-decimal serialization; repr() round-trips every float.
-
-    `extra_header` pairs follow the fixed header lines as `#key=value`.
-    """
+                vocab_hash: str) -> bytes:
+    """Exact-decimal serialization; repr() round-trips every float."""
     cfg = model.config
     lines = [
         f"#scheme={scheme}",
@@ -263,7 +260,6 @@ def model_bytes(model: LinearModel, *, scheme: str, ngram_min: int, ngram_max: i
         f"#seed={cfg.seed}",
         f"#loss={cfg.loss}",
         f"#vocab_sha256={vocab_hash}",
-        *(f"#{key}={value}" for key, value in extra_header),
     ]
     for idx, weight in enumerate(model.weights):
         lines.append(f"{idx}\t{float(weight)!r}")
@@ -272,23 +268,20 @@ def model_bytes(model: LinearModel, *, scheme: str, ngram_min: int, ngram_max: i
 
 
 def save_model(model: LinearModel, path, *, scheme: str, ngram_min: int,
-               ngram_max: int, vocab_hash: str,
-               extra_header: Sequence[tuple[str, str]] = ()) -> None:
+               ngram_max: int, vocab_hash: str) -> None:
     with open(path, "wb") as fh:
         fh.write(model_bytes(model, scheme=scheme, ngram_min=ngram_min,
-                             ngram_max=ngram_max, vocab_hash=vocab_hash,
-                             extra_header=extra_header))
+                             ngram_max=ngram_max, vocab_hash=vocab_hash))
 
 
 _HEADER_KEYS = frozenset(
     {"scheme", "ngram", "alpha", "eta0", "epochs", "seed", "loss", "vocab_sha256"})
 
 
-def load_model(path, extra_keys: Collection[str] = ()) -> tuple[LinearModel, dict[str, str]]:
+def load_model(path) -> tuple[LinearModel, dict[str, str]]:
     """Read a model file; returns the model and its header fields.
 
-    A header key that is neither one `model_bytes` writes nor in
-    `extra_keys` is a ParseError.
+    A header key that `model_bytes` does not write is a ParseError.
     """
     header: dict[str, str] = {}
     weights: dict[int, float] = {}
@@ -304,7 +297,7 @@ def load_model(path, extra_keys: Collection[str] = ()) -> tuple[LinearModel, dic
                     raise ParseError(f"malformed header {line!r}", lineno)
                 if key == "bias":
                     bias = float(value)
-                elif key in _HEADER_KEYS or key in extra_keys:
+                elif key in _HEADER_KEYS:
                     header[key] = value
                 elif key:
                     raise ParseError(f"unknown header key {key!r}", lineno)

@@ -126,11 +126,6 @@ def _match_in_sentence(rule: ProximityRule, tokens: list[str]) -> bool:
     return True
 
 
-def match_rule(rule: ProximityRule, segment_text: str) -> bool:
-    """True iff some single sentence of the segment satisfies the rule."""
-    return any(_match_in_sentence(rule, toks) for toks in sentence_tokens(segment_text))
-
-
 def load_rules(path) -> list[ProximityRule]:
     """Rule file: `element_id TAB rule text` per line, # comments allowed."""
     rules = []
@@ -147,7 +142,10 @@ def load_rules(path) -> list[ProximityRule]:
 
 
 def matched_elements(rules: list[ProximityRule], segment_text: str) -> set[str]:
-    """Element ids whose rules (any of them) match the segment."""
+    """Element ids whose rules (any of them) match the segment.
+
+    A rule matches when some single sentence of the segment satisfies it.
+    """
     sentences = sentence_tokens(segment_text)
     matched = set()
     for rule in rules:

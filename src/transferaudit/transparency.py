@@ -21,12 +21,13 @@ from .countries import (
     EU_MEMBERS_2020,
     CountryDictionary,
     detect_target_countries,
-    whitespace_tokens,
 )
 from .errors import ParseError
 from .jsonl import json_records
 from .rules import ProximityRule, load_rules, matched_elements
 
+# Rule-detected elements; the gated ones count only in segments that state a
+# transfer intention.
 GATED_ELEMENTS = ("scc", "bcr", "explicit_consent", "copy_means")
 UNGATED_ELEMENTS = ("representative", "privacy_shield")
 
@@ -126,29 +127,16 @@ def annotate_segment(segment_text: str, intention_model: TextClassifier,
                      eu_codes: frozenset[str] = EU_MEMBERS_2020) -> SegmentAnnotation:
     """Annotate one segment; layer-two elements stay off unless gated in."""
     elements = matched_elements(rules, segment_text)
-    intention = bool(intention_model.predict_text(segment_text))
-    countries: frozenset[str] = frozenset()
-    adequacy = scc = bcr = explicit_consent = copy_means = False
-    if intention:
-        countries = frozenset(
-            detect_target_countries(whitespace_tokens(segment_text), dictionary, eu_codes)
-        )
-        if adequacy_model is not None:
-            adequacy = bool(adequacy_model.predict_text(segment_text))
-        scc = "scc" in elements
-        bcr = "bcr" in elements
-        explicit_consent = "explicit_consent" in elements
-        copy_means = "copy_means" in elements
+    flags = {name: name in elements for name in UNGATED_ELEMENTS}
+    if not intention_model.predict_text(segment_text):
+        return SegmentAnnotation(**flags)
+    flags.update((name, name in elements) for name in GATED_ELEMENTS)
     return SegmentAnnotation(
-        intention=intention,
-        countries=countries,
-        adequacy=adequacy,
-        scc=scc,
-        bcr=bcr,
-        explicit_consent=explicit_consent,
-        copy_means=copy_means,
-        representative="representative" in elements,
-        privacy_shield="privacy_shield" in elements,
+        intention=True,
+        countries=frozenset(
+            detect_target_countries(segment_text.split(), dictionary, eu_codes)),
+        adequacy=adequacy_model is not None and bool(adequacy_model.predict_text(segment_text)),
+        **flags,
     )
 
 

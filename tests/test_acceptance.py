@@ -37,7 +37,6 @@ from transferaudit.corpus import (
 from transferaudit.countries import (
     EU_MEMBERS_2020,
     detect_target_countries,
-    whitespace_tokens,
 )
 from transferaudit.features import (
     TF,
@@ -64,7 +63,7 @@ from transferaudit.linear import (
     train,
 )
 from transferaudit.reports import MACHINE_LINES, TEXT_TABLE, emit_report, summarize
-from transferaudit.rules import match_rule, parse_rule
+from transferaudit.rules import matched_elements, parse_rule
 from transferaudit.transparency import PolicyAnnotation
 
 JURIS = load_jurisdiction()
@@ -349,17 +348,17 @@ def test_criterion_6_rule_engine():
                     "as standard contractual clauses.")
     bcr_sentence = ("As part of our corporate group we rely on the group "
                     "binding corporate rules to legitimize transfers.")
-    assert match_rule(scc, scc_sentence)
-    assert match_rule(bcr, bcr_sentence)
+    assert matched_elements([scc], scc_sentence)
+    assert matched_elements([bcr], bcr_sentence)
     for control in NEGATIVE_CONTROLS:
-        assert not match_rule(scc, control), control
-        assert not match_rule(bcr, control), control
+        assert not matched_elements([scc], control), control
+        assert not matched_elements([bcr], control), control
     # window distance: gap == N matches, gap == N+1 does not
     probe = parse_rule("('alpha') w/4 ('omega')")
-    assert match_rule(probe, "alpha one two three omega")
-    assert not match_rule(probe, "alpha one two three four omega")
+    assert matched_elements([probe], "alpha one two three omega")
+    assert not matched_elements([probe], "alpha one two three four omega")
     # same-sentence constraint
-    assert not match_rule(scc, "Our standards are high. The clause is separate.")
+    assert not matched_elements([scc], "Our standards are high. The clause is separate.")
     _ok("6 rule engine: matches, 20 negative controls, window boundaries")
 
 
@@ -369,13 +368,13 @@ def test_criterion_7_country_detection(country_dictionary):
     segment = ("Our business may require us to transfer your personal data to "
                "countries outside of the European Economic Area (EEA), "
                "including the Peoples Republic of China or Singapore.")
-    got = detect_target_countries(whitespace_tokens(segment), country_dictionary)
+    got = detect_target_countries(segment.split(), country_dictionary)
     assert got == {"CN", "SG"}
-    got = detect_target_countries(whitespace_tokens("We rely on the Privacy Shield."),
+    got = detect_target_countries("We rely on the Privacy Shield.".split(),
                                   country_dictionary)
     assert got == {"US"}
     got = detect_target_countries(
-        whitespace_tokens("We transfer data to countries around the world."),
+        "We transfer data to countries around the world.".split(),
         country_dictionary)
     assert got == set()
 
@@ -387,7 +386,7 @@ def test_criterion_7_country_detection(country_dictionary):
     for _ in range(200):
         names = [rng.choice(eu_names) for _ in range(rng.randint(1, 5))]
         sentence = f"We process data in {', '.join(names)}."
-        got = detect_target_countries(whitespace_tokens(sentence), country_dictionary)
+        got = detect_target_countries(sentence.split(), country_dictionary)
         assert got & EU_MEMBERS_2020 == set()
         assert got == set()
     _ok("7 country detection incl. 200 random EU-only sentences")

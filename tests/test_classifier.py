@@ -66,18 +66,6 @@ def test_load_detects_vocab_model_mismatch(bundle, tmp_path):
         TextClassifier.load(tmp_path, "intention")
 
 
-def test_reload_keeps_pipeline_switches(tmp_path):
-    pipeline = TokenPipelineConfig(ngram_min=1, ngram_max=2, stem=False,
-                                   drop_numeric=False, stopword_list_id="none")
-    clf = fit_text_classifier(_corpus(), pipeline, TF, TrainConfig(seed=3),
-                              intention_label)
-    clf.save(tmp_path, "intention")
-    loaded = TextClassifier.load(tmp_path, "intention")
-    assert loaded.pipeline == pipeline
-    for probe in [*PROBES, "we transferred 3 records to the other countries"]:
-        assert loaded.predict_text(probe) == clf.predict_text(probe)
-
-
 def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
     bundle.save(tmp_path, "intention")
     lines = (tmp_path / "intention.model.tsv").read_text(encoding="utf-8").splitlines()
@@ -87,11 +75,12 @@ def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
 
 
 @pytest.mark.parametrize("line", ["#stemmer=porter", "#stem=maybe",
-                                  "#stopword_list_id=klingon"])
+                                  "#stopword_list_id=klingon", "#stem=false"])
 def test_load_rejects_bad_header_line(bundle, tmp_path, line):
     bundle.save(tmp_path, "intention")
     model_path = tmp_path / "intention.model.tsv"
     lines = model_path.read_text(encoding="utf-8").splitlines()
     model_path.write_text("\n".join([lines[0], line, *lines[1:]]) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == 2

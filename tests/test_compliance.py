@@ -17,9 +17,9 @@ from transferaudit.compliance import (
     T1_FIRST_PARTY,
     T2_ADEQUACY,
     T3_NO_ADEQUACY,
+    AppAssessment,
     JurisdictionConfig,
     Verdict,
-    aggregate_app,
     classify_transfer_type,
     judge_event,
     judge_transfer,
@@ -243,7 +243,7 @@ def test_aggregate_compliant():
         Verdict(FD, "a", "y.com", "US", T3_NO_ADEQUACY),
         Verdict(NOT_APPLICABLE, "a", "z.com", "IE", INTRA_EU),
     ]
-    assert aggregate_app("a", verdicts).overall == COMPLIANT
+    assert AppAssessment("a", verdicts).overall == COMPLIANT
 
 
 def test_aggregate_one_bad_verdict_taints_app():
@@ -251,11 +251,11 @@ def test_aggregate_one_bad_verdict_taints_app():
         Verdict(FD, "a", "x.com", "US", T3_NO_ADEQUACY),
         Verdict(AD, "a", "y.com", "RU", T3_NO_ADEQUACY),
     ]
-    assert aggregate_app("a", verdicts).overall == POTENTIALLY_NON_COMPLIANT
+    assert AppAssessment("a", verdicts).overall == POTENTIALLY_NON_COMPLIANT
 
 
 def test_aggregate_no_events():
-    assert aggregate_app("a", []).overall == NO_TRANSFER
+    assert AppAssessment("a", []).overall == NO_TRANSFER
 
 
 def test_jurisdiction_rejects_overlap():

@@ -15,8 +15,8 @@ from transferaudit.compliance import (
     NOT_APPLICABLE,
     T1_FIRST_PARTY,
     T3_NO_ADEQUACY,
+    AppAssessment,
     Verdict,
-    aggregate_app,
 )
 from transferaudit.errors import AuditError
 from transferaudit.reports import MACHINE_LINES, TEXT_TABLE, emit_report, summarize
@@ -37,11 +37,11 @@ def verdict(cls, app, ttype=T3_NO_ADEQUACY, domain="x.com", country="US",
 @pytest.fixture()
 def sample_inputs():
     assessments = [
-        aggregate_app("a", [verdict(FD, "a", owner="Adjust", hq="US")]),
-        aggregate_app("b", [verdict(AD, "b", owner="Yandex LLC", hq="RU", country="RU"),
+        AppAssessment("a", [verdict(FD, "a", owner="Adjust", hq="US")]),
+        AppAssessment("b", [verdict(AD, "b", owner="Yandex LLC", hq="RU", country="RU"),
                             verdict(FD, "b", ttype=T1_FIRST_PARTY, domain="b.com")]),
-        aggregate_app("c", []),
-        aggregate_app("d", [verdict(NOT_APPLICABLE, "d", ttype=INTRA_EU, country="IE")]),
+        AppAssessment("c", []),
+        AppAssessment("d", [verdict(NOT_APPLICABLE, "d", ttype=INTRA_EU, country="IE")]),
     ]
     annotations = {
         "a": PolicyAnnotation(intention=True, countries=frozenset({"US"}),

@@ -3,7 +3,7 @@
 import pytest
 
 from transferaudit.errors import RuleParseError
-from transferaudit.rules import load_rules, match_rule, matched_elements, parse_rule
+from transferaudit.rules import load_rules, matched_elements, parse_rule
 
 SCC_RULE = "('contract'|'standard') w/4 ('model'|'clause')"
 BCR_RULE = "('binding') w/3 ('corporate'|'rule')"
@@ -42,8 +42,8 @@ def test_parse_rejects_missing_window():
 def test_parse_single_clause_rule():
     rule = parse_rule("('consent')")
     assert rule.windows == ()
-    assert match_rule(rule, "You consent to this.")
-    assert not match_rule(rule, "You agree to this.")
+    assert matched_elements([rule], "You consent to this.")
+    assert not matched_elements([rule], "You agree to this.")
 
 
 def test_parse_error_carries_position():
@@ -55,49 +55,49 @@ def test_parse_error_carries_position():
 def test_scc_rule_matches_within_window():
     rule = parse_rule(SCC_RULE)
     # stems: standard .. contractu .. claus; gap standard->claus is 2
-    assert match_rule(rule, "we implement measures such as standard contractual clauses")
+    assert matched_elements([rule], "we implement measures such as standard contractual clauses")
 
 
 def test_scc_rule_same_sentence_constraint():
     rule = parse_rule(SCC_RULE)
-    assert not match_rule(rule, "our standards are high. The clause is separate.")
+    assert not matched_elements([rule], "our standards are high. The clause is separate.")
 
 
 def test_bcr_rule_matches_group_rules_sentence():
     rule = parse_rule(BCR_RULE, rule_id="bcr")
-    assert match_rule(rule, "relies on the group binding corporate rules for transfers")
+    assert matched_elements([rule], "relies on the group binding corporate rules for transfers")
 
 
 def test_window_boundary_exact_gap():
     rule = parse_rule("('alpha') w/3 ('omega')")
-    assert match_rule(rule, "alpha one two omega")          # gap 3
-    assert not match_rule(rule, "alpha one two three omega")  # gap 4
+    assert matched_elements([rule], "alpha one two omega")          # gap 3
+    assert not matched_elements([rule], "alpha one two three omega")  # gap 4
 
 
 def test_order_insensitive_matching():
     rule = parse_rule("('alpha') w/2 ('omega')")
-    assert match_rule(rule, "omega then alpha")
-    assert match_rule(rule, "alpha then omega")
+    assert matched_elements([rule], "omega then alpha")
+    assert matched_elements([rule], "alpha then omega")
 
 
 def test_matching_ignores_case_and_punctuation():
     rule = parse_rule(SCC_RULE)
-    assert match_rule(rule, "STANDARD, (contractual) CLAUSES!")
+    assert matched_elements([rule], "STANDARD, (contractual) CLAUSES!")
 
 
 def test_three_clause_chaining():
     rule = parse_rule("('alpha') w/2 ('beta') w/2 ('gamma')")
-    assert match_rule(rule, "alpha x beta y gamma")
-    assert not match_rule(rule, "alpha x beta one two three gamma")
+    assert matched_elements([rule], "alpha x beta y gamma")
+    assert not matched_elements([rule], "alpha x beta one two three gamma")
     # chaining is per consecutive pair: gamma may precede beta
-    assert match_rule(rule, "gamma beta alpha")
+    assert matched_elements([rule], "gamma beta alpha")
 
 
 def test_stemmed_token_equality_not_prefix():
     # "contractual" stems to "contractu", which is not the term "contract"
     rule = parse_rule("('contract') w/4 ('commitment')")
-    assert not match_rule(rule, "contractual commitments protect your data")
-    assert match_rule(rule, "contracts include commitments")
+    assert not matched_elements([rule], "contractual commitments protect your data")
+    assert matched_elements([rule], "contracts include commitments")
 
 
 def test_load_rules_and_matched_elements(tmp_path):
