@@ -83,8 +83,7 @@ def load_country_dictionary(path=None) -> CountryDictionary:
 
 
 def detect_target_countries(segment_tokens_raw: list[str],
-                            dictionary: CountryDictionary,
-                            eu_codes: frozenset[str] = EU_MEMBERS_2020) -> set[str]:
+                            dictionary: CountryDictionary) -> set[str]:
     """Non-EU country codes named in a segment, by longest-phrase scan.
 
     `segment_tokens_raw` is the segment's whitespace split, `text.split()`.
@@ -102,4 +101,4 @@ def detect_target_countries(segment_tokens_raw: list[str],
                 matched_len = length
                 break
         i += matched_len or 1
-    return {c for c in found if c not in eu_codes}
+    return found - EU_MEMBERS_2020

@@ -88,7 +88,6 @@ class FeatureVector:
     """Sparse weights for one segment under a weighting scheme."""
 
     entries: dict[int, float] = field(default_factory=dict)
-    scheme: str = TF
 
 
 def build_vocabulary(token_lists: list[list[str]], cfg: TokenPipelineConfig) -> Vocabulary:
@@ -128,7 +127,7 @@ def vectorize(tokens: list[str], vocab: Vocabulary, scheme: str) -> FeatureVecto
             weight = count * math.log(vocab.document_count / vocab.document_frequency[idx])
             if weight != 0.0:
                 entries[idx] = weight
-    return FeatureVector(entries=entries, scheme=scheme)
+    return FeatureVector(entries=entries)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -18,6 +18,7 @@ import logging
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from types import MappingProxyType
 
@@ -47,22 +48,14 @@ def _load_token_file(name: str) -> frozenset[str]:
                      if ln.strip() and not ln.startswith("#"))
 
 
-_PUBLIC_SUFFIXES: frozenset[str] | None = None
-_GENERIC_TOKENS: frozenset[str] | None = None
-
-
+@cache
 def public_suffixes() -> frozenset[str]:
-    global _PUBLIC_SUFFIXES
-    if _PUBLIC_SUFFIXES is None:
-        _PUBLIC_SUFFIXES = _load_token_file("public_suffixes.txt")
-    return _PUBLIC_SUFFIXES
+    return _load_token_file("public_suffixes.txt")
 
 
+@cache
 def generic_tokens() -> frozenset[str]:
-    global _GENERIC_TOKENS
-    if _GENERIC_TOKENS is None:
-        _GENERIC_TOKENS = _load_token_file("generic_tokens.txt")
-    return _GENERIC_TOKENS
+    return _load_token_file("generic_tokens.txt")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from .errors import RuleParseError
 from .stemmer import stem
 
+# The grammar is regular: a rule is a clause, then (window, clause) pairs.
+_CLAUSE = re.compile(r"\s*\((\s*'[^']*'(?:\s*\|\s*'[^']*')*)\s*\)")
+_TERM = re.compile(r"'([^']*)'")
+_WINDOW = re.compile(r"\s*w/(\d*)")  # \d: int() reads every Unicode decimal digit
+
 _SENTENCE_SPLIT = re.compile(r"[.!?;]")
 _WORD_RUNS = re.compile(r"[a-z]+")
 
@@ -30,100 +35,34 @@ class ProximityRule:
             raise ValueError("need exactly one window between consecutive clauses")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str):
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise RuleParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _parse_term(sc: _Scanner) -> str:
-    sc.skip_ws()
-    sc.expect("'")
-    start = sc.pos
-    while sc.pos < len(sc.text) and sc.text[sc.pos] != "'":
-        sc.pos += 1
-    if sc.pos >= len(sc.text):
-        raise RuleParseError("unterminated term quote", start - 1)
-    term = sc.text[start:sc.pos]
-    sc.pos += 1
-    if not term or not term.isalpha():
-        raise RuleParseError(f"term must be alphabetic, got {term!r}", start)
-    return stem(term.lower())
-
-
-def _parse_clause(sc: _Scanner) -> frozenset[str]:
-    sc.skip_ws()
-    sc.expect("(")
-    terms = [_parse_term(sc)]
-    while True:
-        sc.skip_ws()
-        if sc.pos < len(sc.text) and sc.text[sc.pos] == "|":
-            sc.pos += 1
-            terms.append(_parse_term(sc))
-            continue
-        sc.expect(")")
-        return frozenset(terms)
-
-
 def parse_rule(rule_text: str, rule_id: str = "") -> ProximityRule:
     """Parse one rule string; raises RuleParseError with the failing position."""
-    sc = _Scanner(rule_text)
-    clauses = [_parse_clause(sc)]
+    clauses: list[frozenset[str]] = []
     windows: list[int] = []
-    while not sc.at_end():
-        sc.skip_ws()
-        if not sc.text.startswith("w/", sc.pos):
-            raise RuleParseError("expected `w/<int>` between clauses", sc.pos)
-        sc.pos += 2
-        start = sc.pos
-        while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-            sc.pos += 1
-        if sc.pos == start:
-            raise RuleParseError("window must be an integer", start)
-        window = int(sc.text[start:sc.pos])
-        if window < 1:
-            raise RuleParseError("window must be >= 1", start)
-        windows.append(window)
-        clauses.append(_parse_clause(sc))
-    return ProximityRule(id=rule_id, clauses=tuple(clauses), windows=tuple(windows))
-
-
-def sentence_tokens(segment_text: str) -> list[list[str]]:
-    """Stemmed word tokens per sentence; sentences split on . ! ? ;"""
-    sentences = []
-    for raw in _SENTENCE_SPLIT.split(segment_text.lower()):
-        tokens = [stem(t) for t in _WORD_RUNS.findall(raw)]
-        if tokens:
-            sentences.append(tokens)
-    return sentences
-
-
-def _match_in_sentence(rule: ProximityRule, tokens: list[str]) -> bool:
-    positions = []
-    for clause in rule.clauses:
-        hits = [i for i, t in enumerate(tokens) if t in clause]
-        if not hits:
-            return False
-        positions.append(hits)
-    reachable = positions[0]
-    for window, hits in zip(rule.windows, positions[1:]):
-        reachable = [q for q in hits if any(abs(q - p) <= window for p in reachable)]
-        if not reachable:
-            return False
-    return True
+    pos = 0
+    while True:
+        clause = _CLAUSE.match(rule_text, pos)
+        if clause is None:
+            raise RuleParseError("expected a clause `('term'|'term')`", pos)
+        terms = []
+        for term in _TERM.finditer(rule_text, clause.start(1), clause.end(1)):
+            if not term[1].isalpha():
+                raise RuleParseError(f"term must be alphabetic, got {term[1]!r}",
+                                     term.start(1))
+            terms.append(stem(term[1].lower()))
+        clauses.append(frozenset(terms))
+        pos = clause.end()
+        if not rule_text[pos:].strip():
+            return ProximityRule(id=rule_id, clauses=tuple(clauses), windows=tuple(windows))
+        window = _WINDOW.match(rule_text, pos)
+        if window is None:
+            raise RuleParseError("expected `w/<int>` between clauses", pos)
+        if not window[1]:
+            raise RuleParseError("window must be an integer", window.end())
+        if int(window[1]) < 1:
+            raise RuleParseError("window must be >= 1", window.start(1))
+        windows.append(int(window[1]))
+        pos = window.end()
 
 
 def load_rules(path) -> list[ProximityRule]:
@@ -137,20 +76,35 @@ def load_rules(path) -> list[ProximityRule]:
             element_id, sep, text = line.partition("\t")
             if not sep or not element_id or not text.strip():
                 raise RuleParseError(f"line {lineno}: expected `element_id TAB rule`")
-            rules.append(parse_rule(text.strip(), rule_id=element_id))
+            try:
+                rules.append(parse_rule(text.strip(), rule_id=element_id))
+            except RuleParseError as exc:
+                raise RuleParseError(f"line {lineno}: {exc}") from exc
     return rules
+
+
+def _matches(rule: ProximityRule, positions: dict[str, list[int]]) -> bool:
+    """Chain the clauses: a hit counts if it lies within the window of a
+    counted hit of the previous clause."""
+    reachable = [p for term in rule.clauses[0] for p in positions.get(term, ())]
+    for window, clause in zip(rule.windows, rule.clauses[1:]):
+        reachable = [q for term in clause for q in positions.get(term, ())
+                     if any(abs(q - p) <= window for p in reachable)]
+    return bool(reachable)
 
 
 def matched_elements(rules: list[ProximityRule], segment_text: str) -> set[str]:
     """Element ids whose rules (any of them) match the segment.
 
-    A rule matches when some single sentence of the segment satisfies it.
+    A rule matches when some single sentence of the segment satisfies it;
+    sentences split on . ! ? ; and positions count every word.
     """
-    sentences = sentence_tokens(segment_text)
     matched = set()
-    for rule in rules:
-        if rule.id in matched:
-            continue
-        if any(_match_in_sentence(rule, toks) for toks in sentences):
-            matched.add(rule.id)
+    for sentence in _SENTENCE_SPLIT.split(segment_text.lower()):
+        positions: dict[str, list[int]] = {}
+        for i, word in enumerate(_WORD_RUNS.findall(sentence)):
+            positions.setdefault(stem(word), []).append(i)
+        for rule in rules:
+            if rule.id not in matched and _matches(rule, positions):
+                matched.add(rule.id)
     return matched

@@ -17,11 +17,7 @@ from importlib import resources
 from operator import itemgetter
 
 from .classifier import TextClassifier
-from .countries import (
-    EU_MEMBERS_2020,
-    CountryDictionary,
-    detect_target_countries,
-)
+from .countries import CountryDictionary, detect_target_countries
 from .errors import ParseError
 from .jsonl import json_records
 from .rules import ProximityRule, load_rules, matched_elements
@@ -123,8 +119,7 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
 def annotate_segment(segment_text: str, intention_model: TextClassifier,
                      adequacy_model: TextClassifier | None,
                      rules: list[ProximityRule],
-                     dictionary: CountryDictionary,
-                     eu_codes: frozenset[str] = EU_MEMBERS_2020) -> SegmentAnnotation:
+                     dictionary: CountryDictionary) -> SegmentAnnotation:
     """Annotate one segment; layer-two elements stay off unless gated in."""
     elements = matched_elements(rules, segment_text)
     flags = {name: name in elements for name in UNGATED_ELEMENTS}
@@ -133,8 +128,7 @@ def annotate_segment(segment_text: str, intention_model: TextClassifier,
     flags.update((name, name in elements) for name in GATED_ELEMENTS)
     return SegmentAnnotation(
         intention=True,
-        countries=frozenset(
-            detect_target_countries(segment_text.split(), dictionary, eu_codes)),
+        countries=frozenset(detect_target_countries(segment_text.split(), dictionary)),
         adequacy=adequacy_model is not None and bool(adequacy_model.predict_text(segment_text)),
         **flags,
     )
@@ -158,12 +152,10 @@ class SegmentAnnotator:
     adequacy_model: TextClassifier | None
     rules: list[ProximityRule]
     dictionary: CountryDictionary
-    eu_codes: frozenset[str] = EU_MEMBERS_2020
 
     def annotate_segment(self, segment_text: str) -> SegmentAnnotation:
         return annotate_segment(segment_text, self.intention_model,
-                                self.adequacy_model, self.rules,
-                                self.dictionary, self.eu_codes)
+                                self.adequacy_model, self.rules, self.dictionary)
 
     def annotate_policy(self, segment_texts: list[str]) -> PolicyAnnotation:
         return annotate_policy([self.annotate_segment(t) for t in segment_texts])

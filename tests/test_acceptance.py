@@ -449,7 +449,7 @@ def test_criterion_9_metric_suite():
 def test_criterion_10_determinism_and_throughput(annotator):
     from transferaudit.features import FeatureVector
 
-    samples = [(FeatureVector({0: 1.0}, TF), 1), (FeatureVector({0: -1.0}, TF), 0)]
+    samples = [(FeatureVector({0: 1.0}), 1), (FeatureVector({0: -1.0}), 0)]
     cfg = TrainConfig(alpha=1e-3, epochs=25, seed=99)
     blob_a = model_bytes(train(samples, cfg, dim=1), scheme=TF, ngram_min=1,
                          ngram_max=2, vocab_hash="00")

@@ -194,6 +194,19 @@ def test_scan_drops_unparseable_hostname(tmp_path, capsys, caplog):
     assert "not_a_domain: unparseable hostname" in caplog.text
 
 
+def test_bad_rule_line_is_input_error_naming_the_line(model_dir, tmp_path, capsys):
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("scc\t('standard') w/4 ('clause')\nbcr\t('a') w/x ('b')\n",
+                     encoding="utf-8")
+    policy = tmp_path / "pol.txt"
+    policy.write_text("We use standard contractual clauses.", encoding="utf-8")
+    assert main(["annotate", "--model-dir", str(model_dir), "--rules", str(rules),
+                 str(policy)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2" in captured.err
+
+
 def test_bad_corpus_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("only\ttwo\n", encoding="utf-8")

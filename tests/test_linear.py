@@ -27,7 +27,7 @@ from transferaudit.linear import (
 
 
 def fv(entries):
-    return FeatureVector(entries=dict(entries), scheme=TF)
+    return FeatureVector(entries=dict(entries))
 
 
 def test_train_separates_two_points():

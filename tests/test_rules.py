@@ -1,9 +1,15 @@
 """Proximity rule grammar and matching tests."""
 
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transferaudit.errors import RuleParseError
-from transferaudit.rules import load_rules, matched_elements, parse_rule
+from transferaudit.rules import ProximityRule, load_rules, matched_elements, parse_rule
+from transferaudit.stemmer import stem
+from transferaudit.transparency import default_rules
 
 SCC_RULE = "('contract'|'standard') w/4 ('model'|'clause')"
 BCR_RULE = "('binding') w/3 ('corporate'|'rule')"
@@ -61,6 +67,13 @@ def test_scc_rule_matches_within_window():
 def test_scc_rule_same_sentence_constraint():
     rule = parse_rule(SCC_RULE)
     assert not matched_elements([rule], "our standards are high. The clause is separate.")
+
+
+@pytest.mark.parametrize("mark", [".", "!", "?", ";"])
+def test_each_sentence_mark_ends_a_sentence(mark):
+    rule = parse_rule("('alpha') w/3 ('omega')")
+    assert matched_elements([rule], "alpha, omega")
+    assert not matched_elements([rule], f"alpha{mark} omega")
 
 
 def test_bcr_rule_matches_group_rules_sentence():
@@ -132,3 +145,93 @@ def test_multiple_rules_same_element_are_alternatives(tmp_path):
     assert matched_elements(rules, "the safeguards can be found online") == {"copy_means"}
     assert matched_elements(rules, "a copy may be obtained") == {"copy_means"}
     assert matched_elements(rules, "unrelated sentence") == set()
+
+
+@pytest.mark.parametrize("text, clauses, windows", [
+    ("('a')\u3000w/2\u2003('b')", [{"a"}, {"b"}], (2,)),
+    ("\x1c(\x85'a'\xa0|\t'b'\n)", [{"a", "b"}], ()),
+    ("('a') w/04 ('b')", [{"a"}, {"b"}], (4,)),
+    ("('a') w/\u0664 ('b')", [{"a"}, {"b"}], (4,)),  # ARABIC-INDIC DIGIT FOUR
+    ("('a')w/1('b')w/3('c')", [{"a"}, {"b"}, {"c"}], (1, 3)),
+    ("('Clauses'|'clause')", [{"claus"}], ()),
+    ("('a') w/2 ('b')  \n", [{"a"}, {"b"}], (2,)),
+])
+def test_parse_accepts(text, clauses, windows):
+    rule = parse_rule(text)
+    assert rule.clauses == tuple(frozenset(c) for c in clauses)
+    assert rule.windows == windows
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "('')", "('a b')", "('a1')", "('a", "('a' 'b')", "('a'|'b'", "'a'",
+    # SUPERSCRIPT TWO passes str.isdigit(), but int() rejects it
+    "('a') w/0 ('b')", "('a') w/x ('b')", "('a') w/\u00b2 ('b')", "('a') w/1\u00b2 ('b')",
+    "('a') w/-1 ('b')", "('a') w/2", "('a') W/2 ('b')", "('a') w /2 ('b')", "('a') x",
+])
+def test_parse_rejects(text):
+    with pytest.raises(RuleParseError) as excinfo:
+        parse_rule(text)
+    assert excinfo.value.position is not None
+
+
+def _reference_matched_elements(rules, segment_text):
+    """The former matcher: stem each sentence's words once, then rescan the
+    stemmed tokens for every clause of every rule."""
+    sentences = []
+    for raw in re.split(r"[.!?;]", segment_text.lower()):
+        tokens = [stem(t) for t in re.findall(r"[a-z]+", raw)]
+        if tokens:
+            sentences.append(tokens)
+
+    def match_in_sentence(rule, tokens):
+        positions = []
+        for clause in rule.clauses:
+            hits = [i for i, t in enumerate(tokens) if t in clause]
+            if not hits:
+                return False
+            positions.append(hits)
+        reachable = positions[0]
+        for window, hits in zip(rule.windows, positions[1:]):
+            reachable = [q for q in hits if any(abs(q - p) <= window for p in reachable)]
+            if not reachable:
+                return False
+        return True
+
+    return {rule.id for rule in rules
+            if any(match_in_sentence(rule, toks) for toks in sentences)}
+
+
+# words: rule terms in several inflections and cases, stop words, non-ASCII
+# letters, and characters whose lowercase is ASCII (KELVIN SIGN -> "k");
+# separators: sentence ends, other punctuation and whitespace
+_TERMS = ["alpha", "beta", "gamma", "you", "get", "copy", "standard", "contractual",
+          "clause", "consent"]
+_WORDS = _TERMS + ["STANDARD", "Clauses", "copies", "got", "the", "You", "café", "naïve",
+                   "\u212a", "\u0130", "ß", "'s"]
+_SEPARATORS = [" ", " ", " ", ". ", "!", "?", ";", ", ", "\n", "\u00a0", "—", "–", "«",
+               "»", "-", ""]
+_TEXT = st.lists(st.tuples(st.sampled_from(_WORDS),
+                           st.one_of(st.sampled_from(_SEPARATORS), st.characters())),
+                 max_size=25).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+_THREE_CLAUSE = parse_rule("('alpha'|'you') w/2 ('beta'|'get') w/3 ('gamma'|'copy')",
+                           rule_id="scc")
+
+
+@st.composite
+def _rules(draw):
+    """The shipped rules and a three-clause rule, plus random rules over the
+    same terms; element ids repeat, so rules act as alternatives."""
+    rules = [*default_rules(), _THREE_CLAUSE]
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 3))
+        clauses = tuple(frozenset(stem(t) for t in draw(
+            st.lists(st.sampled_from(_TERMS), min_size=1, max_size=3))) for _ in range(n))
+        windows = tuple(draw(st.integers(1, 4)) for _ in range(n - 1))
+        rule_id = draw(st.sampled_from(["scc", "copy_means", "extra"]))
+        rules.append(ProximityRule(id=rule_id, clauses=clauses, windows=windows))
+    return rules
+
+
+@given(_rules(), _TEXT)
+def test_matched_elements_matches_reference(rules, text):
+    assert matched_elements(rules, text) == _reference_matched_elements(rules, text)
