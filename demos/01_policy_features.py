@@ -12,8 +12,8 @@ from transferaudit.features import (
     BC,
     TF,
     TFIDF,
-    TokenPipelineConfig,
     build_vocabulary,
+    extract_ngrams,
     tokenize,
     vectorize,
 )
@@ -40,19 +40,19 @@ for mode in (FULLSTOP, BLANKLINE):
 # note: "U.S." survives full-stop mode thanks to the abbreviation guard
 
 print("\n== token pipeline ==")
-cfg = TokenPipelineConfig(ngram_min=1, ngram_max=2)
 text = "Transferred, 2 countries! The data is safe."
 print(f"input : {text!r}")
 print(f"tokens: {tokenize(text)}")
 
 print("\n== vocabulary and weighting ==")
 segments = segment_policy(POLICY, FULLSTOP)
-token_lists = [tokenize(s.text) for s in segments]
-vocab = build_vocabulary(token_lists, cfg)
+# unigrams and bigrams, computed once per segment
+gram_lists = [extract_ngrams(tokenize(s.text), 1, 2) for s in segments]
+vocab = build_vocabulary(gram_lists)
 print(f"{len(vocab)} features over {vocab.document_count} segments")
 
 by_index = {i: f for f, i in vocab.feature_to_index.items()}
-sample = token_lists[0]
+sample = gram_lists[0]
 for scheme in (BC, TF, TFIDF):
     vec = vectorize(sample, vocab, scheme)
     top = sorted(vec.entries.items(), key=lambda kv: -kv[1])[:5]

@@ -8,10 +8,10 @@ winning configuration.
 import random
 import tempfile
 
-from transferaudit.classifier import TextClassifier, fit_text_classifier
+from transferaudit.classifier import TextClassifier, cross_validate, fit_text_classifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
-from transferaudit.features import BC, TF, TFIDF, TokenPipelineConfig
-from transferaudit.linear import TrainConfig, cross_validate, intention_label
+from transferaudit.features import BC, TF, TFIDF
+from transferaudit.linear import TrainConfig, intention_label
 
 POSITIVE_TEMPLATES = [
     "we may transfer your personal data to countries outside the european economic area",
@@ -50,8 +50,7 @@ print(f"{'scheme':>7} {'ngram':>6} {'precision':>10} {'recall':>8} {'F':>7}")
 best = None
 for scheme in (BC, TF, TFIDF):
     for ngram_max in (1, 2, 3):
-        pipeline = TokenPipelineConfig(ngram_min=1, ngram_max=ngram_max)
-        result = cross_validate(corpus, pipeline, scheme,
+        result = cross_validate(corpus, (1, ngram_max), scheme,
                                 TrainConfig(alpha=1e-3, epochs=20, seed=5),
                                 k=5, seed=5)
         m = result.means
@@ -64,8 +63,7 @@ for scheme in (BC, TF, TFIDF):
 _, scheme, ngram_max = best
 print(f"\nselected: {scheme} with 1-{ngram_max} grams")
 
-pipeline = TokenPipelineConfig(ngram_min=1, ngram_max=ngram_max)
-bundle = fit_text_classifier(corpus, pipeline, scheme,
+bundle = fit_text_classifier(corpus, (1, ngram_max), scheme,
                              TrainConfig(alpha=1e-3, epochs=50, seed=5),
                              intention_label)
 

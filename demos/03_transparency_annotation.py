@@ -12,7 +12,7 @@ from transferaudit.countries import (
     detect_target_countries,
     load_country_dictionary,
 )
-from transferaudit.features import TF, TFIDF, TokenPipelineConfig
+from transferaudit.features import TF, TFIDF
 from transferaudit.linear import TrainConfig, adequacy_label, intention_label
 from transferaudit.rules import matched_elements, parse_rule
 from transferaudit.transparency import SegmentAnnotator, default_rules
@@ -75,11 +75,9 @@ adeq_corpus = Corpus(samples=(
 
 annotator = SegmentAnnotator(
     intention_model=fit_text_classifier(
-        intent_corpus, TokenPipelineConfig(ngram_min=1, ngram_max=2), TF,
-        TrainConfig(seed=1), intention_label),
+        intent_corpus, (1, 2), TF, TrainConfig(seed=1), intention_label),
     adequacy_model=fit_text_classifier(
-        adeq_corpus, TokenPipelineConfig(ngram_min=1, ngram_max=2), TFIDF,
-        TrainConfig(seed=2), adequacy_label),
+        adeq_corpus, (1, 2), TFIDF, TrainConfig(seed=2), adequacy_label),
     rules=default_rules(),
     dictionary=dictionary,
 )

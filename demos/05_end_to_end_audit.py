@@ -18,7 +18,7 @@ from transferaudit.corpus import (
     segment_policy,
 )
 from transferaudit.countries import load_country_dictionary
-from transferaudit.features import TF, TFIDF, TokenPipelineConfig
+from transferaudit.features import TF, TFIDF
 from transferaudit.flows import (
     CatalogEntry,
     FlowRecord,
@@ -101,11 +101,9 @@ adeq_corpus = Corpus(samples=(
 
 annotator = SegmentAnnotator(
     intention_model=fit_text_classifier(
-        intent_corpus, TokenPipelineConfig(ngram_min=1, ngram_max=2), TF,
-        TrainConfig(seed=20), intention_label),
+        intent_corpus, (1, 2), TF, TrainConfig(seed=20), intention_label),
     adequacy_model=fit_text_classifier(
-        adeq_corpus, TokenPipelineConfig(ngram_min=1, ngram_max=2), TFIDF,
-        TrainConfig(seed=21), adequacy_label),
+        adeq_corpus, (1, 2), TFIDF, TrainConfig(seed=21), adequacy_label),
     rules=default_rules(),
     dictionary=load_country_dictionary(),
 )

@@ -6,7 +6,7 @@ analysis (payload scanning, recipient attribution, geolocation) and
 compliance checking (transfer typing and FD/AD/ID/OD verdicts).
 """
 
-from .classifier import TextClassifier, fit_text_classifier
+from .classifier import TextClassifier, cross_validate, fit_text_classifier
 from .compliance import (
     AD,
     FD,
@@ -47,7 +47,6 @@ from .features import (
     TF,
     TFIDF,
     FeatureVector,
-    TokenPipelineConfig,
     Vocabulary,
     build_vocabulary,
     extract_ngrams,
@@ -69,7 +68,6 @@ from .linear import (
     LinearModel,
     TrainConfig,
     compute_metrics,
-    cross_validate,
     decision_value,
     predict,
     train,

@@ -1,29 +1,35 @@
-"""Text classifier bundle: token pipeline + vocabulary + linear model.
+"""Text classifier bundle: n-gram range + vocabulary + linear model.
 
 A bundle is what the annotation pipeline actually consumes; it knows how to
 turn raw segment text into a prediction and how to round-trip itself through
-the vocabulary/model file formats.
+the vocabulary/model file formats.  Fitting a bundle and k-fold evaluation
+share one training path, over n-grams computed once per sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from .corpus import Corpus
+from .corpus import Corpus, LabeledSegment, stratified_kfold
 from .errors import ParseError
 from .features import (
-    TokenPipelineConfig,
     Vocabulary,
     build_vocabulary,
+    extract_ngrams,
     load_vocabulary,
+    parse_ngram_range,
     save_vocabulary,
     tokenize,
     vectorize,
 )
 from .linear import (
+    CrossValidationResult,
     LinearModel,
     TrainConfig,
+    compute_metrics,
+    intention_label,
     load_model,
     predict,
     save_model,
@@ -34,14 +40,14 @@ from .linear import (
 
 @dataclass
 class TextClassifier:
-    pipeline: TokenPipelineConfig
+    ngram: tuple[int, int]
     vocabulary: Vocabulary
     scheme: str
     model: LinearModel
 
     def predict_text(self, text: str) -> int:
-        tokens = tokenize(text)
-        return predict(self.model, vectorize(tokens, self.vocabulary, self.scheme))
+        grams = extract_ngrams(tokenize(text), *self.ngram)
+        return predict(self.model, vectorize(grams, self.vocabulary, self.scheme))
 
     def save(self, directory, name: str) -> None:
         directory = Path(directory)
@@ -51,8 +57,7 @@ class TextClassifier:
             self.model,
             directory / f"{name}.model.tsv",
             scheme=self.scheme,
-            ngram_min=self.vocabulary.ngram_min,
-            ngram_max=self.vocabulary.ngram_max,
+            ngram=self.ngram,
             vocab_hash=vocabulary_hash(self.vocabulary),
         )
 
@@ -69,18 +74,53 @@ class TextClassifier:
         stored_hash = header.get("vocab_sha256")
         if stored_hash and stored_hash != vocabulary_hash(vocab):
             raise ParseError("vocabulary file does not match the model's vocab hash")
-        lo, _, hi = header["ngram"].partition("-")
-        pipeline = TokenPipelineConfig(ngram_min=int(lo), ngram_max=int(hi or lo))
-        vocab.ngram_min, vocab.ngram_max = pipeline.ngram_min, pipeline.ngram_max
-        return cls(pipeline=pipeline, vocabulary=vocab, scheme=header["scheme"], model=model)
+        return cls(ngram=parse_ngram_range(header["ngram"]), vocabulary=vocab,
+                   scheme=header["scheme"], model=model)
 
 
-def fit_text_classifier(corpus: Corpus, pipeline: TokenPipelineConfig, scheme: str,
-                        train_cfg: TrainConfig, label_fn) -> TextClassifier:
-    """Tokenize, build the vocabulary on the full corpus, and train."""
-    tokens = [tokenize(s.segment.text) for s in corpus.samples]
-    vocab = build_vocabulary(tokens, pipeline)
-    samples = [(vectorize(t, vocab, scheme), label_fn(s))
-               for t, s in zip(tokens, corpus.samples)]
-    model = train(samples, train_cfg, dim=len(vocab))
-    return TextClassifier(pipeline=pipeline, vocabulary=vocab, scheme=scheme, model=model)
+def _gram_lists(corpus: Corpus, ngram: tuple[int, int]) -> list[list[str]]:
+    return [extract_ngrams(tokenize(s.segment.text), *ngram) for s in corpus.samples]
+
+
+def _fit(gram_lists: list[list[str]], labels: list[int], scheme: str,
+         train_cfg: TrainConfig, vocab: Vocabulary | None = None,
+         ) -> tuple[Vocabulary, LinearModel]:
+    """Train on the samples; the vocabulary is built over them unless given."""
+    if vocab is None:
+        vocab = build_vocabulary(gram_lists)
+    samples = [(vectorize(g, vocab, scheme), y) for g, y in zip(gram_lists, labels)]
+    return vocab, train(samples, train_cfg, len(vocab))
+
+
+def fit_text_classifier(corpus: Corpus, ngram: tuple[int, int], scheme: str,
+                        train_cfg: TrainConfig,
+                        label_fn: Callable[[LabeledSegment], int]) -> TextClassifier:
+    """Build the vocabulary on the full corpus, and train."""
+    labels = [label_fn(s) for s in corpus.samples]
+    vocab, model = _fit(_gram_lists(corpus, ngram), labels, scheme, train_cfg)
+    return TextClassifier(ngram=ngram, vocabulary=vocab, scheme=scheme, model=model)
+
+
+def cross_validate(corpus: Corpus, ngram: tuple[int, int], scheme: str,
+                   train_cfg: TrainConfig, k: int, seed: int,
+                   fit_on_all: bool = False,
+                   label_fn: Callable[[LabeledSegment], int] = intention_label,
+                   ) -> CrossValidationResult:
+    """Stratified k-fold evaluation.
+
+    Vocabularies are fitted on the train split of each fold; `fit_on_all`
+    fits one vocabulary on the whole corpus instead (leaks document
+    frequencies between folds; kept for compatibility experiments).
+    """
+    gram_lists = _gram_lists(corpus, ngram)
+    labels = [label_fn(s) for s in corpus.samples]
+    folds = stratified_kfold(labels, k, seed)
+    shared_vocab = build_vocabulary(gram_lists) if fit_on_all else None
+    results = []
+    for train_idx, test_idx in folds:
+        vocab, model = _fit([gram_lists[i] for i in train_idx],
+                            [labels[i] for i in train_idx], scheme, train_cfg, shared_vocab)
+        predictions = [predict(model, vectorize(gram_lists[i], vocab, scheme))
+                       for i in test_idx]
+        results.append(compute_metrics(predictions, [labels[i] for i in test_idx]))
+    return CrossValidationResult(folds=results)

@@ -17,13 +17,8 @@ from pathlib import Path
 from . import classifier, compliance, corpus, flows, linear, reports, transparency
 from .countries import load_country_dictionary
 from .errors import AuditError
-from .features import SCHEMES, TF, TokenPipelineConfig
+from .features import SCHEMES, TF, parse_ngram_range
 from .rules import load_rules
-
-
-def _parse_ngram(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("-")
-    return int(lo), int(hi or lo)
 
 
 def _cmd_segment(args) -> int:
@@ -44,21 +39,20 @@ def _cmd_train(args) -> int:
     if args.task == "adequacy":
         # layer-two model: fit on transfer-intention segments only
         data = corpus.Corpus(samples=[s for s in data.samples if s.intention_label == 1])
-    ngram_min, ngram_max = _parse_ngram(args.ngram)
-    pipeline = TokenPipelineConfig(ngram_min=ngram_min, ngram_max=ngram_max)
+    ngram = parse_ngram_range(args.ngram)
     train_cfg = linear.TrainConfig(alpha=args.alpha, epochs=args.epochs, seed=args.seed)
     label_fn = _LABEL_FNS[args.task]
     if args.kfold:
-        result = linear.cross_validate(data, pipeline, args.weighting, train_cfg,
-                                       args.kfold, args.seed, fit_on_all=args.fit_on_all,
-                                       label_fn=label_fn)
+        result = classifier.cross_validate(data, ngram, args.weighting, train_cfg,
+                                           args.kfold, args.seed, fit_on_all=args.fit_on_all,
+                                           label_fn=label_fn)
         for i, fold in enumerate(result.folds):
             print(f"fold {i}: precision={fold.precision:.4f} recall={fold.recall:.4f} "
                   f"f_measure={fold.f_measure:.4f}")
         means = " ".join(f"{k}={v:.4f}" for k, v in sorted(result.means.items()))
         print(f"mean: {means}")
     if args.model_out:
-        bundle = classifier.fit_text_classifier(data, pipeline, args.weighting,
+        bundle = classifier.fit_text_classifier(data, ngram, args.weighting,
                                                 train_cfg, label_fn)
         bundle.save(args.model_out, args.task)
         print(f"saved {args.task} model to {args.model_out}")

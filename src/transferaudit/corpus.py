@@ -106,24 +106,21 @@ def _escape(text: str) -> str:
     return "".join(_ESCAPES.get(ch, ch) for ch in text)
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+# a backslash and the character after it; an empty group is a trailing backslash
+_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
+
+
 def _unescape(text: str, lineno: int) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(text):
+    def replace(match: re.Match) -> str:
+        ch = match[1]
+        if not ch:
             raise ParseError("dangling escape at end of text field", lineno)
-        nxt = text[i + 1]
-        mapping = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-        if nxt not in mapping:
-            raise ParseError(f"unknown escape \\{nxt}", lineno)
-        out.append(mapping[nxt])
-        i += 2
-    return "".join(out)
+        if ch not in _UNESCAPES:
+            raise ParseError(f"unknown escape \\{ch}", lineno)
+        return _UNESCAPES[ch]
+
+    return _ESCAPE_SEQUENCE.sub(replace, text)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -166,19 +163,19 @@ def load_corpus(path) -> Corpus:
     return Corpus(samples=samples)
 
 
-def stratified_kfold(corpus: Corpus, k: int, seed: int) -> list[tuple[list[int], list[int]]]:
-    """Seeded stratified folds: shuffle each class, deal round-robin.
+def stratified_kfold(labels: list[int], k: int, seed: int) -> list[tuple[list[int], list[int]]]:
+    """Seeded stratified folds over 0/1 labels: shuffle each class, deal round-robin.
 
     Returns k (train_indices, test_indices) pairs; test folds partition the
-    corpus and per-fold positive counts differ from the ideal by at most one.
+    samples and per-fold positive counts differ from the ideal by at most one.
     """
-    n = len(corpus.samples)
+    n = len(labels)
     if k < 2:
         raise FoldError(f"k must be >= 2, got {k}")
     if k > n:
         raise FoldError(f"k={k} exceeds sample count {n}")
-    positives = [i for i, s in enumerate(corpus.samples) if s.intention_label == 1]
-    negatives = [i for i, s in enumerate(corpus.samples) if s.intention_label == 0]
+    positives = [i for i, y in enumerate(labels) if y == 1]
+    negatives = [i for i, y in enumerate(labels) if y == 0]
     if not positives or not negatives:
         raise FoldError("both classes need at least one sample")
     rng = random.Random(seed)

@@ -33,18 +33,6 @@ def stopword_list() -> frozenset[str]:
                      if ln.strip() and not ln.startswith("#"))
 
 
-@dataclass(frozen=True)
-class TokenPipelineConfig:
-    """The n-gram range; the token pipeline itself is fixed (see `tokenize`)."""
-
-    ngram_min: int = 1
-    ngram_max: int = 1
-
-    def __post_init__(self):
-        if not (1 <= self.ngram_min <= self.ngram_max <= 4):
-            raise ValueError(f"bad n-gram range {self.ngram_min}-{self.ngram_max}")
-
-
 def tokenize(text: str) -> list[str]:
     """Normalize text to a token list; may be empty.
 
@@ -55,10 +43,23 @@ def tokenize(text: str) -> list[str]:
     return [stem(t) for t in _LETTER_RUNS.findall(text) if t not in stops]
 
 
+def check_ngram_range(ngram_min: int, ngram_max: int) -> None:
+    """Raise ValueError unless 1 <= ngram_min <= ngram_max <= 4."""
+    if not 1 <= ngram_min <= ngram_max <= 4:
+        raise ValueError(f"bad n-gram range {ngram_min}-{ngram_max}")
+
+
+def parse_ngram_range(text: str) -> tuple[int, int]:
+    """Read the `lo-hi` (or `n`) form of an n-gram range and check it."""
+    lo, _, hi = text.partition("-")
+    ngram = int(lo), int(hi or lo)
+    check_ngram_range(*ngram)
+    return ngram
+
+
 def extract_ngrams(tokens: list[str], ngram_min: int, ngram_max: int) -> list[str]:
     """All contiguous n-grams for n in [ngram_min, ngram_max], space-joined."""
-    if not (1 <= ngram_min <= ngram_max):
-        raise ValueError(f"bad n-gram range {ngram_min}-{ngram_max}")
+    check_ngram_range(ngram_min, ngram_max)
     grams: list[str] = []
     for n in range(ngram_min, ngram_max + 1):
         if n == 1:
@@ -76,8 +77,6 @@ class Vocabulary:
     feature_to_index: dict[str, int]
     document_frequency: list[int]
     document_count: int
-    ngram_min: int = 1
-    ngram_max: int = 1
 
     def __len__(self):
         return len(self.feature_to_index)
@@ -90,30 +89,28 @@ class FeatureVector:
     entries: dict[int, float] = field(default_factory=dict)
 
 
-def build_vocabulary(token_lists: list[list[str]], cfg: TokenPipelineConfig) -> Vocabulary:
+def build_vocabulary(gram_lists: list[list[str]]) -> Vocabulary:
     """Index every distinct n-gram and count the segments containing it."""
-    if not token_lists:
+    if not gram_lists:
         raise ValueError("need at least one segment to build a vocabulary")
     df: dict[str, int] = {}
-    for tokens in token_lists:
-        for gram in set(extract_ngrams(tokens, cfg.ngram_min, cfg.ngram_max)):
+    for grams in gram_lists:
+        for gram in set(grams):
             df[gram] = df.get(gram, 0) + 1
     features = sorted(df)
     return Vocabulary(
         feature_to_index={f: i for i, f in enumerate(features)},
         document_frequency=[df[f] for f in features],
-        document_count=len(token_lists),
-        ngram_min=cfg.ngram_min,
-        ngram_max=cfg.ngram_max,
+        document_count=len(gram_lists),
     )
 
 
-def vectorize(tokens: list[str], vocab: Vocabulary, scheme: str) -> FeatureVector:
+def vectorize(grams: list[str], vocab: Vocabulary, scheme: str) -> FeatureVector:
     """Weight the in-vocabulary n-grams of one segment; OOV grams are ignored."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}")
     counts: dict[int, int] = {}
-    for gram in extract_ngrams(tokens, vocab.ngram_min, vocab.ngram_max):
+    for gram in grams:
         idx = vocab.feature_to_index.get(gram)
         if idx is not None:
             counts[idx] = counts.get(idx, 0) + 1
@@ -145,7 +142,7 @@ def vocabulary_bytes(vocab: Vocabulary) -> bytes:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    """Read a vocabulary file; the n-gram range is inferred from the features."""
+    """Read a vocabulary file written by `save_vocabulary`."""
     feature_to_index: dict[str, int] = {}
     df_by_index: dict[int, int] = {}
     document_count = None
@@ -154,15 +151,14 @@ def load_vocabulary(path) -> Vocabulary:
             line = raw.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#N="):
-                document_count = int(line[3:])
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError("expected `feature TAB index TAB df`", lineno)
-            feature, idx_s, df_s = parts
             try:
-                idx, df = int(idx_s), int(df_s)
+                if line.startswith("#N="):
+                    document_count = int(line[3:])
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise ParseError("expected `feature TAB index TAB df`", lineno)
+                feature, idx, df = parts[0], int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
             feature_to_index[feature] = idx
@@ -171,11 +167,8 @@ def load_vocabulary(path) -> Vocabulary:
         raise ParseError("missing #N= header")
     if sorted(df_by_index) != list(range(len(feature_to_index))):
         raise ParseError("vocabulary indices are not dense 0..n-1")
-    sizes = [f.count(" ") + 1 for f in feature_to_index] or [1]
     return Vocabulary(
         feature_to_index=feature_to_index,
         document_frequency=[df_by_index[i] for i in range(len(df_by_index))],
         document_count=document_count,
-        ngram_min=min(sizes),
-        ngram_max=max(sizes),
     )

@@ -12,21 +12,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, LabeledSegment, stratified_kfold
+from .corpus import LabeledSegment
 from .errors import DegenerateTraining, ParseError, ShapeError
-from .features import (
-    FeatureVector,
-    TokenPipelineConfig,
-    Vocabulary,
-    build_vocabulary,
-    tokenize,
-    vectorize,
-    vocabulary_bytes,
-)
+from .features import SCHEMES, FeatureVector, Vocabulary, parse_ngram_range, vocabulary_bytes
 
 MODIFIED_HUBER = "modified_huber"
 
@@ -55,7 +47,6 @@ class TrainConfig:
     epochs: int = 50
     eta0: float = 0.01
     seed: int = 0
-    loss: str = MODIFIED_HUBER
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -64,8 +55,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
-        if self.loss != MODIFIED_HUBER:
-            raise ValueError(f"unsupported loss {self.loss!r}")
 
 
 @dataclass
@@ -80,13 +69,11 @@ class LinearModel:
 
 
 def train(samples: Sequence[tuple[FeatureVector, int]], cfg: TrainConfig,
-          dim: int | None = None) -> LinearModel:
+          dim: int) -> LinearModel:
     """Fit the hyperplane by SGD; raises DegenerateTraining on one-class input."""
     labels = {y for _, y in samples}
     if labels != {0, 1}:
         raise DegenerateTraining(f"need both classes in training data, got labels {sorted(labels)}")
-    if dim is None:
-        dim = 1 + max((max(x.entries) for x, _ in samples if x.entries), default=-1)
     indices = [np.fromiter(x.entries.keys(), dtype=np.int64, count=len(x.entries))
                for x, _ in samples]
     values = [np.fromiter(x.entries.values(), dtype=np.float64, count=len(x.entries))
@@ -213,52 +200,22 @@ def adequacy_label(sample: LabeledSegment) -> int:
     return 1 if "adequacy" in sample.element_labels else 0
 
 
-def cross_validate(corpus: Corpus, pipeline: TokenPipelineConfig, scheme: str,
-                   train_cfg: TrainConfig, k: int, seed: int,
-                   fit_on_all: bool = False,
-                   label_fn: Callable[[LabeledSegment], int] = intention_label,
-                   ) -> CrossValidationResult:
-    """Stratified k-fold evaluation.
-
-    Vocabularies are fitted on the train split of each fold; `fit_on_all`
-    fits one vocabulary on the whole corpus instead (leaks document
-    frequencies between folds; kept for compatibility experiments).
-    """
-    tokens = [tokenize(s.segment.text) for s in corpus.samples]
-    labels = [label_fn(s) for s in corpus.samples]
-    relabeled = Corpus(samples=[
-        LabeledSegment(s.segment, y, s.element_labels if y else frozenset())
-        for s, y in zip(corpus.samples, labels)
-    ])
-    folds = stratified_kfold(relabeled, k, seed)
-    shared_vocab = build_vocabulary(tokens, pipeline) if fit_on_all else None
-    results = []
-    for train_idx, test_idx in folds:
-        vocab = (shared_vocab if shared_vocab is not None
-                 else build_vocabulary([tokens[i] for i in train_idx], pipeline))
-        train_samples = [(vectorize(tokens[i], vocab, scheme), labels[i]) for i in train_idx]
-        model = train(train_samples, train_cfg, dim=len(vocab))
-        predictions = [predict(model, vectorize(tokens[i], vocab, scheme)) for i in test_idx]
-        results.append(compute_metrics(predictions, [labels[i] for i in test_idx]))
-    return CrossValidationResult(folds=results)
-
-
 def vocabulary_hash(vocab: Vocabulary) -> str:
     return hashlib.sha256(vocabulary_bytes(vocab)).hexdigest()[:16]
 
 
-def model_bytes(model: LinearModel, *, scheme: str, ngram_min: int, ngram_max: int,
+def model_bytes(model: LinearModel, *, scheme: str, ngram: tuple[int, int],
                 vocab_hash: str) -> bytes:
     """Exact-decimal serialization; repr() round-trips every float."""
     cfg = model.config
     lines = [
         f"#scheme={scheme}",
-        f"#ngram={ngram_min}-{ngram_max}",
+        f"#ngram={ngram[0]}-{ngram[1]}",
         f"#alpha={cfg.alpha!r}",
         f"#eta0={cfg.eta0!r}",
         f"#epochs={cfg.epochs}",
         f"#seed={cfg.seed}",
-        f"#loss={cfg.loss}",
+        f"#loss={MODIFIED_HUBER}",
         f"#vocab_sha256={vocab_hash}",
     ]
     for idx, weight in enumerate(model.weights):
@@ -267,21 +224,32 @@ def model_bytes(model: LinearModel, *, scheme: str, ngram_min: int, ngram_max: i
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def save_model(model: LinearModel, path, *, scheme: str, ngram_min: int,
-               ngram_max: int, vocab_hash: str) -> None:
+def save_model(model: LinearModel, path, *, scheme: str, ngram: tuple[int, int],
+               vocab_hash: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(model_bytes(model, scheme=scheme, ngram_min=ngram_min,
-                             ngram_max=ngram_max, vocab_hash=vocab_hash))
+        fh.write(model_bytes(model, scheme=scheme, ngram=ngram, vocab_hash=vocab_hash))
 
 
-_HEADER_KEYS = frozenset(
-    {"scheme", "ngram", "alpha", "eta0", "epochs", "seed", "loss", "vocab_sha256"})
+def _one_of(*allowed: str):
+    def check(value: str) -> None:
+        if value not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {value!r}")
+    return check
+
+
+# each header key `model_bytes` writes, and the check its value must pass
+_HEADER_CHECKS = {"scheme": _one_of(*SCHEMES), "ngram": parse_ngram_range,
+                  "alpha": lambda v: TrainConfig(alpha=float(v)),
+                  "eta0": lambda v: TrainConfig(eta0=float(v)),
+                  "epochs": lambda v: TrainConfig(epochs=int(v)), "seed": int,
+                  "loss": _one_of(MODIFIED_HUBER), "vocab_sha256": str}
 
 
 def load_model(path) -> tuple[LinearModel, dict[str, str]]:
     """Read a model file; returns the model and its header fields.
 
-    A header key that `model_bytes` does not write is a ParseError.
+    A header key that `model_bytes` does not write, or a value that it could
+    not have written, is a ParseError naming the line.
     """
     header: dict[str, str] = {}
     weights: dict[int, float] = {}
@@ -289,23 +257,25 @@ def load_model(path) -> tuple[LinearModel, dict[str, str]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                if not value and key != "":
-                    raise ParseError(f"malformed header {line!r}", lineno)
-                if key == "bias":
-                    bias = float(value)
-                elif key in _HEADER_KEYS:
-                    header[key] = value
-                elif key:
-                    raise ParseError(f"unknown header key {key!r}", lineno)
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected `index TAB weight`", lineno)
-            weights[int(parts[0])] = float(parts[1])
+            try:
+                if line.startswith("#"):
+                    key, _, value = line[1:].partition("=")
+                    if not value and key != "":
+                        raise ParseError(f"malformed header {line!r}", lineno)
+                    if key == "bias":
+                        bias = float(value)
+                    elif key in _HEADER_CHECKS:
+                        _HEADER_CHECKS[key](value)
+                        header[key] = value
+                    elif key:
+                        raise ParseError(f"unknown header key {key!r}", lineno)
+                elif line:
+                    parts = line.split("\t")
+                    if len(parts) != 2:
+                        raise ParseError("expected `index TAB weight`", lineno)
+                    weights[int(parts[0])] = float(parts[1])
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from exc
     if bias is None:
         raise ParseError("missing #bias line")
     required = {"scheme", "ngram", "alpha", "eta0", "epochs", "seed"}
@@ -319,7 +289,6 @@ def load_model(path) -> tuple[LinearModel, dict[str, str]]:
         epochs=int(header["epochs"]),
         eta0=float(header["eta0"]),
         seed=int(header["seed"]),
-        loss=header.get("loss", MODIFIED_HUBER),
     )
     w = np.array([weights[i] for i in range(len(weights))])
     return LinearModel(weights=w, bias=bias, config=cfg), header

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from transferaudit.classifier import fit_text_classifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.countries import load_country_dictionary
-from transferaudit.features import TF, TFIDF, TokenPipelineConfig
+from transferaudit.features import TF, TFIDF
 from transferaudit.flows import load_catalog, load_flow_log, load_geo_table, load_owner_list
 from transferaudit.linear import TrainConfig, adequacy_label, intention_label
 from transferaudit.transparency import (
@@ -151,15 +151,15 @@ def adequacy_corpus():
 @pytest.fixture(scope="session")
 def intention_clf(intention_corpus):
     return fit_text_classifier(
-        intention_corpus, TokenPipelineConfig(ngram_min=1, ngram_max=2), TF,
-        TrainConfig(alpha=1e-3, epochs=50, seed=7), intention_label)
+        intention_corpus, (1, 2), TF, TrainConfig(alpha=1e-3, epochs=50, seed=7),
+        intention_label)
 
 
 @pytest.fixture(scope="session")
 def adequacy_clf(adequacy_corpus):
     return fit_text_classifier(
-        adequacy_corpus, TokenPipelineConfig(ngram_min=1, ngram_max=2), TFIDF,
-        TrainConfig(alpha=1e-3, epochs=50, seed=11), adequacy_label)
+        adequacy_corpus, (1, 2), TFIDF, TrainConfig(alpha=1e-3, epochs=50, seed=11),
+        adequacy_label)
 
 
 @pytest.fixture(scope="session")

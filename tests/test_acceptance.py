@@ -15,6 +15,7 @@ import pytest
 
 from conftest import policy_text
 
+from transferaudit.classifier import cross_validate
 from transferaudit.compliance import (
     AD,
     FD,
@@ -41,8 +42,8 @@ from transferaudit.countries import (
 from transferaudit.features import (
     TF,
     TFIDF,
-    TokenPipelineConfig,
     build_vocabulary,
+    extract_ngrams,
     vectorize,
 )
 from transferaudit.flows import (
@@ -56,7 +57,6 @@ from transferaudit.flows import (
 from transferaudit.linear import (
     TrainConfig,
     compute_metrics,
-    cross_validate,
     model_bytes,
     modified_huber_dloss,
     modified_huber_loss,
@@ -224,8 +224,7 @@ def test_criterion_3_tfidf_brute_force():
                 "theta", "iota", "kappa"]
     segments = [[rng.choice(alphabet) for _ in range(rng.randint(1, 12))]
                 for _ in range(50)]
-    cfg = TokenPipelineConfig(ngram_min=1, ngram_max=2)
-    vocab = build_vocabulary(segments, cfg)
+    vocab = build_vocabulary([extract_ngrams(s, 1, 2) for s in segments])
     n_docs = len(segments)
 
     def brute_grams(tokens):
@@ -235,7 +234,7 @@ def test_criterion_3_tfidf_brute_force():
 
     doc_grams = [set(brute_grams(s)) for s in segments]
     for seg in segments:
-        got = vectorize(seg, vocab, TFIDF).entries
+        got = vectorize(extract_ngrams(seg, 1, 2), vocab, TFIDF).entries
         expected = {}
         for gram in set(brute_grams(seg)):
             count = brute_grams(seg).count(gram)
@@ -264,8 +263,7 @@ def test_criterion_4_classifier_sanity():
             words[at:at] = rng.choice(markers).split()
         samples.append(LabeledSegment(PolicySegment("d", i, " ".join(words)),
                                       1 if i < 50 else 0))
-    result = cross_validate(Corpus(samples=samples),
-                            TokenPipelineConfig(ngram_min=1, ngram_max=2), TF,
+    result = cross_validate(Corpus(samples=samples), (1, 2), TF,
                             TrainConfig(alpha=1e-3, epochs=20, seed=4), k=5, seed=4)
     assert result.means["f_measure"] >= 0.95
     _ok(f"4a separable-corpus CV mean F={result.means['f_measure']:.3f} >= 0.95")
@@ -307,8 +305,7 @@ def test_criterion_5_corpus_level_reproduction():
     from transferaudit.corpus import load_corpus
 
     corpus = load_corpus(IT100_PATH)
-    result = cross_validate(corpus, TokenPipelineConfig(ngram_min=1, ngram_max=2),
-                            TF, TrainConfig(alpha=1e-3, epochs=50, seed=0),
+    result = cross_validate(corpus, (1, 2), TF, TrainConfig(alpha=1e-3, epochs=50, seed=0),
                             k=5, seed=0, fit_on_all=True)
     mean_f = result.means["f_measure"]
     assert 0.859 <= mean_f <= 0.959
@@ -451,10 +448,8 @@ def test_criterion_10_determinism_and_throughput(annotator):
 
     samples = [(FeatureVector({0: 1.0}), 1), (FeatureVector({0: -1.0}), 0)]
     cfg = TrainConfig(alpha=1e-3, epochs=25, seed=99)
-    blob_a = model_bytes(train(samples, cfg, dim=1), scheme=TF, ngram_min=1,
-                         ngram_max=2, vocab_hash="00")
-    blob_b = model_bytes(train(samples, cfg, dim=1), scheme=TF, ngram_min=1,
-                         ngram_max=2, vocab_hash="00")
+    blob_a = model_bytes(train(samples, cfg, dim=1), scheme=TF, ngram=(1, 2), vocab_hash="00")
+    blob_b = model_bytes(train(samples, cfg, dim=1), scheme=TF, ngram=(1, 2), vocab_hash="00")
     assert blob_a == blob_b
 
     event = TransferEvent("a", "x.com", frozenset({"AAID"}), frozenset({"US"}),
@@ -508,7 +503,8 @@ def test_criterion_11_stratification_property():
         if k < 2:
             continue
         ideal = positives // k
-        for _, test_idx in stratified_kfold(corpus, k, seed=trial):
+        labels = [s.intention_label for s in corpus.samples]
+        for _, test_idx in stratified_kfold(labels, k, seed=trial):
             fold_pos = sum(1 for i in test_idx if i < positives)
             assert abs(fold_pos - ideal) <= 1, (trial, n, positives)
     _ok("11 stratification within +/-1 of ideal over 100 random corpora")

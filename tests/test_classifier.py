@@ -5,7 +5,7 @@ import pytest
 from transferaudit.classifier import TextClassifier, fit_text_classifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.errors import ParseError
-from transferaudit.features import TF, TokenPipelineConfig
+from transferaudit.features import TF
 from transferaudit.linear import TrainConfig, intention_label
 
 PROBES = [
@@ -37,8 +37,7 @@ def _corpus():
 
 @pytest.fixture(scope="module")
 def bundle():
-    return fit_text_classifier(_corpus(), TokenPipelineConfig(ngram_min=1, ngram_max=2),
-                               TF, TrainConfig(seed=3), intention_label)
+    return fit_text_classifier(_corpus(), (1, 2), TF, TrainConfig(seed=3), intention_label)
 
 
 def test_save_load_identical_predictions(bundle, tmp_path):
@@ -48,7 +47,7 @@ def test_save_load_identical_predictions(bundle, tmp_path):
         assert loaded.predict_text(probe) == bundle.predict_text(probe)
     assert loaded.scheme == bundle.scheme
     assert loaded.vocabulary.feature_to_index == bundle.vocabulary.feature_to_index
-    assert (loaded.pipeline.ngram_min, loaded.pipeline.ngram_max) == (1, 2)
+    assert loaded.ngram == (1, 2)
 
 
 def test_load_detects_vocab_model_mismatch(bundle, tmp_path):
@@ -75,12 +74,26 @@ def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
 
 
 @pytest.mark.parametrize("line", ["#stemmer=porter", "#stem=maybe",
-                                  "#stopword_list_id=klingon", "#stem=false"])
+                                  "#stopword_list_id=klingon", "#stem=false",
+                                  "#scheme=foo", "#ngram=x", "#ngram=0-9", "#ngram=3-2",
+                                  "#loss=hinge", "#alpha=zz", "#alpha=-1", "#eta0=0", "#epochs=1.5",
+                                  "#epochs=0", "#bias=zz",
+                                  "0\tabc", "x\t0.5"])
 def test_load_rejects_bad_header_line(bundle, tmp_path, line):
     bundle.save(tmp_path, "intention")
     model_path = tmp_path / "intention.model.tsv"
     lines = model_path.read_text(encoding="utf-8").splitlines()
     model_path.write_text("\n".join([lines[0], line, *lines[1:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == 2
+
+
+def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
+    bundle.save(tmp_path, "intention")
+    vocab_path = tmp_path / "intention.vocab.tsv"
+    lines = vocab_path.read_text(encoding="utf-8").splitlines()
+    vocab_path.write_text("\n".join([lines[0], "#N=q", *lines[1:]]) + "\n", encoding="utf-8")
     with pytest.raises(ParseError) as exc:
         TextClassifier.load(tmp_path, "intention")
     assert exc.value.line_number == 2

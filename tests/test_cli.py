@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -205,6 +206,34 @@ def test_bad_rule_line_is_input_error_naming_the_line(model_dir, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 2" in captured.err
+
+
+def test_bad_model_line_is_input_error_naming_the_line(model_dir, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    model_path = models / "intention.model.tsv"
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    lines[1] = "#ngram=0-9"
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    policy = tmp_path / "pol.txt"
+    policy.write_text("We transfer data to Japan.", encoding="utf-8")
+    assert main(["annotate", "--model-dir", str(models), str(policy)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2" in captured.err
+
+
+@pytest.mark.parametrize("extra", [[], ["--kfold", "5"], ["--model-out", "{tmp}/models"]],
+                         ids=["no-output", "kfold", "model-out"])
+@pytest.mark.parametrize("ngram", ["1-5", "0-1", "3-2"])
+def test_bad_ngram_range_is_input_error(tmp_path, capsys, intention_corpus, ngram, extra):
+    corpus_path = tmp_path / "corpus.tsv"
+    save_corpus(intention_corpus, corpus_path)
+    extra = [arg.format(tmp=tmp_path) for arg in extra]
+    assert main(["train", "--corpus", str(corpus_path), "--ngram", ngram, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad n-gram range" in captured.err
 
 
 def test_bad_corpus_is_input_error(tmp_path, capsys):

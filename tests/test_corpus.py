@@ -11,6 +11,7 @@ from transferaudit.corpus import (
     LabeledSegment,
     PolicyDocument,
     PolicySegment,
+    _unescape,
     load_corpus,
     save_corpus,
     segment_policy,
@@ -84,6 +85,10 @@ def _corpus(pos, neg):
     return Corpus(samples=samples)
 
 
+def _labels(corpus):
+    return [s.intention_label for s in corpus.samples]
+
+
 def test_corpus_counts():
     corpus = _corpus(3, 5)
     assert corpus.positive_count == 3
@@ -144,8 +149,55 @@ def test_load_corpus_malformed_line(tmp_path):
     assert excinfo.value.line_number == 1
 
 
+def _reference_unescape(text, lineno):
+    """The character walk `load_corpus` used before its regex."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= len(text):
+            raise ParseError("dangling escape at end of text field", lineno)
+        nxt = text[i + 1]
+        mapping = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+        if nxt not in mapping:
+            raise ParseError(f"unknown escape \\{nxt}", lineno)
+        out.append(mapping[nxt])
+        i += 2
+    return "".join(out)
+
+
+def _unescape_outcome(fn, text):
+    try:
+        return fn(text, 7)
+    except ParseError as exc:
+        return str(exc), exc.line_number
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(["\\", "t", "n", "r", "x", "\n", "é", "日"]), max_size=20)
+       .map("".join), st.booleans())
+def test_unescape_matches_character_walk(text, trailing_backslash):
+    if trailing_backslash:
+        text += "\\"
+    assert _unescape_outcome(_unescape, text) == _unescape_outcome(_reference_unescape, text)
+
+
+def test_load_corpus_bad_escapes_name_the_line(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    for text, message in (("ends in \\", "dangling escape"), ("a \\q", "unknown escape \\q")):
+        path.write_text(f"a\t0\t-\tfine\nb\t0\t-\t{text}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_number == 2
+        assert message in str(excinfo.value)
+
+
 def test_stratified_kfold_exact_divisibility():
-    folds = stratified_kfold(_corpus(20, 80), 5, seed=1)
+    folds = stratified_kfold(_labels(_corpus(20, 80)), 5, seed=1)
     for _, test in folds:
         positives = sum(1 for i in test if i < 20)
         assert positives == 4
@@ -153,20 +205,20 @@ def test_stratified_kfold_exact_divisibility():
 
 
 def test_stratified_kfold_pigeonhole():
-    folds = stratified_kfold(_corpus(2, 8), 5, seed=3)
+    folds = stratified_kfold(_labels(_corpus(2, 8)), 5, seed=3)
     for _, test in folds:
         assert sum(1 for i in test if i < 2) in (0, 1)
 
 
 def test_stratified_kfold_deterministic():
-    a = stratified_kfold(_corpus(10, 40), 5, seed=42)
-    b = stratified_kfold(_corpus(10, 40), 5, seed=42)
+    a = stratified_kfold(_labels(_corpus(10, 40)), 5, seed=42)
+    b = stratified_kfold(_labels(_corpus(10, 40)), 5, seed=42)
     assert a == b
 
 
 def test_stratified_kfold_partition():
     corpus = _corpus(7, 13)
-    folds = stratified_kfold(corpus, 4, seed=0)
+    folds = stratified_kfold(_labels(corpus), 4, seed=0)
     seen = sorted(i for _, test in folds for i in test)
     assert seen == list(range(len(corpus)))
     for train, test in folds:
@@ -175,13 +227,12 @@ def test_stratified_kfold_partition():
 
 def test_stratified_kfold_k_too_large():
     with pytest.raises(FoldError):
-        stratified_kfold(_corpus(2, 2), 5, seed=0)
+        stratified_kfold(_labels(_corpus(2, 2)), 5, seed=0)
 
 
 def test_stratified_kfold_single_class():
-    samples = [LabeledSegment(PolicySegment("d", i, "x"), 1) for i in range(6)]
     with pytest.raises(FoldError):
-        stratified_kfold(Corpus(samples=samples), 3, seed=0)
+        stratified_kfold([1] * 6, 3, seed=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,7 +244,7 @@ def test_stratification_property(n, ratio, seed):
         return
     corpus = _corpus(pos, neg)
     k = 5 if n >= 5 else 2
-    folds = stratified_kfold(corpus, k, seed)
+    folds = stratified_kfold(_labels(corpus), k, seed)
     ideal = pos // k
     for _, test in folds:
         positives = sum(1 for i in test if i < pos)

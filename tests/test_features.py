@@ -11,8 +11,8 @@ from transferaudit.features import (
     BC,
     TF,
     TFIDF,
-    TokenPipelineConfig,
     build_vocabulary,
+    check_ngram_range,
     extract_ngrams,
     load_vocabulary,
     save_vocabulary,
@@ -21,8 +21,6 @@ from transferaudit.features import (
     vectorize,
 )
 from transferaudit.stemmer import stem
-
-CFG = TokenPipelineConfig()
 
 
 def test_tokenize_drops_numbers_punctuation_and_stems():
@@ -80,9 +78,9 @@ def test_stopword_list_size_is_fixed():
 
 def test_pipeline_config_validates_ngram_range():
     with pytest.raises(ValueError):
-        TokenPipelineConfig(ngram_min=3, ngram_max=2)
+        check_ngram_range(3, 2)
     with pytest.raises(ValueError):
-        TokenPipelineConfig(ngram_min=1, ngram_max=5)
+        check_ngram_range(1, 5)
 
 
 def test_extract_ngrams_enumeration():
@@ -100,70 +98,68 @@ def test_extract_ngrams_trigram():
 
 
 def test_build_vocabulary_document_frequency():
-    vocab = build_vocabulary([["transfer", "data"], ["transfer"]], CFG)
+    vocab = build_vocabulary([["transfer", "data"], ["transfer"]])
     assert vocab.document_count == 2
     assert vocab.document_frequency[vocab.feature_to_index["transfer"]] == 2
     assert vocab.document_frequency[vocab.feature_to_index["data"]] == 1
 
 
 def test_duplicate_token_counts_once_per_document():
-    vocab = build_vocabulary([["transfer", "transfer"]], CFG)
+    vocab = build_vocabulary([["transfer", "transfer"]])
     assert vocab.document_frequency[vocab.feature_to_index["transfer"]] == 1
 
 
 def test_vocabulary_indices_are_dense():
-    vocab = build_vocabulary([["b", "a"], ["c"]], CFG)
+    vocab = build_vocabulary([["b", "a"], ["c"]])
     assert sorted(vocab.feature_to_index.values()) == [0, 1, 2]
 
 
 def test_vectorize_tfidf_formula():
     # count 3, N=4, n_i=2 -> 3*ln(2)
-    vocab = build_vocabulary([["x"], ["x"], ["y"], ["z"]], CFG)
+    vocab = build_vocabulary([["x"], ["x"], ["y"], ["z"]])
     vec = vectorize(["x", "x", "x"], vocab, TFIDF)
     assert vec.entries[vocab.feature_to_index["x"]] == pytest.approx(3 * math.log(2), abs=1e-12)
 
 
 def test_vectorize_tfidf_omits_zero_weights():
     # n_i == N -> ln(1) = 0 -> entry omitted
-    vocab = build_vocabulary([["x"], ["x"]], CFG)
+    vocab = build_vocabulary([["x"], ["x"]])
     vec = vectorize(["x"], vocab, TFIDF)
     assert vec.entries == {}
 
 
 def test_vectorize_bc_is_presence():
-    vocab = build_vocabulary([["x"], ["y"]], CFG)
+    vocab = build_vocabulary([["x"], ["y"]])
     vec = vectorize(["x"] * 7, vocab, BC)
     assert vec.entries[vocab.feature_to_index["x"]] == 1.0
 
 
 def test_vectorize_tf_counts():
-    vocab = build_vocabulary([["x"], ["y"]], CFG)
+    vocab = build_vocabulary([["x"], ["y"]])
     vec = vectorize(["x", "x"], vocab, TF)
     assert vec.entries[vocab.feature_to_index["x"]] == 2.0
 
 
 def test_vectorize_out_of_vocabulary_is_empty():
-    vocab = build_vocabulary([["x"]], CFG)
+    vocab = build_vocabulary([["x"]])
     assert vectorize(["unseen", "tokens"], vocab, TF).entries == {}
 
 
 def test_vocabulary_roundtrip(tmp_path):
-    cfg = TokenPipelineConfig(ngram_min=1, ngram_max=2)
-    vocab = build_vocabulary([["a", "b"], ["b", "c"]], cfg)
+    vocab = build_vocabulary([extract_ngrams(["a", "b"], 1, 2),
+                              extract_ngrams(["b", "c"], 1, 2)])
     path = tmp_path / "vocab.tsv"
     save_vocabulary(vocab, path)
     loaded = load_vocabulary(path)
     assert loaded.feature_to_index == vocab.feature_to_index
     assert loaded.document_frequency == vocab.document_frequency
     assert loaded.document_count == vocab.document_count
-    assert (loaded.ngram_min, loaded.ngram_max) == (1, 2)
 
 
 @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=8),
                 min_size=1, max_size=20))
 def test_tfidf_bounded_by_tf_times_log_n(segments):
-    cfg = TokenPipelineConfig()
-    vocab = build_vocabulary(segments, cfg)
+    vocab = build_vocabulary(segments)
     for seg in segments:
         tf = vectorize(seg, vocab, TF)
         tfidf = vectorize(seg, vocab, TFIDF)
@@ -175,5 +171,5 @@ def test_tfidf_bounded_by_tf_times_log_n(segments):
 @given(st.lists(st.sampled_from(["transfer", "data", "country", "outside"]),
                 min_size=0, max_size=10))
 def test_vectorize_is_deterministic(tokens):
-    vocab = build_vocabulary([["transfer", "data"], ["country"]], CFG)
+    vocab = build_vocabulary([["transfer", "data"], ["country"]])
     assert vectorize(tokens, vocab, TF) == vectorize(tokens, vocab, TF)

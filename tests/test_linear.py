@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transferaudit.classifier import cross_validate
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.errors import DegenerateTraining, ShapeError
-from transferaudit.features import TF, FeatureVector, TokenPipelineConfig
+from transferaudit.features import TF, FeatureVector
 from transferaudit.linear import (
     TrainConfig,
     compute_metrics,
-    cross_validate,
     decision_value,
     load_model,
     model_bytes,
@@ -228,15 +228,14 @@ def _marker_corpus(n=500, positive_share=0.1, seed=9):
 
 def test_cross_validate_separable_corpus():
     corpus = _marker_corpus()
-    result = cross_validate(corpus, TokenPipelineConfig(ngram_min=1, ngram_max=2),
-                            TF, TrainConfig(alpha=1e-3, epochs=20, seed=4),
+    result = cross_validate(corpus, (1, 2), TF, TrainConfig(alpha=1e-3, epochs=20, seed=4),
                             k=5, seed=4)
     assert result.means["f_measure"] >= 0.95
 
 
 def test_cross_validate_fit_on_all_differs_from_per_fold():
     corpus = _marker_corpus(n=150, seed=21)
-    kwargs = dict(pipeline=TokenPipelineConfig(ngram_min=1, ngram_max=2), scheme=TF,
+    kwargs = dict(ngram=(1, 2), scheme=TF,
                   train_cfg=TrainConfig(epochs=10, seed=2), k=5, seed=2)
     per_fold = cross_validate(corpus, **kwargs)
     on_all = cross_validate(corpus, fit_on_all=True, **kwargs)
@@ -247,7 +246,7 @@ def test_cross_validate_fit_on_all_differs_from_per_fold():
 
 def test_cross_validate_deterministic():
     corpus = _marker_corpus(n=120)
-    kwargs = dict(pipeline=TokenPipelineConfig(), scheme=TF,
+    kwargs = dict(ngram=(1, 1), scheme=TF,
                   train_cfg=TrainConfig(epochs=10, seed=6), k=5, seed=6)
     a = cross_validate(corpus, **kwargs)
     b = cross_validate(corpus, **kwargs)
@@ -262,12 +261,12 @@ def test_train_deterministic_and_serializable(tmp_path):
     m2 = train(samples, cfg, dim=6)
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
-    blob1 = model_bytes(m1, scheme=TF, ngram_min=1, ngram_max=2, vocab_hash="cafe")
-    blob2 = model_bytes(m2, scheme=TF, ngram_min=1, ngram_max=2, vocab_hash="cafe")
+    blob1 = model_bytes(m1, scheme=TF, ngram=(1, 2), vocab_hash="cafe")
+    blob2 = model_bytes(m2, scheme=TF, ngram=(1, 2), vocab_hash="cafe")
     assert blob1 == blob2
 
     path = tmp_path / "model.tsv"
-    save_model(m1, path, scheme=TF, ngram_min=1, ngram_max=2, vocab_hash="cafe")
+    save_model(m1, path, scheme=TF, ngram=(1, 2), vocab_hash="cafe")
     loaded, header = load_model(path)
     assert np.array_equal(loaded.weights, m1.weights)
     assert loaded.bias == m1.bias

@@ -72,12 +72,12 @@ def test_gating_invariant_with_stub_classifier(annotator):
     import numpy as np
 
     from transferaudit.classifier import TextClassifier
-    from transferaudit.features import TF, TokenPipelineConfig, Vocabulary
+    from transferaudit.features import TF, Vocabulary
     from transferaudit.linear import LinearModel, TrainConfig
     from transferaudit.transparency import SegmentAnnotator
 
     never = TextClassifier(
-        pipeline=TokenPipelineConfig(),
+        ngram=(1, 1),
         vocabulary=Vocabulary({"x": 0}, [1], 1),
         scheme=TF,
         model=LinearModel(weights=np.zeros(1), bias=-1.0, config=TrainConfig()),
