@@ -10,7 +10,6 @@ import hashlib
 import ipaddress
 
 from transferaudit.flows import (
-    AppIdentity,
     CatalogEntry,
     FlowRecord,
     GeoTable,
@@ -66,17 +65,18 @@ print(f"  pre-resolved wins        -> {geolocate(geo, ip='104.18.3.7', resolved=
 print(f"  unknown                  -> {geolocate(geo, ip='203.0.113.9')}")
 
 print("\n== transfer events ==")
+# an app's identity is its package name plus every cert org and store name
+# that any of its flows carries
 flows = [
     FlowRecord("com.viber.voip", "14.5", "active", "app.adjust.com",
-               dest_ip="104.18.3.7", payload=f"ad_id={AAID}".encode()),
+               dest_ip="104.18.3.7", payload=f"ad_id={AAID}".encode(),
+               cert_org="Viber Media", store_name="Viber Messenger"),
     FlowRecord("com.viber.voip", "14.5", "idle", "app.adjust.com",
                country="US", payload=f"boot={AAID}".encode()),
     FlowRecord("com.viber.voip", "14.5", "active", "time.google.com",
                country="US", payload=b"sync"),
 ]
-identity = {"com.viber.voip": AppIdentity("com.viber.voip", "Viber Media",
-                                          "Viber Messenger")}
-events = build_transfer_events(flows, catalog, owners, geo, identity)
+events = build_transfer_events(flows, catalog, owners, geo)
 for event in events:
     print(f"  {event.app_id} -> {event.recipient_domain}: types={sorted(event.data_types)} "
           f"countries={sorted(event.dest_countries)} idle={event.any_idle_flow}")

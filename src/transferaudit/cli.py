@@ -65,7 +65,7 @@ def _load_annotator(args) -> transparency.SegmentAnnotator:
     if Path(args.model_dir, "adequacy.model.tsv").exists():
         adequacy = classifier.TextClassifier.load(args.model_dir, "adequacy")
     rules = load_rules(args.rules) if args.rules else transparency.default_rules()
-    dictionary = load_country_dictionary(args.dict) if args.dict else load_country_dictionary()
+    dictionary = load_country_dictionary(args.dict)
     return transparency.SegmentAnnotator(
         intention_model=intention, adequacy_model=adequacy,
         rules=rules, dictionary=dictionary)
@@ -85,7 +85,7 @@ def _cmd_annotate(args) -> int:
 def _cmd_scan(args) -> int:
     records = flows.load_flow_log(args.flows)
     catalog = flows.load_catalog(args.catalog)
-    owners = flows.load_owner_list(args.owners) if args.owners else flows.load_owner_list()
+    owners = flows.load_owner_list(args.owners)
     geo = flows.load_geo_table(args.geo) if args.geo else flows.GeoTable()
     events = flows.build_transfer_events(records, catalog, owners, geo)
     for event in events:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from importlib import resources
 
+from .countries import check_country_code
 from .errors import ParseError
 from .flows import FIRST_PARTY, TransferEvent
+from .lines import data_lines
 from .transparency import PolicyAnnotation
 
 INTRA_EU = "intra_eu"
@@ -61,19 +62,17 @@ class JurisdictionConfig:
 
 
 def load_jurisdiction(path=None) -> JurisdictionConfig:
-    """Sectioned line format: [eu], [adequacy], [frameworks], [assessment_date]."""
-    if path is None:
-        text = resources.files("transferaudit.data").joinpath(
-            "jurisdiction_2020_07.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    sections: dict[str, list[str]] = {"eu": [], "adequacy": [], "frameworks": [],
-                                      "assessment_date": []}
-    current: list[str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """Sectioned line format: [eu], [adequacy], [frameworks], [assessment_date].
+
+    Lines are stripped of surrounding whitespace; every code is an ISO-3166
+    alpha-2 code and every date an ISO date.
+    """
+    sections: dict[str, list[tuple[int, str]]] = {
+        "eu": [], "adequacy": [], "frameworks": [], "assessment_date": []}
+    current: list[tuple[int, str]] | None = None
+    for lineno, raw in data_lines(path, "jurisdiction_2020_07.txt"):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1]
@@ -83,22 +82,32 @@ def load_jurisdiction(path=None) -> JurisdictionConfig:
             continue
         if current is None:
             raise ParseError("content before any section header", lineno)
-        current.append(line)
+        current.append((lineno, line))
     frameworks = []
-    for entry in sections["frameworks"]:
+    for lineno, entry in sections["frameworks"]:
         parts = entry.split("\t")
         if len(parts) != 3:
-            raise ParseError(f"bad framework line {entry!r}")
-        frameworks.append(FrameworkRule(parts[0], parts[1],
-                                        datetime.date.fromisoformat(parts[2])))
-    if len(sections["assessment_date"]) != 1:
-        raise ParseError("need exactly one assessment_date")
+            raise ParseError(f"bad framework line {entry!r}", lineno)
+        name, alias, invalid_from = parts
+        frameworks.append(FrameworkRule(name, check_country_code(alias, lineno),
+                                        _iso_date(invalid_from, lineno)))
+    dates = sections["assessment_date"]
+    if len(dates) != 1:
+        raise ParseError("need exactly one assessment_date",
+                         dates[1][0] if dates else None)
     return JurisdictionConfig(
-        eu_set=frozenset(sections["eu"]),
-        adequacy_set=frozenset(sections["adequacy"]),
+        eu_set=frozenset(check_country_code(c, n) for n, c in sections["eu"]),
+        adequacy_set=frozenset(check_country_code(c, n) for n, c in sections["adequacy"]),
         invalidated_frameworks=tuple(frameworks),
-        assessment_date=datetime.date.fromisoformat(sections["assessment_date"][0]),
+        assessment_date=_iso_date(dates[0][1], dates[0][0]),
     )
+
+
+def _iso_date(text: str, lineno: int) -> datetime.date:
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from exc
 
 
 def classify_transfer_type(event: TransferEvent, country: str,

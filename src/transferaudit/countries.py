@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .errors import ParseError
+from .lines import tab_records
 
 # EU-27 plus the UK (Brexit transition) plus the EEA trio, as of 2020-07.
 EU_MEMBERS_2020 = frozenset(
@@ -23,6 +23,14 @@ EU_MEMBERS_2020 = frozenset(
 FORM_TYPES = ("name", "abbr", "state", "city", "alias")
 
 _EDGE_STRIP = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
+_CODE = re.compile(r"[A-Z]{2}")
+
+
+def check_country_code(code: str, lineno: int) -> str:
+    """`code` if it has the ISO-3166 alpha-2 form, else a ParseError on `lineno`."""
+    if not _CODE.fullmatch(code):
+        raise ParseError(f"bad ISO-3166 alpha-2 code {code!r}", lineno)
+    return code
 
 
 def normalize_token(token: str) -> str:
@@ -50,29 +58,13 @@ class CountryDictionary:
         self.form_types[key] = form_type
         self.max_phrase_len = max(self.max_phrase_len, len(key))
 
-    def codes(self) -> frozenset[str]:
-        return frozenset(self.phrases.values())
-
 
 def load_country_dictionary(path=None) -> CountryDictionary:
     """Load `code TAB form_type TAB surface` lines; default: shipped gazetteer."""
-    if path is None:
-        text = resources.files("transferaudit.data").joinpath(
-            "country_dictionary.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
     dictionary = CountryDictionary()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError("expected `code TAB form_type TAB surface`", lineno)
-        code, form_type, surface = parts
-        if not re.fullmatch(r"[A-Z]{2}", code):
-            raise ParseError(f"bad ISO-3166 alpha-2 code {code!r}", lineno)
+    for lineno, (code, form_type, surface) in tab_records(
+            path, "code TAB form_type TAB surface", "country_dictionary.tsv"):
+        check_country_code(code, lineno)
         if form_type not in FORM_TYPES:
             raise ParseError(f"bad form type {form_type!r}", lineno)
         try:

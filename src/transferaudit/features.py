@@ -12,9 +12,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cache
-from importlib import resources
 
 from .errors import ParseError
+from .lines import data_lines
 from .stemmer import stem
 
 BC = "bc"
@@ -28,9 +28,8 @@ _LETTER_RUNS = re.compile(r"[a-z]+")
 @cache
 def stopword_list() -> frozenset[str]:
     """The English stop-word set, loaded once."""
-    text = resources.files("transferaudit.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(ln.strip() for ln in text.splitlines()
-                     if ln.strip() and not ln.startswith("#"))
+    return frozenset(word for _, line in data_lines(None, "stopwords.txt")
+                     if (word := line.strip()))
 
 
 def tokenize(text: str) -> list[str]:

@@ -19,11 +19,10 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cache
-from importlib import resources
 from types import MappingProxyType
 
 from .errors import DomainError, ParseError
-from .jsonl import json_records
+from .lines import data_lines, json_records, tab_records
 
 log = logging.getLogger(__name__)
 
@@ -38,14 +37,9 @@ _LABEL_RE = re.compile(r"^[0-9a-z]([0-9a-z-]*[0-9a-z])?$")
 _SPLIT_IDENTITY = re.compile(r"[^0-9a-z]+")
 
 
-def _data_path(name: str):
-    return resources.files("transferaudit.data").joinpath(name)
-
-
 def _load_token_file(name: str) -> frozenset[str]:
-    lines = _data_path(name).read_text("utf-8").splitlines()
-    return frozenset(ln.strip().lower() for ln in lines
-                     if ln.strip() and not ln.startswith("#"))
+    return frozenset(token for _, line in data_lines(None, name)
+                     if (token := line.strip().lower()))
 
 
 @cache
@@ -108,15 +102,11 @@ class PersonalDataCatalog:
 def load_catalog(path) -> PersonalDataCatalog:
     """Catalog file: `data_type TAB device_value` per line."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ParseError("expected `data_type TAB device_value`", lineno)
-            entries.append(CatalogEntry(name=parts[0], device_value=parts[1]))
+    usage = "data_type TAB device_value"
+    for lineno, (name, value) in tab_records(path, usage):
+        if not name or not value:
+            raise ParseError(f"expected `{usage}`", lineno)
+        entries.append(CatalogEntry(name=name, device_value=value))
     return PersonalDataCatalog(entries=entries)
 
 
@@ -159,20 +149,9 @@ class DomainOwnerEntry:
 
 def load_owner_list(path=None) -> dict[str, DomainOwnerEntry]:
     """Owner list: `sld TAB owner TAB parent TAB hq_country TAB category`."""
-    if path is None:
-        text = _data_path("owner_list.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
     owners: dict[str, DomainOwnerEntry] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError("expected 5 tab-separated fields", lineno)
-        sld, owner, parent, hq, category = parts
+    for lineno, (sld, owner, parent, hq, category) in tab_records(
+            path, "sld TAB owner TAB parent TAB hq_country TAB category", "owner_list.tsv"):
         sld = sld.lower()
         if sld in owners:
             raise ParseError(f"duplicate SLD {sld!r}", lineno)
@@ -312,19 +291,11 @@ def load_geo_table(path) -> GeoTable:
     """Geo table: `cidr_or_fqdn TAB ISO code` per line."""
     networks: list[tuple[Network, str]] = []
     fqdns: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected `cidr_or_fqdn TAB code`", lineno)
-            key, code = parts
-            try:
-                networks.append((ipaddress.ip_network(key, strict=False), code))
-            except ValueError:
-                fqdns[key.lower()] = code
+    for _, (key, code) in tab_records(path, "cidr_or_fqdn TAB code"):
+        try:
+            networks.append((ipaddress.ip_network(key, strict=False), code))
+        except ValueError:
+            fqdns[key.lower()] = code
     return GeoTable(networks=tuple(networks), fqdns=fqdns)
 
 
@@ -340,13 +311,6 @@ def geolocate(geo_table: GeoTable, *, ip: str | None = None,
     if fqdn:
         return geo_table.lookup_fqdn(fqdn)
     return None
-
-
-@dataclass(frozen=True)
-class AppIdentity:
-    package_name: str
-    cert_org: str | None = None
-    store_name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -434,9 +398,7 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
 
 def build_transfer_events(flows: list[FlowRecord], catalog: PersonalDataCatalog,
                           owner_list: dict[str, DomainOwnerEntry],
-                          geo_table: GeoTable,
-                          identities: dict[str, AppIdentity] | None = None,
-                          ) -> list[TransferEvent]:
+                          geo_table: GeoTable) -> list[TransferEvent]:
     """Scan, attribute and geolocate flows, grouped per (app, SLD).
 
     Flows with no detected personal data are discarded; unresolved countries,
@@ -444,10 +406,14 @@ def build_transfer_events(flows: list[FlowRecord], catalog: PersonalDataCatalog,
     warning.  A group's recipient is third party if any of its flows was
     attributed to the owner list, else first party, so it does not depend on
     the order of the flows.  Third-party attributions within a group agree,
-    since all come from the owner-list entry of the group's SLD.
+    since all come from the owner-list entry of the group's SLD.  An app's
+    identity tokens are those of its package name, cert orgs and store names
+    over all of its flows, so they do not depend on that order either.
     """
-    identities = identities or {}
-    token_cache: dict[str, frozenset[str]] = {}
+    app_tokens: dict[str, frozenset[str]] = {}
+    for app_id, cert_org, store_name in {(f.app_id, f.cert_org, f.store_name) for f in flows}:
+        app_tokens[app_id] = app_tokens.get(app_id, frozenset()) | \
+            tokenize_app_identity(app_id, cert_org, store_name)
     groups: dict[tuple[str, str], dict] = {}
     for flow in flows:
         types = (flow.detected_types if flow.detected_types is not None
@@ -460,14 +426,8 @@ def build_transfer_events(flows: list[FlowRecord], catalog: PersonalDataCatalog,
             log.warning("dropping flow %s -> %s: unresolved country",
                         flow.app_id, flow.dest_fqdn)
             continue
-        if flow.app_id not in token_cache:
-            ident = identities.get(flow.app_id) or AppIdentity(
-                package_name=flow.app_id, cert_org=flow.cert_org,
-                store_name=flow.store_name)
-            token_cache[flow.app_id] = tokenize_app_identity(
-                ident.package_name, ident.cert_org, ident.store_name)
         try:
-            recipient = classify_recipient(token_cache[flow.app_id], flow.dest_fqdn,
+            recipient = classify_recipient(app_tokens[flow.app_id], flow.dest_fqdn,
                                            owner_list)
         except DomainError:
             log.warning("dropping flow %s -> %s: unparseable hostname",

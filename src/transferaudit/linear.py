@@ -245,6 +245,13 @@ _HEADER_CHECKS = {"scheme": _one_of(*SCHEMES), "ngram": parse_ngram_range,
                   "loss": _one_of(MODIFIED_HUBER), "vocab_sha256": str}
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"model parameter {text!r} is not finite")
+    return value
+
+
 def load_model(path) -> tuple[LinearModel, dict[str, str]]:
     """Read a model file; returns the model and its header fields.
 
@@ -263,7 +270,7 @@ def load_model(path) -> tuple[LinearModel, dict[str, str]]:
                     if not value and key != "":
                         raise ParseError(f"malformed header {line!r}", lineno)
                     if key == "bias":
-                        bias = float(value)
+                        bias = _finite(value)
                     elif key in _HEADER_CHECKS:
                         _HEADER_CHECKS[key](value)
                         header[key] = value
@@ -273,7 +280,7 @@ def load_model(path) -> tuple[LinearModel, dict[str, str]]:
                     parts = line.split("\t")
                     if len(parts) != 2:
                         raise ParseError("expected `index TAB weight`", lineno)
-                    weights[int(parts[0])] = float(parts[1])
+                    weights[int(parts[0])] = _finite(parts[1])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
     if bias is None:

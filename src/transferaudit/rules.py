@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import RuleParseError
+from .lines import data_lines
 from .stemmer import stem
 
 # The grammar is regular: a rule is a clause, then (window, clause) pairs.
@@ -65,21 +66,17 @@ def parse_rule(rule_text: str, rule_id: str = "") -> ProximityRule:
         pos = window.end()
 
 
-def load_rules(path) -> list[ProximityRule]:
-    """Rule file: `element_id TAB rule text` per line, # comments allowed."""
+def load_rules(path=None) -> list[ProximityRule]:
+    """Rule file: `element_id TAB rule text` per line; default: shipped rules."""
     rules = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            element_id, sep, text = line.partition("\t")
-            if not sep or not element_id or not text.strip():
-                raise RuleParseError(f"line {lineno}: expected `element_id TAB rule`")
-            try:
-                rules.append(parse_rule(text.strip(), rule_id=element_id))
-            except RuleParseError as exc:
-                raise RuleParseError(f"line {lineno}: {exc}") from exc
+    for lineno, line in data_lines(path, "rules.tsv"):
+        element_id, sep, text = line.partition("\t")
+        if not sep or not element_id or not text.strip():
+            raise RuleParseError(f"line {lineno}: expected `element_id TAB rule`")
+        try:
+            rules.append(parse_rule(text.strip(), rule_id=element_id))
+        except RuleParseError as exc:
+            raise RuleParseError(f"line {lineno}: {exc}") from exc
     return rules
 
 

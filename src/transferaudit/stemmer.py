@@ -256,8 +256,3 @@ def stem(word):
     word = _step4(word, r2)
     word = _step5(word, r1, r2)
     return word.replace("Y", "y")
-
-
-def stem_tokens(tokens):
-    """Stem a token sequence, preserving order and count."""
-    return [stem(t) for t in tokens]

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
-from importlib import resources
 from operator import itemgetter
 
 from .classifier import TextClassifier
 from .countries import CountryDictionary, detect_target_countries
 from .errors import ParseError
-from .jsonl import json_records
+from .lines import json_records
 from .rules import ProximityRule, load_rules, matched_elements
 
 # Rule-detected elements; the gated ones count only in segments that state a
@@ -29,10 +28,7 @@ UNGATED_ELEMENTS = ("representative", "privacy_shield")
 
 
 def default_rules() -> list[ProximityRule]:
-    with resources.as_file(
-        resources.files("transferaudit.data").joinpath("rules.tsv")
-    ) as path:
-        return load_rules(path)
+    return load_rules()
 
 
 @dataclass(frozen=True)
@@ -48,17 +44,10 @@ class SegmentAnnotation:
     privacy_shield: bool = False
 
 
-@dataclass
-class PolicyAnnotation:
-    intention: bool = False
-    countries: frozenset[str] = frozenset()
-    adequacy: bool = False
-    scc: bool = False
-    bcr: bool = False
-    explicit_consent: bool = False
-    copy_means: bool = False
-    representative: bool = False
-    privacy_shield: bool = False
+@dataclass(frozen=True)
+class PolicyAnnotation(SegmentAnnotation):
+    """A policy's nine elements plus the segment annotations behind them."""
+
     segments: list[SegmentAnnotation] = field(default_factory=list)
 
 
@@ -137,11 +126,9 @@ def annotate_segment(segment_text: str, intention_model: TextClassifier,
 def annotate_policy(segment_annotations: list[SegmentAnnotation]) -> PolicyAnnotation:
     """Element-wise OR over segments; a policy discloses what any segment does."""
     segments = list(segment_annotations)
-    policy = PolicyAnnotation(segments=segments)
-    for name in _FLAGS:
-        setattr(policy, name, any(getattr(s, name) for s in segments))
-    policy.countries = frozenset().union(*(s.countries for s in segments))
-    return policy
+    return PolicyAnnotation(countries=frozenset().union(*(s.countries for s in segments)),
+                            segments=segments,
+                            **{name: any(getattr(s, name) for s in segments) for name in _FLAGS})
 
 
 @dataclass

@@ -6,6 +6,7 @@ import json
 import shutil
 import tempfile
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,56 @@ def test_bad_model_line_is_input_error_naming_the_line(model_dir, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 2" in captured.err
+
+
+_SHIPPED = resources.files("transferaudit.data")
+_FRAMEWORK = "privacy_shield\tUS\t2020-07-16"
+
+
+@pytest.mark.parametrize("option, source, old, new", [
+    ("--catalog", DATA / "catalog.tsv", None, "AAID"),
+    ("--owners", _SHIPPED / "owner_list.tsv", None, "bad.example\tBad\t\tUS"),
+    ("--geo", DATA / "geo.tsv", None, "10.0.0.0/8"),
+    ("--dict", _SHIPPED / "country_dictionary.tsv", None, "US\tname"),
+    ("--rules", _SHIPPED / "rules.tsv", None, "scc ('standard')"),
+    ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", _FRAMEWORK,
+     "privacy_shield\tUS"),
+    ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", _FRAMEWORK,
+     "privacy_shield\tUS\t2020-13-16"),
+    ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", "\nDE\n", "\nde\n"),
+    ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", _FRAMEWORK,
+     "privacy_shield\tusa\t2020-07-16"),
+], ids=["catalog", "owners", "geo", "dict", "rules", "framework-line", "framework-date",
+        "eu-code", "framework-code"])
+def test_malformed_data_line_is_input_error_naming_it(model_dir, tmp_path, capsys,
+                                                      option, source, old, new):
+    """A bad line (appended, or replacing `old`) is exit 1 naming its line."""
+    text = source.read_text(encoding="utf-8")
+    bad_text = text.replace(old, new, 1) if old else text + new + "\n"
+    lines, bad_lines = text.splitlines(), bad_text.splitlines()
+    lineno = next(i for i, line in enumerate(bad_lines, start=1)
+                  if i > len(lines) or line != lines[i - 1])
+    assert lineno >= 2
+    bad_file = tmp_path / "bad.txt"
+    bad_file.write_text(bad_text, encoding="utf-8")
+    policy = tmp_path / "pol.txt"
+    policy.write_text("We transfer data to Japan.", encoding="utf-8")
+    events_path, annotations_path = _write_study(
+        tmp_path, [json.dumps(SHIELD_EVENT)], [json.dumps(SHIELD_ANNOTATION)])
+    argv = {
+        "scan": ["scan", "--flows", str(DATA / "flows.jsonl"), "--catalog",
+                 str(DATA / "catalog.tsv"), "--geo", str(DATA / "geo.tsv")],
+        "annotate": ["annotate", "--model-dir", str(model_dir), str(policy)],
+        "check": ["check", "--events", str(events_path),
+                  "--annotations", str(annotations_path)],
+    }
+    command = {"--dict": "annotate", "--rules": "annotate",
+               "--jurisdiction": "check"}.get(option, "scan")
+    # the option given last overrides an earlier one
+    assert main([*argv[command], option, str(bad_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {lineno}: " in captured.err
 
 
 @pytest.mark.parametrize("extra", [[], ["--kfold", "5"], ["--model-out", "{tmp}/models"]],

@@ -97,7 +97,7 @@ def test_every_surface_form_maps_to_one_code(country_dictionary):
 
 
 def test_dictionary_covers_adequacy_countries(country_dictionary):
-    codes = country_dictionary.codes()
+    codes = set(country_dictionary.phrases.values())
     for code in ("AD", "AR", "CA", "FO", "GG", "IL", "IM", "JP", "JE", "NZ", "CH", "UY"):
         assert code in codes
 

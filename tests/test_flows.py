@@ -318,6 +318,20 @@ def test_events_independent_of_flow_order(flow_records, catalog, owner_list, geo
             mixed.recipient.category) == ("OneSignal", "US", "messaging")
 
 
+def test_app_identity_is_union_over_flows(catalog, owner_list, geo_table):
+    # "zappy" is an identity token only through the cert org of one flow
+    flows = [
+        FlowRecord("com.example.app", "1", "active", "api.zappy.com", country="US",
+                   detected_types=frozenset({"AAID"}), cert_org="Zappy Inc"),
+        FlowRecord("com.example.app", "1", "idle", "api.zappy.com", country="US",
+                   detected_types=frozenset({"AAID"})),
+    ]
+    for ordered in (flows, flows[::-1]):
+        events = build_transfer_events(ordered, catalog, owner_list, geo_table)
+        assert [(e.recipient_domain, e.recipient.kind, e.any_idle_flow) for e in events] \
+            == [("zappy.com", "first_party", True)]
+
+
 def test_event_grouping_is_partition(flow_records, catalog, owner_list, geo_table):
     events = build_transfer_events(flow_records, catalog, owner_list, geo_table)
     keys = [(e.app_id, e.recipient_domain) for e in events]

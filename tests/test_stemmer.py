@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transferaudit.stemmer import stem, stem_tokens
+from transferaudit.stemmer import stem
 
 KNOWN_PAIRS = [
     ("abilities", "abil"), ("ability", "abil"), ("adequacy", "adequaci"), ("adequate", "adequ"),
@@ -31,7 +31,7 @@ KNOWN_PAIRS = [
     ("implementation", "implement"), ("inference", "infer"), ("informed", "inform"), ("inning", "inning"),
     ("international", "intern"), ("irritant", "irrit"), ("jurisdictions", "jurisdict"), ("knitting", "knit"),
     ("lying", "lie"), ("measures", "measur"), ("news", "news"), ("obtain", "obtain"),
-    ("obtained", "obtain"), ("only", "onli"), ("operator", "oper"), ("outing", "outing"),
+    ("obtained", "obtain"), ("only", "onli"), ("operator", "oper"), ("outing", "outing"), ("outside", "outsid"),
     ("policies", "polici"), ("policy", "polici"), ("predication", "predic"), ("privacy", "privaci"),
     ("probate", "probat"), ("proceed", "proceed"), ("processed", "process"), ("processing", "process"),
     ("protected", "protect"), ("protection", "protect"), ("radically", "radic"), ("ran", "ran"),
@@ -61,18 +61,6 @@ def test_short_words_pass_through(word):
 
 def test_initial_apostrophe_is_stripped():
     assert stem("'twas") == stem("twas")
-
-
-def test_stem_tokens_preserves_order_and_count():
-    tokens = ["transferred", "countries", "outside", "the", "eu"]
-    stems = stem_tokens(tokens)
-    assert stems == ["transfer", "countri", "outsid", "the", "eu"]
-    assert len(stems) == len(tokens)
-
-
-@given(st.lists(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12)))
-def test_stemming_never_increases_token_count(tokens):
-    assert len(stem_tokens(tokens)) == len(tokens)
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=15))
