@@ -1,9 +1,10 @@
 """Text classifier bundle: n-gram range + vocabulary + linear model.
 
 A bundle is what the annotation pipeline actually consumes; it knows how to
-turn raw segment text into a prediction and how to round-trip itself through
-the vocabulary/model file formats.  Fitting a bundle and k-fold evaluation
-share one training path, over n-grams computed once per sample.
+turn raw segment text, or n-grams already computed, into a prediction and
+how to round-trip itself through the vocabulary/model file formats.  Fitting
+a bundle and k-fold evaluation share one training path, over n-grams
+computed once per sample.
 """
 
 from __future__ import annotations
@@ -45,9 +46,18 @@ class TextClassifier:
     scheme: str
     model: LinearModel
 
+    def __post_init__(self):
+        # scoring reads the weights as a list, taken once: change the model's
+        # weights and the bundle must be built again
+        self._weights = self.model.weights.tolist()
+
     def predict_text(self, text: str) -> int:
-        grams = extract_ngrams(tokenize(text), *self.ngram)
-        return predict(self.model, vectorize(grams, self.vocabulary, self.scheme))
+        return self.predict_grams(extract_ngrams(tokenize(text), *self.ngram))
+
+    def predict_grams(self, grams: list[str]) -> int:
+        """Predict from the segment's n-grams over this bundle's range."""
+        x = vectorize(grams, self.vocabulary, self.scheme)
+        return predict(self.model, x, self._weights)
 
     def save(self, directory, name: str) -> None:
         directory = Path(directory)

@@ -1,6 +1,7 @@
 """Country gazetteer and target-country detection.
 
-Detection scans lowercased whitespace tokens with longest-phrase matching.
+Detection scans lowercased whitespace tokens with longest-phrase matching,
+trying at each token only the phrase lengths that start with it.
 Tokens keep internal hyphens ("California-based" does not match the state),
 while edge punctuation is stripped, so "Singapore," and "U.S." match.  EU
 member mentions are ignored: only non-EU destinations are disclosures.
@@ -23,6 +24,7 @@ EU_MEMBERS_2020 = frozenset(
 FORM_TYPES = ("name", "abbr", "state", "city", "alias")
 
 _EDGE_STRIP = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
+_ALNUM = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
 _CODE = re.compile(r"[A-Z]{2}")
 
 
@@ -35,7 +37,10 @@ def check_country_code(code: str, lineno: int) -> str:
 
 def normalize_token(token: str) -> str:
     """Lowercase and strip edge punctuation; internal dots/hyphens stay."""
-    return _EDGE_STRIP.sub("", token.lower())
+    token = token.lower()
+    if token[:1] in _ALNUM and token[-1:] in _ALNUM:
+        return token  # nothing to strip, the common case
+    return _EDGE_STRIP.sub("", token)
 
 
 @dataclass
@@ -44,7 +49,9 @@ class CountryDictionary:
 
     phrases: dict[tuple[str, ...], str] = field(default_factory=dict)
     form_types: dict[tuple[str, ...], str] = field(default_factory=dict)
-    max_phrase_len: int = 1
+    # the phrase lengths for each first token, longest first; kept by `add`
+    lengths_by_first: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False)
 
     def add(self, code: str, form_type: str, surface: str) -> None:
         key = tuple(normalize_token(t) for t in surface.split())
@@ -56,7 +63,9 @@ class CountryDictionary:
             raise ValueError(f"surface form {surface!r} maps to both {existing} and {code}")
         self.phrases[key] = code
         self.form_types[key] = form_type
-        self.max_phrase_len = max(self.max_phrase_len, len(key))
+        lengths = self.lengths_by_first.get(key[0], ())
+        if len(key) not in lengths:
+            self.lengths_by_first[key[0]] = tuple(sorted((*lengths, len(key)), reverse=True))
 
 
 def load_country_dictionary(path=None) -> CountryDictionary:
@@ -85,12 +94,14 @@ def detect_target_countries(segment_tokens_raw: list[str],
     i = 0
     n = len(tokens)
     while i < n:
-        matched_len = 0
-        for length in range(min(dictionary.max_phrase_len, n - i), 0, -1):
+        step = 1
+        # a slice cut short by the end of the text only matches a phrase of
+        # the length left, which is then the longest match
+        for length in dictionary.lengths_by_first.get(tokens[i], ()):
             code = dictionary.phrases.get(tuple(tokens[i:i + length]))
             if code is not None:
                 found.add(code)
-                matched_len = length
+                step = length
                 break
-        i += matched_len or 1
+        i += step
     return found - EU_MEMBERS_2020

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
 
+from .countries import check_country_code
 from .errors import DomainError, ParseError
 from .lines import data_lines, json_records, tab_records
 
@@ -155,7 +156,8 @@ def load_owner_list(path=None) -> dict[str, DomainOwnerEntry]:
         sld = sld.lower()
         if sld in owners:
             raise ParseError(f"duplicate SLD {sld!r}", lineno)
-        owners[sld] = DomainOwnerEntry(sld, owner, parent or None, hq, category)
+        owners[sld] = DomainOwnerEntry(sld, owner, parent or None,
+                                       check_country_code(hq, lineno), category)
     return owners
 
 
@@ -291,7 +293,10 @@ def load_geo_table(path) -> GeoTable:
     """Geo table: `cidr_or_fqdn TAB ISO code` per line."""
     networks: list[tuple[Network, str]] = []
     fqdns: dict[str, str] = {}
-    for _, (key, code) in tab_records(path, "cidr_or_fqdn TAB code"):
+    codes: set[str] = set()  # each checked once: tables repeat a few codes over many lines
+    for lineno, (key, code) in tab_records(path, "cidr_or_fqdn TAB code"):
+        if code not in codes:
+            codes.add(check_country_code(code, lineno))
         try:
             networks.append((ipaddress.ip_network(key, strict=False), code))
         except ValueError:

@@ -104,19 +104,29 @@ def train(samples: Sequence[tuple[FeatureVector, int]], cfg: TrainConfig,
     return LinearModel(weights=v * scale, bias=float(bias), config=cfg)
 
 
-def decision_value(model: LinearModel, x: FeatureVector) -> float:
-    """w.x + b for a sparse vector indexed against the model's vocabulary."""
+def decision_value(model: LinearModel, x: FeatureVector,
+                   weights: Sequence[float] | None = None) -> float:
+    """w.x + b for a sparse vector indexed against the model's vocabulary.
+
+    The sum starts at the bias and adds the features in the vector's order.
+    `weights`, if given, is `model.weights.tolist()`: a list indexes faster
+    than an array and gives the same sum.
+    """
+    if weights is None:
+        weights = model.weights
+    n = len(weights)
     total = model.bias
     for idx, val in x.entries.items():
-        if idx >= model.weights.shape[0] or idx < 0:
-            raise ShapeError(f"feature index {idx} outside model dimension {model.weights.shape[0]}")
-        total += model.weights[idx] * val
+        if not 0 <= idx < n:
+            raise ShapeError(f"feature index {idx} outside model dimension {n}")
+        total += weights[idx] * val
     return float(total)
 
 
-def predict(model: LinearModel, x: FeatureVector) -> int:
+def predict(model: LinearModel, x: FeatureVector,
+            weights: Sequence[float] | None = None) -> int:
     """1 iff the decision value is strictly positive; an exact 0 is negative."""
-    return 1 if decision_value(model, x) > 0.0 else 0
+    return 1 if decision_value(model, x, weights) > 0.0 else 0
 
 
 class Confusion(NamedTuple):
@@ -280,7 +290,10 @@ def load_model(path) -> tuple[LinearModel, dict[str, str]]:
                     parts = line.split("\t")
                     if len(parts) != 2:
                         raise ParseError("expected `index TAB weight`", lineno)
-                    weights[int(parts[0])] = _finite(parts[1])
+                    idx = int(parts[0])
+                    if idx in weights:
+                        raise ParseError(f"repeated weight index {idx}", lineno)
+                    weights[idx] = _finite(parts[1])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
     if bias is None:

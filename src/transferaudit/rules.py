@@ -4,15 +4,18 @@ Grammar: ``CLAUSE (w/<int> CLAUSE)*`` with ``CLAUSE := '(' term ('|' term)* ')'`
 and single-quoted terms, e.g. ``('contract'|'standard') w/4 ('model'|'clause')``.
 Terms are stemmed at parse time; a rule matches when, inside one sentence,
 stemmed tokens satisfying consecutive clauses lie within the clause window
-(in either order).
+(in either order).  Matching reads one `{stem: [positions]}` dict per
+sentence, which needs only the stems that are rule terms.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import RuleParseError
+from .features import WORD_RUNS
 from .lines import data_lines
 from .stemmer import stem
 
@@ -21,8 +24,7 @@ _CLAUSE = re.compile(r"\s*\((\s*'[^']*'(?:\s*\|\s*'[^']*')*)\s*\)")
 _TERM = re.compile(r"'([^']*)'")
 _WINDOW = re.compile(r"\s*w/(\d*)")  # \d: int() reads every Unicode decimal digit
 
-_SENTENCE_SPLIT = re.compile(r"[.!?;]")
-_WORD_RUNS = re.compile(r"[a-z]+")
+SENTENCE_ENDS = re.compile(r"[.!?;]")
 
 
 @dataclass(frozen=True)
@@ -90,18 +92,33 @@ def _matches(rule: ProximityRule, positions: dict[str, list[int]]) -> bool:
     return bool(reachable)
 
 
+def rule_terms(rules: list[ProximityRule]) -> frozenset[str]:
+    """Every stemmed term of the rules: the only stems matching looks up."""
+    return frozenset(term for rule in rules for clause in rule.clauses for term in clause)
+
+
+def elements_in_sentences(rules: list[ProximityRule],
+                          sentences: Iterable[dict[str, list[int]]]) -> set[str]:
+    """Element ids whose rules match some sentence, given as the word
+    positions of each stem in it; stems that are no rule term may be left out."""
+    matched = set()
+    for positions in sentences:
+        for rule in rules:
+            if rule.id not in matched and _matches(rule, positions):
+                matched.add(rule.id)
+    return matched
+
+
 def matched_elements(rules: list[ProximityRule], segment_text: str) -> set[str]:
     """Element ids whose rules (any of them) match the segment.
 
     A rule matches when some single sentence of the segment satisfies it;
     sentences split on . ! ? ; and positions count every word.
     """
-    matched = set()
-    for sentence in _SENTENCE_SPLIT.split(segment_text.lower()):
+    sentences = []
+    for sentence in SENTENCE_ENDS.split(segment_text.lower()):
         positions: dict[str, list[int]] = {}
-        for i, word in enumerate(_WORD_RUNS.findall(sentence)):
+        for i, word in enumerate(WORD_RUNS.findall(sentence)):
             positions.setdefault(stem(word), []).append(i)
-        for rule in rules:
-            if rule.id not in matched and _matches(rule, positions):
-                matched.add(rule.id)
-    return matched
+        sentences.append(positions)
+    return elements_in_sentences(rules, sentences)

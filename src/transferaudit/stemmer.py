@@ -5,6 +5,7 @@ Operates on single lowercase words; callers tokenize first.  Results are
 cached because policy text re-uses a small vocabulary heavily.
 """
 
+import re
 from functools import lru_cache
 
 _VOWELS = frozenset("aeiouy")  # capital Y marks consonant-y and is excluded
@@ -37,47 +38,49 @@ _POST_1A_INVARIANT = frozenset(
      "proceed", "exceed", "succeed"]
 )
 
-_STEP2_RULES = (
-    ("ization", "ize"),
-    ("ational", "ate"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("iveness", "ive"),
-    ("tional", "tion"),
-    ("biliti", "ble"),
-    ("lessli", "less"),
-    ("entli", "ent"),
-    ("ation", "ate"),
-    ("alism", "al"),
-    ("aliti", "al"),
-    ("ousli", "ous"),
-    ("iviti", "ive"),
-    ("fulli", "ful"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("abli", "able"),
-    ("izer", "ize"),
-    ("ator", "ate"),
-    ("alli", "al"),
-    ("bli", "ble"),
-)
+# Steps 2-4 look up `word[-n:]` for each suffix length n, longest first,
+# so the first hit is the longest matching suffix.  A word equal to a
+# suffix matches it, and a word shorter than n is `word[-n:]` itself; either
+# way no letter is left before the suffix, so the region check fails and
+# the step ends.
+_STEP2_RULES = {
+    "ization": "ize", "ational": "ate", "fulness": "ful", "ousness": "ous",
+    "iveness": "ive", "tional": "tion", "biliti": "ble", "lessli": "less",
+    "entli": "ent", "ation": "ate", "alism": "al", "aliti": "al", "ousli": "ous",
+    "iviti": "ive", "fulli": "ful", "enci": "ence", "anci": "ance", "abli": "able",
+    "izer": "ize", "ator": "ate", "alli": "al", "bli": "ble", "ogi": "og", "li": "",
+}
+# suffixes removed only after one of these letters
+_STEP2_AFTER = {"ogi": frozenset("l"), "li": _LI_ENDINGS}
 
-_STEP3_RULES = (
-    ("ational", "ate"),
-    ("tional", "tion"),
-    ("alize", "al"),
-    ("icate", "ic"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ness", ""),
-    ("ful", ""),
-)
+_STEP3_RULES = {
+    "ational": "ate", "tional": "tion", "alize": "al", "icate": "ic", "iciti": "ic",
+    "ative": "", "ical": "ic", "ness": "", "ful": "",
+}
 
-_STEP4_SUFFIXES = (
+# "ion" is removed only after s or t
+_STEP4_SUFFIXES = frozenset([
     "ement", "ance", "ence", "able", "ible", "ment",
-    "ant", "ent", "ism", "ate", "iti", "ous", "ive", "ize",
+    "ant", "ent", "ism", "ate", "iti", "ous", "ive", "ize", "ion",
     "al", "er", "ic",
-)
+])
+
+
+def _lengths_by_last_letter(suffixes):
+    """The lengths n worth a lookup of `word[-n:]`, longest first, keyed by
+    the word's last letter."""
+    lengths = {}
+    for suf in suffixes:
+        lengths.setdefault(suf[-1], set()).add(len(suf))
+    return {ch: sorted(ns, reverse=True) for ch, ns in lengths.items()}
+
+
+_STEP2_LENGTHS = _lengths_by_last_letter(_STEP2_RULES)
+_STEP3_LENGTHS = _lengths_by_last_letter(_STEP3_RULES)
+_STEP4_LENGTHS = _lengths_by_last_letter(_STEP4_SUFFIXES)
+
+_VC = re.compile(r"[aeiouy][^aeiouy]")
+_R1_PREFIXES = ("gener", "commun", "arsen")
 
 
 def _is_vowel(ch):
@@ -85,7 +88,10 @@ def _is_vowel(ch):
 
 
 def _mark_ys(word):
-    # y at the start or after a vowel acts as a consonant; mark it Y
+    # y at the start or after a vowel acts as a consonant; mark it Y.  A
+    # marked Y is no vowel, so in "ayy" only the first y is marked.
+    if "y" not in word:
+        return word
     chars = list(word)
     if chars[0] == "y":
         chars[0] = "Y"
@@ -97,19 +103,13 @@ def _mark_ys(word):
 
 def _region_after_vc(word, start):
     """Position after the first non-vowel that follows a vowel, from `start`."""
-    i = start
-    n = len(word)
-    while i < n and not _is_vowel(word[i]):
-        i += 1
-    while i < n and _is_vowel(word[i]):
-        i += 1
-    return min(i + 1, n) if i < n else n
+    vc = _VC.search(word, start)
+    return vc.end() if vc else len(word)
 
 
 def _compute_r1(word):
-    for prefix, r1 in (("gener", 5), ("commun", 6), ("arsen", 5)):
-        if word.startswith(prefix):
-            return r1
+    if word.startswith(_R1_PREFIXES):
+        return next(len(p) for p in _R1_PREFIXES if word.startswith(p))
     return _region_after_vc(word, 0)
 
 
@@ -129,6 +129,8 @@ def _is_short(word, r1):
 
 
 def _step0(word):
+    if "'" not in word:
+        return word
     for suf in ("'s'", "'s", "'"):
         if word.endswith(suf):
             return word[: -len(suf)]
@@ -136,6 +138,8 @@ def _step0(word):
 
 
 def _step1a(word):
+    if not word.endswith(("s", "d")):
+        return word
     if word.endswith("sses"):
         return word[:-4] + "ss"
     if word.endswith("ied") or word.endswith("ies"):
@@ -144,12 +148,14 @@ def _step1a(word):
         return word
     if word.endswith("s"):
         # delete only if a vowel occurs before the letter preceding the s
-        if any(_is_vowel(ch) for ch in word[:-2]):
+        if not _VOWELS.isdisjoint(word[:-2]):
             return word[:-1]
     return word
 
 
 def _step1b(word, r1):
+    if not word.endswith(("ed", "ly", "ing")):
+        return word
     if word.endswith("eedly"):
         return word[:-3] if len(word) - 5 >= r1 else word
     if word.endswith("eed"):
@@ -157,7 +163,7 @@ def _step1b(word, r1):
     for suf in ("ingly", "edly", "ing", "ed"):
         if word.endswith(suf):
             stem = word[: -len(suf)]
-            if not any(_is_vowel(ch) for ch in stem):
+            if _VOWELS.isdisjoint(stem):
                 return word
             if stem.endswith(("at", "bl", "iz")):
                 return stem + "e"
@@ -176,47 +182,36 @@ def _step1c(word):
 
 
 def _step2(word, r1):
-    for suf, repl in _STEP2_RULES:
-        if word.endswith(suf):
-            if len(word) - len(suf) >= r1:
-                return word[: -len(suf)] + repl
-            return word
-    if word.endswith("ogi"):
-        if len(word) - 3 >= r1 and word[-4:-3] == "l":
-            return word[:-1]
-        return word
-    if word.endswith("li"):
-        if len(word) - 2 >= r1 and word[-3:-2] in _LI_ENDINGS:
-            return word[:-2]
-        return word
+    for n in _STEP2_LENGTHS.get(word[-1:], ()):
+        suf = word[-n:]
+        repl = _STEP2_RULES.get(suf)
+        if repl is not None:
+            after = _STEP2_AFTER.get(suf)
+            if len(word) - n < r1 or (after is not None and word[-n - 1:-n] not in after):
+                return word
+            return word[:-n] + repl
     return word
 
 
 def _step3(word, r1, r2):
-    for suf, repl in _STEP3_RULES:
-        if word.endswith(suf):
-            if len(word) - len(suf) >= r1:
-                return word[: -len(suf)] + repl
-            return word
-    if word.endswith("ative"):
-        if len(word) - 5 >= r1 and len(word) - 5 >= r2:
-            return word[:-5]
+    for n in _STEP3_LENGTHS.get(word[-1:], ()):
+        suf = word[-n:]
+        repl = _STEP3_RULES.get(suf)
+        if repl is not None:
+            if len(word) - n < (r2 if suf == "ative" else r1):
+                return word
+            return word[:-n] + repl
     return word
 
 
 def _step4(word, r2):
-    # longest matching suffix decides; a failed region check ends the step.
-    # "ion" never competes with the listed suffixes (none end in n).
-    if word.endswith("ion"):
-        if len(word) - 3 >= r2 and word[-4:-3] in ("s", "t"):
-            return word[:-3]
-        return word
-    best = ""
-    for suf in _STEP4_SUFFIXES:
-        if word.endswith(suf) and len(suf) > len(best):
-            best = suf
-    if best and len(word) - len(best) >= r2:
-        return word[: -len(best)]
+    # the longest matching suffix decides; a failed check ends the step
+    for n in _STEP4_LENGTHS.get(word[-1:], ()):
+        suf = word[-n:]
+        if suf in _STEP4_SUFFIXES:
+            if len(word) - n < r2 or (suf == "ion" and word[-4:-3] not in ("s", "t")):
+                return word
+            return word[:-n]
     return word
 
 

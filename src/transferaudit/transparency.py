@@ -5,8 +5,10 @@ only on flagged segments and extracts target countries (gazetteer), the
 adequacy claim (second linear classifier) and safeguard/copy elements
 (proximity rules).  Representative and privacy-shield rules run on every
 segment.  Policy-level annotations OR the segment flags and union countries.
-The annotation JSON form that `annotate` writes and `check`/`report` read is
-defined here too.
+A segment whose lowercase is ASCII is analysed in one pass: each word is
+stemmed once, for the rule positions and for the classifiers' tokens, and
+the two classifiers share one n-gram list.  The annotation JSON form that
+`annotate` writes and `check`/`report` read is defined here too.
 """
 
 from __future__ import annotations
@@ -18,8 +20,17 @@ from operator import itemgetter
 from .classifier import TextClassifier
 from .countries import CountryDictionary, detect_target_countries
 from .errors import ParseError
+from .features import WORD_RUNS, extract_ngrams, stopword_list, tokenize
 from .lines import json_records
-from .rules import ProximityRule, load_rules, matched_elements
+from .rules import (
+    SENTENCE_ENDS,
+    ProximityRule,
+    elements_in_sentences,
+    load_rules,
+    matched_elements,
+    rule_terms,
+)
+from .stemmer import stem
 
 # Rule-detected elements; the gated ones count only in segments that state a
 # transfer intention.
@@ -105,20 +116,52 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     return annotations
 
 
-def annotate_segment(segment_text: str, intention_model: TextClassifier,
-                     adequacy_model: TextClassifier | None,
-                     rules: list[ProximityRule],
-                     dictionary: CountryDictionary) -> SegmentAnnotation:
+def _analyze(lowered: str, terms: frozenset[str]) -> tuple[list[str], list[dict]]:
+    """The classifier tokens of an ASCII lowercased segment, and per sentence
+    the word positions of each stem that is a rule term.
+
+    Equal to `tokenize` and to the positions `matched_elements` reads: for
+    ASCII text, `tokenize` drops nothing before it splits into words.
+    """
+    stops = stopword_list()
+    tokens: list[str] = []
+    sentences = []
+    for sentence in SENTENCE_ENDS.split(lowered):
+        positions: dict[str, list[int]] = {}
+        for i, word in enumerate(WORD_RUNS.findall(sentence)):
+            stemmed = stem(word)
+            if word not in stops:
+                tokens.append(stemmed)
+            if stemmed in terms:
+                positions.setdefault(stemmed, []).append(i)
+        if positions:
+            sentences.append(positions)
+    return tokens, sentences
+
+
+def annotate_segment(annotator: SegmentAnnotator, segment_text: str) -> SegmentAnnotation:
     """Annotate one segment; layer-two elements stay off unless gated in."""
-    elements = matched_elements(rules, segment_text)
+    lowered = segment_text.lower()
+    if lowered.isascii():
+        tokens, sentences = _analyze(lowered, annotator.rule_terms)
+        elements = elements_in_sentences(annotator.rules, sentences)
+    else:
+        # tokenize drops non-ASCII letters before it splits; the rules split at them
+        tokens = tokenize(segment_text)
+        elements = matched_elements(annotator.rules, segment_text)
     flags = {name: name in elements for name in UNGATED_ELEMENTS}
-    if not intention_model.predict_text(segment_text):
+    intention = annotator.intention_model
+    grams = extract_ngrams(tokens, *intention.ngram)
+    if not intention.predict_grams(grams):
         return SegmentAnnotation(**flags)
     flags.update((name, name in elements) for name in GATED_ELEMENTS)
+    adequacy = annotator.adequacy_model
+    if adequacy is not None and adequacy.ngram != intention.ngram:
+        grams = extract_ngrams(tokens, *adequacy.ngram)
     return SegmentAnnotation(
         intention=True,
-        countries=frozenset(detect_target_countries(segment_text.split(), dictionary)),
-        adequacy=adequacy_model is not None and bool(adequacy_model.predict_text(segment_text)),
+        countries=frozenset(detect_target_countries(segment_text.split(), annotator.dictionary)),
+        adequacy=adequacy is not None and bool(adequacy.predict_grams(grams)),
         **flags,
     )
 
@@ -131,7 +174,7 @@ def annotate_policy(segment_annotations: list[SegmentAnnotation]) -> PolicyAnnot
                             **{name: any(getattr(s, name) for s in segments) for name in _FLAGS})
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentAnnotator:
     """Bundles the models and data files needed to annotate policies."""
 
@@ -139,10 +182,13 @@ class SegmentAnnotator:
     adequacy_model: TextClassifier | None
     rules: list[ProximityRule]
     dictionary: CountryDictionary
+    rule_terms: frozenset[str] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rule_terms", rule_terms(self.rules))
 
     def annotate_segment(self, segment_text: str) -> SegmentAnnotation:
-        return annotate_segment(segment_text, self.intention_model,
-                                self.adequacy_model, self.rules, self.dictionary)
+        return annotate_segment(self, segment_text)
 
     def annotate_policy(self, segment_texts: list[str]) -> PolicyAnnotation:
         return annotate_policy([self.annotate_segment(t) for t in segment_texts])

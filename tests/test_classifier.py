@@ -89,6 +89,19 @@ def test_load_rejects_bad_header_line(bundle, tmp_path, line):
     assert exc.value.line_number == 2
 
 
+def test_load_rejects_repeated_weight_index(bundle, tmp_path):
+    bundle.save(tmp_path, "intention")
+    model_path = tmp_path / "intention.model.tsv"
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    # the repeated index goes last, just before the closing #bias line
+    lines.insert(len(lines) - 1, "0\t123.0")
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == len(lines) - 1
+    assert "repeated weight index 0" in str(exc.value)
+
+
 def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
     bundle.save(tmp_path, "intention")
     vocab_path = tmp_path / "intention.vocab.tsv"

@@ -232,6 +232,8 @@ _FRAMEWORK = "privacy_shield\tUS\t2020-07-16"
     ("--catalog", DATA / "catalog.tsv", None, "AAID"),
     ("--owners", _SHIPPED / "owner_list.tsv", None, "bad.example\tBad\t\tUS"),
     ("--geo", DATA / "geo.tsv", None, "10.0.0.0/8"),
+    ("--geo", DATA / "geo.tsv", None, "10.0.0.0/8\tde"),
+    ("--owners", _SHIPPED / "owner_list.tsv", None, "bad.example\tBad\t\tus\tanalytics"),
     ("--dict", _SHIPPED / "country_dictionary.tsv", None, "US\tname"),
     ("--rules", _SHIPPED / "rules.tsv", None, "scc ('standard')"),
     ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", _FRAMEWORK,
@@ -241,7 +243,7 @@ _FRAMEWORK = "privacy_shield\tUS\t2020-07-16"
     ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", "\nDE\n", "\nde\n"),
     ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", _FRAMEWORK,
      "privacy_shield\tusa\t2020-07-16"),
-], ids=["catalog", "owners", "geo", "dict", "rules", "framework-line", "framework-date",
+], ids=["catalog", "owners", "geo", "geo-code", "owners-hq-code", "dict", "rules", "framework-line", "framework-date",
         "eu-code", "framework-code"])
 def test_malformed_data_line_is_input_error_naming_it(model_dir, tmp_path, capsys,
                                                       option, source, old, new):

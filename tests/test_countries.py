@@ -1,5 +1,7 @@
 """Country gazetteer and detection tests."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +28,13 @@ def test_normalize_token_strips_edge_punctuation():
     assert normalize_token("Singapore.") == "singapore"
     assert normalize_token("U.S.") == "u.s"
     assert normalize_token("California-based") == "california-based"
+
+
+@given(st.text(st.one_of(st.sampled_from("aZ9.-,()'\u212a\u0130\u00e9"), st.characters()),
+               max_size=8))
+def test_normalize_token_equals_edge_strip_of_lowercase(token):
+    """Tokens with alphanumeric ends skip the regex; the result is the same."""
+    assert normalize_token(token) == re.sub(r"^[^0-9a-z]+|[^0-9a-z]+$", "", token.lower())
 
 
 def test_china_and_singapore(country_dictionary):

@@ -13,6 +13,7 @@ from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.errors import DegenerateTraining, ShapeError
 from transferaudit.features import TF, FeatureVector
 from transferaudit.linear import (
+    LinearModel,
     TrainConfig,
     compute_metrics,
     decision_value,
@@ -109,6 +110,36 @@ def test_decision_value_index_out_of_range():
                   TrainConfig(epochs=5, seed=0), dim=1)
     with pytest.raises(ShapeError):
         decision_value(model, fv({5: 1.0}))
+
+
+def _reference_decision_value(model, x):
+    """The former scoring loop, over numpy scalars."""
+    total = model.bias
+    for idx, val in x.entries.items():
+        total += model.weights[idx] * val
+    return float(total)
+
+
+_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(_VALUES, min_size=1, max_size=40), st.data())
+def test_list_score_is_bit_equal_to_array_score(weights, data):
+    """Scoring through the weight list adds the same floats in the same order,
+    so the value keeps every bit, also for sums near zero whose sign another
+    order could flip."""
+    w = np.array(weights)
+    x = fv(data.draw(st.dictionaries(st.integers(0, len(weights) - 1), _VALUES,
+                                     max_size=len(weights))))
+    products = [w[i] * v for i, v in x.entries.items()]
+    # biases that cancel the features' sum, summed in other orders
+    for bias in [data.draw(_VALUES), -math.fsum(products), -sum(reversed(products)),
+                 -sum(sorted(products))]:
+        model = LinearModel(weights=w, bias=float(bias), config=TrainConfig())
+        expected = _reference_decision_value(model, x)
+        assert decision_value(model, x, w.tolist()).hex() == expected.hex()
+        assert decision_value(model, x).hex() == expected.hex()
+        assert predict(model, x, w.tolist()) == (1 if expected > 0.0 else 0)
 
 
 def test_prediction_invariant_under_positive_scaling():

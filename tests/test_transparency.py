@@ -3,12 +3,25 @@
 import dataclasses
 import json
 
+import pytest
 from conftest import policy_annotations, policy_text
 from hypothesis import given
 from hypothesis import strategies as st
 
+from transferaudit.classifier import TextClassifier, fit_text_classifier
 from transferaudit.corpus import BLANKLINE, PolicyDocument, segment_policy
+from transferaudit.countries import (
+    EU_MEMBERS_2020,
+    CountryDictionary,
+    detect_target_countries,
+    normalize_token,
+)
+from transferaudit.features import TF, extract_ngrams, stopword_list, tokenize
+from transferaudit.linear import TrainConfig, intention_label
+from transferaudit.rules import matched_elements
 from transferaudit.transparency import (
+    GATED_ELEMENTS,
+    UNGATED_ELEMENTS,
     PolicyAnnotation,
     SegmentAnnotation,
     annotate_policy,
@@ -172,3 +185,167 @@ def test_equal_segments_load_as_one_object(policies):
     for a in loaded:
         for b in loaded:
             assert (a == b) == (a is b)
+
+
+def _reference_countries(segment_tokens_raw, dictionary):
+    """The former gazetteer scan: try every phrase length up to the longest
+    at every token."""
+    tokens = [t for t in (normalize_token(t) for t in segment_tokens_raw) if t]
+    max_len = max(map(len, dictionary.phrases), default=1)
+    found = set()
+    i = 0
+    n = len(tokens)
+    while i < n:
+        matched_len = 0
+        for length in range(min(max_len, n - i), 0, -1):
+            code = dictionary.phrases.get(tuple(tokens[i:i + length]))
+            if code is not None:
+                found.add(code)
+                matched_len = length
+                break
+        i += matched_len or 1
+    return found - EU_MEMBERS_2020
+
+
+def _reference_annotation(annotator, text):
+    """The composition the one-pass annotation must equal: the rule matcher,
+    each classifier on the text, and the former gazetteer scan."""
+    elements = matched_elements(annotator.rules, text)
+    flags = {name: name in elements for name in UNGATED_ELEMENTS}
+    if not annotator.intention_model.predict_text(text):
+        return SegmentAnnotation(**flags)
+    flags.update((name, name in elements) for name in GATED_ELEMENTS)
+    adequacy = annotator.adequacy_model
+    return SegmentAnnotation(
+        intention=True,
+        countries=frozenset(_reference_countries(text.split(), annotator.dictionary)),
+        adequacy=adequacy is not None and bool(adequacy.predict_text(text)),
+        **flags)
+
+
+@pytest.fixture(scope="module")
+def annotators(annotator, intention_corpus):
+    """The shared annotator, one whose intention model has a narrower n-gram
+    range than its adequacy model, and one without an adequacy model."""
+    unigram_intention = fit_text_classifier(
+        intention_corpus, (1, 1), TF, TrainConfig(alpha=1e-3, epochs=20, seed=3),
+        intention_label)
+    return [annotator,
+            dataclasses.replace(annotator, intention_model=unigram_intention),
+            dataclasses.replace(annotator, adequacy_model=None)]
+
+
+# words: intention and adequacy wording, rule terms, stop words (some whose
+# stem is no stop word, as "only" -> "onli"), and country
+# names of one to four tokens; half the segments add letters whose lowercase
+# is not ASCII or is ASCII only after lowercasing (KELVIN SIGN -> "k", "İ" ->
+# "i" + U+0307), and any character as a separator.  A SOFT HYPHEN inside a
+# word splits it for the rules, while `tokenize` drops it and joins the word.
+_ASCII_WORDS = [
+    "we", "transfer", "transferred", "your", "personal", "data", "information",
+    "countries", "outside", "processed", "servers", "located", "adequate", "adequacy",
+    "decision", "commission", "european", "union", "standard", "contractual", "clauses",
+    "binding", "corporate", "rules", "consent", "copy", "obtained", "contacting",
+    "representative", "privacy", "shield", "safeguards", "Standard", "CLAUSES", "You",
+    "the", "of", "and", "to", "in", "a", "is", "not", "or", "only", "does", "during", "very",
+    "China", "Singapore,", "U.S.", "United States", "New Zealand", "peoples republic of china",
+    "Israel", "Japan", "Germany", "Russia", "California-based", "(Brazil)",
+]
+_OTHER_WORDS = ["café", "naïve", "\u212a", "\u0130", "ß", "Ωmega", "'s", "trans\u00adfer",
+                "coun\u00adtries", "per\u00adsonal", "stan\u00addard", "clau\u00adses"]
+_ASCII_SEPARATORS = [" ", " ", " ", " ", ". ", "! ", "? ", "; ", ", ", "\n", "-", ""]
+
+
+def _segments(words, separators):
+    return st.lists(st.tuples(st.sampled_from(words), separators), max_size=30).map(
+        lambda pairs: "".join(w + sep for w, sep in pairs))
+
+
+_SEGMENTS = st.one_of(
+    _segments(_ASCII_WORDS, st.sampled_from(_ASCII_SEPARATORS)),
+    _segments(_ASCII_WORDS + _OTHER_WORDS,
+              st.one_of(st.sampled_from(_ASCII_SEPARATORS + ["\u00a0"]), st.characters())))
+
+
+@given(_SEGMENTS)
+def test_annotate_segment_equals_reference_composition(annotators, text):
+    for ann in annotators:
+        assert ann.annotate_segment(text) == _reference_annotation(ann, text)
+
+
+@given(_SEGMENTS)
+def test_gazetteer_index_equals_former_scan(country_dictionary, text):
+    tokens = text.split()
+    assert detect_target_countries(tokens, country_dictionary) == \
+        _reference_countries(tokens, country_dictionary)
+
+
+@dataclasses.dataclass
+class _GramRecorder(TextClassifier):
+    """Predicts 1 and records the n-grams it is given."""
+
+    seen: list = dataclasses.field(default_factory=list)
+
+    def predict_grams(self, grams):
+        self.seen.append(grams)
+        return 1
+
+
+@given(_SEGMENTS)
+def test_classifiers_get_the_grams_of_tokenize(annotator, text):
+    """Both classifiers get the n-grams of `tokenize`: stop words are dropped
+    by word, not by stem, and each model gets its own n-gram range."""
+    models = {}
+    for ngram in [(1, 2), (1, 1), (2, 3)]:
+        bundle = annotator.intention_model
+        models[ngram] = _GramRecorder(ngram=ngram, vocabulary=bundle.vocabulary,
+                                      scheme=bundle.scheme, model=bundle.model)
+    for intention, adequacy in [((1, 2), (1, 2)), ((1, 1), (1, 2)), ((1, 2), (2, 3))]:
+        models[intention].seen.clear()
+        models[adequacy].seen.clear()
+        dataclasses.replace(annotator, intention_model=models[intention],
+                            adequacy_model=models[adequacy]).annotate_segment(text)
+        expected = [extract_ngrams(tokenize(text), *ngram) for ngram in (intention, adequacy)]
+        seen = models[intention].seen + (models[adequacy].seen if adequacy != intention else [])
+        assert seen == expected
+
+
+_PLACE_TOKENS = ["alpha", "beta", "gamma", "delta"]
+
+
+@given(st.dictionaries(st.lists(st.sampled_from(_PLACE_TOKENS), min_size=1, max_size=4)
+                       .map(" ".join), st.sampled_from(["US", "CN", "JP", "DE"]), max_size=12),
+       st.lists(st.sampled_from(_PLACE_TOKENS + ["Alpha,", "(beta)", "x", "-"]), max_size=20))
+def test_gazetteer_index_equals_former_scan_on_any_dictionary(surfaces, tokens):
+    """Phrases that are prefixes of others, with other codes, overlap at will."""
+    dictionary = CountryDictionary()
+    for surface, code in surfaces.items():
+        dictionary.add(code, "name", surface)
+    assert detect_target_countries(tokens, dictionary) == \
+        _reference_countries(tokens, dictionary)
+
+
+def test_reference_composition_covers_both_paths(annotators):
+    """Fixed segments on the ASCII and the non-ASCII path, intention
+    positive and negative, also for words split at a non-ASCII letter."""
+    texts = [
+        "We transfer your personal data to servers in the United States; "
+        "standard contractual clauses apply. You can obtain a copy.",
+        "We transfer your personal data to servers in the United States; "
+        "standard contractual claus\u00e9s apply. You can obtain a c\u00f6py.",
+        "We transfer your personal data to \u212aorea and Singapore; "
+        "binding corporate rules apply.",
+        "We use cookies. Our representative in the European Union answers.",
+        "\u0130srael and Japan receive your personal data; you consent to this.",
+    ]
+    seen = set()
+    for text in texts:
+        for ann in annotators:
+            got = ann.annotate_segment(text)
+            assert got == _reference_annotation(ann, text)
+            seen.add((text.lower().isascii(), got.intention))
+    assert seen >= {(True, True), (True, False), (False, True)}
+
+
+def test_stop_words_are_in_the_generated_segments():
+    assert {"the", "of", "and", "to", "in", "a", "is", "not", "or"} <= stopword_list()
