@@ -46,18 +46,13 @@ class TextClassifier:
     scheme: str
     model: LinearModel
 
-    def __post_init__(self):
-        # scoring reads the weights as a list, taken once: change the model's
-        # weights and the bundle must be built again
-        self._weights = self.model.weights.tolist()
-
     def predict_text(self, text: str) -> int:
         return self.predict_grams(extract_ngrams(tokenize(text), *self.ngram))
 
     def predict_grams(self, grams: list[str]) -> int:
         """Predict from the segment's n-grams over this bundle's range."""
         x = vectorize(grams, self.vocabulary, self.scheme)
-        return predict(self.model, x, self._weights)
+        return predict(self.model, x)
 
     def save(self, directory, name: str) -> None:
         directory = Path(directory)

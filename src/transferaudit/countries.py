@@ -24,7 +24,6 @@ EU_MEMBERS_2020 = frozenset(
 FORM_TYPES = ("name", "abbr", "state", "city", "alias")
 
 _EDGE_STRIP = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
-_ALNUM = frozenset("0123456789abcdefghijklmnopqrstuvwxyz")
 _CODE = re.compile(r"[A-Z]{2}")
 
 
@@ -37,10 +36,7 @@ def check_country_code(code: str, lineno: int) -> str:
 
 def normalize_token(token: str) -> str:
     """Lowercase and strip edge punctuation; internal dots/hyphens stay."""
-    token = token.lower()
-    if token[:1] in _ALNUM and token[-1:] in _ALNUM:
-        return token  # nothing to strip, the common case
-    return _EDGE_STRIP.sub("", token)
+    return _EDGE_STRIP.sub("", token.lower())
 
 
 @dataclass
@@ -49,9 +45,19 @@ class CountryDictionary:
 
     phrases: dict[tuple[str, ...], str] = field(default_factory=dict)
     form_types: dict[tuple[str, ...], str] = field(default_factory=dict)
-    # the phrase lengths for each first token, longest first; kept by `add`
+    # the phrase lengths for each first token, longest first, indexed from
+    # `phrases` when built and by `add` after
     lengths_by_first: dict[str, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for key in self.phrases:
+            self._index(key)
+
+    def _index(self, key: tuple[str, ...]) -> None:
+        lengths = self.lengths_by_first.get(key[0], ())
+        if len(key) not in lengths:
+            self.lengths_by_first[key[0]] = tuple(sorted((*lengths, len(key)), reverse=True))
 
     def add(self, code: str, form_type: str, surface: str) -> None:
         key = tuple(normalize_token(t) for t in surface.split())
@@ -63,9 +69,7 @@ class CountryDictionary:
             raise ValueError(f"surface form {surface!r} maps to both {existing} and {code}")
         self.phrases[key] = code
         self.form_types[key] = form_type
-        lengths = self.lengths_by_first.get(key[0], ())
-        if len(key) not in lengths:
-            self.lengths_by_first[key[0]] = tuple(sorted((*lengths, len(key)), reverse=True))
+        self._index(key)
 
 
 def load_country_dictionary(path=None) -> CountryDictionary:

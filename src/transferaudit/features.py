@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -63,7 +62,11 @@ def extract_ngrams(tokens: list[str], ngram_min: int, ngram_max: int) -> list[st
     check_ngram_range(ngram_min, ngram_max)
     grams: list[str] = []
     for n in range(ngram_min, ngram_max + 1):
-        grams.extend(tokens if n == 1 else map(" ".join, zip(*(tokens[k:] for k in range(n)))))
+        if n == 1:
+            grams.extend(tokens)
+            continue
+        for i in range(len(tokens) - n + 1):
+            grams.append(" ".join(tokens[i:i + n]))
     return grams
 
 
@@ -106,17 +109,21 @@ def vectorize(grams: list[str], vocab: Vocabulary, scheme: str) -> FeatureVector
     """Weight the in-vocabulary n-grams of one segment; OOV grams are ignored."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}")
-    # a Counter keeps first-occurrence order, the order scores are summed in
-    counts = Counter(map(vocab.feature_to_index.get, grams))
-    counts.pop(None, None)  # the out-of-vocabulary grams
-    if scheme == BC:
-        entries = dict.fromkeys(counts, 1.0)
-    elif scheme == TF:
-        entries = {idx: float(count) for idx, count in counts.items()}
-    else:
-        n, df = vocab.document_count, vocab.document_frequency
-        entries = {idx: weight for idx, count in counts.items()
-                   if (weight := count * math.log(n / df[idx])) != 0.0}
+    counts: dict[int, int] = {}
+    for gram in grams:
+        idx = vocab.feature_to_index.get(gram)
+        if idx is not None:
+            counts[idx] = counts.get(idx, 0) + 1
+    entries: dict[int, float] = {}
+    for idx, count in counts.items():
+        if scheme == BC:
+            entries[idx] = 1.0
+        elif scheme == TF:
+            entries[idx] = float(count)
+        else:
+            weight = count * math.log(vocab.document_count / vocab.document_frequency[idx])
+            if weight != 0.0:
+                entries[idx] = weight
     return FeatureVector(entries=entries)
 
 

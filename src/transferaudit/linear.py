@@ -104,29 +104,26 @@ def train(samples: Sequence[tuple[FeatureVector, int]], cfg: TrainConfig,
     return LinearModel(weights=v * scale, bias=float(bias), config=cfg)
 
 
-def decision_value(model: LinearModel, x: FeatureVector,
-                   weights: Sequence[float] | None = None) -> float:
+def decision_value(model: LinearModel, x: FeatureVector) -> float:
     """w.x + b for a sparse vector indexed against the model's vocabulary.
 
     The sum starts at the bias and adds the features in the vector's order.
-    `weights`, if given, is `model.weights.tolist()`: a list indexes faster
-    than an array and gives the same sum.
+    `item` reads each weight as a Python float: the same value as the
+    array's numpy scalar, so the same sum, at half the cost.
     """
-    if weights is None:
-        weights = model.weights
-    n = len(weights)
+    weight = model.weights.item
+    n = model.weights.shape[0]
     total = model.bias
     for idx, val in x.entries.items():
         if not 0 <= idx < n:
             raise ShapeError(f"feature index {idx} outside model dimension {n}")
-        total += weights[idx] * val
+        total += weight(idx) * val
     return float(total)
 
 
-def predict(model: LinearModel, x: FeatureVector,
-            weights: Sequence[float] | None = None) -> int:
+def predict(model: LinearModel, x: FeatureVector) -> int:
     """1 iff the decision value is strictly positive; an exact 0 is negative."""
-    return 1 if decision_value(model, x, weights) > 0.0 else 0
+    return 1 if decision_value(model, x) > 0.0 else 0
 
 
 class Confusion(NamedTuple):

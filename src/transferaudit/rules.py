@@ -5,13 +5,14 @@ and single-quoted terms, e.g. ``('contract'|'standard') w/4 ('model'|'clause')``
 Terms are stemmed at parse time; a rule matches when, inside one sentence,
 stemmed tokens satisfying consecutive clauses lie within the clause window
 (in either order).  Matching reads one `{stem: [positions]}` dict per
-sentence, which needs only the stems that are rule terms.
+sentence, which needs only the stems that are rule terms; `sentence_stems`
+is the one place a segment is split into sentences, words and stems.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import RuleParseError
@@ -97,12 +98,34 @@ def rule_terms(rules: list[ProximityRule]) -> frozenset[str]:
     return frozenset(term for rule in rules for clause in rule.clauses for term in clause)
 
 
+def sentence_stems(lowered: str) -> Iterator[tuple[list[str], list[str]]]:
+    """Each sentence of lowercased text as its words and their stems.
+
+    Sentences split on . ! ? ; and words are the ASCII letter runs; a word's
+    position in its sentence is its index in both lists.
+    """
+    for sentence in SENTENCE_ENDS.split(lowered):
+        words = WORD_RUNS.findall(sentence)
+        yield words, [stem(word) for word in words]
+
+
+def term_positions(stems: list[str], terms: frozenset[str]) -> dict[str, list[int]]:
+    """The positions of each stem of one sentence that is in `terms`."""
+    positions: dict[str, list[int]] = {}
+    for i, stemmed in enumerate(stems):
+        if stemmed in terms:
+            positions.setdefault(stemmed, []).append(i)
+    return positions
+
+
 def elements_in_sentences(rules: list[ProximityRule],
                           sentences: Iterable[dict[str, list[int]]]) -> set[str]:
     """Element ids whose rules match some sentence, given as the word
     positions of each stem in it; stems that are no rule term may be left out."""
     matched = set()
     for positions in sentences:
+        if not positions:
+            continue  # no rule term in the sentence
         for rule in rules:
             if rule.id not in matched and _matches(rule, positions):
                 matched.add(rule.id)
@@ -115,10 +138,6 @@ def matched_elements(rules: list[ProximityRule], segment_text: str) -> set[str]:
     A rule matches when some single sentence of the segment satisfies it;
     sentences split on . ! ? ; and positions count every word.
     """
-    sentences = []
-    for sentence in SENTENCE_ENDS.split(segment_text.lower()):
-        positions: dict[str, list[int]] = {}
-        for i, word in enumerate(WORD_RUNS.findall(sentence)):
-            positions.setdefault(stem(word), []).append(i)
-        sentences.append(positions)
-    return elements_in_sentences(rules, sentences)
+    terms = rule_terms(rules)
+    return elements_in_sentences(rules, (term_positions(stems, terms)
+                                         for _, stems in sentence_stems(segment_text.lower())))

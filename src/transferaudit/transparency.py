@@ -5,10 +5,10 @@ only on flagged segments and extracts target countries (gazetteer), the
 adequacy claim (second linear classifier) and safeguard/copy elements
 (proximity rules).  Representative and privacy-shield rules run on every
 segment.  Policy-level annotations OR the segment flags and union countries.
-A segment whose lowercase is ASCII is analysed in one pass: each word is
-stemmed once, for the rule positions and for the classifiers' tokens, and
-the two classifiers share one n-gram list.  The annotation JSON form that
-`annotate` writes and `check`/`report` read is defined here too.
+A segment is analysed in one pass: each word is stemmed once, for the rule
+positions and, when the segment's lowercase is ASCII, for the classifiers'
+tokens; the two classifiers share one n-gram list.  The annotation JSON
+form that `annotate` writes and `check`/`report` read is defined here too.
 """
 
 from __future__ import annotations
@@ -20,17 +20,16 @@ from operator import itemgetter
 from .classifier import TextClassifier
 from .countries import CountryDictionary, detect_target_countries
 from .errors import ParseError
-from .features import WORD_RUNS, extract_ngrams, stopword_list, tokenize
+from .features import extract_ngrams, stopword_list, tokenize
 from .lines import json_records
 from .rules import (
-    SENTENCE_ENDS,
     ProximityRule,
     elements_in_sentences,
     load_rules,
-    matched_elements,
     rule_terms,
+    sentence_stems,
+    term_positions,
 )
-from .stemmer import stem
 
 # Rule-detected elements; the gated ones count only in segments that state a
 # transfer intention.
@@ -116,39 +115,19 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     return annotations
 
 
-def _analyze(lowered: str, terms: frozenset[str]) -> tuple[list[str], list[dict]]:
-    """The classifier tokens of an ASCII lowercased segment, and per sentence
-    the word positions of each stem that is a rule term.
-
-    Equal to `tokenize` and to the positions `matched_elements` reads: for
-    ASCII text, `tokenize` drops nothing before it splits into words.
-    """
-    stops = stopword_list()
-    tokens: list[str] = []
-    sentences = []
-    for sentence in SENTENCE_ENDS.split(lowered):
-        positions: dict[str, list[int]] = {}
-        for i, word in enumerate(WORD_RUNS.findall(sentence)):
-            stemmed = stem(word)
-            if word not in stops:
-                tokens.append(stemmed)
-            if stemmed in terms:
-                positions.setdefault(stemmed, []).append(i)
-        if positions:
-            sentences.append(positions)
-    return tokens, sentences
-
-
 def annotate_segment(annotator: SegmentAnnotator, segment_text: str) -> SegmentAnnotation:
     """Annotate one segment; layer-two elements stay off unless gated in."""
     lowered = segment_text.lower()
-    if lowered.isascii():
-        tokens, sentences = _analyze(lowered, annotator.rule_terms)
-        elements = elements_in_sentences(annotator.rules, sentences)
-    else:
-        # tokenize drops non-ASCII letters before it splits; the rules split at them
+    stops = stopword_list()
+    tokens: list[str] = []
+    sentences = []
+    for words, stems in sentence_stems(lowered):
+        tokens += [stemmed for word, stemmed in zip(words, stems) if word not in stops]
+        sentences.append(term_positions(stems, annotator.rule_terms))
+    if not lowered.isascii():
+        # tokenize drops non-ASCII letters before it splits, joining words at them
         tokens = tokenize(segment_text)
-        elements = matched_elements(annotator.rules, segment_text)
+    elements = elements_in_sentences(annotator.rules, sentences)
     flags = {name: name in elements for name in UNGATED_ELEMENTS}
     intention = annotator.intention_model
     grams = extract_ngrams(tokens, *intention.ngram)

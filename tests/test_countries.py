@@ -1,13 +1,12 @@
 """Country gazetteer and detection tests."""
 
-import re
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from transferaudit.countries import (
     EU_MEMBERS_2020,
+    CountryDictionary,
     detect_target_countries,
     load_country_dictionary,
     normalize_token,
@@ -28,13 +27,6 @@ def test_normalize_token_strips_edge_punctuation():
     assert normalize_token("Singapore.") == "singapore"
     assert normalize_token("U.S.") == "u.s"
     assert normalize_token("California-based") == "california-based"
-
-
-@given(st.text(st.one_of(st.sampled_from("aZ9.-,()'\u212a\u0130\u00e9"), st.characters()),
-               max_size=8))
-def test_normalize_token_equals_edge_strip_of_lowercase(token):
-    """Tokens with alphanumeric ends skip the regex; the result is the same."""
-    assert normalize_token(token) == re.sub(r"^[^0-9a-z]+|[^0-9a-z]+$", "", token.lower())
 
 
 def test_china_and_singapore(country_dictionary):
@@ -109,6 +101,14 @@ def test_dictionary_covers_adequacy_countries(country_dictionary):
     codes = set(country_dictionary.phrases.values())
     for code in ("AD", "AR", "CA", "FO", "GG", "IL", "IM", "JP", "JE", "NZ", "CH", "UY"):
         assert code in codes
+
+
+def test_phrases_given_when_built_are_detected():
+    dictionary = CountryDictionary(phrases={("china",): "CN", ("new",): "US",
+                                            ("new", "zealand"): "NZ"})
+    assert detect("Servers in China and New Zealand.", dictionary) == {"CN", "NZ"}
+    dictionary.add("JP", "name", "Japan")
+    assert detect("Servers in new Japan", dictionary) == {"US", "JP"}
 
 
 def test_load_rejects_bad_code(tmp_path):

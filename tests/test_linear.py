@@ -124,8 +124,8 @@ _VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 @given(st.lists(_VALUES, min_size=1, max_size=40), st.data())
-def test_list_score_is_bit_equal_to_array_score(weights, data):
-    """Scoring through the weight list adds the same floats in the same order,
+def test_score_is_bit_equal_to_numpy_scalar_score(weights, data):
+    """Scoring through Python floats adds the same values in the same order,
     so the value keeps every bit, also for sums near zero whose sign another
     order could flip."""
     w = np.array(weights)
@@ -137,9 +137,8 @@ def test_list_score_is_bit_equal_to_array_score(weights, data):
                  -sum(sorted(products))]:
         model = LinearModel(weights=w, bias=float(bias), config=TrainConfig())
         expected = _reference_decision_value(model, x)
-        assert decision_value(model, x, w.tolist()).hex() == expected.hex()
         assert decision_value(model, x).hex() == expected.hex()
-        assert predict(model, x, w.tolist()) == (1 if expected > 0.0 else 0)
+        assert predict(model, x) == (1 if expected > 0.0 else 0)
 
 
 def test_prediction_invariant_under_positive_scaling():
