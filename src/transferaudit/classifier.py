@@ -4,7 +4,8 @@ A bundle is what the annotation pipeline actually consumes; it knows how to
 turn raw segment text, or n-grams already computed, into a prediction and
 how to round-trip itself through the vocabulary/model file formats.  Fitting
 a bundle and k-fold evaluation share one training path, over n-grams
-computed once per sample.
+computed once per sample (`labeled_grams`), so a caller that does both
+computes them once.
 """
 
 from __future__ import annotations
@@ -83,8 +84,15 @@ class TextClassifier:
                    scheme=header["scheme"], model=model)
 
 
-def _gram_lists(corpus: Corpus, ngram: tuple[int, int]) -> list[list[str]]:
-    return [extract_ngrams(tokenize(s.segment.text), *ngram) for s in corpus.samples]
+def labeled_grams(corpus: Corpus, ngram: tuple[int, int],
+                  label_fn: Callable[[LabeledSegment], int],
+                  ) -> tuple[list[list[str]], list[int]]:
+    """Each sample's n-grams over the range, and its label.
+
+    Computed once per corpus, they serve any number of fits and folds.
+    """
+    gram_lists = [extract_ngrams(tokenize(s.segment.text), *ngram) for s in corpus.samples]
+    return gram_lists, [label_fn(s) for s in corpus.samples]
 
 
 def _fit(gram_lists: list[list[str]], labels: list[int], scheme: str,
@@ -97,28 +105,29 @@ def _fit(gram_lists: list[list[str]], labels: list[int], scheme: str,
     return vocab, train(samples, train_cfg, len(vocab))
 
 
+def fit_grams(gram_lists: list[list[str]], labels: list[int], ngram: tuple[int, int],
+              scheme: str, train_cfg: TrainConfig) -> TextClassifier:
+    """Build the vocabulary on all the samples, and train."""
+    vocab, model = _fit(gram_lists, labels, scheme, train_cfg)
+    return TextClassifier(ngram=ngram, vocabulary=vocab, scheme=scheme, model=model)
+
+
 def fit_text_classifier(corpus: Corpus, ngram: tuple[int, int], scheme: str,
                         train_cfg: TrainConfig,
                         label_fn: Callable[[LabeledSegment], int]) -> TextClassifier:
     """Build the vocabulary on the full corpus, and train."""
-    labels = [label_fn(s) for s in corpus.samples]
-    vocab, model = _fit(_gram_lists(corpus, ngram), labels, scheme, train_cfg)
-    return TextClassifier(ngram=ngram, vocabulary=vocab, scheme=scheme, model=model)
+    return fit_grams(*labeled_grams(corpus, ngram, label_fn), ngram, scheme, train_cfg)
 
 
-def cross_validate(corpus: Corpus, ngram: tuple[int, int], scheme: str,
-                   train_cfg: TrainConfig, k: int, seed: int,
-                   fit_on_all: bool = False,
-                   label_fn: Callable[[LabeledSegment], int] = intention_label,
-                   ) -> CrossValidationResult:
-    """Stratified k-fold evaluation.
+def cross_validate_grams(gram_lists: list[list[str]], labels: list[int], scheme: str,
+                         train_cfg: TrainConfig, k: int, seed: int,
+                         fit_on_all: bool = False) -> CrossValidationResult:
+    """Stratified k-fold evaluation over n-grams already computed.
 
     Vocabularies are fitted on the train split of each fold; `fit_on_all`
-    fits one vocabulary on the whole corpus instead (leaks document
+    fits one vocabulary on all the samples instead (leaks document
     frequencies between folds; kept for compatibility experiments).
     """
-    gram_lists = _gram_lists(corpus, ngram)
-    labels = [label_fn(s) for s in corpus.samples]
     folds = stratified_kfold(labels, k, seed)
     shared_vocab = build_vocabulary(gram_lists) if fit_on_all else None
     results = []
@@ -129,3 +138,13 @@ def cross_validate(corpus: Corpus, ngram: tuple[int, int], scheme: str,
                        for i in test_idx]
         results.append(compute_metrics(predictions, [labels[i] for i in test_idx]))
     return CrossValidationResult(folds=results)
+
+
+def cross_validate(corpus: Corpus, ngram: tuple[int, int], scheme: str,
+                   train_cfg: TrainConfig, k: int, seed: int,
+                   fit_on_all: bool = False,
+                   label_fn: Callable[[LabeledSegment], int] = intention_label,
+                   ) -> CrossValidationResult:
+    """Stratified k-fold evaluation of the corpus (see `cross_validate_grams`)."""
+    return cross_validate_grams(*labeled_grams(corpus, ngram, label_fn), scheme, train_cfg,
+                                k, seed, fit_on_all)

@@ -35,25 +35,27 @@ _LABEL_FNS = {"intention": linear.intention_label, "adequacy": linear.adequacy_l
 
 
 def _cmd_train(args) -> int:
+    train_cfg = linear.TrainConfig(alpha=args.alpha, epochs=args.epochs, seed=args.seed)
     data = corpus.load_corpus(args.corpus)
     if args.task == "adequacy":
         # layer-two model: fit on transfer-intention segments only
         data = corpus.Corpus(samples=[s for s in data.samples if s.intention_label == 1])
     ngram = parse_ngram_range(args.ngram)
-    train_cfg = linear.TrainConfig(alpha=args.alpha, epochs=args.epochs, seed=args.seed)
-    label_fn = _LABEL_FNS[args.task]
+    if not (args.kfold or args.model_out):
+        return 0
+    # the CV folds and the final fit share one n-gram list per sample
+    gram_lists, labels = classifier.labeled_grams(data, ngram, _LABEL_FNS[args.task])
     if args.kfold:
-        result = classifier.cross_validate(data, ngram, args.weighting, train_cfg,
-                                           args.kfold, args.seed, fit_on_all=args.fit_on_all,
-                                           label_fn=label_fn)
+        result = classifier.cross_validate_grams(gram_lists, labels, args.weighting, train_cfg,
+                                                 args.kfold, args.seed,
+                                                 fit_on_all=args.fit_on_all)
         for i, fold in enumerate(result.folds):
             print(f"fold {i}: precision={fold.precision:.4f} recall={fold.recall:.4f} "
                   f"f_measure={fold.f_measure:.4f}")
         means = " ".join(f"{k}={v:.4f}" for k, v in sorted(result.means.items()))
         print(f"mean: {means}")
     if args.model_out:
-        bundle = classifier.fit_text_classifier(data, ngram, args.weighting,
-                                                train_cfg, label_fn)
+        bundle = classifier.fit_grams(gram_lists, labels, ngram, args.weighting, train_cfg)
         bundle.save(args.model_out, args.task)
         print(f"saved {args.task} model to {args.model_out}")
     return 0

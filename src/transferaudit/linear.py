@@ -5,6 +5,12 @@ unregularized.  Labels {0,1} map to {-1,+1}.  The learning rate decays as
 eta0 / (1 + alpha*eta0*t) with t counting individual updates, and sample
 order is reshuffled each epoch under the configured seed, so training is
 fully deterministic.
+
+Weights are kept as v * scale (Bottou's scaled-weight SGD), so the decay
+step is one multiply of `scale`.  Each epoch's step sizes are computed in
+one numpy expression, the same IEEE operations in the same order as one
+update at a time, and each update gathers its sample's weights once,
+updates them in place and writes them back: the model keeps every bit.
 """
 
 from __future__ import annotations
@@ -49,12 +55,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        # every comparison with NaN is false, so NaN fails these ranges too
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        if not 0 < self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be positive and finite, got {self.eta0!r}")
 
 
 @dataclass
@@ -79,28 +86,50 @@ def train(samples: Sequence[tuple[FeatureVector, int]], cfg: TrainConfig,
     values = [np.fromiter(x.entries.values(), dtype=np.float64, count=len(x.entries))
               for x, _ in samples]
     for idx in indices:
-        if idx.size and idx.max() >= dim:
-            raise ShapeError(f"feature index {idx.max()} outside dimension {dim}")
-    ys = np.array([1.0 if y == 1 else -1.0 for _, y in samples])
+        if idx.size:
+            lo, hi = int(idx.min()), int(idx.max())
+            if lo < 0 or hi >= dim:
+                raise ShapeError(f"feature index {lo if lo < 0 else hi} outside dimension {dim}")
+    ys = [1.0 if y == 1 else -1.0 for _, y in samples]
 
+    n = len(samples)
+    alpha = cfg.alpha
+    decay = cfg.alpha * cfg.eta0
     rng = np.random.default_rng(cfg.seed)
     v = np.zeros(dim)
     scale = 1.0
     bias = 0.0
-    t = 0
-    for _ in range(cfg.epochs):
-        for i in rng.permutation(len(samples)):
-            eta = cfg.eta0 / (1.0 + cfg.alpha * cfg.eta0 * t)
-            z = ys[i] * (scale * float(v[indices[i]] @ values[i]) + bias)
-            scale *= 1.0 - eta * cfg.alpha
+    # 0-d arrays for the update's two scalars: numpy takes a Python float
+    # operand through its scalar promotion, which costs more than the
+    # multiply itself on a sample's few dozen features
+    step = np.empty(())
+    div = np.empty(())
+    for epoch in range(cfg.epochs):
+        # the step sizes of this epoch's updates t, as eta0 / (1 + alpha*eta0*t)
+        t = np.arange(epoch * n, (epoch + 1) * n, dtype=np.float64)
+        etas = (cfg.eta0 / (1.0 + decay * t)).tolist()
+        for i, eta in zip(rng.permutation(n).tolist(), etas):
+            idx = indices[i]
+            x = values[i]
+            y = ys[i]
+            w = v[idx]
+            z = y * (scale * float(w.dot(x)) + bias)
+            scale *= 1.0 - eta * alpha
             if scale < 1e-9:
                 v *= scale
                 scale = 1.0
+                w = v[idx]
             g = modified_huber_dloss(z)
             if g != 0.0:
-                v[indices[i]] -= eta * g * ys[i] * values[i] / scale
-                bias -= eta * g * ys[i]
-            t += 1
+                # v[idx] -= c * x / scale, computed in place on the gathered w
+                c = eta * g * y
+                step[()] = c
+                div[()] = scale
+                d = x * step
+                d /= div
+                w -= d
+                v[idx] = w
+                bias -= c
     return LinearModel(weights=v * scale, bias=float(bias), config=cfg)
 
 

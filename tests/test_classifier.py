@@ -76,7 +76,8 @@ def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
 @pytest.mark.parametrize("line", ["#stemmer=porter", "#stem=maybe",
                                   "#stopword_list_id=klingon", "#stem=false",
                                   "#scheme=foo", "#ngram=x", "#ngram=0-9", "#ngram=3-2",
-                                  "#loss=hinge", "#alpha=zz", "#alpha=-1", "#eta0=0", "#epochs=1.5",
+                                  "#loss=hinge", "#alpha=zz", "#alpha=-1", "#alpha=nan",
+                                  "#alpha=inf", "#eta0=0", "#eta0=nan", "#eta0=-inf", "#epochs=1.5",
                                   "#epochs=0", "#bias=zz", "#bias=nan",
                                   "0\tabc", "x\t0.5", "0\tnan", "1\tinf"])
 def test_load_rejects_bad_header_line(bundle, tmp_path, line):

@@ -14,6 +14,7 @@ from conftest import DATA, policy_annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transferaudit import classifier
 from transferaudit.cli import main
 from transferaudit.compliance import NO_TRANSFER
 from transferaudit.corpus import save_corpus
@@ -59,6 +60,45 @@ def test_train_reports_cv_metrics(tmp_path, capsys, intention_corpus):
                  "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "fold 0:" in out and "mean:" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_alpha_fails_before_training(tmp_path, capsys, intention_corpus, value):
+    corpus_path = tmp_path / "corpus.tsv"
+    save_corpus(intention_corpus, corpus_path)
+    models = tmp_path / "models"
+    assert main(["train", "--corpus", str(corpus_path), "--kfold", "5",
+                 "--model-out", str(models), f"--alpha={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: alpha must be positive and finite" in captured.err
+    assert not models.exists()
+
+
+def test_kfold_and_model_out_tokenize_each_sample_once(tmp_path, capsys, monkeypatch,
+                                                       intention_corpus):
+    corpus_path = tmp_path / "corpus.tsv"
+    save_corpus(intention_corpus, corpus_path)
+    args = ["train", "--corpus", str(corpus_path), "--seed", "7"]
+    assert main([*args, "--kfold", "5"]) == 0
+    kfold_out = capsys.readouterr().out
+    assert main([*args, "--model-out", str(tmp_path / "alone")]) == 0
+    capsys.readouterr()
+
+    calls = Counter()
+    real = classifier.tokenize
+
+    def counting(text):
+        calls["tokenize"] += 1
+        return real(text)
+
+    monkeypatch.setattr(classifier, "tokenize", counting)
+    assert main([*args, "--kfold", "5", "--model-out", str(tmp_path / "both")]) == 0
+    assert calls["tokenize"] == len(intention_corpus.samples) == 62
+    # sharing the n-grams changes nothing in what either step writes
+    assert capsys.readouterr().out.startswith(kfold_out)
+    for name in ("intention.model.tsv", "intention.vocab.tsv"):
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def test_full_pipeline(model_dir, tmp_path, capsys):

@@ -44,6 +44,20 @@ def test_train_rejects_single_class():
         train(samples, TrainConfig(), dim=2)
 
 
+def test_train_rejects_feature_index_outside_dimension():
+    for bad in (-1, 3):
+        samples = [(fv({bad: 1.0}), 1), (fv({0: 1.0}), 0)]
+        with pytest.raises(ShapeError, match=f"feature index {bad} outside dimension 3"):
+            train(samples, TrainConfig(epochs=2), dim=3)
+
+
+@pytest.mark.parametrize("field", ["alpha", "eta0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        TrainConfig(**{field: value})
+
+
 def _blobs(n=200, dim=6, seed=5):
     # two clusters with margin >= 1 along the first axis
     rng = random.Random(seed)
@@ -313,3 +327,96 @@ def test_training_loss_finite_under_any_seed(seed):
     model = train(samples, TrainConfig(epochs=5, seed=seed), dim=2)
     assert math.isfinite(model.bias)
     assert np.all(np.isfinite(model.weights))
+
+
+def _reference_train(samples, cfg, dim):
+    """The former SGD loop: two gathers and the step size computed per update.
+
+    Returns the model and how often the scaled weights were rescaled.
+    """
+    indices = [np.fromiter(x.entries.keys(), dtype=np.int64, count=len(x.entries))
+               for x, _ in samples]
+    values = [np.fromiter(x.entries.values(), dtype=np.float64, count=len(x.entries))
+              for x, _ in samples]
+    ys = np.array([1.0 if y == 1 else -1.0 for _, y in samples])
+    rng = np.random.default_rng(cfg.seed)
+    v = np.zeros(dim)
+    scale = 1.0
+    bias = 0.0
+    t = 0
+    rescales = 0
+    for _ in range(cfg.epochs):
+        for i in rng.permutation(len(samples)):
+            eta = cfg.eta0 / (1.0 + cfg.alpha * cfg.eta0 * t)
+            z = ys[i] * (scale * float(v[indices[i]] @ values[i]) + bias)
+            scale *= 1.0 - eta * cfg.alpha
+            if scale < 1e-9:
+                v *= scale
+                scale = 1.0
+                rescales += 1
+            g = modified_huber_dloss(z)
+            if g != 0.0:
+                v[indices[i]] -= eta * g * ys[i] * values[i] / scale
+                bias -= eta * g * ys[i]
+            t += 1
+    return LinearModel(weights=v * scale, bias=float(bias), config=cfg), rescales
+
+
+def _bits(model):
+    return model.weights.tobytes(), float.hex(model.bias)
+
+
+# feature values as each weighting scheme makes them: bc 1.0, tf a count,
+# tfidf a count times log(N/df)
+_SCHEME_VALUES = {
+    "bc": st.just(1.0),
+    "tf": st.integers(1, 20).map(float),
+    "tfidf": st.integers(2, 5000).flatmap(
+        lambda n: st.tuples(st.integers(1, 20), st.integers(1, n - 1))
+        .map(lambda c_df: c_df[0] * math.log(n / c_df[1]))),
+}
+
+
+@st.composite
+def _training_sets(draw, min_samples=2):
+    dim = draw(st.integers(1, 30))
+    value = _SCHEME_VALUES[draw(st.sampled_from(sorted(_SCHEME_VALUES)))]
+    # max_size 0 some of the time: samples with no features
+    vector = st.dictionaries(st.integers(0, dim - 1), value,
+                             max_size=draw(st.sampled_from([0, 3, dim])))
+    rest = draw(st.lists(st.tuples(vector, st.integers(0, 1)),
+                         min_size=min_samples - 2, max_size=25))
+    samples = [(draw(vector), 0), (draw(vector), 1), *rest]
+    return [(fv(x), y) for x, y in samples], dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(_training_sets(), st.integers(0, 2**32 - 1), st.integers(1, 6),
+       st.floats(1e-5, 1.0), st.floats(1e-3, 1.0))
+def test_train_is_bit_equal_to_reference(training_set, seed, epochs, alpha, eta0):
+    samples, dim = training_set
+    cfg = TrainConfig(alpha=alpha, epochs=epochs, eta0=eta0, seed=seed)
+    want, _ = _reference_train(samples, cfg, dim)
+    assert _bits(train(samples, cfg, dim)) == _bits(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_training_sets(min_samples=6), st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_train_is_bit_equal_to_reference_through_rescale(training_set, seed, epochs):
+    """The scale after steps s..T-1 telescopes to (1+a(s-1))/(1+a(T-1)),
+    a = alpha*eta0, so it drops below 1e-9 only when a >= 1 or a*T passes
+    about 1e9.  With a = 1e8 the weights are rescaled at the first step and
+    again about ten steps later, when they are no longer zero."""
+    samples, dim = training_set
+    cfg = TrainConfig(alpha=1e4, epochs=epochs, eta0=1e4, seed=seed)
+    want, rescales = _reference_train(samples, cfg, dim)
+    assert rescales >= 2
+    assert _bits(train(samples, cfg, dim)) == _bits(want)
+
+
+def test_ndarray_dot_is_bit_equal_to_matmul():
+    rng = np.random.default_rng(0)
+    for n in [*range(301), 1000, 2047, 4099, 8192]:
+        w = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e6], size=n)
+        x = rng.normal(size=n)
+        assert float(w.dot(x)).hex() == float(w @ x).hex()
