@@ -3,18 +3,20 @@
 Subcommands mirror the pipeline stages: `segment` policies, `train`
 classifiers, `annotate` policies, `scan` flow logs, `check` events against
 annotations, `report` aggregate results.  Exit codes: 0 success, 1 input
-error, 2 internal error.
+error, 2 internal error.  Only `train` and `annotate` import the classifier
+modules, and so numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import sys
 from pathlib import Path
 
-from . import classifier, compliance, corpus, flows, linear, reports, transparency
+from . import compliance, corpus, flows, reports, transparency
 from .countries import load_country_dictionary
 from .errors import AuditError
 from .features import SCHEMES, TF, parse_ngram_range
@@ -31,10 +33,10 @@ def _cmd_segment(args) -> int:
     return 0
 
 
-_LABEL_FNS = {"intention": linear.intention_label, "adequacy": linear.adequacy_label}
-
-
 def _cmd_train(args) -> int:
+    from . import classifier, linear
+
+    label_fns = {"intention": linear.intention_label, "adequacy": linear.adequacy_label}
     train_cfg = linear.TrainConfig(alpha=args.alpha, epochs=args.epochs, seed=args.seed)
     data = corpus.load_corpus(args.corpus)
     if args.task == "adequacy":
@@ -44,7 +46,7 @@ def _cmd_train(args) -> int:
     if not (args.kfold or args.model_out):
         return 0
     # the CV folds and the final fit share one n-gram list per sample
-    gram_lists, labels = classifier.labeled_grams(data, ngram, _LABEL_FNS[args.task])
+    gram_lists, labels = classifier.labeled_grams(data, ngram, label_fns[args.task])
     if args.kfold:
         result = classifier.cross_validate_grams(gram_lists, labels, args.weighting, train_cfg,
                                                  args.kfold, args.seed,
@@ -62,6 +64,8 @@ def _cmd_train(args) -> int:
 
 
 def _load_annotator(args) -> transparency.SegmentAnnotator:
+    from . import classifier
+
     intention = classifier.TextClassifier.load(args.model_dir, "intention")
     adequacy = None
     if Path(args.model_dir, "adequacy.model.tsv").exists():
@@ -107,10 +111,8 @@ def _assess_study(args, all_apps: bool):
         annotations = transparency.read_annotations(fh)
     juris = compliance.load_jurisdiction(args.jurisdiction)
     if args.date:
-        juris = compliance.JurisdictionConfig(
-            eu_set=juris.eu_set, adequacy_set=juris.adequacy_set,
-            invalidated_frameworks=juris.invalidated_frameworks,
-            assessment_date=datetime.date.fromisoformat(args.date))
+        juris = dataclasses.replace(
+            juris, assessment_date=datetime.date.fromisoformat(args.date))
     app_ids = set(events_by_app)
     if all_apps:
         app_ids |= set(annotations)

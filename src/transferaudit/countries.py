@@ -29,7 +29,7 @@ _CODE = re.compile(r"[A-Z]{2}")
 
 def check_country_code(code: str, lineno: int) -> str:
     """`code` if it has the ISO-3166 alpha-2 form, else a ParseError on `lineno`."""
-    if not _CODE.fullmatch(code):
+    if not (isinstance(code, str) and _CODE.fullmatch(code)):
         raise ParseError(f"bad ISO-3166 alpha-2 code {code!r}", lineno)
     return code
 

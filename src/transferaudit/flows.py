@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from .countries import check_country_code
 from .errors import DomainError, ParseError
-from .lines import data_lines, json_records, tab_records
+from .lines import check_json_strings, data_lines, json_records, json_type_error, tab_records
 
 log = logging.getLogger(__name__)
 
@@ -328,26 +328,42 @@ class TransferEvent:
     any_idle_flow: bool
 
 
+_FLOW_STRINGS = ("app_id", "app_version", "stage", "dest_fqdn", "dest_ip", "payload_b64",
+                 "cert_org", "store_name")
+_EVENT_STRINGS = ("app_id", "recipient_domain")
+
+
 def load_flow_log(path) -> list[FlowRecord]:
-    """One JSON object per line; `payload_b64` carries raw payload bytes."""
+    """One JSON object per line; `payload_b64` carries raw payload bytes.
+
+    The text fields must be JSON strings, `detected_types` a JSON array and
+    `country` an ISO-3166 alpha-2 code; each distinct country is checked once.
+    """
     records = []
+    codes: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, obj in json_records(fh):
             try:
+                check_json_strings(obj, _FLOW_STRINGS, lineno)
                 detected = obj.get("detected_types")
+                if detected is not None and not isinstance(detected, list):
+                    raise json_type_error("detected_types", "array", detected, lineno)
+                country = obj.get("country")
+                if country is not None and country not in codes:
+                    codes.add(check_country_code(country, lineno))
                 records.append(FlowRecord(
                     app_id=obj["app_id"],
                     app_version=obj.get("app_version", ""),
                     stage=obj["stage"],
                     dest_fqdn=obj["dest_fqdn"],
                     dest_ip=obj.get("dest_ip"),
-                    country=obj.get("country"),
+                    country=country,
                     payload=base64.b64decode(obj["payload_b64"]) if obj.get("payload_b64") else b"",
                     detected_types=frozenset(detected) if detected is not None else None,
                     cert_org=obj.get("cert_org"),
                     store_name=obj.get("store_name"),
                 ))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad flow record: {exc}", lineno) from exc
     return records
 
@@ -366,32 +382,64 @@ def event_json(event: TransferEvent) -> dict:
     }
 
 
+def _recipient(kind, owner, hq, lineno: int) -> RecipientInfo:
+    if kind not in (FIRST_PARTY, THIRD_PARTY):
+        raise ParseError(f"recipient_kind must be {FIRST_PARTY} or {THIRD_PARTY}, "
+                         f"got {kind!r}", lineno)
+    if owner is not None and not isinstance(owner, str):
+        raise json_type_error("recipient_owner", "string", owner, lineno)
+    if hq is not None:
+        check_country_code(hq, lineno)
+    return RecipientInfo(kind, owner, hq)
+
+
 def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
     """Parse `scan` output, one JSON object per line, grouped by app id.
 
     Only `app_id`, `recipient_domain` and `dest_countries` are required; a
-    missing recipient kind reads as third party.  Equal recipients and equal
-    type or country lists share one frozen object each.
+    missing recipient kind reads as third party.  The text fields must be
+    JSON strings, the two lists JSON arrays, `any_idle_flow` a JSON boolean,
+    the recipient kind first or third party and every country an ISO-3166
+    alpha-2 code.  Equal recipients and equal type or country lists share
+    one frozen object each, and each is checked once, when first seen.
     """
     by_app: dict[str, list[TransferEvent]] = {}
     recipients: dict[tuple, RecipientInfo] = {}
-    sets: dict[tuple, frozenset[str]] = {}
+    type_sets: dict[tuple, frozenset[str]] = {}
+    country_sets: dict[tuple, frozenset[str]] = {}
     for lineno, obj in json_records(lines):
         try:
+            check_json_strings(obj, _EVENT_STRINGS, lineno)
+            types = obj.get("data_types", [])
+            countries = obj["dest_countries"]
+            idle = obj.get("any_idle_flow", False)
+            if not isinstance(types, list):
+                raise json_type_error("data_types", "array", types, lineno)
+            if not isinstance(countries, list):
+                raise json_type_error("dest_countries", "array", countries, lineno)
+            if not isinstance(idle, bool):
+                raise json_type_error("any_idle_flow", "boolean", idle, lineno)
             recipient_key = (obj.get("recipient_kind", THIRD_PARTY),
                              obj.get("recipient_owner"), obj.get("recipient_hq"))
-            types_key = tuple(obj.get("data_types", ()))
-            countries_key = tuple(obj["dest_countries"])
+            recipient = recipients.get(recipient_key)
+            if recipient is None:
+                recipient = recipients[recipient_key] = _recipient(*recipient_key, lineno)
+            types_key = tuple(types)
+            data_types = type_sets.get(types_key)
+            if data_types is None:
+                data_types = type_sets[types_key] = frozenset(types_key)
+            countries_key = tuple(countries)
+            dest_countries = country_sets.get(countries_key)
+            if dest_countries is None:
+                dest_countries = country_sets[countries_key] = frozenset(
+                    check_country_code(code, lineno) for code in countries_key)
             event = TransferEvent(
                 app_id=obj["app_id"],
                 recipient_domain=obj["recipient_domain"],
-                data_types=sets.get(types_key) or sets.setdefault(
-                    types_key, frozenset(types_key)),
-                dest_countries=sets.get(countries_key) or sets.setdefault(
-                    countries_key, frozenset(countries_key)),
-                recipient=recipients.get(recipient_key) or recipients.setdefault(
-                    recipient_key, RecipientInfo(*recipient_key)),
-                any_idle_flow=bool(obj.get("any_idle_flow", False)),
+                data_types=data_types,
+                dest_countries=dest_countries,
+                recipient=recipient,
+                any_idle_flow=idle,
             )
         except KeyError as exc:
             raise ParseError(f"event record lacks field {exc}", lineno) from exc

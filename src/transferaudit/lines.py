@@ -4,7 +4,8 @@ A `#`-commented data file (gazetteer, owner list, catalog, geo table, rules,
 jurisdiction snapshot, stop words, public suffixes, generic tokens) skips
 every line that is empty or starts with `#`; lines break at `\\n`, `\\r\\n`
 or `\\r`.  Line-delimited JSON holds one object per line, blank lines
-skipped.  Readers yield line numbers, so that every error can name its line.
+skipped; a field of the wrong JSON type is an error, not a value to coerce.
+Readers yield line numbers, so that every error can name its line.
 """
 
 from __future__ import annotations
@@ -52,3 +53,16 @@ def json_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", lineno)
         yield lineno, obj
+
+
+def json_type_error(name: str, expected: str, value, lineno: int) -> ParseError:
+    """The error for a JSON field `name` whose value is not a JSON `expected`."""
+    return ParseError(f"{name} must be a JSON {expected}, got {json.dumps(value)}", lineno)
+
+
+def check_json_strings(obj: dict, names: tuple[str, ...], lineno: int) -> None:
+    """Each field of `names` that `obj` holds, other than null, must be a JSON string."""
+    for name in names:
+        value = obj.get(name)
+        if value is not None and not isinstance(value, str):
+            raise json_type_error(name, "string", value, lineno)

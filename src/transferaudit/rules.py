@@ -15,7 +15,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import RuleParseError
+from .errors import ParseError, RuleParseError
 from .features import WORD_RUNS
 from .lines import data_lines
 from .stemmer import stem
@@ -70,16 +70,20 @@ def parse_rule(rule_text: str, rule_id: str = "") -> ProximityRule:
 
 
 def load_rules(path=None) -> list[ProximityRule]:
-    """Rule file: `element_id TAB rule text` per line; default: shipped rules."""
+    """Rule file: `element_id TAB rule text` per line; default: shipped rules.
+
+    A malformed line is a ParseError naming it, chained from the grammar's
+    RuleParseError.
+    """
     rules = []
     for lineno, line in data_lines(path, "rules.tsv"):
         element_id, sep, text = line.partition("\t")
         if not sep or not element_id or not text.strip():
-            raise RuleParseError(f"line {lineno}: expected `element_id TAB rule`")
+            raise ParseError("expected `element_id TAB rule`", lineno)
         try:
             rules.append(parse_rule(text.strip(), rule_id=element_id))
         except RuleParseError as exc:
-            raise RuleParseError(f"line {lineno}: {exc}") from exc
+            raise ParseError(str(exc), lineno) from exc
     return rules
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .classifier import TextClassifier
-from .countries import CountryDictionary, detect_target_countries
+from .countries import CountryDictionary, check_country_code, detect_target_countries
 from .errors import ParseError
 from .features import extract_ngrams, stopword_list, tokenize
-from .lines import json_records
+from .lines import check_json_strings, json_records, json_type_error
 from .rules import (
     ProximityRule,
     elements_in_sentences,
@@ -30,6 +30,9 @@ from .rules import (
     sentence_stems,
     term_positions,
 )
+
+if TYPE_CHECKING:  # a type only: importing classifier loads numpy
+    from .classifier import TextClassifier
 
 # Rule-detected elements; the gated ones count only in segments that state a
 # transfer intention.
@@ -82,32 +85,59 @@ def annotation_json(app_id: str, policy: PolicyAnnotation) -> dict:
     return obj
 
 
+def _elements(obj: dict, lineno: int, codes: set[str]) -> dict:
+    """A record's nine elements as annotation fields.  The flags must be JSON
+    booleans and the countries a JSON array of ISO-3166 alpha-2 codes;
+    `codes` holds the codes already checked."""
+    countries = obj["countries"]
+    if not isinstance(countries, list):
+        raise json_type_error("countries", "array", countries, lineno)
+    for code in countries:
+        if code not in codes:
+            codes.add(check_country_code(code, lineno))
+    elements = dict(zip(_FLAGS, _flag_values(obj)))
+    for name, value in elements.items():
+        if not isinstance(value, bool):
+            raise json_type_error(name, "boolean", value, lineno)
+    elements["countries"] = frozenset(countries)
+    return elements
+
+
 def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     """Parse `annotate` output, one JSON object per line, keyed by app id.
 
     Segments with equal values load as one shared `SegmentAnnotation`, which
     is safe because the class is frozen: a study repeats a few thousand
-    distinct segment values hundreds of thousands of times.
+    distinct segment values hundreds of thousands of times.  A segment value
+    is checked once, when first seen, so a JSON 1 or 0 flag in a segment
+    reads as the true or false it equals in Python once that value has been
+    checked.
     """
     annotations: dict[str, PolicyAnnotation] = {}
     # by_key skips building an object for JSON values seen before; by_value
     # also unites values whose country lists differ only in order
     by_key: dict[tuple, SegmentAnnotation] = {}
     by_value: dict[SegmentAnnotation, SegmentAnnotation] = {}
+    codes: set[str] = set()
     for lineno, obj in json_records(lines):
         try:
+            check_json_strings(obj, ("app_id",), lineno)
+            records = obj.get("segments", [])
+            if not isinstance(records, list):
+                raise json_type_error("segments", "array", records, lineno)
             segments = []
-            for s in obj.get("segments", []):
-                key = (_flag_values(s), tuple(s["countries"]))
+            for s in records:
+                countries = s["countries"]
+                if not isinstance(countries, list):
+                    raise json_type_error("countries", "array", countries, lineno)
+                key = (_flag_values(s), tuple(countries))
                 seg = by_key.get(key)
                 if seg is None:
-                    seg = SegmentAnnotation(countries=frozenset(key[1]),
-                                            **dict(zip(_FLAGS, key[0])))
+                    seg = SegmentAnnotation(**_elements(s, lineno, codes))
                     seg = by_key[key] = by_value.setdefault(seg, seg)
                 segments.append(seg)
             annotations[obj["app_id"]] = PolicyAnnotation(
-                countries=frozenset(obj["countries"]), segments=segments,
-                **{name: obj[name] for name in _FLAGS})
+                segments=segments, **_elements(obj, lineno, codes))
         except KeyError as exc:
             raise ParseError(f"annotation record lacks field {exc}", lineno) from exc
         except TypeError as exc:

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from importlib import resources
@@ -191,6 +194,15 @@ def _without(obj, key):
     return json.dumps({k: v for k, v in obj.items() if k != key})
 
 
+def _with(obj, **fields):
+    return json.dumps({**obj, **fields})
+
+
+def _with_segment(**fields):
+    return _with(SHIELD_ANNOTATION, app_id="other.app",
+                 segments=[SHIELD_SEGMENT, {**SHIELD_SEGMENT, **fields}])
+
+
 _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
                            "segments": [SHIELD_SEGMENT, {"intention": False}]})
 
@@ -205,9 +217,32 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
     ("annotations", _BAD_SEGMENT),
     ("annotations", "{not json}"),
     ("annotations", '"text"'),
+    # a wrongly typed or unchecked value is no value to coerce
+    ("events", _with(SHIELD_EVENT, dest_countries="US")),
+    ("events", _with(SHIELD_EVENT, data_types="imei")),
+    ("events", _with(SHIELD_EVENT, dest_countries=["de"])),
+    ("events", _with(SHIELD_EVENT, recipient_kind="first-party")),
+    ("events", _with(SHIELD_EVENT, recipient_hq="us")),
+    ("events", _with(SHIELD_EVENT, any_idle_flow="yes")),
+    ("events", _with(SHIELD_EVENT, recipient_domain=7)),
+    ("events", _with(SHIELD_EVENT, recipient_owner=7)),
+    ("annotations", _with(SHIELD_ANNOTATION, countries="US")),
+    ("annotations", _with(SHIELD_ANNOTATION, countries=["us"])),
+    ("annotations", _with(SHIELD_ANNOTATION, intention="yes")),
+    ("annotations", _with(SHIELD_ANNOTATION, segments={})),
+    ("annotations", _with(SHIELD_ANNOTATION, app_id=7)),
+    ("annotations", _with_segment(countries="US")),
+    ("annotations", _with_segment(countries=["de"])),
+    ("annotations", _with_segment(scc="false")),
 ], ids=["event-no-domain", "event-no-app", "event-bad-json", "event-not-object",
         "annotation-no-scc", "segment-missing-fields", "annotation-bad-json",
-        "annotation-not-object"])
+        "annotation-not-object", "event-countries-string", "event-types-string",
+        "event-lowercase-country", "event-kind-typo", "event-lowercase-hq",
+        "event-idle-string", "event-domain-number", "event-owner-number",
+        "annotation-countries-string", "annotation-lowercase-country",
+        "annotation-intention-string", "annotation-segments-object",
+        "annotation-app-number", "segment-countries-string",
+        "segment-lowercase-country", "segment-flag-string"])
 def test_malformed_record_is_input_error(tmp_path, capsys, command, which, bad_line):
     lines = {"events": [json.dumps(SHIELD_EVENT)],
              "annotations": [json.dumps(SHIELD_ANNOTATION)]}
@@ -380,3 +415,41 @@ def test_check_and_report_agree(events, annotations):
     assert sum(int(v) for k, v in report.items() if k.startswith("verdicts.")) == \
         sum(verdicts.values())
     assert int(report["total_apps"]) == sum(overall.values())
+
+
+# Runs in a fresh interpreter, because pytest has imported numpy already.
+_IMPORT_PROBE = """
+import json, sys
+import transferaudit
+package = sorted(m for m in sys.modules if m.startswith("transferaudit."))
+from transferaudit.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+without_model = "numpy" in sys.modules
+import transferaudit.classifier
+with open(sys.argv[2], "w") as fh:
+    json.dump([package, codes, without_model, "numpy" in sys.modules], fh)
+"""
+
+
+def test_stages_without_a_model_do_not_import_numpy(tmp_path):
+    events_path, annotations_path = _write_study(
+        tmp_path, [json.dumps(SHIELD_EVENT)], [json.dumps(SHIELD_ANNOTATION)])
+    study = ["--events", str(events_path), "--annotations", str(annotations_path)]
+    commands = [
+        ["segment", str(DATA / "policies" / "com.viber.voip.txt")],
+        ["scan", "--flows", str(DATA / "flows.jsonl"), "--catalog", str(DATA / "catalog.tsv"),
+         "--geo", str(DATA / "geo.tsv")],
+        ["check", *study],
+        ["report", *study],
+    ]
+    result = tmp_path / "probe.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands),
+                            str(result)], env=env, capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    package, codes, without_model, with_classifier = json.loads(result.read_text())
+    assert package == []  # a bare `import transferaudit` loads no submodule
+    assert codes == [0, 0, 0, 0]
+    assert not without_model
+    assert with_classifier  # the probe does see numpy once a model is imported

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import ipaddress
+import json
 
 import pytest
 from hypothesis import given
@@ -348,3 +349,19 @@ def test_load_flow_log_bad_json(tmp_path):
     with pytest.raises(ParseError) as excinfo:
         load_flow_log(path)
     assert excinfo.value.line_number == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("country", "de"), ("country", 49), ("detected_types", "imei"), ("dest_fqdn", 5),
+    ("dest_ip", 5), ("app_id", ["com.zappy"])])
+def test_load_flow_log_rejects_a_wrongly_typed_field(tmp_path, field, value):
+    # a lowercase code would be judged outside the EU, a string split into letters,
+    # and the integer 5 read as the address 0.0.0.5
+    record = {"app_id": "com.zappy", "stage": "active", "dest_fqdn": "api.zappy.com",
+              "country": "DE", "detected_types": ["IMEI"]}
+    path = tmp_path / "flows.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_flow_log(path)
+    assert excinfo.value.line_number == 2

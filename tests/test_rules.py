@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transferaudit.errors import RuleParseError
+from transferaudit.errors import ParseError, RuleParseError
 from transferaudit.rules import ProximityRule, load_rules, matched_elements, parse_rule
 from transferaudit.stemmer import stem
 from transferaudit.transparency import default_rules
@@ -131,8 +131,17 @@ def test_load_rules_and_matched_elements(tmp_path):
 def test_load_rules_rejects_missing_tab(tmp_path):
     path = tmp_path / "rules.tsv"
     path.write_text("scc ('a'|'b')\n", encoding="utf-8")
-    with pytest.raises(RuleParseError):
+    with pytest.raises(ParseError) as excinfo:
         load_rules(path)
+    assert excinfo.value.line_number == 1
+    assert str(excinfo.value) == "line 1: expected `element_id TAB rule`"
+    # a grammar error names its line too, and keeps the grammar's error as its cause
+    path.write_text("scc\t('a') w/2 ('b')\nbcr\t('a') w/0 ('b')\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_rules(path)
+    assert excinfo.value.line_number == 2
+    assert isinstance(excinfo.value.__cause__, RuleParseError)
+    assert str(excinfo.value) == "line 2: position 8: window must be >= 1"
 
 
 def test_multiple_rules_same_element_are_alternatives(tmp_path):
