@@ -4,21 +4,31 @@ A bundle is what the annotation pipeline actually consumes; it knows how to
 turn raw segment text, or n-grams already computed, into a prediction and
 how to round-trip itself through the vocabulary/model file formats.  Fitting
 a bundle and k-fold evaluation share one training path, over n-grams
-computed once per sample (`labeled_grams`), so a caller that does both
-computes them once.
+computed and numbered once per sample (`labeled_grams`), so a caller that
+does both computes them once.  A fit weighs the samples by n-gram id
+(`IdVocabulary`); a string-keyed `Vocabulary` is built only for the bundle.
 """
 
 from __future__ import annotations
 
+import math
+import os
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .corpus import Corpus, LabeledSegment, stratified_kfold
 from .errors import ParseError
 from .features import (
+    BC,
+    SCHEMES,
+    TFIDF,
+    FeatureVector,
     Vocabulary,
-    build_vocabulary,
     extract_ngrams,
     load_vocabulary,
     parse_ngram_range,
@@ -28,14 +38,16 @@ from .features import (
 )
 from .linear import (
     CrossValidationResult,
+    EvalMetrics,
     LinearModel,
     TrainConfig,
+    _train_arrays,
+    bytes_hash,
     compute_metrics,
     intention_label,
     load_model,
     predict,
     save_model,
-    train,
     vocabulary_hash,
 )
 
@@ -58,13 +70,13 @@ class TextClassifier:
     def save(self, directory, name: str) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        save_vocabulary(self.vocabulary, directory / f"{name}.vocab.tsv")
+        vocab_bytes = save_vocabulary(self.vocabulary, directory / f"{name}.vocab.tsv")
         save_model(
             self.model,
             directory / f"{name}.model.tsv",
             scheme=self.scheme,
             ngram=self.ngram,
-            vocab_hash=vocabulary_hash(self.vocabulary),
+            vocab_hash=bytes_hash(vocab_bytes),
         )
 
     @classmethod
@@ -85,58 +97,181 @@ class TextClassifier:
 
 
 def labeled_grams(corpus: Corpus, ngram: tuple[int, int],
-                  label_fn: Callable[[LabeledSegment], int],
-                  ) -> tuple[list[list[str]], list[int]]:
-    """Each sample's n-grams over the range, and its label.
+                  label_fn: Callable[[LabeledSegment], int]) -> NumberedGrams:
+    """Each sample's n-grams over the range, numbered, and its label.
 
     Computed once per corpus, they serve any number of fits and folds.
     """
     gram_lists = [extract_ngrams(tokenize(s.segment.text), *ngram) for s in corpus.samples]
-    return gram_lists, [label_fn(s) for s in corpus.samples]
+    return number_grams(gram_lists, [label_fn(s) for s in corpus.samples])
 
 
-def _fit(gram_lists: list[list[str]], labels: list[int], scheme: str,
-         train_cfg: TrainConfig, vocab: Vocabulary | None = None,
-         ) -> tuple[Vocabulary, LinearModel]:
-    """Train on the samples; the vocabulary is built over them unless given."""
-    if vocab is None:
-        vocab = build_vocabulary(gram_lists)
-    samples = [(vectorize(g, vocab, scheme), y) for g, y in zip(gram_lists, labels)]
-    return vocab, train(samples, train_cfg, len(vocab))
+@dataclass(frozen=True)
+class NumberedGrams:
+    """Labeled samples whose n-grams are numbered once, for every fit.
+
+    `grams` holds the distinct n-grams in string order, so that an n-gram's
+    id is its rank.  Sample i keeps the ids of its distinct n-grams in
+    first-occurrence order, `ids[i]`, and their counts as floats,
+    `counts[i]`.
+    """
+
+    grams: list[str]
+    ids: list[np.ndarray]
+    counts: list[np.ndarray]
+    labels: list[int]
 
 
-def fit_grams(gram_lists: list[list[str]], labels: list[int], ngram: tuple[int, int],
-              scheme: str, train_cfg: TrainConfig) -> TextClassifier:
+def number_grams(gram_lists: list[list[str]], labels: list[int]) -> NumberedGrams:
+    """Number each sample's n-grams (see `NumberedGrams`)."""
+    grams = sorted(set().union(*gram_lists))
+    rank = {gram: i for i, gram in enumerate(grams)}.__getitem__
+    ids, counts = [], []
+    for sample in gram_lists:
+        count = Counter(sample)
+        ids.append(np.fromiter(map(rank, count), dtype=np.int64, count=len(count)))
+        counts.append(np.fromiter(count.values(), dtype=np.float64, count=len(count)))
+    return NumberedGrams(grams=grams, ids=ids, counts=counts, labels=list(labels))
+
+
+class IdVocabulary:
+    """What `build_vocabulary` builds over some of the samples, over ids.
+
+    A feature is an n-gram with a document frequency above 0 among those
+    samples, and features are numbered in string order, as `sorted(df)`
+    numbers them.  `vector` weighs a sample as `vectorize` does.
+    """
+
+    def __init__(self, data: NumberedGrams, among: Sequence[int], scheme: str):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown weighting scheme {scheme!r}")
+        if not among:
+            raise ValueError("need at least one segment to build a vocabulary")
+        df = np.bincount(np.concatenate([data.ids[i] for i in among]),
+                         minlength=len(data.grams))
+        self.data, self.scheme, self.document_count = data, scheme, len(among)
+        self.ids = np.flatnonzero(df)
+        self.document_frequency = df[self.ids]
+        # an n-gram id's feature index, or -1 for an n-gram out of the vocabulary
+        self.feature = np.full(len(data.grams), -1, dtype=np.int64)
+        self.feature[self.ids] = np.arange(self.ids.size)
+        if scheme == TFIDF:
+            # math.log, as vectorize takes it, once per distinct df
+            dfs, at = np.unique(self.document_frequency, return_inverse=True)
+            self.idf = np.array([math.log(self.document_count / d)
+                                 for d in dfs.tolist()])[at]
+
+    def __len__(self):
+        return self.ids.size
+
+    def vector(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sample i's feature indices and weights, in `vectorize`'s order."""
+        feature = self.feature[self.data.ids[i]]
+        known = feature >= 0
+        idx = feature[known]
+        if self.scheme == BC:
+            return idx, np.ones(idx.size)
+        values = self.data.counts[i][known]
+        if self.scheme == TFIDF:
+            values *= self.idf[idx]
+            weighted = values != 0.0
+            idx, values = idx[weighted], values[weighted]
+        return idx, values
+
+    def vocabulary(self) -> Vocabulary:
+        grams = self.data.grams
+        return Vocabulary(
+            feature_to_index={grams[g]: i for i, g in enumerate(self.ids.tolist())},
+            document_frequency=self.document_frequency.tolist(),
+            document_count=self.document_count,
+        )
+
+
+def _fit(vocab: IdVocabulary, among: Sequence[int], train_cfg: TrainConfig) -> LinearModel:
+    """Train on the samples `among`, weighed against the vocabulary."""
+    indices, values = zip(*map(vocab.vector, among))
+    labels = vocab.data.labels
+    return _train_arrays(indices, values, [labels[i] for i in among], train_cfg, len(vocab))
+
+
+def fit_grams(data: NumberedGrams, ngram: tuple[int, int], scheme: str,
+              train_cfg: TrainConfig) -> TextClassifier:
     """Build the vocabulary on all the samples, and train."""
-    vocab, model = _fit(gram_lists, labels, scheme, train_cfg)
-    return TextClassifier(ngram=ngram, vocabulary=vocab, scheme=scheme, model=model)
+    everyone = range(len(data.labels))
+    vocab = IdVocabulary(data, everyone, scheme)
+    model = _fit(vocab, everyone, train_cfg)
+    return TextClassifier(ngram=ngram, vocabulary=vocab.vocabulary(), scheme=scheme,
+                          model=model)
 
 
 def fit_text_classifier(corpus: Corpus, ngram: tuple[int, int], scheme: str,
                         train_cfg: TrainConfig,
                         label_fn: Callable[[LabeledSegment], int]) -> TextClassifier:
     """Build the vocabulary on the full corpus, and train."""
-    return fit_grams(*labeled_grams(corpus, ngram, label_fn), ngram, scheme, train_cfg)
+    return fit_grams(labeled_grams(corpus, ngram, label_fn), ngram, scheme, train_cfg)
 
 
-def cross_validate_grams(gram_lists: list[list[str]], labels: list[int], scheme: str,
-                         train_cfg: TrainConfig, k: int, seed: int,
-                         fit_on_all: bool = False) -> CrossValidationResult:
-    """Stratified k-fold evaluation over n-grams already computed.
+@dataclass(frozen=True)
+class _CrossValidation:
+    data: NumberedGrams
+    scheme: str
+    train_cfg: TrainConfig
+    folds: list[tuple[list[int], list[int]]]
+    shared_vocab: IdVocabulary | None
+
+    def evaluate(self, fold: int) -> EvalMetrics:
+        train_idx, test_idx = self.folds[fold]
+        vocab = self.shared_vocab
+        if vocab is None:
+            vocab = IdVocabulary(self.data, train_idx, self.scheme)
+        model = _fit(vocab, train_idx, self.train_cfg)
+        predictions = []
+        for i in test_idx:
+            idx, values = vocab.vector(i)
+            x = FeatureVector(dict(zip(idx.tolist(), values.tolist())))
+            predictions.append(predict(model, x))
+        return compute_metrics(predictions, [self.data.labels[i] for i in test_idx])
+
+
+# the cross-validation whose folds forked workers evaluate, while its pool runs
+_running: _CrossValidation | None = None
+
+
+def _evaluate_running(fold: int) -> EvalMetrics:
+    return _running.evaluate(fold)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def cross_validate_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfig, k: int,
+                         seed: int, fit_on_all: bool = False) -> CrossValidationResult:
+    """Stratified k-fold evaluation over n-grams already numbered.
 
     Vocabularies are fitted on the train split of each fold; `fit_on_all`
     fits one vocabulary on all the samples instead (leaks document
-    frequencies between folds; kept for compatibility experiments).
+    frequencies between folds; kept for compatibility experiments).  The
+    folds run in up to min(k, usable CPUs) forked processes, which inherit
+    the samples; each fold's result is the same wherever it runs.
     """
-    folds = stratified_kfold(labels, k, seed)
-    shared_vocab = build_vocabulary(gram_lists) if fit_on_all else None
-    results = []
-    for train_idx, test_idx in folds:
-        vocab, model = _fit([gram_lists[i] for i in train_idx],
-                            [labels[i] for i in train_idx], scheme, train_cfg, shared_vocab)
-        predictions = [predict(model, vectorize(gram_lists[i], vocab, scheme))
-                       for i in test_idx]
-        results.append(compute_metrics(predictions, [labels[i] for i in test_idx]))
+    global _running
+    folds = stratified_kfold(data.labels, k, seed)
+    shared_vocab = IdVocabulary(data, range(len(data.labels)), scheme) if fit_on_all else None
+    run = _CrossValidation(data, scheme, train_cfg, folds, shared_vocab)
+    workers = min(len(folds), _usable_cpus())
+    import multiprocessing  # here, so that importing this module does not pay for it
+
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return CrossValidationResult(folds=list(map(run.evaluate, range(len(folds)))))
+    _running = run
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(_evaluate_running, range(len(folds)), chunksize=1)
+    finally:
+        _running = None
     return CrossValidationResult(folds=results)
 
 
@@ -146,5 +281,5 @@ def cross_validate(corpus: Corpus, ngram: tuple[int, int], scheme: str,
                    label_fn: Callable[[LabeledSegment], int] = intention_label,
                    ) -> CrossValidationResult:
     """Stratified k-fold evaluation of the corpus (see `cross_validate_grams`)."""
-    return cross_validate_grams(*labeled_grams(corpus, ngram, label_fn), scheme, train_cfg,
+    return cross_validate_grams(labeled_grams(corpus, ngram, label_fn), scheme, train_cfg,
                                 k, seed, fit_on_all)

@@ -45,19 +45,18 @@ def _cmd_train(args) -> int:
     ngram = parse_ngram_range(args.ngram)
     if not (args.kfold or args.model_out):
         return 0
-    # the CV folds and the final fit share one n-gram list per sample
-    gram_lists, labels = classifier.labeled_grams(data, ngram, label_fns[args.task])
+    # the CV folds and the final fit share the numbered n-grams of each sample
+    grams = classifier.labeled_grams(data, ngram, label_fns[args.task])
     if args.kfold:
-        result = classifier.cross_validate_grams(gram_lists, labels, args.weighting, train_cfg,
-                                                 args.kfold, args.seed,
-                                                 fit_on_all=args.fit_on_all)
+        result = classifier.cross_validate_grams(grams, args.weighting, train_cfg, args.kfold,
+                                                 args.seed, fit_on_all=args.fit_on_all)
         for i, fold in enumerate(result.folds):
             print(f"fold {i}: precision={fold.precision:.4f} recall={fold.recall:.4f} "
                   f"f_measure={fold.f_measure:.4f}")
         means = " ".join(f"{k}={v:.4f}" for k, v in sorted(result.means.items()))
         print(f"mean: {means}")
     if args.model_out:
-        bundle = classifier.fit_grams(gram_lists, labels, ngram, args.weighting, train_cfg)
+        bundle = classifier.fit_grams(grams, ngram, args.weighting, train_cfg)
         bundle.save(args.model_out, args.task)
         print(f"saved {args.task} model to {args.model_out}")
     return 0

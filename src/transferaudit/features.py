@@ -127,10 +127,13 @@ def vectorize(grams: list[str], vocab: Vocabulary, scheme: str) -> FeatureVector
     return FeatureVector(entries=entries)
 
 
-def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """Write `#N=` header plus one `feature TAB index TAB df` line per feature."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(vocabulary_bytes(vocab).decode("utf-8"))
+def save_vocabulary(vocab: Vocabulary, path) -> bytes:
+    """Write `#N=` header plus one `feature TAB index TAB df` line per
+    feature; returns the bytes written."""
+    data = vocabulary_bytes(vocab)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data
 
 
 def vocabulary_bytes(vocab: Vocabulary) -> bytes:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -78,9 +80,6 @@ class LinearModel:
 def train(samples: Sequence[tuple[FeatureVector, int]], cfg: TrainConfig,
           dim: int) -> LinearModel:
     """Fit the hyperplane by SGD; raises DegenerateTraining on one-class input."""
-    labels = {y for _, y in samples}
-    if labels != {0, 1}:
-        raise DegenerateTraining(f"need both classes in training data, got labels {sorted(labels)}")
     indices = [np.fromiter(x.entries.keys(), dtype=np.int64, count=len(x.entries))
                for x, _ in samples]
     values = [np.fromiter(x.entries.values(), dtype=np.float64, count=len(x.entries))
@@ -90,9 +89,19 @@ def train(samples: Sequence[tuple[FeatureVector, int]], cfg: TrainConfig,
             lo, hi = int(idx.min()), int(idx.max())
             if lo < 0 or hi >= dim:
                 raise ShapeError(f"feature index {lo if lo < 0 else hi} outside dimension {dim}")
-    ys = [1.0 if y == 1 else -1.0 for _, y in samples]
+    return _train_arrays(indices, values, [y for _, y in samples], cfg, dim)
 
-    n = len(samples)
+
+def _train_arrays(indices: Sequence[np.ndarray], values: Sequence[np.ndarray],
+                  labels: Sequence[int], cfg: TrainConfig, dim: int) -> LinearModel:
+    """`train` over each sample's feature indices (int64, each in 0..dim-1)
+    and values (float64), as `train` would turn its vectors into."""
+    classes = sorted(set(labels))
+    if classes != [0, 1]:
+        raise DegenerateTraining(f"need both classes in training data, got labels {classes}")
+    ys = [1.0 if y == 1 else -1.0 for y in labels]
+
+    n = len(ys)
     alpha = cfg.alpha
     decay = cfg.alpha * cfg.eta0
     rng = np.random.default_rng(cfg.seed)
@@ -236,8 +245,13 @@ def adequacy_label(sample: LabeledSegment) -> int:
     return 1 if "adequacy" in sample.element_labels else 0
 
 
+def bytes_hash(data: bytes) -> str:
+    """The short SHA-256 that a model header stores for its vocabulary file."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def vocabulary_hash(vocab: Vocabulary) -> str:
-    return hashlib.sha256(vocabulary_bytes(vocab)).hexdigest()[:16]
+    return bytes_hash(vocabulary_bytes(vocab))
 
 
 def model_bytes(model: LinearModel, *, scheme: str, ngram: tuple[int, int],
@@ -254,8 +268,7 @@ def model_bytes(model: LinearModel, *, scheme: str, ngram: tuple[int, int],
         f"#loss={MODIFIED_HUBER}",
         f"#vocab_sha256={vocab_hash}",
     ]
-    for idx, weight in enumerate(model.weights):
-        lines.append(f"{idx}\t{float(weight)!r}")
+    lines.extend(f"{idx}\t{weight!r}" for idx, weight in enumerate(model.weights.tolist()))
     lines.append(f"#bias={float(model.bias)!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -288,53 +301,76 @@ def _finite(text: str) -> float:
     return value
 
 
+def _weights_in_order(rows: list[str]) -> np.ndarray | None:
+    """The finite weights of `index TAB weight` rows whose indices are
+    0..n-1 in order, written as `model_bytes` writes them; None otherwise."""
+    fields = "\n".join(rows).replace("\t", "\n").split("\n")
+    # n TABs in all, and one in every row: exactly one in each
+    if len(fields) != 2 * len(rows) or not all(map(operator.contains, rows, repeat("\t"))):
+        return None
+    if fields[0::2] != [str(i) for i in range(len(rows))]:
+        return None
+    try:
+        weights = np.array([float(w) for w in fields[1::2]])
+    except ValueError:
+        return None
+    return weights if np.isfinite(weights).all() else None
+
+
 def load_model(path) -> tuple[LinearModel, dict[str, str]]:
     """Read a model file; returns the model and its header fields.
 
     A header key that `model_bytes` does not write, or a value that it could
-    not have written, is a ParseError naming the line.
+    not have written, is a ParseError naming the line.  The weight lines of
+    a file as `model_bytes` writes it are read in one pass; any other file
+    is read a line at a time, so that an error names its line.
     """
     header: dict[str, str] = {}
     weights: dict[int, float] = {}
     bias = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            try:
-                if line.startswith("#"):
-                    key, _, value = line[1:].partition("=")
-                    if not value and key != "":
-                        raise ParseError(f"malformed header {line!r}", lineno)
-                    if key == "bias":
-                        bias = _finite(value)
-                    elif key in _HEADER_CHECKS:
-                        _HEADER_CHECKS[key](value)
-                        header[key] = value
-                    elif key:
-                        raise ParseError(f"unknown header key {key!r}", lineno)
-                elif line:
-                    parts = line.split("\t")
-                    if len(parts) != 2:
-                        raise ParseError("expected `index TAB weight`", lineno)
-                    idx = int(parts[0])
-                    if idx in weights:
-                        raise ParseError(f"repeated weight index {idx}", lineno)
-                    weights[idx] = _finite(parts[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
+        lines = fh.read().split("\n")
+    w = _weights_in_order([line for line in lines if line and line[0] != "#"])
+    numbered = enumerate(lines, start=1)
+    if w is not None:  # only the header lines are left to read
+        numbered = [(lineno, line) for lineno, line in numbered if line[:1] == "#"]
+    for lineno, line in numbered:
+        try:
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                if not value and key != "":
+                    raise ParseError(f"malformed header {line!r}", lineno)
+                if key == "bias":
+                    bias = _finite(value)
+                elif key in _HEADER_CHECKS:
+                    _HEADER_CHECKS[key](value)
+                    header[key] = value
+                elif key:
+                    raise ParseError(f"unknown header key {key!r}", lineno)
+            elif line:
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise ParseError("expected `index TAB weight`", lineno)
+                idx = int(parts[0])
+                if idx in weights:
+                    raise ParseError(f"repeated weight index {idx}", lineno)
+                weights[idx] = _finite(parts[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
     if bias is None:
         raise ParseError("missing #bias line")
     required = {"scheme", "ngram", "alpha", "eta0", "epochs", "seed"}
     missing = required - header.keys()
     if missing:
         raise ParseError(f"missing header fields: {sorted(missing)}")
-    if sorted(weights) != list(range(len(weights))):
-        raise ParseError("weight indices are not dense 0..n-1")
+    if w is None:
+        if sorted(weights) != list(range(len(weights))):
+            raise ParseError("weight indices are not dense 0..n-1")
+        w = np.array([weights[i] for i in range(len(weights))])
     cfg = TrainConfig(
         alpha=float(header["alpha"]),
         epochs=int(header["epochs"]),
         eta0=float(header["eta0"]),
         seed=int(header["seed"]),
     )
-    w = np.array([weights[i] for i in range(len(weights))])
     return LinearModel(weights=w, bias=bias, config=cfg), header

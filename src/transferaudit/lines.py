@@ -11,7 +11,7 @@ Readers yield line numbers, so that every error can name its line.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from importlib import resources
 
 from .errors import ParseError
@@ -41,15 +41,21 @@ def tab_records(path, usage: str, default: str | None = None) -> Iterator[tuple[
         yield lineno, fields
 
 
-def json_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) per non-blank line; anything else is a ParseError."""
+def json_records(lines: Iterable[str], decode: Callable[[str], object] = json.loads,
+                 ) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) per non-blank line; anything else is a ParseError.
+
+    `decode` reads one line; a ValueError it raises names the line too.
+    """
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = decode(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}", lineno) from exc
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", lineno)
         yield lineno, obj

@@ -13,6 +13,7 @@ form that `annotate` writes and `check`/`report` read is defined here too.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
@@ -103,15 +104,26 @@ def _elements(obj: dict, lineno: int, codes: set[str]) -> dict:
     return elements
 
 
+def _no_number(text: str):
+    raise ValueError(f"an annotation record holds no JSON numbers, got {text}")
+
+
+# Decodes one annotation record.  No field of a record is a number, so a
+# number anywhere in one is an error; then no JSON 1 or 0 can reach a flag,
+# where it would equal the true or false it stands for as a dict key.
+_decode_annotation = json.JSONDecoder(parse_int=_no_number, parse_float=_no_number,
+                                      parse_constant=_no_number).decode
+
+
 def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     """Parse `annotate` output, one JSON object per line, keyed by app id.
 
     Segments with equal values load as one shared `SegmentAnnotation`, which
     is safe because the class is frozen: a study repeats a few thousand
     distinct segment values hundreds of thousands of times.  A segment value
-    is checked once, when first seen, so a JSON 1 or 0 flag in a segment
-    reads as the true or false it equals in Python once that value has been
-    checked.
+    is checked once, when first seen.  That is exact, because a record may
+    hold no JSON number: two segments with equal JSON values hold the same
+    JSON types too.
     """
     annotations: dict[str, PolicyAnnotation] = {}
     # by_key skips building an object for JSON values seen before; by_value
@@ -119,7 +131,7 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     by_key: dict[tuple, SegmentAnnotation] = {}
     by_value: dict[SegmentAnnotation, SegmentAnnotation] = {}
     codes: set[str] = set()
-    for lineno, obj in json_records(lines):
+    for lineno, obj in json_records(lines, _decode_annotation):
         try:
             check_json_strings(obj, ("app_id",), lineno)
             records = obj.get("segments", [])

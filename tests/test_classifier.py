@@ -1,11 +1,23 @@
-"""TextClassifier bundle round-trip tests."""
+"""TextClassifier bundle round-trip, n-gram id and fold pool tests."""
+
+import multiprocessing
+import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from transferaudit.classifier import TextClassifier, fit_text_classifier
-from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
-from transferaudit.errors import ParseError
-from transferaudit.features import TF
+from transferaudit import classifier
+from transferaudit.classifier import (
+    IdVocabulary,
+    TextClassifier,
+    cross_validate,
+    fit_text_classifier,
+    number_grams,
+)
+from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, stratified_kfold
+from transferaudit.errors import DegenerateTraining, ParseError
+from transferaudit.features import SCHEMES, TF, build_vocabulary, vectorize
 from transferaudit.linear import TrainConfig, intention_label
 
 PROBES = [
@@ -111,3 +123,112 @@ def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
     with pytest.raises(ParseError) as exc:
         TextClassifier.load(tmp_path, "intention")
     assert exc.value.line_number == 2
+
+
+# few distinct n-grams, so that samples share them: df == N and grams out of
+# a fold's vocabulary both occur; string order is code-point order.  In the
+# example, every sample holds "a" and a fold's test sample may hold "c".
+_GRAMS = ["a", "b", "a b", "b a", "c", "Z", "zz", "\u00e9t\u00e9", "a c b"]
+
+
+@st.composite
+def _labeled_gram_lists(draw):
+    n = draw(st.integers(2, 12))
+    gram_lists = draw(st.lists(st.lists(st.sampled_from(_GRAMS), max_size=10),
+                               min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                  .filter(lambda ys: len(set(ys)) == 2))
+    return gram_lists, labels, draw(st.integers(2, n)), draw(st.integers(0, 99))
+
+
+def _assert_as_vectorize(data, gram_lists, among, scheme):
+    if not among:  # a fold may deal every sample to its test split
+        for build in (lambda: build_vocabulary([]), lambda: IdVocabulary(data, among, scheme)):
+            with pytest.raises(ValueError, match="need at least one segment"):
+                build()
+        return
+    vocab = IdVocabulary(data, among, scheme)
+    reference = build_vocabulary([gram_lists[i] for i in among])
+    assert vocab.vocabulary() == reference
+    assert list(vocab.vocabulary().feature_to_index) == list(reference.feature_to_index)
+    for i, grams in enumerate(gram_lists):
+        idx, values = vocab.vector(i)
+        expected = vectorize(grams, reference, scheme).entries
+        assert idx.tolist() == list(expected)
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_labeled_gram_lists())
+@example(([["a", "b", "a"], ["a"], ["a", "c", "c"], ["b", "a"]], [1, 0, 1, 0], 2, 0))
+def test_fold_vectors_are_those_of_vectorize(case):
+    """Every fold's train and test vectors, and those over all the samples
+    (`fit_on_all`), equal `vectorize` against `build_vocabulary` of the
+    fold's train grams: the same keys in the same order, the same values."""
+    gram_lists, labels, k, seed = case
+    data = number_grams(gram_lists, labels)
+    assert data.grams == sorted(set().union(*gram_lists))
+    for scheme in SCHEMES:
+        _assert_as_vectorize(data, gram_lists, range(len(labels)), scheme)
+        for train_idx, _ in stratified_kfold(labels, k, seed):
+            _assert_as_vectorize(data, gram_lists, train_idx, scheme)
+
+
+def test_id_vocabulary_needs_a_sample_and_a_scheme():
+    data = number_grams([["a"], ["b"]], [0, 1])
+    with pytest.raises(ValueError, match="need at least one segment"):
+        IdVocabulary(data, [], TF)
+    with pytest.raises(ValueError, match="unknown weighting scheme"):
+        IdVocabulary(data, [0], "idf")
+
+
+fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                               reason="the fold pool forks")
+
+
+def _fold_pids(monkeypatch, tmp_path):
+    """Record the process each fold's metrics are computed in."""
+    real = classifier.compute_metrics
+    record = tmp_path / "pids"
+
+    def recording(predictions, labels):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(predictions, labels)
+
+    monkeypatch.setattr(classifier, "compute_metrics", recording)
+    return lambda: record.read_text(encoding="utf-8").split()
+
+
+@fork_only
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("fit_on_all", [False, True])
+def test_pooled_folds_equal_in_process_folds(monkeypatch, tmp_path, intention_corpus,
+                                             scheme, fit_on_all):
+    pids = _fold_pids(monkeypatch, tmp_path)
+    args = (intention_corpus, (1, 2), scheme, TrainConfig(epochs=10, seed=4), 5, 4, fit_on_all)
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 1)
+    alone = cross_validate(*args)
+    assert pids() == [str(os.getpid())] * 5
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 3)
+    pooled = cross_validate(*args)
+    assert len(set(pids()[5:])) > 1 and str(os.getpid()) not in pids()[5:]
+    assert pooled.folds == alone.folds
+    assert pooled.means == alone.means
+
+
+def _one_positive_corpus():
+    texts = ["we transfer data abroad", "we use cookies", "delete your account",
+             "settings can change", "we protect your account"]
+    return Corpus(samples=[LabeledSegment(PolicySegment("c", i, t), int(i == 0))
+                           for i, t in enumerate(texts)])
+
+
+@fork_only
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_fold_raises_its_error_in_the_caller(monkeypatch, cpus):
+    # the fold that tests the one positive trains on negatives only
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+    with pytest.raises(DegenerateTraining,
+                       match=r"^need both classes in training data, got labels \[0\]$"):
+        cross_validate(_one_positive_corpus(), (1, 1), TF, TrainConfig(epochs=2), 2, 0)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from transferaudit import classifier
 from transferaudit.cli import main
 from transferaudit.compliance import NO_TRANSFER
-from transferaudit.corpus import save_corpus
+from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, save_corpus
 from transferaudit.flows import FIRST_PARTY, THIRD_PARTY
 from transferaudit.transparency import annotation_json
 
@@ -102,6 +103,23 @@ def test_kfold_and_model_out_tokenize_each_sample_once(tmp_path, capsys, monkeyp
     assert capsys.readouterr().out.startswith(kfold_out)
     for name in ("intention.model.tsv", "intention.vocab.tsv"):
         assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the fold pool forks")
+def test_failing_fold_exits_as_it_does_in_process(tmp_path, capsys, monkeypatch):
+    corpus_path = tmp_path / "corpus.tsv"
+    texts = ["we transfer data abroad", "we use cookies", "delete your account",
+             "settings can change"]
+    save_corpus(Corpus(samples=[LabeledSegment(PolicySegment("c", i, t), int(i == 0))
+                                for i, t in enumerate(texts)]), corpus_path)
+    outcomes = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+        code = main(["train", "--corpus", str(corpus_path), "--kfold", "2"])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1] == (
+        1, "", "error: need both classes in training data, got labels [0]\n")
 
 
 def test_full_pipeline(model_dir, tmp_path, capsys):
@@ -253,6 +271,26 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, which, bad_l
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: line 3: ")
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("number_first", [False, True])
+def test_number_flag_is_input_error_in_either_segment_order(tmp_path, capsys, command,
+                                                            number_first):
+    # JSON 0 equals false as a dict key: a segment with "scc": 0 must not
+    # pass for an equal segment with false read before it
+    segments = [SHIELD_SEGMENT, {**SHIELD_SEGMENT, "scc": 0}]
+    if number_first:
+        segments.reverse()
+    events_path, annotations_path = _write_study(
+        tmp_path, [json.dumps(SHIELD_EVENT)],
+        [json.dumps(SHIELD_ANNOTATION), _with(SHIELD_ANNOTATION, app_id="other.app",
+                                              segments=segments)])
+    assert main([command, "--events", str(events_path),
+                 "--annotations", str(annotations_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: an annotation record holds no JSON numbers, got 0\n"
 
 
 def test_scan_drops_unparseable_hostname(tmp_path, capsys, caplog):
@@ -427,7 +465,8 @@ codes = [main(argv) for argv in json.loads(sys.argv[1])]
 without_model = "numpy" in sys.modules
 import transferaudit.classifier
 with open(sys.argv[2], "w") as fh:
-    json.dump([package, codes, without_model, "numpy" in sys.modules], fh)
+    json.dump([package, codes, without_model, "numpy" in sys.modules,
+               "multiprocessing" in sys.modules], fh)
 """
 
 
@@ -448,8 +487,9 @@ def test_stages_without_a_model_do_not_import_numpy(tmp_path):
     probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands),
                             str(result)], env=env, capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
-    package, codes, without_model, with_classifier = json.loads(result.read_text())
+    package, codes, without_model, with_classifier, pool = json.loads(result.read_text())
     assert package == []  # a bare `import transferaudit` loads no submodule
     assert codes == [0, 0, 0, 0]
     assert not without_model
     assert with_classifier  # the probe does see numpy once a model is imported
+    assert not pool  # cross-validation imports multiprocessing when it runs

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from transferaudit.classifier import cross_validate
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
-from transferaudit.errors import DegenerateTraining, ShapeError
+from transferaudit.errors import DegenerateTraining, ParseError, ShapeError
 from transferaudit.features import TF, FeatureVector
 from transferaudit.linear import (
     LinearModel,
@@ -318,6 +318,36 @@ def test_train_deterministic_and_serializable(tmp_path):
     assert header["ngram"] == "1-2"
     assert header["vocab_sha256"] == "cafe"
     assert loaded.config == cfg
+
+
+def _model_lines(tmp_path):
+    model = LinearModel(weights=np.array([0.5, -0.25, 2.0]), bias=0.125, config=TrainConfig())
+    path = tmp_path / "model.tsv"
+    save_model(model, path, scheme=TF, ngram=(1, 2), vocab_hash="cafe")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return model, path, lines[:8], lines[8:11], lines[11:]
+
+
+def test_load_reads_weight_lines_in_any_order(tmp_path):
+    model, path, head, rows, tail = _model_lines(tmp_path)
+    assert rows == ["0\t0.5", "1\t-0.25", "2\t2.0"]
+    # out of order, and an index not written as model_bytes writes it
+    path.write_text("\n".join([*head, rows[2], rows[1], "00\t0.5", *tail]) + "\n",
+                    encoding="utf-8")
+    loaded, _ = load_model(path)
+    assert loaded.weights.tolist() == model.weights.tolist()
+    assert loaded.bias == model.bias
+
+
+def test_load_names_a_weight_line_without_a_tab(tmp_path):
+    # the two lines hold two TABs between them, and their even and odd
+    # fields read as indices 0, 1 and weights; the first line is still bad
+    _, path, head, rows, tail = _model_lines(tmp_path)
+    path.write_text("\n".join([*head, "0", "0.5\t1\t0.25", rows[2], *tail]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match="expected `index TAB weight`") as exc:
+        load_model(path)
+    assert exc.value.line_number == 9
 
 
 @settings(max_examples=25, deadline=None)
