@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -125,27 +127,47 @@ def _assess_study(args, all_apps: bool):
 
 
 def _verdict_line(v: compliance.Verdict) -> str:
-    mismatch = ""
+    mismatch = "-"
     if v.country_mismatch:
         actual, disclosed = v.country_mismatch
         mismatch = f"{actual}!={','.join(sorted(disclosed))}"
-    return "\t".join([
-        v.app_id, v.recipient_domain, v.country, v.transfer_type, v.verdict_class,
-        ",".join(sorted(v.missing_elements)) or "-",
-        mismatch or "-",
-        v.invalid_safeguard_reason or "-",
-    ])
+    return (f"{v.app_id}\t{v.recipient_domain}\t{v.country}\t{v.transfer_type}\t"
+            f"{v.verdict_class}\t{','.join(sorted(v.missing_elements)) or '-'}\t"
+            f"{mismatch}\t{v.invalid_safeguard_reason or '-'}\n")
 
 
+def _collector_paused(command):
+    """Run `command` with the cyclic garbage collector paused, then restore it.
+
+    `check` and `report` build hundreds of thousands of acyclic records,
+    which the collector would traverse again and again for nothing.  The
+    collector is restored only once the command has returned, and so has
+    freed its records.
+    """
+    @functools.wraps(command)
+    def run(args) -> int:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return command(args)
+        finally:
+            if enabled:
+                gc.enable()
+    return run
+
+
+@_collector_paused
 def _cmd_check(args) -> int:
     _, assessments = _assess_study(args, all_apps=False)
+    lines = []
     for assessment in assessments:
-        for verdict in assessment.verdicts:
-            print(_verdict_line(verdict))
-        print(f"{assessment.app_id}\t-\t-\t-\t{assessment.overall}\t-\t-\t-")
+        lines += map(_verdict_line, assessment.verdicts)
+        lines.append(f"{assessment.app_id}\t-\t-\t-\t{assessment.overall}\t-\t-\t-\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 
+@_collector_paused
 def _cmd_report(args) -> int:
     annotations, assessments = _assess_study(args, all_apps=True)
     summary = reports.summarize(assessments, annotations)

@@ -11,7 +11,10 @@ anything else with gaps is ambiguous.  Mismatch outranks incompleteness.
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .countries import check_country_code
 from .errors import ParseError
@@ -122,8 +125,7 @@ def classify_transfer_type(event: TransferEvent, country: str,
     return T3_NO_ADEQUACY
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     verdict_class: str
     app_id: str
     recipient_domain: str
@@ -136,76 +138,91 @@ class Verdict:
     recipient_hq: str | None = None
 
 
-def _safeguard_validity(policy: PolicyAnnotation, event: TransferEvent,
-                        juris: JurisdictionConfig) -> tuple[bool, str | None]:
-    if policy.scc or policy.bcr:
-        return True, None
-    reasons = []
-    if policy.explicit_consent:
-        if not event.any_idle_flow:
-            return True, None
-        reasons.append("explicit consent nullified by idle-stage transfer")
-    if policy.privacy_shield:
-        if juris.framework_valid("privacy_shield"):
-            return True, None
-        reasons.append("privacy shield framework invalidated")
-    return False, "; ".join(reasons) or None
+# The policy flags a judgment reads, in the order `_verdict_core` unpacks them.
+_policy_flags = attrgetter("intention", "adequacy", "scc", "bcr", "explicit_consent",
+                           "copy_means", "representative", "privacy_shield")
 
 
-def judge_transfer(ttype: str, event: TransferEvent, country: str,
-                   policy: PolicyAnnotation, juris: JurisdictionConfig) -> Verdict:
-    """One verdict per typed (event, country) judgment."""
-    base = dict(app_id=event.app_id, recipient_domain=event.recipient_domain,
-                country=country, transfer_type=ttype,
-                recipient_owner=event.recipient.owner_name,
-                recipient_hq=event.recipient.hq_country)
+def _case(event: TransferEvent, policy: PolicyAnnotation, juris: JurisdictionConfig) -> tuple:
+    """What a judgment reads of one (event, policy, jurisdiction), whatever the country."""
+    return (*_policy_flags(policy), bool(policy.countries), event.any_idle_flow,
+            juris.framework_valid("privacy_shield"))
+
+
+@functools.cache
+def _verdict_core(ttype: str, disclosed: bool,
+                  case: tuple) -> tuple[str, frozenset[str], str | None]:
+    """(class, missing elements, invalid-safeguard reason) of one case.
+
+    `disclosed` says whether the policy's country set holds the destination.
+    The key takes 4 transfer types times 2**12 bool combinations at most.
+    """
+    (intention, adequacy, scc, bcr, explicit_consent, copy_means, representative,
+     privacy_shield, has_countries, idle, shield_valid) = case
     if ttype == INTRA_EU:
-        return Verdict(NOT_APPLICABLE, **base)
+        return NOT_APPLICABLE, frozenset(), None
     if ttype == T1_FIRST_PARTY:
-        if policy.representative:
-            return Verdict(FD, **base)
-        return Verdict(OD, missing_elements=frozenset({"representative"}), **base)
+        if representative:
+            return FD, frozenset(), None
+        return OD, frozenset({"representative"}), None
 
-    if not policy.intention:
+    if not intention:
         missing = {"intention", "target_countries"}
         if ttype == T2_ADEQUACY:
             missing.add("adequacy")
         else:
             missing.update(("safeguard", "copy_means"))
-        return Verdict(OD, missing_elements=frozenset(missing), **base)
+        return OD, frozenset(missing), None
 
-    missing: set[str] = set()
+    missing = set()
     reason = None
-    if not policy.countries:
+    if not has_countries:
         missing.add("target_countries")
     if ttype == T2_ADEQUACY:
-        if not policy.adequacy:
+        if not adequacy:
             missing.add("adequacy")
     else:
-        valid, reason = _safeguard_validity(policy, event, juris)
-        if not valid:
+        # a safeguard holds unless every one the policy names is void
+        reasons = []
+        if explicit_consent and idle:
+            reasons.append("explicit consent nullified by idle-stage transfer")
+        if privacy_shield and not shield_valid:
+            reasons.append("privacy shield framework invalidated")
+        if not (scc or bcr or (explicit_consent and not idle)
+                or (privacy_shield and shield_valid)):
             missing.add("safeguard")
-        if not policy.copy_means:
+            reason = "; ".join(reasons) or None
+        if not copy_means:
             missing.add("copy_means")
 
-    if not missing and country in policy.countries:
-        return Verdict(FD, **base)
-    if policy.countries and country not in policy.countries:
-        return Verdict(ID, missing_elements=frozenset(missing),
-                       country_mismatch=(country, policy.countries),
-                       invalid_safeguard_reason=reason, **base)
-    return Verdict(AD, missing_elements=frozenset(missing),
-                   invalid_safeguard_reason=reason, **base)
+    if not missing and disclosed:
+        return FD, frozenset(), None
+    if has_countries and not disclosed:
+        return ID, frozenset(missing), reason
+    return AD, frozenset(missing), reason
+
+
+def _judge(ttype: str, event: TransferEvent, country: str, policy: PolicyAnnotation,
+           case: tuple) -> Verdict:
+    verdict_class, missing, reason = _verdict_core(ttype, country in policy.countries, case)
+    recipient = event.recipient
+    return Verdict(verdict_class, event.app_id, event.recipient_domain, country, ttype,
+                   missing, (country, policy.countries) if verdict_class == ID else None,
+                   reason, recipient.owner_name, recipient.hq_country)
+
+
+def judge_transfer(ttype: str, event: TransferEvent, country: str,
+                   policy: PolicyAnnotation, juris: JurisdictionConfig) -> Verdict:
+    """One verdict per typed (event, country) judgment."""
+    return _judge(ttype, event, country, policy, _case(event, policy, juris))
 
 
 def judge_event(event: TransferEvent, policy: PolicyAnnotation,
                 juris: JurisdictionConfig) -> list[Verdict]:
     """Judge every destination country of one event, in sorted order."""
-    verdicts = []
-    for country in sorted(event.dest_countries):
-        ttype = classify_transfer_type(event, country, juris)
-        verdicts.append(judge_transfer(ttype, event, country, policy, juris))
-    return verdicts
+    case = _case(event, policy, juris)
+    return [_judge(classify_transfer_type(event, country, juris), event, country, policy, case)
+            for country in sorted(event.dest_countries)]
 
 
 @dataclass

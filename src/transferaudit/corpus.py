@@ -167,7 +167,9 @@ def stratified_kfold(labels: list[int], k: int, seed: int) -> list[tuple[list[in
     """Seeded stratified folds over 0/1 labels: shuffle each class, deal round-robin.
 
     Returns k (train_indices, test_indices) pairs; test folds partition the
-    samples and per-fold positive counts differ from the ideal by at most one.
+    samples.  Each class is dealt from fold 0, so a class's counts in any two
+    folds differ by at most one, while fold sizes may differ by two.  A fold
+    left without a test sample is a FoldError.
     """
     n = len(labels)
     if k < 2:
@@ -178,6 +180,11 @@ def stratified_kfold(labels: list[int], k: int, seed: int) -> list[tuple[list[in
     negatives = [i for i, y in enumerate(labels) if y == 0]
     if not positives or not negatives:
         raise FoldError("both classes need at least one sample")
+    larger = max(len(positives), len(negatives))
+    if k > larger:
+        # each class is dealt from fold 0, so the folds from `larger` on stay empty
+        raise FoldError(f"fold {larger} gets no test sample: k={k} exceeds the "
+                        f"{larger} samples of the larger class")
     rng = random.Random(seed)
     rng.shuffle(positives)
     rng.shuffle(negatives)

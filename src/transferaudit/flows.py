@@ -23,7 +23,14 @@ from types import MappingProxyType
 
 from .countries import check_country_code
 from .errors import DomainError, ParseError
-from .lines import check_json_strings, data_lines, json_records, json_type_error, tab_records
+from .lines import (
+    check_json_strings,
+    data_lines,
+    json_records,
+    json_string,
+    json_type_error,
+    tab_records,
+)
 
 log = logging.getLogger(__name__)
 
@@ -330,7 +337,6 @@ class TransferEvent:
 
 _FLOW_STRINGS = ("app_id", "app_version", "stage", "dest_fqdn", "dest_ip", "payload_b64",
                  "cert_org", "store_name")
-_EVENT_STRINGS = ("app_id", "recipient_domain")
 
 
 def load_flow_log(path) -> list[FlowRecord]:
@@ -397,8 +403,9 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
     """Parse `scan` output, one JSON object per line, grouped by app id.
 
     Only `app_id`, `recipient_domain` and `dest_countries` are required; a
-    missing recipient kind reads as third party.  The text fields must be
-    JSON strings, the two lists JSON arrays, `any_idle_flow` a JSON boolean,
+    missing recipient kind reads as third party.  `app_id` and
+    `recipient_domain` must be JSON strings, `recipient_owner` a JSON string
+    or null, the two lists JSON arrays, `any_idle_flow` a JSON boolean,
     the recipient kind first or third party and every country an ISO-3166
     alpha-2 code.  Equal recipients and equal type or country lists share
     one frozen object each, and each is checked once, when first seen.
@@ -409,7 +416,8 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
     country_sets: dict[tuple, frozenset[str]] = {}
     for lineno, obj in json_records(lines):
         try:
-            check_json_strings(obj, _EVENT_STRINGS, lineno)
+            app_id = json_string(obj, "app_id", lineno)
+            domain = json_string(obj, "recipient_domain", lineno)
             types = obj.get("data_types", [])
             countries = obj["dest_countries"]
             idle = obj.get("any_idle_flow", False)
@@ -433,19 +441,12 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
             if dest_countries is None:
                 dest_countries = country_sets[countries_key] = frozenset(
                     check_country_code(code, lineno) for code in countries_key)
-            event = TransferEvent(
-                app_id=obj["app_id"],
-                recipient_domain=obj["recipient_domain"],
-                data_types=data_types,
-                dest_countries=dest_countries,
-                recipient=recipient,
-                any_idle_flow=idle,
-            )
+            event = TransferEvent(app_id, domain, data_types, dest_countries, recipient, idle)
         except KeyError as exc:
             raise ParseError(f"event record lacks field {exc}", lineno) from exc
         except TypeError as exc:
             raise ParseError(f"bad event record: {exc}", lineno) from exc
-        by_app.setdefault(event.app_id, []).append(event)
+        by_app.setdefault(app_id, []).append(event)
     return by_app
 
 

@@ -66,6 +66,14 @@ def json_type_error(name: str, expected: str, value, lineno: int) -> ParseError:
     return ParseError(f"{name} must be a JSON {expected}, got {json.dumps(value)}", lineno)
 
 
+def json_string(obj: dict, name: str, lineno: int) -> str:
+    """The required field `name` of `obj`, which must be a JSON string (not null)."""
+    value = obj[name]
+    if not isinstance(value, str):
+        raise json_type_error(name, "string", value, lineno)
+    return value
+
+
 def check_json_strings(obj: dict, names: tuple[str, ...], lineno: int) -> None:
     """Each field of `names` that `obj` holds, other than null, must be a JSON string."""
     for name in names:

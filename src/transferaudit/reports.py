@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Mapping
 
 from .compliance import (
@@ -32,10 +34,19 @@ ELEMENTS = ("representative", "intention", "target_country", "adequacy",
             "scc", "bcr", "explicit_consent", "copy_means", "privacy_shield")
 
 
-def _tally_elements(tally: Counter, ann, weight: int) -> None:
-    for name in ELEMENTS:
-        if getattr(ann, "countries" if name == "target_country" else name):
-            tally[name] += weight
+_type_and_class = attrgetter("transfer_type", "verdict_class")
+# an annotation's values for ELEMENTS, in order
+_element_values = attrgetter(*("countries" if e == "target_country" else e for e in ELEMENTS))
+
+
+def _tally_elements(counts: Counter) -> dict[str, int]:
+    """Per element, the total count of the element value tuples that disclose it."""
+    tally = dict.fromkeys(ELEMENTS, 0)
+    for values, count in counts.items():
+        for name, value in zip(ELEMENTS, values):
+            if value:
+                tally[name] += count
+    return tally
 
 
 @dataclass
@@ -62,47 +73,44 @@ def summarize(assessments: list[AppAssessment],
     """
     summary = ReportSummary(total_apps=len(assessments))
     summary.apps_per_type = {t: 0 for t in TRANSFER_TYPES}
-    summary.verdict_counts = {t: Counter() for t in TRANSFER_TYPES}
+    summary.verdict_counts = {t: {} for t in TRANSFER_TYPES}
     overall = Counter()
+    type_class: Counter = Counter()
     apps_per_owner: Counter = Counter()
     owner_hq: dict[str, str] = {}
     for assessment in assessments:
         overall[assessment.overall] += 1
-        if not assessment.verdicts:
+        verdicts = assessment.verdicts
+        if not verdicts:
             continue
         summary.apps_with_transfers += 1
-        types = {v.transfer_type for v in assessment.verdicts}
+        types = {v.transfer_type for v in verdicts}
         for t in types:
             summary.apps_per_type[t] += 1
         if types == {INTRA_EU}:
             summary.apps_eu_only += 1
         else:
             summary.apps_non_eu += 1
-        app_owners = set()
-        for verdict in assessment.verdicts:
-            summary.verdict_counts[verdict.transfer_type][verdict.verdict_class] += 1
-            if verdict.recipient_owner:
-                app_owners.add(verdict.recipient_owner)
-                if verdict.recipient_hq:
-                    owner_hq[verdict.recipient_owner] = verdict.recipient_hq
-        for owner in app_owners:
-            apps_per_owner[owner] += 1
+        type_class.update(map(_type_and_class, verdicts))
+        owned = [v for v in verdicts if v.recipient_owner]
+        apps_per_owner.update({v.recipient_owner for v in owned})
+        owner_hq.update((v.recipient_owner, v.recipient_hq) for v in owned if v.recipient_hq)
+    for (t, cls), count in type_class.items():
+        summary.verdict_counts[t][cls] = count
     summary.overall_counts = dict(overall)
     summary.third_party_owners = dict(apps_per_owner)
     hq_tally: Counter = Counter(owner_hq.values())
     summary.third_party_hq = dict(hq_tally)
-    element_apps: Counter = Counter()
-    segment_counts: Counter = Counter()
-    for ann in annotations.values():
-        _tally_elements(element_apps, ann, 1)
-        segment_counts.update(ann.segments)
-    # equal segments (often one shared object) are tallied once, by value
-    element_statements: Counter = Counter()
-    for seg, count in segment_counts.items():
-        _tally_elements(element_statements, seg, count)
-    summary.element_apps = {e: element_apps.get(e, 0) for e in ELEMENTS}
-    summary.element_statements = {e: element_statements.get(e, 0) for e in ELEMENTS}
-    summary.verdict_counts = {t: dict(c) for t, c in summary.verdict_counts.items()}
+    summary.element_apps = _tally_elements(Counter(map(_element_values, annotations.values())))
+    # segments are counted by object, which a study shares between equal
+    # values, and then by value, so the tally is exact either way
+    segments = list(chain.from_iterable(ann.segments for ann in annotations.values()))
+    ids = list(map(id, segments))
+    by_id = dict(zip(ids, segments))
+    statements: Counter = Counter()
+    for seg_id, count in Counter(ids).items():
+        statements[_element_values(by_id[seg_id])] += count
+    summary.element_statements = _tally_elements(statements)
     return summary
 
 

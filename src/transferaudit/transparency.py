@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from .countries import CountryDictionary, check_country_code, detect_target_countries
 from .errors import ParseError
 from .features import extract_ngrams, stopword_list, tokenize
-from .lines import check_json_strings, json_records, json_type_error
+from .lines import json_records, json_string, json_type_error
 from .rules import (
     ProximityRule,
     elements_in_sentences,
@@ -133,7 +133,7 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     codes: set[str] = set()
     for lineno, obj in json_records(lines, _decode_annotation):
         try:
-            check_json_strings(obj, ("app_id",), lineno)
+            app_id = json_string(obj, "app_id", lineno)
             records = obj.get("segments", [])
             if not isinstance(records, list):
                 raise json_type_error("segments", "array", records, lineno)
@@ -148,7 +148,7 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
                     seg = SegmentAnnotation(**_elements(s, lineno, codes))
                     seg = by_key[key] = by_value.setdefault(seg, seg)
                 segments.append(seg)
-            annotations[obj["app_id"]] = PolicyAnnotation(
+            annotations[app_id] = PolicyAnnotation(
                 segments=segments, **_elements(obj, lineno, codes))
         except KeyError as exc:
             raise ParseError(f"annotation record lacks field {exc}", lineno) from exc

@@ -1,6 +1,9 @@
 """End-to-end CLI tests over the fixture data."""
 
 import contextlib
+import dataclasses
+import datetime
+import gc
 import io
 import json
 import multiprocessing
@@ -13,6 +16,7 @@ from collections import Counter
 from importlib import resources
 from pathlib import Path
 
+import compliance_reference as reference
 import pytest
 from conftest import DATA, policy_annotations
 from hypothesis import given, settings
@@ -20,10 +24,10 @@ from hypothesis import strategies as st
 
 from transferaudit import classifier
 from transferaudit.cli import main
-from transferaudit.compliance import NO_TRANSFER
+from transferaudit.compliance import NO_TRANSFER, _verdict_core, load_jurisdiction
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, save_corpus
-from transferaudit.flows import FIRST_PARTY, THIRD_PARTY
-from transferaudit.transparency import annotation_json
+from transferaudit.flows import FIRST_PARTY, THIRD_PARTY, read_events
+from transferaudit.transparency import annotation_json, read_annotations
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +107,16 @@ def test_kfold_and_model_out_tokenize_each_sample_once(tmp_path, capsys, monkeyp
     assert capsys.readouterr().out.startswith(kfold_out)
     for name in ("intention.model.tsv", "intention.vocab.tsv"):
         assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+def test_kfold_leaving_a_fold_empty_is_input_error(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.tsv"
+    save_corpus(Corpus(samples=[LabeledSegment(PolicySegment("c", i, t), i) for i, t in
+                                enumerate(["we use cookies", "we transfer data abroad"])]),
+                corpus_path)
+    assert main(["train", "--corpus", str(corpus_path), "--kfold", "2"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: fold 1 gets no test sample: k=2 exceeds the 1 samples of the larger class\n")
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -208,6 +222,101 @@ def test_check_date_override(model_dir, tmp_path, capsys):
     assert "\tAD\t" in after
 
 
+def _annotation(app_id, **flags):
+    """An annotation record whose policy and one segment carry `flags`."""
+    segment = {**dict.fromkeys(SHIELD_SEGMENT, False), "countries": [], **flags}
+    return json.dumps({"app_id": app_id, **segment, "segments": [segment]})
+
+
+def _event(app_id, countries, kind=THIRD_PARTY, idle=False):
+    return json.dumps({"app_id": app_id, "recipient_domain": f"{app_id}.example",
+                       "dest_countries": countries, "recipient_kind": kind,
+                       "recipient_owner": "Owner" if kind == THIRD_PARTY else None,
+                       "recipient_hq": "US" if kind == THIRD_PARTY else None,
+                       "any_idle_flow": idle})
+
+
+# One app per branch of the verdict rules: every class, a country mismatch,
+# and each reason a safeguard can be void for, alone and together.
+COVERAGE_EVENTS = [
+    _event("full.app", ["US", "JP", "DE"]),  # FD, ID against {US}, NA
+    _event("full.app", ["US"], kind=FIRST_PARTY),  # FD: representative named
+    _event("omits.app", ["US", "JP"]),  # OD: no intention
+    _event("omits.app", ["CN"], kind=FIRST_PARTY),  # OD: no representative
+    _event("consent.app", ["RU"], idle=True),  # AD: consent void when idle
+    _event("consent.app", ["US"], idle=False),  # AD: no countries named
+    _event("shield.app", ["US"]),  # AD after the shield's invalidation
+    _event("both.app", ["US"], idle=True),  # AD: both reasons
+    _event("unannotated.app", ["IE"]),
+]
+COVERAGE_ANNOTATIONS = [
+    _annotation("full.app", intention=True, countries=["US"], scc=True, copy_means=True,
+                adequacy=True, representative=True),
+    _annotation("omits.app"),
+    _annotation("consent.app", intention=True, explicit_consent=True, copy_means=True),
+    _annotation("shield.app", intention=True, countries=["US"], privacy_shield=True,
+                copy_means=True),
+    _annotation("both.app", intention=True, countries=["US"], explicit_consent=True,
+                privacy_shield=True),
+]
+
+
+@pytest.mark.parametrize("date", [None, "2020-07-01", "2020-07-20"])
+def test_check_covers_every_verdict_as_the_reference_judges(tmp_path, capsys, date):
+    events_path, annotations_path = _write_study(tmp_path, COVERAGE_EVENTS,
+                                                 COVERAGE_ANNOTATIONS)
+    argv = ["check", "--events", str(events_path), "--annotations", str(annotations_path)]
+    assert main(argv + (["--date", date] if date else [])) == 0
+    out = capsys.readouterr().out
+    juris = load_jurisdiction()
+    if date:
+        juris = dataclasses.replace(juris, assessment_date=datetime.date.fromisoformat(date))
+    expected = reference.check_lines(read_events(COVERAGE_EVENTS),
+                                     read_annotations(COVERAGE_ANNOTATIONS), juris)
+    assert out == "".join(ln + "\n" for ln in expected)
+    rows = [ln.split("\t") for ln in out.splitlines() if ln.split("\t")[1] != "-"]
+    assert {r[4] for r in rows} == {"FD", "AD", "ID", "OD", "NA"}
+    assert "\tJP!=US\t" in out
+    reasons = {r[7] for r in rows}
+    assert "explicit consent nullified by idle-stage transfer" in reasons
+    if date != "2020-07-01":
+        assert "privacy shield framework invalidated" in reasons
+        assert ("explicit consent nullified by idle-stage transfer; "
+                "privacy shield framework invalidated") in reasons
+
+
+@pytest.fixture(scope="module")
+def data_study(model_dir, tmp_path_factory):
+    """`annotate` and `scan` output over tests/data, as files for `check` and `report`."""
+    base = tmp_path_factory.mktemp("data_study")
+    policies = sorted(str(p) for p in (DATA / "policies").glob("*.txt"))
+    annotations = _stdout_of(["annotate", "--model-dir", str(model_dir), *policies])
+    events = _stdout_of(["scan", "--flows", str(DATA / "flows.jsonl"),
+                         "--catalog", str(DATA / "catalog.tsv"), "--geo", str(DATA / "geo.tsv")])
+    return _write_study(base, events.splitlines(), annotations.splitlines())
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_check_and_report_restore_the_collector(data_study, tmp_path, capsys, enabled):
+    events_path, annotations_path = data_study
+    bad_events, _ = _write_study(tmp_path, [json.dumps(SHIELD_EVENT), "{"], [])
+    runs = [(["check", "--events", str(events_path)], 0),
+            (["report", "--events", str(events_path)], 0),
+            (["check", "--events", str(bad_events)], 1),
+            (["report", "--events", str(bad_events)], 1)]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in runs:
+            assert main([*argv, "--annotations", str(annotations_path)]) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert capsys.readouterr().err.count("error: line 2: bad JSON") == 2
+    # the memo of verdicts holds at most one entry per judged case
+    assert 0 < _verdict_core.cache_info().currsize <= 4 * 2 ** 12
+
+
 def _without(obj, key):
     return json.dumps({k: v for k, v in obj.items() if k != key})
 
@@ -244,11 +353,14 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
     ("events", _with(SHIELD_EVENT, any_idle_flow="yes")),
     ("events", _with(SHIELD_EVENT, recipient_domain=7)),
     ("events", _with(SHIELD_EVENT, recipient_owner=7)),
+    ("events", _with(SHIELD_EVENT, app_id=None)),
+    ("events", _with(SHIELD_EVENT, recipient_domain=None)),
     ("annotations", _with(SHIELD_ANNOTATION, countries="US")),
     ("annotations", _with(SHIELD_ANNOTATION, countries=["us"])),
     ("annotations", _with(SHIELD_ANNOTATION, intention="yes")),
     ("annotations", _with(SHIELD_ANNOTATION, segments={})),
     ("annotations", _with(SHIELD_ANNOTATION, app_id=7)),
+    ("annotations", _with(SHIELD_ANNOTATION, app_id=None)),
     ("annotations", _with_segment(countries="US")),
     ("annotations", _with_segment(countries=["de"])),
     ("annotations", _with_segment(scc="false")),
@@ -257,9 +369,10 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
         "annotation-not-object", "event-countries-string", "event-types-string",
         "event-lowercase-country", "event-kind-typo", "event-lowercase-hq",
         "event-idle-string", "event-domain-number", "event-owner-number",
+        "event-app-null", "event-domain-null",
         "annotation-countries-string", "annotation-lowercase-country",
         "annotation-intention-string", "annotation-segments-object",
-        "annotation-app-number", "segment-countries-string",
+        "annotation-app-number", "annotation-app-null", "segment-countries-string",
         "segment-lowercase-country", "segment-flag-string"])
 def test_malformed_record_is_input_error(tmp_path, capsys, command, which, bad_line):
     lines = {"events": [json.dumps(SHIELD_EVENT)],

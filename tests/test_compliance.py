@@ -1,8 +1,12 @@
 """Transfer typing, verdict rules and app aggregation tests."""
 
+import dataclasses
 import datetime
 
+import compliance_reference as reference
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferaudit.compliance import (
     AD,
@@ -25,6 +29,7 @@ from transferaudit.compliance import (
     judge_transfer,
     load_jurisdiction,
 )
+from transferaudit.compliance import _verdict_core
 from transferaudit.countries import EU_MEMBERS_2020
 from transferaudit.errors import ParseError
 from transferaudit.flows import RecipientInfo, TransferEvent
@@ -269,3 +274,56 @@ def test_jurisdiction_file_errors(tmp_path):
     path.write_text("[eu]\nDE\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_jurisdiction(path)
+
+
+# A few destinations of each transfer type, and assessment dates on both
+# sides of the privacy shield's invalidation (2020-07-16).
+_DESTINATIONS = ["US", "RU", "JP", "IL", "DE", "IE"]
+_DATES = [datetime.date(2020, 7, d) for d in (1, 15, 16, 17, 20)]
+_recipients = st.sampled_from([THIRD, FIRST, RecipientInfo(kind="third_party")])
+_flags = st.fixed_dictionaries({name: st.booleans() for name in (
+    "intention", "adequacy", "scc", "bcr", "explicit_consent", "copy_means",
+    "representative", "privacy_shield")})
+
+
+@st.composite
+def _cases(draw):
+    dests = draw(st.frozensets(st.sampled_from(_DESTINATIONS), min_size=1, max_size=3))
+    ev = event(dests, recipient=draw(_recipients), idle=draw(st.booleans()))
+    country = draw(st.sampled_from(sorted(dests)))
+    # the policy's countries hold the destination, miss it, or are empty
+    where = draw(st.sampled_from(["in", "out", "empty"]))
+    others = draw(st.frozensets(st.sampled_from(_DESTINATIONS), max_size=3)) - {country}
+    countries = {"in": others | {country}, "out": others or frozenset({"CN"}),
+                 "empty": frozenset()}[where]
+    pol = policy(countries=countries, **draw(_flags))
+    juris = dataclasses.replace(JURIS, assessment_date=draw(st.sampled_from(_DATES)))
+    return ev, country, pol, juris
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cases(), st.sampled_from([INTRA_EU, T1_FIRST_PARTY, T2_ADEQUACY, T3_NO_ADEQUACY]))
+def test_judge_transfer_agrees_with_the_reference(case, ttype):
+    ev, country, pol, juris = case
+    verdict = judge_transfer(ttype, ev, country, pol, juris)
+    expected = reference.judge_transfer(ttype, ev, country, pol, juris)
+    assert type(verdict) is Verdict
+    assert verdict._asdict() == expected._asdict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases())
+def test_judge_event_agrees_with_the_reference(case):
+    ev, _, pol, juris = case
+    assert judge_event(ev, pol, juris) == reference.judge_event(ev, pol, juris)
+
+
+def test_verdict_memo_keys_on_the_case_not_on_the_verdict():
+    _verdict_core.cache_clear()
+    pol = policy(intention=True, countries=frozenset({"US"}), scc=True)
+    for i in range(300):
+        ev = event({"US", "RU", "JP", "DE"}, recipient=(THIRD, FIRST)[i % 2],
+                   idle=i % 3 == 0, app_id=f"app{i}", domain=f"d{i}.com")
+        judge_event(ev, pol, JURIS)
+    # at most 4 transfer types x the destination disclosed or not x the idle flag
+    assert 0 < _verdict_core.cache_info().currsize <= 16

@@ -235,6 +235,32 @@ def test_stratified_kfold_single_class():
         stratified_kfold([1] * 6, 3, seed=0)
 
 
+def test_stratified_kfold_rejects_an_empty_test_fold():
+    # each class is dealt from fold 0, so two samples fill only fold 0 of 2
+    with pytest.raises(FoldError, match="^fold 1 gets no test sample: k=2 exceeds"):
+        stratified_kfold([0, 1], 2, seed=0)
+    with pytest.raises(FoldError, match="^fold 4 gets no test sample: k=5 exceeds"):
+        stratified_kfold([1, 0, 0, 0, 0], 5, seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=30), st.integers(2, 8),
+       st.integers(0, 1000))
+def test_stratified_kfold_guarantees(labels, k, seed):
+    positives = sum(labels)
+    negatives = len(labels) - positives
+    if min(positives, negatives) == 0 or k > max(positives, negatives):
+        with pytest.raises(FoldError):
+            stratified_kfold(labels, k, seed)
+        return
+    folds = stratified_kfold(labels, k, seed)
+    assert sorted(i for _, test in folds for i in test) == list(range(len(labels)))
+    assert all(test for _, test in folds)
+    for cls in (0, 1):
+        counts = [sum(labels[i] == cls for i in test) for _, test in folds]
+        assert max(counts) - min(counts) <= 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(10, 400), st.floats(0.01, 0.5), st.integers(0, 10_000))
 def test_stratification_property(n, ratio, seed):
