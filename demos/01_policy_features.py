@@ -7,16 +7,9 @@ and the three weighting schemes.
 
 import math
 
+from transferaudit.classifier import IdVocabulary, number_grams
 from transferaudit.corpus import BLANKLINE, FULLSTOP, PolicyDocument, segment_policy
-from transferaudit.features import (
-    BC,
-    TF,
-    TFIDF,
-    build_vocabulary,
-    extract_ngrams,
-    tokenize,
-    vectorize,
-)
+from transferaudit.features import BC, TF, TFIDF, extract_ngrams, tokenize
 
 POLICY = PolicyDocument(
     app_id="demo.app",
@@ -46,16 +39,19 @@ print(f"tokens: {tokenize(text)}")
 
 print("\n== vocabulary and weighting ==")
 segments = segment_policy(POLICY, FULLSTOP)
-# unigrams and bigrams, computed once per segment
+# unigrams and bigrams, computed and numbered once per segment; the labels
+# only matter to training
 gram_lists = [extract_ngrams(tokenize(s.text), 1, 2) for s in segments]
-vocab = build_vocabulary(gram_lists)
+data = number_grams(gram_lists, [0] * len(gram_lists), (1, 2))
+everyone = range(len(gram_lists))
+vocab = IdVocabulary(data, everyone, TF).vocabulary()
 print(f"{len(vocab)} features over {vocab.document_count} segments")
 
 by_index = {i: f for f, i in vocab.feature_to_index.items()}
-sample = gram_lists[0]
 for scheme in (BC, TF, TFIDF):
-    vec = vectorize(sample, vocab, scheme)
-    top = sorted(vec.entries.items(), key=lambda kv: -kv[1])[:5]
+    # segment 0's feature indices and weights
+    idx, weights = IdVocabulary(data, everyone, scheme).vector(0)
+    top = sorted(zip(idx.tolist(), weights.tolist()), key=lambda kv: -kv[1])[:5]
     pretty = ", ".join(f"{by_index[i]}={w:.3f}" for i, w in top)
     print(f"{scheme:>6}: {pretty}")
 

@@ -5,8 +5,14 @@ turn raw segment text, or n-grams already computed, into a prediction and
 how to round-trip itself through the vocabulary/model file formats.  Fitting
 a bundle and k-fold evaluation share one training path, over n-grams
 computed and numbered once per sample (`labeled_grams`), so a caller that
-does both computes them once.  A fit weighs the samples by n-gram id
-(`IdVocabulary`); a string-keyed `Vocabulary` is built only for the bundle.
+does both computes them once.
+
+The BC/TF/TF-IDF weighing is defined here for both forms of a vocabulary:
+by n-gram string for a bundle (`TextClassifier.weigh`) and by n-gram id for
+a fit (`IdVocabulary.vector`).  Both give a sample's features as one pair,
+feature indices and their weights in order of first occurrence, which is
+what `linear.train` and `linear.decision_value` read.  A string-keyed
+`Vocabulary` is built only for the bundle.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import os
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -26,30 +33,37 @@ from .errors import ParseError
 from .features import (
     BC,
     SCHEMES,
+    TF,
     TFIDF,
-    FeatureVector,
     Vocabulary,
+    bytes_hash,
     extract_ngrams,
     load_vocabulary,
     parse_ngram_range,
     save_vocabulary,
     tokenize,
-    vectorize,
+    vocabulary_hash,
 )
 from .linear import (
     CrossValidationResult,
     EvalMetrics,
+    Features,
     LinearModel,
     TrainConfig,
-    _train_arrays,
-    bytes_hash,
     compute_metrics,
     intention_label,
     load_model,
     predict,
     save_model,
-    vocabulary_hash,
+    train,
 )
+
+
+def _idf(document_count: int, document_frequency: list[int]) -> list[float]:
+    """Each feature's TF-IDF factor ln(N / n_i), taken in Python once per
+    distinct n_i."""
+    logs = {df: math.log(document_count / df) for df in set(document_frequency)}
+    return [logs[df] for df in document_frequency]
 
 
 @dataclass
@@ -64,8 +78,30 @@ class TextClassifier:
 
     def predict_grams(self, grams: list[str]) -> int:
         """Predict from the segment's n-grams over this bundle's range."""
-        x = vectorize(grams, self.vocabulary, self.scheme)
-        return predict(self.model, x)
+        return predict(self.model, self.weigh(grams))
+
+    def weigh(self, grams: list[str]) -> Features:
+        """The in-vocabulary n-grams' feature indices, in order of first
+        occurrence, and their weights under the scheme; n-grams out of the
+        vocabulary and zero TF-IDF weights are dropped."""
+        counts: dict[int, int] = {}
+        for i in map(self.vocabulary.feature_to_index.get, grams):
+            if i is not None:
+                counts[i] = counts.get(i, 0) + 1
+        indices = list(counts)
+        if self.scheme == BC:
+            return indices, [1.0] * len(indices)
+        if self.scheme == TF:
+            return indices, list(map(float, counts.values()))
+        idf = self.idf
+        kept = [(i, w) for i, c in counts.items() if (w := c * idf[i]) != 0.0]
+        return [i for i, _ in kept], [w for _, w in kept]
+
+    @cached_property
+    def idf(self) -> list[float]:
+        """Each feature's TF-IDF factor, computed on first use; a bundle's
+        vocabulary is not changed once the bundle is made."""
+        return _idf(self.vocabulary.document_count, self.vocabulary.document_frequency)
 
     def save(self, directory, name: str) -> None:
         directory = Path(directory)
@@ -103,12 +139,13 @@ def labeled_grams(corpus: Corpus, ngram: tuple[int, int],
     Computed once per corpus, they serve any number of fits and folds.
     """
     gram_lists = [extract_ngrams(tokenize(s.segment.text), *ngram) for s in corpus.samples]
-    return number_grams(gram_lists, [label_fn(s) for s in corpus.samples])
+    return number_grams(gram_lists, [label_fn(s) for s in corpus.samples], ngram)
 
 
 @dataclass(frozen=True)
 class NumberedGrams:
-    """Labeled samples whose n-grams are numbered once, for every fit.
+    """Labeled samples whose n-grams over the range `ngram` are numbered
+    once, for every fit.
 
     `grams` holds the distinct n-grams in string order, so that an n-gram's
     id is its rank.  Sample i keeps the ids of its distinct n-grams in
@@ -116,14 +153,16 @@ class NumberedGrams:
     `counts[i]`.
     """
 
+    ngram: tuple[int, int]
     grams: list[str]
     ids: list[np.ndarray]
     counts: list[np.ndarray]
     labels: list[int]
 
 
-def number_grams(gram_lists: list[list[str]], labels: list[int]) -> NumberedGrams:
-    """Number each sample's n-grams (see `NumberedGrams`)."""
+def number_grams(gram_lists: list[list[str]], labels: list[int],
+                 ngram: tuple[int, int]) -> NumberedGrams:
+    """Number each sample's n-grams over the range (see `NumberedGrams`)."""
     grams = sorted(set().union(*gram_lists))
     rank = {gram: i for i, gram in enumerate(grams)}.__getitem__
     ids, counts = [], []
@@ -131,15 +170,16 @@ def number_grams(gram_lists: list[list[str]], labels: list[int]) -> NumberedGram
         count = Counter(sample)
         ids.append(np.fromiter(map(rank, count), dtype=np.int64, count=len(count)))
         counts.append(np.fromiter(count.values(), dtype=np.float64, count=len(count)))
-    return NumberedGrams(grams=grams, ids=ids, counts=counts, labels=list(labels))
+    return NumberedGrams(ngram=ngram, grams=grams, ids=ids, counts=counts, labels=list(labels))
 
 
 class IdVocabulary:
-    """What `build_vocabulary` builds over some of the samples, over ids.
+    """The vocabulary of some of the samples, by n-gram id.
 
     A feature is an n-gram with a document frequency above 0 among those
-    samples, and features are numbered in string order, as `sorted(df)`
-    numbers them.  `vector` weighs a sample as `vectorize` does.
+    samples, and features are numbered in string order.  `vector` weighs
+    sample i as `TextClassifier.weigh` weighs its n-grams against
+    `vocabulary()`.
     """
 
     def __init__(self, data: NumberedGrams, among: Sequence[int], scheme: str):
@@ -156,16 +196,13 @@ class IdVocabulary:
         self.feature = np.full(len(data.grams), -1, dtype=np.int64)
         self.feature[self.ids] = np.arange(self.ids.size)
         if scheme == TFIDF:
-            # math.log, as vectorize takes it, once per distinct df
-            dfs, at = np.unique(self.document_frequency, return_inverse=True)
-            self.idf = np.array([math.log(self.document_count / d)
-                                 for d in dfs.tolist()])[at]
+            self.idf = np.array(_idf(self.document_count, self.document_frequency.tolist()))
 
     def __len__(self):
         return self.ids.size
 
-    def vector(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sample i's feature indices and weights, in `vectorize`'s order."""
+    def vector(self, i: int) -> Features:
+        """Sample i's feature indices and weights, as int64 and float64 arrays."""
         feature = self.feature[self.data.ids[i]]
         known = feature >= 0
         idx = feature[known]
@@ -189,18 +226,16 @@ class IdVocabulary:
 
 def _fit(vocab: IdVocabulary, among: Sequence[int], train_cfg: TrainConfig) -> LinearModel:
     """Train on the samples `among`, weighed against the vocabulary."""
-    indices, values = zip(*map(vocab.vector, among))
     labels = vocab.data.labels
-    return _train_arrays(indices, values, [labels[i] for i in among], train_cfg, len(vocab))
+    return train([(vocab.vector(i), labels[i]) for i in among], train_cfg, len(vocab))
 
 
-def fit_grams(data: NumberedGrams, ngram: tuple[int, int], scheme: str,
-              train_cfg: TrainConfig) -> TextClassifier:
+def fit_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfig) -> TextClassifier:
     """Build the vocabulary on all the samples, and train."""
     everyone = range(len(data.labels))
     vocab = IdVocabulary(data, everyone, scheme)
     model = _fit(vocab, everyone, train_cfg)
-    return TextClassifier(ngram=ngram, vocabulary=vocab.vocabulary(), scheme=scheme,
+    return TextClassifier(ngram=data.ngram, vocabulary=vocab.vocabulary(), scheme=scheme,
                           model=model)
 
 
@@ -208,7 +243,7 @@ def fit_text_classifier(corpus: Corpus, ngram: tuple[int, int], scheme: str,
                         train_cfg: TrainConfig,
                         label_fn: Callable[[LabeledSegment], int]) -> TextClassifier:
     """Build the vocabulary on the full corpus, and train."""
-    return fit_grams(labeled_grams(corpus, ngram, label_fn), ngram, scheme, train_cfg)
+    return fit_grams(labeled_grams(corpus, ngram, label_fn), scheme, train_cfg)
 
 
 @dataclass(frozen=True)
@@ -225,11 +260,7 @@ class _CrossValidation:
         if vocab is None:
             vocab = IdVocabulary(self.data, train_idx, self.scheme)
         model = _fit(vocab, train_idx, self.train_cfg)
-        predictions = []
-        for i in test_idx:
-            idx, values = vocab.vector(i)
-            x = FeatureVector(dict(zip(idx.tolist(), values.tolist())))
-            predictions.append(predict(model, x))
+        predictions = [predict(model, vocab.vector(i)) for i in test_idx]
         return compute_metrics(predictions, [self.data.labels[i] for i in test_idx])
 
 

@@ -16,6 +16,7 @@ import functools
 import gc
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import compliance, corpus, flows, reports, transparency
@@ -58,7 +59,7 @@ def _cmd_train(args) -> int:
         means = " ".join(f"{k}={v:.4f}" for k, v in sorted(result.means.items()))
         print(f"mean: {means}")
     if args.model_out:
-        bundle = classifier.fit_grams(grams, ngram, args.weighting, train_cfg)
+        bundle = classifier.fit_grams(grams, args.weighting, train_cfg)
         bundle.save(args.model_out, args.task)
         print(f"saved {args.task} model to {args.model_out}")
     return 0
@@ -79,6 +80,11 @@ def _load_annotator(args) -> transparency.SegmentAnnotator:
 
 
 def _cmd_annotate(args) -> int:
+    # a policy's app id is its file's stem, and an app id has one annotation
+    stems = Counter(Path(path).stem for path in args.policies)
+    repeated = sorted(stem for stem, count in stems.items() if count > 1)
+    if repeated:
+        raise AuditError(f"policy files share an app id: {', '.join(repeated)}")
     annotator = _load_annotator(args)
     for path in args.policies:
         text = Path(path).read_text(encoding="utf-8")

@@ -1,16 +1,17 @@
-"""Sparse n-gram features for policy segments.
+"""Tokens, n-grams and the vocabulary file of policy segments.
 
 The token pipeline is fixed: lowercase -> drop non-ASCII -> ASCII letter
-runs -> drop stop words -> stem; n-grams are built over its tokens.
-Vocabularies record document frequencies so TF-IDF weights can be computed
-as count * ln(N / n_i).
+runs -> drop stop words -> stem; n-grams are built over its tokens.  A
+vocabulary numbers the n-grams of a model and records their document
+frequencies, so that TF-IDF weights can be computed as count * ln(N / n_i);
+the weighing itself lives with the classifier (`classifier.py`).
 """
 
 from __future__ import annotations
 
-import math
+import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .errors import ParseError
@@ -82,51 +83,6 @@ class Vocabulary:
         return len(self.feature_to_index)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse weights for one segment under a weighting scheme."""
-
-    entries: dict[int, float] = field(default_factory=dict)
-
-
-def build_vocabulary(gram_lists: list[list[str]]) -> Vocabulary:
-    """Index every distinct n-gram and count the segments containing it."""
-    if not gram_lists:
-        raise ValueError("need at least one segment to build a vocabulary")
-    df: dict[str, int] = {}
-    for grams in gram_lists:
-        for gram in set(grams):
-            df[gram] = df.get(gram, 0) + 1
-    features = sorted(df)
-    return Vocabulary(
-        feature_to_index={f: i for i, f in enumerate(features)},
-        document_frequency=[df[f] for f in features],
-        document_count=len(gram_lists),
-    )
-
-
-def vectorize(grams: list[str], vocab: Vocabulary, scheme: str) -> FeatureVector:
-    """Weight the in-vocabulary n-grams of one segment; OOV grams are ignored."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown weighting scheme {scheme!r}")
-    counts: dict[int, int] = {}
-    for gram in grams:
-        idx = vocab.feature_to_index.get(gram)
-        if idx is not None:
-            counts[idx] = counts.get(idx, 0) + 1
-    entries: dict[int, float] = {}
-    for idx, count in counts.items():
-        if scheme == BC:
-            entries[idx] = 1.0
-        elif scheme == TF:
-            entries[idx] = float(count)
-        else:
-            weight = count * math.log(vocab.document_count / vocab.document_frequency[idx])
-            if weight != 0.0:
-                entries[idx] = weight
-    return FeatureVector(entries=entries)
-
-
 def save_vocabulary(vocab: Vocabulary, path) -> bytes:
     """Write `#N=` header plus one `feature TAB index TAB df` line per
     feature; returns the bytes written."""
@@ -137,6 +93,7 @@ def save_vocabulary(vocab: Vocabulary, path) -> bytes:
 
 
 def vocabulary_bytes(vocab: Vocabulary) -> bytes:
+    """The file `save_vocabulary` writes."""
     lines = [f"#N={vocab.document_count}"]
     for feature in sorted(vocab.feature_to_index):
         idx = vocab.feature_to_index[feature]
@@ -144,11 +101,26 @@ def vocabulary_bytes(vocab: Vocabulary) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def bytes_hash(data: bytes) -> str:
+    """The short SHA-256 that a model header stores for its vocabulary file."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def vocabulary_hash(vocab: Vocabulary) -> str:
+    return bytes_hash(vocabulary_bytes(vocab))
+
+
 def load_vocabulary(path) -> Vocabulary:
-    """Read a vocabulary file written by `save_vocabulary`."""
+    """Read a vocabulary file written by `save_vocabulary`.
+
+    `#N=` must be at least 1 and every df in 1..N, so that each TF-IDF
+    weight is defined; a line that breaks this is a ParseError naming it.
+    """
     feature_to_index: dict[str, int] = {}
     df_by_index: dict[int, int] = {}
     document_count = None
+    # the largest df and its line, checked against N once N is known
+    max_df, max_df_line = 0, None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -157,6 +129,9 @@ def load_vocabulary(path) -> Vocabulary:
             try:
                 if line.startswith("#N="):
                     document_count = int(line[3:])
+                    if document_count < 1:
+                        raise ParseError(f"#N= must be at least 1, got {document_count}",
+                                         lineno)
                     continue
                 parts = line.split("\t")
                 if len(parts) != 3:
@@ -164,10 +139,16 @@ def load_vocabulary(path) -> Vocabulary:
                 feature, idx, df = parts[0], int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
+            if df < 1:
+                raise ParseError(f"df must be at least 1, got {df}", lineno)
+            if df > max_df:
+                max_df, max_df_line = df, lineno
             feature_to_index[feature] = idx
             df_by_index[idx] = df
     if document_count is None:
         raise ParseError("missing #N= header")
+    if max_df > document_count:
+        raise ParseError(f"df {max_df} exceeds #N={document_count}", max_df_line)
     if sorted(df_by_index) != list(range(len(feature_to_index))):
         raise ParseError("vocabulary indices are not dense 0..n-1")
     return Vocabulary(

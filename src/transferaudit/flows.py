@@ -335,15 +335,17 @@ class TransferEvent:
     any_idle_flow: bool
 
 
-_FLOW_STRINGS = ("app_id", "app_version", "stage", "dest_fqdn", "dest_ip", "payload_b64",
-                 "cert_org", "store_name")
+# the optional text fields of a flow; app_id, stage and dest_fqdn are required
+_FLOW_STRINGS = ("app_version", "dest_ip", "payload_b64", "cert_org", "store_name")
 
 
 def load_flow_log(path) -> list[FlowRecord]:
     """One JSON object per line; `payload_b64` carries raw payload bytes.
 
-    The text fields must be JSON strings, `detected_types` a JSON array and
-    `country` an ISO-3166 alpha-2 code; each distinct country is checked once.
+    The text fields must be JSON strings, of which `app_id`, `stage` and
+    `dest_fqdn` are required and not null; `detected_types` must be a JSON
+    array and `country` an ISO-3166 alpha-2 code; each distinct country is
+    checked once.
     """
     records = []
     codes: set[str] = set()
@@ -358,10 +360,10 @@ def load_flow_log(path) -> list[FlowRecord]:
                 if country is not None and country not in codes:
                     codes.add(check_country_code(country, lineno))
                 records.append(FlowRecord(
-                    app_id=obj["app_id"],
+                    app_id=json_string(obj, "app_id", lineno),
                     app_version=obj.get("app_version", ""),
-                    stage=obj["stage"],
-                    dest_fqdn=obj["dest_fqdn"],
+                    stage=json_string(obj, "stage", lineno),
+                    dest_fqdn=json_string(obj, "dest_fqdn", lineno),
                     dest_ip=obj.get("dest_ip"),
                     country=country,
                     payload=base64.b64decode(obj["payload_b64"]) if obj.get("payload_b64") else b"",

@@ -4,7 +4,9 @@ The objective is mean modified-Huber loss plus (alpha/2)*||w||^2; the bias is
 unregularized.  Labels {0,1} map to {-1,+1}.  The learning rate decays as
 eta0 / (1 + alpha*eta0*t) with t counting individual updates, and sample
 order is reshuffled each epoch under the configured seed, so training is
-fully deterministic.
+fully deterministic.  A sample's features are one pair, its feature
+indices and their values in the order `classifier` weighs them, which
+`train` and `decision_value` both read.
 
 Weights are kept as v * scale (Bottou's scaled-weight SGD), so the decay
 step is one multiply of `scale`.  Each epoch's step sizes are computed in
@@ -15,7 +17,6 @@ updates them in place and writes them back: the model keeps every bit.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -26,9 +27,12 @@ import numpy as np
 
 from .corpus import LabeledSegment
 from .errors import DegenerateTraining, ParseError, ShapeError
-from .features import SCHEMES, FeatureVector, Vocabulary, parse_ngram_range, vocabulary_bytes
+from .features import SCHEMES, parse_ngram_range
 
 MODIFIED_HUBER = "modified_huber"
+
+# A sample's features: its feature indices and their values, in one order.
+Features = tuple[Sequence[int], Sequence[float]]
 
 
 def modified_huber_loss(z: float) -> float:
@@ -77,28 +81,22 @@ class LinearModel:
             raise ValueError("model parameters must be finite")
 
 
-def train(samples: Sequence[tuple[FeatureVector, int]], cfg: TrainConfig,
+def train(samples: Sequence[tuple[Features, int]], cfg: TrainConfig,
           dim: int) -> LinearModel:
-    """Fit the hyperplane by SGD; raises DegenerateTraining on one-class input."""
-    indices = [np.fromiter(x.entries.keys(), dtype=np.int64, count=len(x.entries))
-               for x, _ in samples]
-    values = [np.fromiter(x.entries.values(), dtype=np.float64, count=len(x.entries))
-              for x, _ in samples]
-    for idx in indices:
-        if idx.size:
-            lo, hi = int(idx.min()), int(idx.max())
-            if lo < 0 or hi >= dim:
-                raise ShapeError(f"feature index {lo if lo < 0 else hi} outside dimension {dim}")
-    return _train_arrays(indices, values, [y for _, y in samples], cfg, dim)
-
-
-def _train_arrays(indices: Sequence[np.ndarray], values: Sequence[np.ndarray],
-                  labels: Sequence[int], cfg: TrainConfig, dim: int) -> LinearModel:
-    """`train` over each sample's feature indices (int64, each in 0..dim-1)
-    and values (float64), as `train` would turn its vectors into."""
+    """Fit the hyperplane by SGD to `(features, label)` pairs, whose feature
+    indices (int64 arrays) must lie in 0..dim-1 and whose values are float64
+    arrays; raises DegenerateTraining on one-class input."""
+    indices = [idx for (idx, _), _ in samples]
+    values = [x for (_, x), _ in samples]
+    labels = [y for _, y in samples]
     classes = sorted(set(labels))
     if classes != [0, 1]:
         raise DegenerateTraining(f"need both classes in training data, got labels {classes}")
+    every = np.concatenate(indices)
+    if every.size:
+        lo, hi = int(every.min()), int(every.max())
+        if lo < 0 or hi >= dim:
+            raise ShapeError(f"feature index {lo if lo < 0 else hi} outside dimension {dim}")
     ys = [1.0 if y == 1 else -1.0 for y in labels]
 
     n = len(ys)
@@ -142,24 +140,30 @@ def _train_arrays(indices: Sequence[np.ndarray], values: Sequence[np.ndarray],
     return LinearModel(weights=v * scale, bias=float(bias), config=cfg)
 
 
-def decision_value(model: LinearModel, x: FeatureVector) -> float:
-    """w.x + b for a sparse vector indexed against the model's vocabulary.
+def decision_value(model: LinearModel, x: Features) -> float:
+    """w.x + b for a sample's features, indexed against the model's vocabulary.
 
-    The sum starts at the bias and adds the features in the vector's order.
+    The sum starts at the bias and adds the features in the sample's order.
     `item` reads each weight as a Python float: the same value as the
-    array's numpy scalar, so the same sum, at half the cost.
+    array's numpy scalar, so the same sum, at half the cost; a fit's index
+    and value arrays are read as Python numbers for the same reason.
     """
+    indices, values = x
+    if isinstance(indices, np.ndarray):
+        indices = indices.tolist()
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     weight = model.weights.item
     n = model.weights.shape[0]
     total = model.bias
-    for idx, val in x.entries.items():
+    for idx, val in zip(indices, values):
         if not 0 <= idx < n:
             raise ShapeError(f"feature index {idx} outside model dimension {n}")
         total += weight(idx) * val
     return float(total)
 
 
-def predict(model: LinearModel, x: FeatureVector) -> int:
+def predict(model: LinearModel, x: Features) -> int:
     """1 iff the decision value is strictly positive; an exact 0 is negative."""
     return 1 if decision_value(model, x) > 0.0 else 0
 
@@ -243,15 +247,6 @@ def intention_label(sample: LabeledSegment) -> int:
 
 def adequacy_label(sample: LabeledSegment) -> int:
     return 1 if "adequacy" in sample.element_labels else 0
-
-
-def bytes_hash(data: bytes) -> str:
-    """The short SHA-256 that a model header stores for its vocabulary file."""
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
-def vocabulary_hash(vocab: Vocabulary) -> str:
-    return bytes_hash(vocabulary_bytes(vocab))
 
 
 def model_bytes(model: LinearModel, *, scheme: str, ngram: tuple[int, int],

@@ -116,7 +116,8 @@ _decode_annotation = json.JSONDecoder(parse_int=_no_number, parse_float=_no_numb
 
 
 def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
-    """Parse `annotate` output, one JSON object per line, keyed by app id.
+    """Parse `annotate` output, one JSON object per line, keyed by app id;
+    an app id may have one record only.
 
     Segments with equal values load as one shared `SegmentAnnotation`, which
     is safe because the class is frozen: a study repeats a few thousand
@@ -148,8 +149,11 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
                     seg = SegmentAnnotation(**_elements(s, lineno, codes))
                     seg = by_key[key] = by_value.setdefault(seg, seg)
                 segments.append(seg)
-            annotations[app_id] = PolicyAnnotation(
-                segments=segments, **_elements(obj, lineno, codes))
+            policy = PolicyAnnotation(segments=segments, **_elements(obj, lineno, codes))
+            if app_id in annotations:
+                # keeping either record would make verdicts depend on their order
+                raise ParseError(f"repeated app_id {app_id!r}", lineno)
+            annotations[app_id] = policy
         except KeyError as exc:
             raise ParseError(f"annotation record lacks field {exc}", lineno) from exc
         except TypeError as exc:

@@ -11,11 +11,12 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import policy_text
 
-from transferaudit.classifier import cross_validate
+from transferaudit.classifier import IdVocabulary, TextClassifier, cross_validate, number_grams
 from transferaudit.compliance import (
     AD,
     FD,
@@ -39,13 +40,7 @@ from transferaudit.countries import (
     EU_MEMBERS_2020,
     detect_target_countries,
 )
-from transferaudit.features import (
-    TF,
-    TFIDF,
-    build_vocabulary,
-    extract_ngrams,
-    vectorize,
-)
+from transferaudit.features import TF, TFIDF, extract_ngrams
 from transferaudit.flows import (
     CatalogEntry,
     PersonalDataCatalog,
@@ -55,6 +50,7 @@ from transferaudit.flows import (
     scan_payload,
 )
 from transferaudit.linear import (
+    LinearModel,
     TrainConfig,
     compute_metrics,
     model_bytes,
@@ -224,7 +220,13 @@ def test_criterion_3_tfidf_brute_force():
                 "theta", "iota", "kappa"]
     segments = [[rng.choice(alphabet) for _ in range(rng.randint(1, 12))]
                 for _ in range(50)]
-    vocab = build_vocabulary([extract_ngrams(s, 1, 2) for s in segments])
+    gram_lists = [extract_ngrams(s, 1, 2) for s in segments]
+    by_id = IdVocabulary(number_grams(gram_lists, [0] * len(segments), (1, 2)),
+                         range(len(segments)), TFIDF)
+    vocab = by_id.vocabulary()
+    bundle = TextClassifier(ngram=(1, 2), vocabulary=vocab, scheme=TFIDF,
+                            model=LinearModel(weights=np.zeros(len(vocab)), bias=0.0,
+                                              config=TrainConfig()))
     n_docs = len(segments)
 
     def brute_grams(tokens):
@@ -233,8 +235,7 @@ def test_criterion_3_tfidf_brute_force():
         return grams
 
     doc_grams = [set(brute_grams(s)) for s in segments]
-    for seg in segments:
-        got = vectorize(extract_ngrams(seg, 1, 2), vocab, TFIDF).entries
+    for i, seg in enumerate(segments):
         expected = {}
         for gram in set(brute_grams(seg)):
             count = brute_grams(seg).count(gram)
@@ -242,9 +243,13 @@ def test_criterion_3_tfidf_brute_force():
             weight = count * math.log(n_docs / n_i)
             if weight != 0.0:
                 expected[vocab.feature_to_index[gram]] = weight
-        assert set(got) == set(expected)
-        for idx, weight in expected.items():
-            assert abs(got[idx] - weight) <= 1e-12
+        idx, values = by_id.vector(i)
+        # both weighings: by n-gram id, and by n-gram string
+        for got in (dict(zip(idx.tolist(), values.tolist())),
+                    dict(zip(*bundle.weigh(gram_lists[i])))):
+            assert set(got) == set(expected)
+            for feature, weight in expected.items():
+                assert abs(got[feature] - weight) <= 1e-12
     _ok("3 TF-IDF brute-force equivalence (50 segments, 1e-12)")
 
 
@@ -444,9 +449,7 @@ def test_criterion_9_metric_suite():
 # -- criterion 10: determinism and throughput ---------------------------------
 
 def test_criterion_10_determinism_and_throughput(annotator):
-    from transferaudit.features import FeatureVector
-
-    samples = [(FeatureVector({0: 1.0}), 1), (FeatureVector({0: -1.0}), 0)]
+    samples = [((np.array([0]), np.array([1.0])), 1), ((np.array([0]), np.array([-1.0])), 0)]
     cfg = TrainConfig(alpha=1e-3, epochs=25, seed=99)
     blob_a = model_bytes(train(samples, cfg, dim=1), scheme=TF, ngram=(1, 2), vocab_hash="00")
     blob_b = model_bytes(train(samples, cfg, dim=1), scheme=TF, ngram=(1, 2), vocab_hash="00")

@@ -3,7 +3,9 @@
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
+import test_training_reference as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,13 +14,15 @@ from transferaudit.classifier import (
     IdVocabulary,
     TextClassifier,
     cross_validate,
+    fit_grams,
     fit_text_classifier,
+    labeled_grams,
     number_grams,
 )
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, stratified_kfold
 from transferaudit.errors import DegenerateTraining, ParseError
-from transferaudit.features import SCHEMES, TF, build_vocabulary, vectorize
-from transferaudit.linear import TrainConfig, intention_label
+from transferaudit.features import SCHEMES, TF
+from transferaudit.linear import LinearModel, TrainConfig, intention_label
 
 PROBES = [
     "we transfer personal data to other countries",
@@ -119,10 +123,26 @@ def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
     bundle.save(tmp_path, "intention")
     vocab_path = tmp_path / "intention.vocab.tsv"
     lines = vocab_path.read_text(encoding="utf-8").splitlines()
-    vocab_path.write_text("\n".join([lines[0], "#N=q", *lines[1:]]) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError) as exc:
-        TextClassifier.load(tmp_path, "intention")
-    assert exc.value.line_number == 2
+    n = int(lines[0].removeprefix("#N="))
+    feature, idx, _ = lines[1].split("\t")
+    # each bad line is line 2; without N >= 1 and 1 <= df <= N, some
+    # TF-IDF weight ln(N / df) would be undefined
+    for bad, rest in [("#N=q", lines[1:]), ("#N=0", lines[1:]), ("#N=-2", lines[1:]),
+                      (f"{feature}\t{idx}\t0", lines[2:]),
+                      (f"{feature}\t{idx}\t-1", lines[2:]),
+                      (f"{feature}\t{idx}\t{n + 1}", lines[2:])]:
+        vocab_path.write_text("\n".join([lines[0], bad, *rest]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            TextClassifier.load(tmp_path, "intention")
+        assert exc.value.line_number == 2, bad
+
+
+def test_a_fit_saves_the_range_its_grams_were_numbered_over(tmp_path):
+    data = labeled_grams(_corpus(), (1, 3), intention_label)
+    fit_grams(data, TF, TrainConfig(seed=3)).save(tmp_path, "intention")
+    lines = (tmp_path / "intention.model.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "#ngram=1-3"
+    assert TextClassifier.load(tmp_path, "intention").ngram == (1, 3)
 
 
 # few distinct n-grams, so that samples share them: df == N and grams out of
@@ -143,16 +163,26 @@ def _labeled_gram_lists(draw):
     return gram_lists, labels, k, draw(st.integers(0, 99))
 
 
+def _hexed(x):
+    """A sample's features as a list of indices and one of float hex strings."""
+    idx, values = (np.asarray(part).tolist() for part in x)
+    return idx, [float(v).hex() for v in values]
+
+
 def _assert_as_vectorize(data, gram_lists, among, scheme):
+    """Both weighings against the reference vocabulary and vectors of
+    `test_training_reference`, over the n-grams taken as unigrams."""
     vocab = IdVocabulary(data, among, scheme)
-    reference = build_vocabulary([gram_lists[i] for i in among])
-    assert vocab.vocabulary() == reference
-    assert list(vocab.vocabulary().feature_to_index) == list(reference.feature_to_index)
+    want_vocab = reference._reference_build_vocabulary([gram_lists[i] for i in among], 1, 1)
+    assert vocab.vocabulary() == want_vocab
+    assert list(vocab.vocabulary().feature_to_index) == list(want_vocab.feature_to_index)
+    model = LinearModel(weights=np.zeros(len(vocab)), bias=0.0, config=TrainConfig())
+    bundle = TextClassifier(ngram=data.ngram, vocabulary=vocab.vocabulary(), scheme=scheme,
+                            model=model)
     for i, grams in enumerate(gram_lists):
-        idx, values = vocab.vector(i)
-        expected = vectorize(grams, reference, scheme).entries
-        assert idx.tolist() == list(expected)
-        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.values()]
+        want = _hexed(reference._reference_vectorize(grams, want_vocab, 1, 1, scheme))
+        assert _hexed(vocab.vector(i)) == want
+        assert _hexed(bundle.weigh(grams)) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,10 +190,11 @@ def _assert_as_vectorize(data, gram_lists, among, scheme):
 @example(([["a", "b", "a"], ["a"], ["a", "c", "c"], ["b", "a"]], [1, 0, 1, 0], 2, 0))
 def test_fold_vectors_are_those_of_vectorize(case):
     """Every fold's train and test vectors, and those over all the samples
-    (`fit_on_all`), equal `vectorize` against `build_vocabulary` of the
-    fold's train grams: the same keys in the same order, the same values."""
+    (`fit_on_all`), equal the reference vectors against the reference
+    vocabulary of the fold's train grams, by id and by string: the same
+    indices in the same order, the same values."""
     gram_lists, labels, k, seed = case
-    data = number_grams(gram_lists, labels)
+    data = number_grams(gram_lists, labels, (1, 1))
     assert data.grams == sorted(set().union(*gram_lists))
     for scheme in SCHEMES:
         _assert_as_vectorize(data, gram_lists, range(len(labels)), scheme)
@@ -172,10 +203,9 @@ def test_fold_vectors_are_those_of_vectorize(case):
 
 
 def test_id_vocabulary_needs_a_sample_and_a_scheme():
-    data = number_grams([["a"], ["b"]], [0, 1])
-    for build in (lambda: build_vocabulary([]), lambda: IdVocabulary(data, [], TF)):
-        with pytest.raises(ValueError, match="need at least one segment"):
-            build()
+    data = number_grams([["a"], ["b"]], [0, 1], (1, 1))
+    with pytest.raises(ValueError, match="need at least one segment"):
+        IdVocabulary(data, [], TF)
     with pytest.raises(ValueError, match="unknown weighting scheme"):
         IdVocabulary(data, [0], "idf")
 

@@ -406,6 +406,53 @@ def test_number_flag_is_input_error_in_either_segment_order(tmp_path, capsys, co
     assert captured.err == "error: line 2: an annotation record holds no JSON numbers, got 0\n"
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("disclosing_first", [False, True])
+def test_repeated_app_id_in_annotations_is_input_error(tmp_path, capsys, command,
+                                                       disclosing_first):
+    # one record discloses all the event needs and the other nothing, so
+    # keeping either one would make the verdict depend on the record order
+    records = [_annotation("full.app", intention=True, countries=["US"], scc=True,
+                           copy_means=True, adequacy=True, representative=True),
+               _annotation("full.app")]
+    if not disclosing_first:
+        records.reverse()
+    events_path, annotations_path = _write_study(tmp_path, [_event("full.app", ["US"])],
+                                                 records)
+    assert main([command, "--events", str(events_path),
+                 "--annotations", str(annotations_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: repeated app_id 'full.app'\n"
+
+
+def test_annotate_refuses_policy_files_of_one_app_id(model_dir, tmp_path, capsys):
+    # `annotate` names a policy by its file's stem
+    policies = []
+    for directory in ("a", "b"):
+        (tmp_path / directory).mkdir()
+        policies.append(tmp_path / directory / "x.txt")
+        policies[-1].write_text("We transfer data to Japan.", encoding="utf-8")
+    assert main(["annotate", "--model-dir", str(model_dir), *map(str, policies)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: policy files share an app id: x\n"
+
+
+@pytest.mark.parametrize("field", ["app_id", "stage", "dest_fqdn"])
+def test_scan_null_required_field_is_input_error_naming_the_line(tmp_path, capsys, field):
+    lines = (DATA / "flows.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = {**json.loads(lines[0]), field: None}
+    flows_path = tmp_path / "flows.jsonl"
+    flows_path.write_text("\n".join([lines[0], json.dumps(bad), *lines[1:]]) + "\n",
+                          encoding="utf-8")
+    assert main(["scan", "--flows", str(flows_path), "--catalog", str(DATA / "catalog.tsv"),
+                 "--geo", str(DATA / "geo.tsv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: {field} must be a JSON string, got null\n"
+
+
 def test_scan_drops_unparseable_hostname(tmp_path, capsys, caplog):
     args = ["--catalog", str(DATA / "catalog.tsv"), "--geo", str(DATA / "geo.tsv")]
     assert main(["scan", "--flows", str(DATA / "flows.jsonl"), *args]) == 0

@@ -1,25 +1,32 @@
-"""Token pipeline, n-gram extraction, vocabulary and weighting tests."""
+"""Token pipeline, n-gram extraction, vocabulary and weighting tests.
+
+A vocabulary is built by `IdVocabulary` over numbered n-grams, and every
+weighting case checks both weighings: `IdVocabulary.vector` of a sample it
+was built on, and `TextClassifier.weigh` of n-grams against the string-keyed
+`Vocabulary` it gives.
+"""
 
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from transferaudit.classifier import IdVocabulary, TextClassifier, number_grams
 from transferaudit.features import (
     BC,
     TF,
     TFIDF,
-    build_vocabulary,
     check_ngram_range,
     extract_ngrams,
     load_vocabulary,
     save_vocabulary,
     stopword_list,
     tokenize,
-    vectorize,
 )
+from transferaudit.linear import LinearModel, TrainConfig
 from transferaudit.stemmer import stem
 
 
@@ -97,57 +104,78 @@ def test_extract_ngrams_trigram():
     assert "standard contractu claus" in grams
 
 
+def _bundle(vocab, scheme):
+    """A bundle that weighs n-grams against the string-keyed vocabulary."""
+    model = LinearModel(weights=np.zeros(len(vocab)), bias=0.0, config=TrainConfig())
+    return TextClassifier(ngram=(1, 1), vocabulary=vocab, scheme=scheme, model=model)
+
+
+def _weighings(gram_lists, scheme=TF):
+    """The vocabulary of the samples `gram_lists` and each sample's features
+    as {index: value}, which both weighings must give, in the same order."""
+    by_id = IdVocabulary(number_grams(gram_lists, [0] * len(gram_lists), (1, 1)),
+                         range(len(gram_lists)), scheme)
+    vocab = by_id.vocabulary()
+    bundle = _bundle(vocab, scheme)
+    vectors = []
+    for i, grams in enumerate(gram_lists):
+        idx, values = by_id.vector(i)
+        vector = dict(zip(idx.tolist(), values.tolist()))
+        assert list(zip(*bundle.weigh(grams))) == list(vector.items())
+        vectors.append(vector)
+    return vocab, vectors
+
+
 def test_build_vocabulary_document_frequency():
-    vocab = build_vocabulary([["transfer", "data"], ["transfer"]])
+    vocab, _ = _weighings([["transfer", "data"], ["transfer"]])
     assert vocab.document_count == 2
     assert vocab.document_frequency[vocab.feature_to_index["transfer"]] == 2
     assert vocab.document_frequency[vocab.feature_to_index["data"]] == 1
 
 
 def test_duplicate_token_counts_once_per_document():
-    vocab = build_vocabulary([["transfer", "transfer"]])
+    vocab, _ = _weighings([["transfer", "transfer"]])
     assert vocab.document_frequency[vocab.feature_to_index["transfer"]] == 1
 
 
 def test_vocabulary_indices_are_dense():
-    vocab = build_vocabulary([["b", "a"], ["c"]])
+    vocab, _ = _weighings([["b", "a"], ["c"]])
     assert sorted(vocab.feature_to_index.values()) == [0, 1, 2]
 
 
 def test_vectorize_tfidf_formula():
     # count 3, N=4, n_i=2 -> 3*ln(2)
-    vocab = build_vocabulary([["x"], ["x"], ["y"], ["z"]])
-    vec = vectorize(["x", "x", "x"], vocab, TFIDF)
-    assert vec.entries[vocab.feature_to_index["x"]] == pytest.approx(3 * math.log(2), abs=1e-12)
+    vocab, vectors = _weighings([["x", "x", "x"], ["x"], ["y"], ["z"]], TFIDF)
+    assert vectors[0][vocab.feature_to_index["x"]] == pytest.approx(3 * math.log(2), abs=1e-12)
 
 
 def test_vectorize_tfidf_omits_zero_weights():
     # n_i == N -> ln(1) = 0 -> entry omitted
-    vocab = build_vocabulary([["x"], ["x"]])
-    vec = vectorize(["x"], vocab, TFIDF)
-    assert vec.entries == {}
+    _, vectors = _weighings([["x"], ["x"]], TFIDF)
+    assert vectors == [{}, {}]
 
 
 def test_vectorize_bc_is_presence():
-    vocab = build_vocabulary([["x"], ["y"]])
-    vec = vectorize(["x"] * 7, vocab, BC)
-    assert vec.entries[vocab.feature_to_index["x"]] == 1.0
+    vocab, vectors = _weighings([["x"] * 7, ["y"]], BC)
+    assert vectors[0] == {vocab.feature_to_index["x"]: 1.0}
 
 
 def test_vectorize_tf_counts():
-    vocab = build_vocabulary([["x"], ["y"]])
-    vec = vectorize(["x", "x"], vocab, TF)
-    assert vec.entries[vocab.feature_to_index["x"]] == 2.0
+    vocab, vectors = _weighings([["x", "x"], ["y"]], TF)
+    assert vectors[0] == {vocab.feature_to_index["x"]: 2.0}
 
 
 def test_vectorize_out_of_vocabulary_is_empty():
-    vocab = build_vocabulary([["x"]])
-    assert vectorize(["unseen", "tokens"], vocab, TF).entries == {}
+    vocab, _ = _weighings([["x"]])
+    assert _bundle(vocab, TF).weigh(["unseen", "tokens"]) == ([], [])
+    # by id: a vocabulary built without the sample that holds the n-grams
+    data = number_grams([["x"], ["unseen", "tokens"]], [0, 1], (1, 1))
+    idx, values = IdVocabulary(data, [0], TF).vector(1)
+    assert idx.size == values.size == 0
 
 
 def test_vocabulary_roundtrip(tmp_path):
-    vocab = build_vocabulary([extract_ngrams(["a", "b"], 1, 2),
-                              extract_ngrams(["b", "c"], 1, 2)])
+    vocab, _ = _weighings([extract_ngrams(["a", "b"], 1, 2), extract_ngrams(["b", "c"], 1, 2)])
     path = tmp_path / "vocab.tsv"
     save_vocabulary(vocab, path)
     loaded = load_vocabulary(path)
@@ -159,17 +187,22 @@ def test_vocabulary_roundtrip(tmp_path):
 @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=8),
                 min_size=1, max_size=20))
 def test_tfidf_bounded_by_tf_times_log_n(segments):
-    vocab = build_vocabulary(segments)
-    for seg in segments:
-        tf = vectorize(seg, vocab, TF)
-        tfidf = vectorize(seg, vocab, TFIDF)
-        bound = math.log(max(vocab.document_count, 1)) or 0.0
-        for idx, weight in tfidf.entries.items():
-            assert 0.0 <= weight <= tf.entries[idx] * bound + 1e-12
+    vocab, tfs = _weighings(segments, TF)
+    _, tfidfs = _weighings(segments, TFIDF)
+    bound = math.log(max(vocab.document_count, 1)) or 0.0
+    for tf, tfidf in zip(tfs, tfidfs):
+        for idx, weight in tfidf.items():
+            assert 0.0 <= weight <= tf[idx] * bound + 1e-12
 
 
 @given(st.lists(st.sampled_from(["transfer", "data", "country", "outside"]),
                 min_size=0, max_size=10))
 def test_vectorize_is_deterministic(tokens):
-    vocab = build_vocabulary([["transfer", "data"], ["country"]])
-    assert vectorize(tokens, vocab, TF) == vectorize(tokens, vocab, TF)
+    """The same n-grams weigh the same, by string and by id, against a
+    vocabulary built without them."""
+    vocab, _ = _weighings([["transfer", "data"], ["country"]])
+    bundle = _bundle(vocab, TF)
+    assert bundle.weigh(tokens) == bundle.weigh(tokens)
+    data = number_grams([["transfer", "data"], ["country"], tokens], [0, 0, 0], (1, 1))
+    idx, values = IdVocabulary(data, [0, 1], TF).vector(2)
+    assert bundle.weigh(tokens) == (idx.tolist(), values.tolist())

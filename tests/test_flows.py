@@ -353,10 +353,12 @@ def test_load_flow_log_bad_json(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("country", "de"), ("country", 49), ("detected_types", "imei"), ("dest_fqdn", 5),
-    ("dest_ip", 5), ("app_id", ["com.zappy"])])
+    ("dest_ip", 5), ("app_id", ["com.zappy"]), ("app_id", None), ("stage", None),
+    ("dest_fqdn", None)])
 def test_load_flow_log_rejects_a_wrongly_typed_field(tmp_path, field, value):
     # a lowercase code would be judged outside the EU, a string split into letters,
-    # and the integer 5 read as the address 0.0.0.5
+    # the integer 5 read as the address 0.0.0.5, and a null where a string is
+    # required would reach the grouping of flows
     record = {"app_id": "com.zappy", "stage": "active", "dest_fqdn": "api.zappy.com",
               "country": "DE", "detected_types": ["IMEI"]}
     path = tmp_path / "flows.jsonl"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from transferaudit.classifier import cross_validate
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.errors import DegenerateTraining, ParseError, ShapeError
-from transferaudit.features import TF, FeatureVector
+from transferaudit.features import TF
 from transferaudit.linear import (
     LinearModel,
     TrainConfig,
@@ -28,7 +28,11 @@ from transferaudit.linear import (
 
 
 def fv(entries):
-    return FeatureVector(entries=dict(entries))
+    """A sample's features from {index: value}: index and value arrays in
+    the dict's order."""
+    entries = dict(entries)
+    return (np.fromiter(entries.keys(), dtype=np.int64, count=len(entries)),
+            np.fromiter(entries.values(), dtype=np.float64, count=len(entries)))
 
 
 def test_train_separates_two_points():
@@ -129,7 +133,7 @@ def test_decision_value_index_out_of_range():
 def _reference_decision_value(model, x):
     """The former scoring loop, over numpy scalars."""
     total = model.bias
-    for idx, val in x.entries.items():
+    for idx, val in zip(*x):
         total += model.weights[idx] * val
     return float(total)
 
@@ -145,14 +149,17 @@ def test_score_is_bit_equal_to_numpy_scalar_score(weights, data):
     w = np.array(weights)
     x = fv(data.draw(st.dictionaries(st.integers(0, len(weights) - 1), _VALUES,
                                      max_size=len(weights))))
-    products = [w[i] * v for i, v in x.entries.items()]
+    products = [w[i] * v for i, v in zip(*x)]
     # biases that cancel the features' sum, summed in other orders
     for bias in [data.draw(_VALUES), -math.fsum(products), -sum(reversed(products)),
                  -sum(sorted(products))]:
         model = LinearModel(weights=w, bias=float(bias), config=TrainConfig())
         expected = _reference_decision_value(model, x)
-        assert decision_value(model, x).hex() == expected.hex()
-        assert predict(model, x) == (1 if expected > 0.0 else 0)
+        # as arrays, the form of a fit's samples, and as lists, that of a
+        # bundle's weighed n-grams
+        for form in (x, (x[0].tolist(), x[1].tolist())):
+            assert decision_value(model, form).hex() == expected.hex()
+            assert predict(model, form) == (1 if expected > 0.0 else 0)
 
 
 def test_prediction_invariant_under_positive_scaling():
@@ -364,10 +371,8 @@ def _reference_train(samples, cfg, dim):
 
     Returns the model and how often the scaled weights were rescaled.
     """
-    indices = [np.fromiter(x.entries.keys(), dtype=np.int64, count=len(x.entries))
-               for x, _ in samples]
-    values = [np.fromiter(x.entries.values(), dtype=np.float64, count=len(x.entries))
-              for x, _ in samples]
+    indices = [idx for (idx, _), _ in samples]
+    values = [x for (_, x), _ in samples]
     ys = np.array([1.0 if y == 1 else -1.0 for _, y in samples])
     rng = np.random.default_rng(cfg.seed)
     v = np.zeros(dim)

@@ -13,6 +13,7 @@ training in the same order.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from transferaudit.classifier import cross_validate, fit_text_classifier
@@ -22,10 +23,10 @@ from transferaudit.features import (
     SCHEMES,
     TF,
     TFIDF,
-    FeatureVector,
     Vocabulary,
     tokenize,
     vocabulary_bytes,
+    vocabulary_hash,
 )
 from transferaudit.linear import (
     CrossValidationResult,
@@ -36,7 +37,6 @@ from transferaudit.linear import (
     model_bytes,
     predict,
     train,
-    vocabulary_hash,
 )
 
 
@@ -81,7 +81,8 @@ def _reference_vectorize(tokens, vocab, ngram_min, ngram_max, scheme):
             weight = count * math.log(vocab.document_count / vocab.document_frequency[idx])
             if weight != 0.0:
                 entries[idx] = weight
-    return FeatureVector(entries=entries)
+    return (np.array(list(entries), dtype=np.int64),
+            np.array(list(entries.values()), dtype=np.float64))
 
 
 def _reference_stratified_kfold(corpus, k, seed):
