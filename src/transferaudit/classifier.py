@@ -2,7 +2,10 @@
 
 A bundle is what the annotation pipeline actually consumes; it knows how to
 turn raw segment text, or n-grams already computed, into a prediction and
-how to round-trip itself through the vocabulary/model file formats.  Fitting
+how to round-trip itself through its two files.  This module alone knows
+their format: a vocabulary file and a model file, each `#key=value` header
+lines and TAB rows read by one reader (`_read_records`), the model naming
+its vocabulary by the hash of the vocabulary file's text.  Fitting
 a bundle and k-fold evaluation share one training path, over n-grams
 computed and numbered once per sample (`labeled_grams`), so a caller that
 does both computes them once.
@@ -17,6 +20,7 @@ what `linear.train` and `linear.decision_value` read.  A string-keyed
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from collections import Counter
@@ -36,15 +40,12 @@ from .features import (
     TF,
     TFIDF,
     Vocabulary,
-    bytes_hash,
     extract_ngrams,
-    load_vocabulary,
     parse_ngram_range,
-    save_vocabulary,
     tokenize,
-    vocabulary_hash,
 )
 from .linear import (
+    MODIFIED_HUBER,
     CrossValidationResult,
     EvalMetrics,
     Features,
@@ -52,9 +53,7 @@ from .linear import (
     TrainConfig,
     compute_metrics,
     intention_label,
-    load_model,
     predict,
-    save_model,
     train,
 )
 
@@ -107,29 +106,193 @@ class TextClassifier:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         vocab_bytes = save_vocabulary(self.vocabulary, directory / f"{name}.vocab.tsv")
-        save_model(
-            self.model,
-            directory / f"{name}.model.tsv",
-            scheme=self.scheme,
-            ngram=self.ngram,
-            vocab_hash=bytes_hash(vocab_bytes),
-        )
+        (directory / f"{name}.model.tsv").write_bytes(model_bytes(
+            self.model, scheme=self.scheme, ngram=self.ngram,
+            vocab_hash=bytes_hash(vocab_bytes)))
 
     @classmethod
     def load(cls, directory, name: str) -> "TextClassifier":
+        """Read a bundle that `save` wrote; the model's `#vocab_sha256=` must
+        be the hash of the vocabulary file's text."""
         directory = Path(directory)
-        vocab = load_vocabulary(directory / f"{name}.vocab.tsv")
+        vocab_text = (directory / f"{name}.vocab.tsv").read_text(encoding="utf-8")
+        vocab = _parse_vocabulary(vocab_text)
         model, header = load_model(directory / f"{name}.model.tsv")
         if model.weights.shape[0] != len(vocab):
             raise ParseError(
                 f"model has {model.weights.shape[0]} weights for a "
                 f"{len(vocab)}-feature vocabulary"
             )
-        stored_hash = header.get("vocab_sha256")
-        if stored_hash and stored_hash != vocabulary_hash(vocab):
+        if header["vocab_sha256"] != bytes_hash(vocab_text.encode("utf-8")):
             raise ParseError("vocabulary file does not match the model's vocab hash")
         return cls(ngram=parse_ngram_range(header["ngram"]), vocabulary=vocab,
                    scheme=header["scheme"], model=model)
+
+
+def bytes_hash(data: bytes) -> str:
+    """The short SHA-256 that a model header stores for its vocabulary file."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def vocabulary_bytes(vocab: Vocabulary) -> bytes:
+    """The `#N=` header, then one `feature TAB index TAB df` line per feature
+    in string order."""
+    lines = [f"#N={vocab.document_count}"]
+    for feature in sorted(vocab.feature_to_index):
+        idx = vocab.feature_to_index[feature]
+        lines.append(f"{feature}\t{idx}\t{vocab.document_frequency[idx]}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def save_vocabulary(vocab: Vocabulary, path) -> bytes:
+    """Write `vocabulary_bytes`; returns the bytes written."""
+    data = vocabulary_bytes(vocab)
+    Path(path).write_bytes(data)
+    return data
+
+
+def model_bytes(model: LinearModel, *, scheme: str, ngram: tuple[int, int],
+                vocab_hash: str) -> bytes:
+    """Exact-decimal serialization; repr() round-trips every float."""
+    cfg = model.config
+    lines = [
+        f"#scheme={scheme}",
+        f"#ngram={ngram[0]}-{ngram[1]}",
+        f"#alpha={cfg.alpha!r}",
+        f"#eta0={cfg.eta0!r}",
+        f"#epochs={cfg.epochs}",
+        f"#seed={cfg.seed}",
+        f"#loss={MODIFIED_HUBER}",
+        f"#vocab_sha256={vocab_hash}",
+    ]
+    lines.extend(f"{idx}\t{weight!r}" for idx, weight in enumerate(model.weights.tolist()))
+    lines.append(f"#bias={float(model.bias)!r}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _read_records(text: str, usage: str, header_checks: dict[str, Callable[[str], object]],
+                  row: Callable[[int, list[str]], tuple[int, object]], noun: str,
+                  ) -> tuple[dict[str, str], list]:
+    """Read a vocabulary or model file's text.
+
+    `#key=value` lines are the header: each key of `header_checks` exactly
+    once, its value passing the key's check.  Every other non-empty line is
+    a `usage` row (`a TAB b`), which `row` reads, given its line number, as
+    (index, value); the indices are 0..n-1 in any order.  Returns the header
+    values and the row values in index order.  A bare `#` line is skipped,
+    and a ValueError is a ParseError naming its line.
+    """
+    header: dict[str, str] = {}
+    values: dict[int, object] = {}
+    count = usage.count(" TAB ") + 1
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        try:
+            if line[:1] == "#":
+                if line == "#":
+                    continue
+                key, _, value = line[1:].partition("=")
+                if not key or not value:
+                    raise ParseError(f"malformed header {line!r}", lineno)
+                if key not in header_checks:
+                    raise ParseError(f"unknown header key {key!r}", lineno)
+                if key in header:
+                    raise ParseError(f"repeated header key {key!r}", lineno)
+                header_checks[key](value)
+                header[key] = value
+            elif line:
+                fields = line.split("\t")
+                if len(fields) != count:
+                    raise ParseError(f"expected `{usage}`", lineno)
+                idx, value = row(lineno, fields)
+                if idx in values:
+                    raise ParseError(f"repeated {noun} index {idx}", lineno)
+                values[idx] = value
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
+    missing = header_checks.keys() - header.keys()
+    if missing:
+        raise ParseError(f"missing header fields: {sorted(missing)}")
+    try:  # n distinct indices are dense iff each of 0..n-1 is one of them
+        return header, [values[i] for i in range(len(values))]
+    except KeyError:
+        raise ParseError(f"{noun} indices are not dense 0..n-1") from None
+
+
+def _one_of(*allowed: str):
+    def check(value: str) -> None:
+        if value not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {value!r}")
+    return check
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"model parameter {text!r} is not finite")
+    return value
+
+
+# each header key `model_bytes` writes, and the check its value must pass
+_MODEL_HEADER = {"scheme": _one_of(*SCHEMES), "ngram": parse_ngram_range,
+                 "alpha": lambda v: TrainConfig(alpha=float(v)),
+                 "eta0": lambda v: TrainConfig(eta0=float(v)),
+                 "epochs": lambda v: TrainConfig(epochs=int(v)), "seed": int,
+                 "loss": _one_of(MODIFIED_HUBER), "vocab_sha256": str, "bias": _finite}
+
+
+def load_model(path) -> tuple[LinearModel, dict[str, str]]:
+    """Read a model file; returns the model and its header fields.
+
+    A header key that `model_bytes` does not write, a missing or repeated
+    one, or a value that it could not have written, is a ParseError; so is
+    a repeated, missing or non-finite weight.
+    """
+    header, weights = _read_records(
+        Path(path).read_text(encoding="utf-8"), "index TAB weight", _MODEL_HEADER,
+        lambda _, fields: (int(fields[0]), _finite(fields[1])), "weight")
+    cfg = TrainConfig(alpha=float(header["alpha"]), epochs=int(header["epochs"]),
+                      eta0=float(header["eta0"]), seed=int(header["seed"]))
+    return LinearModel(weights=np.array(weights), bias=float(header["bias"]), config=cfg), header
+
+
+def _document_count(text: str) -> None:
+    if (n := int(text)) < 1:
+        raise ValueError(f"#N= must be at least 1, got {n}")
+
+
+def _parse_vocabulary(text: str) -> Vocabulary:
+    """A vocabulary file's text as a `Vocabulary`.
+
+    `#N=` must be at least 1 and every df in 1..N, so that each TF-IDF
+    weight is defined; a line that breaks this, or repeats a feature or an
+    index, is a ParseError naming it.
+    """
+    feature_to_index: dict[str, int] = {}
+    top = [0, None]  # the largest df and its line: N may follow the rows
+
+    def row(lineno: int, fields: list[str]) -> tuple[int, int]:
+        feature, idx, df = fields[0], int(fields[1]), int(fields[2])
+        if df < 1:
+            raise ValueError(f"df must be at least 1, got {df}")
+        if feature in feature_to_index:
+            raise ValueError(f"repeated feature {feature!r}")
+        feature_to_index[feature] = idx
+        if df > top[0]:
+            top[:] = df, lineno
+        return idx, df
+
+    header, dfs = _read_records(text, "feature TAB index TAB df", {"N": _document_count},
+                                row, "vocabulary")
+    document_count = int(header["N"])
+    if top[0] > document_count:
+        raise ParseError(f"df {top[0]} exceeds #N={document_count}", top[1])
+    return Vocabulary(feature_to_index=feature_to_index, document_frequency=dfs,
+                      document_count=document_count)
+
+
+def load_vocabulary(path) -> Vocabulary:
+    """Read a vocabulary file written by `save_vocabulary`."""
+    return _parse_vocabulary(Path(path).read_text(encoding="utf-8"))
 
 
 def labeled_grams(corpus: Corpus, ngram: tuple[int, int],

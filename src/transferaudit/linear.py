@@ -13,21 +13,21 @@ step is one multiply of `scale`.  Each epoch's step sizes are computed in
 one numpy expression, the same IEEE operations in the same order as one
 update at a time, and each update gathers its sample's weights once,
 updates them in place and writes them back: the model keeps every bit.
+
+This module holds training, scoring and metrics only; the model file is
+part of the classifier bundle's format (`classifier.py`).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import LabeledSegment
-from .errors import DegenerateTraining, ParseError, ShapeError
-from .features import SCHEMES, parse_ngram_range
+from .errors import DegenerateTraining, ShapeError
 
 MODIFIED_HUBER = "modified_huber"
 
@@ -247,125 +247,3 @@ def intention_label(sample: LabeledSegment) -> int:
 
 def adequacy_label(sample: LabeledSegment) -> int:
     return 1 if "adequacy" in sample.element_labels else 0
-
-
-def model_bytes(model: LinearModel, *, scheme: str, ngram: tuple[int, int],
-                vocab_hash: str) -> bytes:
-    """Exact-decimal serialization; repr() round-trips every float."""
-    cfg = model.config
-    lines = [
-        f"#scheme={scheme}",
-        f"#ngram={ngram[0]}-{ngram[1]}",
-        f"#alpha={cfg.alpha!r}",
-        f"#eta0={cfg.eta0!r}",
-        f"#epochs={cfg.epochs}",
-        f"#seed={cfg.seed}",
-        f"#loss={MODIFIED_HUBER}",
-        f"#vocab_sha256={vocab_hash}",
-    ]
-    lines.extend(f"{idx}\t{weight!r}" for idx, weight in enumerate(model.weights.tolist()))
-    lines.append(f"#bias={float(model.bias)!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def save_model(model: LinearModel, path, *, scheme: str, ngram: tuple[int, int],
-               vocab_hash: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_bytes(model, scheme=scheme, ngram=ngram, vocab_hash=vocab_hash))
-
-
-def _one_of(*allowed: str):
-    def check(value: str) -> None:
-        if value not in allowed:
-            raise ValueError(f"expected one of {', '.join(allowed)}, got {value!r}")
-    return check
-
-
-# each header key `model_bytes` writes, and the check its value must pass
-_HEADER_CHECKS = {"scheme": _one_of(*SCHEMES), "ngram": parse_ngram_range,
-                  "alpha": lambda v: TrainConfig(alpha=float(v)),
-                  "eta0": lambda v: TrainConfig(eta0=float(v)),
-                  "epochs": lambda v: TrainConfig(epochs=int(v)), "seed": int,
-                  "loss": _one_of(MODIFIED_HUBER), "vocab_sha256": str}
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"model parameter {text!r} is not finite")
-    return value
-
-
-def _weights_in_order(rows: list[str]) -> np.ndarray | None:
-    """The finite weights of `index TAB weight` rows whose indices are
-    0..n-1 in order, written as `model_bytes` writes them; None otherwise."""
-    fields = "\n".join(rows).replace("\t", "\n").split("\n")
-    # n TABs in all, and one in every row: exactly one in each
-    if len(fields) != 2 * len(rows) or not all(map(operator.contains, rows, repeat("\t"))):
-        return None
-    if fields[0::2] != [str(i) for i in range(len(rows))]:
-        return None
-    try:
-        weights = np.array([float(w) for w in fields[1::2]])
-    except ValueError:
-        return None
-    return weights if np.isfinite(weights).all() else None
-
-
-def load_model(path) -> tuple[LinearModel, dict[str, str]]:
-    """Read a model file; returns the model and its header fields.
-
-    A header key that `model_bytes` does not write, or a value that it could
-    not have written, is a ParseError naming the line.  The weight lines of
-    a file as `model_bytes` writes it are read in one pass; any other file
-    is read a line at a time, so that an error names its line.
-    """
-    header: dict[str, str] = {}
-    weights: dict[int, float] = {}
-    bias = None
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    w = _weights_in_order([line for line in lines if line and line[0] != "#"])
-    numbered = enumerate(lines, start=1)
-    if w is not None:  # only the header lines are left to read
-        numbered = [(lineno, line) for lineno, line in numbered if line[:1] == "#"]
-    for lineno, line in numbered:
-        try:
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                if not value and key != "":
-                    raise ParseError(f"malformed header {line!r}", lineno)
-                if key == "bias":
-                    bias = _finite(value)
-                elif key in _HEADER_CHECKS:
-                    _HEADER_CHECKS[key](value)
-                    header[key] = value
-                elif key:
-                    raise ParseError(f"unknown header key {key!r}", lineno)
-            elif line:
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError("expected `index TAB weight`", lineno)
-                idx = int(parts[0])
-                if idx in weights:
-                    raise ParseError(f"repeated weight index {idx}", lineno)
-                weights[idx] = _finite(parts[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-    if bias is None:
-        raise ParseError("missing #bias line")
-    required = {"scheme", "ngram", "alpha", "eta0", "epochs", "seed"}
-    missing = required - header.keys()
-    if missing:
-        raise ParseError(f"missing header fields: {sorted(missing)}")
-    if w is None:
-        if sorted(weights) != list(range(len(weights))):
-            raise ParseError("weight indices are not dense 0..n-1")
-        w = np.array([weights[i] for i in range(len(weights))])
-    cfg = TrainConfig(
-        alpha=float(header["alpha"]),
-        epochs=int(header["epochs"]),
-        eta0=float(header["eta0"]),
-        seed=int(header["seed"]),
-    )
-    return LinearModel(weights=w, bias=bias, config=cfg), header

@@ -16,7 +16,13 @@ import pytest
 
 from conftest import policy_text
 
-from transferaudit.classifier import IdVocabulary, TextClassifier, cross_validate, number_grams
+from transferaudit.classifier import (
+    IdVocabulary,
+    TextClassifier,
+    cross_validate,
+    model_bytes,
+    number_grams,
+)
 from transferaudit.compliance import (
     AD,
     FD,
@@ -53,7 +59,6 @@ from transferaudit.linear import (
     LinearModel,
     TrainConfig,
     compute_metrics,
-    model_bytes,
     modified_huber_dloss,
     modified_huber_loss,
     train,

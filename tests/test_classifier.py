@@ -79,6 +79,29 @@ def test_load_detects_vocab_model_mismatch(bundle, tmp_path):
     vocab_path.write_text("\n".join([head, *lines[1:]]) + "\n", encoding="utf-8")
     with pytest.raises(ParseError):
         TextClassifier.load(tmp_path, "intention")
+    # the same content with two data lines swapped: the hash names the text
+    vocab_path.write_text("\n".join([head, b, a, *lines[3:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="vocab hash"):
+        TextClassifier.load(tmp_path, "intention")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_bundle_round_trips_byte_for_byte(scheme, tmp_path):
+    bundle = fit_text_classifier(_corpus(), (1, 2), scheme, TrainConfig(seed=3),
+                                 intention_label)
+    bundle.save(tmp_path / "a", "intention")
+    TextClassifier.load(tmp_path / "a", "intention").save(tmp_path / "b", "intention")
+    for suffix in ("vocab", "model"):
+        written = (tmp_path / "a" / f"intention.{suffix}.tsv").read_bytes()
+        assert (tmp_path / "b" / f"intention.{suffix}.tsv").read_bytes() == written
+        (tmp_path / "crlf").mkdir(exist_ok=True)
+        (tmp_path / "crlf" / f"intention.{suffix}.tsv").write_bytes(
+            written.replace(b"\n", b"\r\n"))
+    loaded = TextClassifier.load(tmp_path / "crlf", "intention")
+    assert (loaded.ngram, loaded.scheme, loaded.vocabulary) == \
+        (bundle.ngram, bundle.scheme, bundle.vocabulary)
+    assert loaded.model.weights.tolist() == bundle.model.weights.tolist()
+    assert (loaded.model.bias, loaded.model.config) == (bundle.model.bias, bundle.model.config)
 
 
 def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
@@ -95,7 +118,8 @@ def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
                                   "#loss=hinge", "#alpha=zz", "#alpha=-1", "#alpha=nan",
                                   "#alpha=inf", "#eta0=0", "#eta0=nan", "#eta0=-inf", "#epochs=1.5",
                                   "#epochs=0", "#bias=zz", "#bias=nan",
-                                  "0\tabc", "x\t0.5", "0\tnan", "1\tinf"])
+                                  "0\tabc", "x\t0.5", "0\tnan", "1\tinf",
+                                  "#scheme=bc", "#=x"])
 def test_load_rejects_bad_header_line(bundle, tmp_path, line):
     bundle.save(tmp_path, "intention")
     model_path = tmp_path / "intention.model.tsv"
@@ -104,6 +128,23 @@ def test_load_rejects_bad_header_line(bundle, tmp_path, line):
     with pytest.raises(ParseError) as exc:
         TextClassifier.load(tmp_path, "intention")
     assert exc.value.line_number == 2
+
+
+@pytest.mark.parametrize("key", ["scheme", "ngram", "alpha", "eta0", "epochs", "seed", "loss",
+                                 "vocab_sha256", "bias"])
+def test_load_rejects_a_repeated_or_missing_header_key(bundle, tmp_path, key):
+    bundle.save(tmp_path, "intention")
+    model_path = tmp_path / "intention.model.tsv"
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"#{key}="))
+    # the same line again, right after the first: the second names its line
+    model_path.write_text("\n".join([*lines[:at + 1], *lines[at:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"repeated header key '{key}'") as exc:
+        TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == at + 2
+    model_path.write_text("\n".join([*lines[:at], *lines[at + 1:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"missing header fields: \\['{key}'\\]"):
+        TextClassifier.load(tmp_path, "intention")
 
 
 def test_load_rejects_repeated_weight_index(bundle, tmp_path):
@@ -130,11 +171,30 @@ def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
     for bad, rest in [("#N=q", lines[1:]), ("#N=0", lines[1:]), ("#N=-2", lines[1:]),
                       (f"{feature}\t{idx}\t0", lines[2:]),
                       (f"{feature}\t{idx}\t-1", lines[2:]),
-                      (f"{feature}\t{idx}\t{n + 1}", lines[2:])]:
+                      (f"{feature}\t{idx}\t{n + 1}", lines[2:]),
+                      (f"#N={n}", lines[1:]), ("#=x", lines[1:])]:
         vocab_path.write_text("\n".join([lines[0], bad, *rest]) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             TextClassifier.load(tmp_path, "intention")
         assert exc.value.line_number == 2, bad
+
+
+def test_load_rejects_a_repeated_vocabulary_feature_or_index(bundle, tmp_path):
+    bundle.save(tmp_path, "intention")
+    vocab_path = tmp_path / "intention.vocab.tsv"
+    lines = vocab_path.read_text(encoding="utf-8").splitlines()
+    first, second = (line.split("\t") for line in lines[1:3])
+    # line 3 repeats line 2's feature, or its index; the other fields keep
+    # the vocabulary's indices and dfs whole
+    for bad, message in [(f"{first[0]}\t{second[1]}\t{second[2]}",
+                          f"repeated feature '{first[0]}'"),
+                         (f"{second[0]}\t{first[1]}\t{second[2]}",
+                          f"repeated vocabulary index {first[1]}")]:
+        vocab_path.write_text("\n".join([*lines[:2], bad, *lines[3:]]) + "\n",
+                              encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as exc:
+            TextClassifier.load(tmp_path, "intention")
+        assert exc.value.line_number == 3, bad
 
 
 def test_a_fit_saves_the_range_its_grams_were_numbered_over(tmp_path):

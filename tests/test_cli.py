@@ -624,9 +624,15 @@ from transferaudit.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 without_model = "numpy" in sys.modules
 import transferaudit.classifier
+with_classifier = "numpy" in sys.modules
+pool = "multiprocessing" in sys.modules
+# import the model module afresh, alone: it must not need the features module
+for name in [m for m in sys.modules if m.startswith("transferaudit.")]:
+    del sys.modules[name]
+import transferaudit.linear
 with open(sys.argv[2], "w") as fh:
-    json.dump([package, codes, without_model, "numpy" in sys.modules,
-               "multiprocessing" in sys.modules], fh)
+    json.dump([package, codes, without_model, with_classifier, pool,
+               "transferaudit.features" in sys.modules], fh)
 """
 
 
@@ -647,9 +653,11 @@ def test_stages_without_a_model_do_not_import_numpy(tmp_path):
     probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands),
                             str(result)], env=env, capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
-    package, codes, without_model, with_classifier, pool = json.loads(result.read_text())
+    package, codes, without_model, with_classifier, pool, linear_features = json.loads(
+        result.read_text())
     assert package == []  # a bare `import transferaudit` loads no submodule
     assert codes == [0, 0, 0, 0]
     assert not without_model
     assert with_classifier  # the probe does see numpy once a model is imported
     assert not pool  # cross-validation imports multiprocessing when it runs
+    assert not linear_features  # the model file format lives with the classifier

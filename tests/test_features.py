@@ -14,15 +14,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transferaudit.classifier import IdVocabulary, TextClassifier, number_grams
+from transferaudit.classifier import (
+    IdVocabulary,
+    TextClassifier,
+    load_vocabulary,
+    number_grams,
+    save_vocabulary,
+)
 from transferaudit.features import (
     BC,
     TF,
     TFIDF,
     check_ngram_range,
     extract_ngrams,
-    load_vocabulary,
-    save_vocabulary,
     stopword_list,
     tokenize,
 )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferaudit.classifier import cross_validate
+from transferaudit.classifier import cross_validate, load_model, model_bytes
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.errors import DegenerateTraining, ParseError, ShapeError
 from transferaudit.features import TF
@@ -17,12 +17,9 @@ from transferaudit.linear import (
     TrainConfig,
     compute_metrics,
     decision_value,
-    load_model,
-    model_bytes,
     modified_huber_dloss,
     modified_huber_loss,
     predict,
-    save_model,
     train,
 )
 
@@ -317,7 +314,7 @@ def test_train_deterministic_and_serializable(tmp_path):
     assert blob1 == blob2
 
     path = tmp_path / "model.tsv"
-    save_model(m1, path, scheme=TF, ngram=(1, 2), vocab_hash="cafe")
+    path.write_bytes(model_bytes(m1, scheme=TF, ngram=(1, 2), vocab_hash="cafe"))
     loaded, header = load_model(path)
     assert np.array_equal(loaded.weights, m1.weights)
     assert loaded.bias == m1.bias
@@ -330,7 +327,7 @@ def test_train_deterministic_and_serializable(tmp_path):
 def _model_lines(tmp_path):
     model = LinearModel(weights=np.array([0.5, -0.25, 2.0]), bias=0.125, config=TrainConfig())
     path = tmp_path / "model.tsv"
-    save_model(model, path, scheme=TF, ngram=(1, 2), vocab_hash="cafe")
+    path.write_bytes(model_bytes(model, scheme=TF, ngram=(1, 2), vocab_hash="cafe"))
     lines = path.read_text(encoding="utf-8").splitlines()
     return model, path, lines[:8], lines[8:11], lines[11:]
 

@@ -16,7 +16,13 @@ import random
 import numpy as np
 import pytest
 
-from transferaudit.classifier import cross_validate, fit_text_classifier
+from transferaudit.classifier import (
+    bytes_hash,
+    cross_validate,
+    fit_text_classifier,
+    model_bytes,
+    vocabulary_bytes,
+)
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.features import (
     BC,
@@ -25,8 +31,6 @@ from transferaudit.features import (
     TFIDF,
     Vocabulary,
     tokenize,
-    vocabulary_bytes,
-    vocabulary_hash,
 )
 from transferaudit.linear import (
     CrossValidationResult,
@@ -34,7 +38,6 @@ from transferaudit.linear import (
     adequacy_label,
     compute_metrics,
     intention_label,
-    model_bytes,
     predict,
     train,
 )
@@ -188,5 +191,6 @@ def test_fit_matches_reference(scheme, ngram, label_fn, seed):
     vocab, model = _reference_fit(CORPORA[seed], ngram, scheme, CFG, label_fn)
     assert vocabulary_bytes(bundle.vocabulary) == vocabulary_bytes(vocab)
     assert (model_bytes(bundle.model, scheme=scheme, ngram=bundle.ngram,
-                        vocab_hash=vocabulary_hash(bundle.vocabulary))
-            == model_bytes(model, scheme=scheme, ngram=ngram, vocab_hash=vocabulary_hash(vocab)))
+                        vocab_hash=bytes_hash(vocabulary_bytes(bundle.vocabulary)))
+            == model_bytes(model, scheme=scheme, ngram=ngram,
+                           vocab_hash=bytes_hash(vocabulary_bytes(vocab))))
