@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -427,20 +426,6 @@ class _CrossValidation:
         return compute_metrics(predictions, [self.data.labels[i] for i in test_idx])
 
 
-# the cross-validation whose folds forked workers evaluate, while its pool runs
-_running: _CrossValidation | None = None
-
-
-def _evaluate_running(fold: int) -> EvalMetrics:
-    return _running.evaluate(fold)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cross_validate_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfig, k: int,
                          seed: int, fit_on_all: bool = False) -> CrossValidationResult:
     """Stratified k-fold evaluation over n-grams already numbered.
@@ -451,22 +436,12 @@ def cross_validate_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfi
     folds run in up to min(k, usable CPUs) forked processes, which inherit
     the samples; each fold's result is the same wherever it runs.
     """
-    global _running
+    from .parallel import ordered_map  # here, so that loading a model does not import it
+
     folds = stratified_kfold(data.labels, k, seed)
     shared_vocab = IdVocabulary(data, range(len(data.labels)), scheme) if fit_on_all else None
     run = _CrossValidation(data, scheme, train_cfg, folds, shared_vocab)
-    workers = min(len(folds), _usable_cpus())
-    import multiprocessing  # here, so that importing this module does not pay for it
-
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return CrossValidationResult(folds=list(map(run.evaluate, range(len(folds)))))
-    _running = run
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_evaluate_running, range(len(folds)), chunksize=1)
-    finally:
-        _running = None
-    return CrossValidationResult(folds=results)
+    return CrossValidationResult(folds=list(ordered_map(run.evaluate, range(len(folds)))))
 
 
 def cross_validate(corpus: Corpus, ngram: tuple[int, int], scheme: str,

@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages: `segment` policies, `train`
 classifiers, `annotate` policies, `scan` flow logs, `check` events against
 annotations, `report` aggregate results.  Exit codes: 0 success, 1 input
 error, 2 internal error.  Only `train` and `annotate` import the classifier
-modules, and so numpy.
+modules, and so numpy, and only they fork worker processes.
 """
 
 from __future__ import annotations
@@ -22,14 +22,21 @@ from pathlib import Path
 from . import compliance, corpus, flows, reports, transparency
 from .countries import load_country_dictionary
 from .errors import AuditError
-from .features import SCHEMES, TF, parse_ngram_range
+from .features import SCHEMES, TF, parse_ngram_range, stopword_list
 from .rules import load_rules
 
 
+def _policy_document(path: str) -> corpus.PolicyDocument:
+    """The policy in the UTF-8 file at `path`; its app id is the file's stem."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AuditError(f"{path}: {exc}") from None
+    return corpus.PolicyDocument(app_id=Path(path).stem, raw_text=text)
+
+
 def _cmd_segment(args) -> int:
-    text = Path(args.policy).read_text(encoding="utf-8")
-    doc = corpus.PolicyDocument(app_id=Path(args.policy).stem, raw_text=text)
-    segments = corpus.segment_policy(doc, args.mode)
+    segments = corpus.segment_policy(_policy_document(args.policy), args.mode)
     out = sys.stdout
     for seg in segments:
         out.write(seg.text.replace("\\", "\\\\").replace("\n", "\\n") + "\n")
@@ -79,19 +86,27 @@ def _load_annotator(args) -> transparency.SegmentAnnotator:
         rules=rules, dictionary=dictionary)
 
 
+def _annotation_line(annotator: transparency.SegmentAnnotator, mode: str, path: str) -> str:
+    """The annotation JSON line of the policy file at `path`."""
+    doc = _policy_document(path)
+    segments = corpus.segment_policy(doc, mode)
+    policy = annotator.annotate_policy([s.text for s in segments])
+    return json.dumps(transparency.annotation_json(doc.app_id, policy), sort_keys=True)
+
+
 def _cmd_annotate(args) -> int:
+    from .parallel import ordered_map
+
     # a policy's app id is its file's stem, and an app id has one annotation
     stems = Counter(Path(path).stem for path in args.policies)
     repeated = sorted(stem for stem, count in stems.items() if count > 1)
     if repeated:
         raise AuditError(f"policy files share an app id: {', '.join(repeated)}")
     annotator = _load_annotator(args)
-    for path in args.policies:
-        text = Path(path).read_text(encoding="utf-8")
-        doc = corpus.PolicyDocument(app_id=Path(path).stem, raw_text=text)
-        segments = corpus.segment_policy(doc, args.mode)
-        policy = annotator.annotate_policy([s.text for s in segments])
-        print(json.dumps(transparency.annotation_json(doc.app_id, policy), sort_keys=True))
+    stopword_list()  # loaded here once, for the forked workers to inherit
+    annotate = functools.partial(_annotation_line, annotator, args.mode)
+    for line in ordered_map(annotate, args.policies):
+        print(line)
     return 0
 
 

@@ -9,7 +9,7 @@ import test_training_reference as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transferaudit import classifier
+from transferaudit import classifier, parallel
 from transferaudit.classifier import (
     IdVocabulary,
     TextClassifier,
@@ -295,10 +295,10 @@ def test_pooled_folds_equal_in_process_folds(monkeypatch, tmp_path, intention_co
                                              scheme, fit_on_all):
     pids = _fold_pids(monkeypatch, tmp_path)
     args = (intention_corpus, (1, 2), scheme, TrainConfig(epochs=10, seed=4), 5, 4, fit_on_all)
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     alone = cross_validate(*args)
     assert pids() == [str(os.getpid())] * 5
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     pooled = cross_validate(*args)
     assert len(set(pids()[5:])) > 1 and str(os.getpid()) not in pids()[5:]
     assert pooled.folds == alone.folds
@@ -316,7 +316,7 @@ def _one_positive_corpus():
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failing_fold_raises_its_error_in_the_caller(monkeypatch, cpus):
     # the fold that tests the one positive trains on negatives only
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     with pytest.raises(DegenerateTraining,
                        match=r"^need both classes in training data, got labels \[0\]$"):
         cross_validate(_one_positive_corpus(), (1, 1), TF, TrainConfig(epochs=2), 2, 0)

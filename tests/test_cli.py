@@ -22,7 +22,7 @@ from conftest import DATA, policy_annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferaudit import classifier
+from transferaudit import classifier, cli, parallel
 from transferaudit.cli import main
 from transferaudit.compliance import NO_TRANSFER, _verdict_core, load_jurisdiction
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, save_corpus
@@ -129,7 +129,7 @@ def test_failing_fold_exits_as_it_does_in_process(tmp_path, capsys, monkeypatch)
                                 for i, t in enumerate(texts)]), corpus_path)
     outcomes = []
     for cpus in (1, 2):
-        monkeypatch.setattr(classifier, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         code = main(["train", "--corpus", str(corpus_path), "--kfold", "2"])
         outcomes.append((code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1] == (
@@ -439,6 +439,92 @@ def test_annotate_refuses_policy_files_of_one_app_id(model_dir, tmp_path, capsys
     assert captured.err == "error: policy files share an app id: x\n"
 
 
+fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                               reason="annotate forks")
+POLICIES = sorted(str(p) for p in (DATA / "policies").glob("*.txt"))
+
+
+def _annotate_outcome(model_dir, policies, capsys, monkeypatch, cpus, *options):
+    """(exit code, stdout, stderr) of `annotate` with `cpus` usable CPUs."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    code = main(["annotate", "--model-dir", str(model_dir), *options, *map(str, policies)])
+    assert multiprocessing.active_children() == []  # no worker outlives the command
+    return (code, *capsys.readouterr())
+
+
+@fork_only
+@pytest.mark.parametrize("mode", ["fullstop", "blankline"])
+def test_annotate_output_does_not_depend_on_the_cpus(model_dir, tmp_path, capsys,
+                                                     monkeypatch, mode):
+    real = cli._annotation_line
+    record = tmp_path / "pids"
+
+    def recording(*args):
+        with open(record, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_annotation_line", recording)
+    outcomes = []
+    for cpus in (1, 2, 3):
+        record.write_text("", encoding="utf-8")
+        outcomes.append(_annotate_outcome(model_dir, POLICIES, capsys, monkeypatch, cpus,
+                                          "--mode", mode))
+        pids = record.read_text(encoding="utf-8").split()
+        assert len(pids) == len(POLICIES)
+        # with one CPU the command annotates every policy itself, else its workers do
+        assert len(set(pids)) <= cpus and (str(os.getpid()) in pids) == (cpus == 1)
+    assert outcomes[0][0] == 0 and outcomes[0][2] == ""
+    assert len(outcomes[0][1].splitlines()) == len(POLICIES)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def _bad_policies(tmp_path):
+    """A missing, an empty and a non-UTF-8 policy file, and each one's error."""
+    empty, latin = tmp_path / "empty.txt", tmp_path / "latin.txt"
+    empty.write_text(" \n", encoding="utf-8")
+    latin.write_bytes(b"We transfer \xff data to Japan.")
+    missing = tmp_path / "missing.txt"
+    return {
+        missing: f"[Errno 2] No such file or directory: '{missing}'",
+        empty: "document 'empty' is empty",
+        latin: f"{latin}: 'utf-8' codec can't decode byte 0xff in position 12: "
+               "invalid start byte",
+    }
+
+
+@fork_only
+def test_a_bad_policy_fails_annotate_as_it_does_in_process(model_dir, tmp_path, capsys,
+                                                           monkeypatch):
+    lines = _annotate_outcome(model_dir, POLICIES, capsys, monkeypatch, 1)[1].splitlines(True)
+    for bad, message in _bad_policies(tmp_path).items():
+        policies = [*POLICIES[:2], bad, *POLICIES[2:]]
+        outcomes = [_annotate_outcome(model_dir, policies, capsys, monkeypatch, cpus)
+                    for cpus in (1, 2)]
+        assert outcomes[0] == outcomes[1] == (1, "".join(lines[:2]), f"error: {message}\n")
+
+
+@fork_only
+def test_annotate_reports_the_first_bad_policy(model_dir, tmp_path, capsys, monkeypatch):
+    bad = _bad_policies(tmp_path)
+    missing, _, latin = bad
+    lines = _annotate_outcome(model_dir, POLICIES, capsys, monkeypatch, 1)[1].splitlines(True)
+    for first, second in ((latin, missing), (missing, latin)):
+        policies = [POLICIES[0], first, *POLICIES[1:], second]
+        for cpus in (1, 2):
+            assert _annotate_outcome(model_dir, policies, capsys, monkeypatch, cpus) == (
+                1, lines[0], f"error: {bad[first]}\n")
+
+
+def test_segment_names_a_non_utf8_policy(tmp_path, capsys):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"We transfer \xff data to Japan.")
+    assert main(["segment", str(latin)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {latin}: 'utf-8' codec can't decode byte 0xff in position 12: "
+            "invalid start byte\n")
+
+
 @pytest.mark.parametrize("field", ["app_id", "stage", "dest_fqdn"])
 def test_scan_null_required_field_is_input_error_naming_the_line(tmp_path, capsys, field):
     lines = (DATA / "flows.jsonl").read_text(encoding="utf-8").splitlines()
@@ -659,5 +745,5 @@ def test_stages_without_a_model_do_not_import_numpy(tmp_path):
     assert codes == [0, 0, 0, 0]
     assert not without_model
     assert with_classifier  # the probe does see numpy once a model is imported
-    assert not pool  # cross-validation imports multiprocessing when it runs
+    assert not pool  # cross-validation and `annotate` import multiprocessing to fork
     assert not linear_features  # the model file format lives with the classifier
