@@ -1,10 +1,12 @@
 """Country gazetteer and target-country detection.
 
-Detection scans lowercased whitespace tokens with longest-phrase matching,
-trying at each token only the phrase lengths that start with it.
-Tokens keep internal hyphens ("California-based" does not match the state),
-while edge punctuation is stripped, so "Singapore," and "U.S." match.  EU
-member mentions are ignored: only non-EU destinations are disclosures.
+Detection scans a segment's phrase tokens with longest-phrase matching,
+trying at each token only the phrase lengths that start with it.  Text and
+surface forms alike are folded (`features.fold`) and split at whitespace,
+`/` and `'`.  Tokens keep internal hyphens ("California-based" does not
+match the state), while edge punctuation is stripped, so "Singapore,",
+"U.S." and "China's" match.  EU member mentions are ignored: only non-EU
+destinations are disclosures.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
+from .features import fold
 from .lines import tab_records
 
 # EU-27 plus the UK (Brexit transition) plus the EEA trio, as of 2020-07.
@@ -23,7 +26,9 @@ EU_MEMBERS_2020 = frozenset(
 
 FORM_TYPES = ("name", "abbr", "state", "city", "alias")
 
-_EDGE_STRIP = re.compile(r"^[^0-9a-z]+|[^0-9a-z]+$")
+# a run of folded text between whitespace, `/` and `'`, less its edge
+# punctuation: the greedy middle ends at the run's last letter or digit
+_PHRASE_TOKEN = re.compile(r"[0-9a-z](?:[^\s/']*[0-9a-z])?")
 _CODE = re.compile(r"[A-Z]{2}")
 
 
@@ -34,9 +39,10 @@ def check_country_code(code: str, lineno: int) -> str:
     return code
 
 
-def normalize_token(token: str) -> str:
-    """Lowercase and strip edge punctuation; internal dots/hyphens stay."""
-    return _EDGE_STRIP.sub("", token.lower())
+def phrase_tokens(text: str) -> list[str]:
+    """The gazetteer's tokens of text or of a surface form; internal dots
+    and hyphens stay."""
+    return _PHRASE_TOKEN.findall(fold(text))
 
 
 @dataclass
@@ -60,8 +66,7 @@ class CountryDictionary:
             self.lengths_by_first[key[0]] = tuple(sorted((*lengths, len(key)), reverse=True))
 
     def add(self, code: str, form_type: str, surface: str) -> None:
-        key = tuple(normalize_token(t) for t in surface.split())
-        key = tuple(t for t in key if t)
+        key = tuple(phrase_tokens(surface))
         if not key:
             raise ValueError(f"surface form {surface!r} normalizes to nothing")
         existing = self.phrases.get(key)
@@ -93,7 +98,7 @@ def detect_target_countries(segment_tokens_raw: list[str],
 
     `segment_tokens_raw` is the segment's whitespace split, `text.split()`.
     """
-    tokens = [t for t in (normalize_token(t) for t in segment_tokens_raw) if t]
+    tokens = phrase_tokens(" ".join(segment_tokens_raw))
     found: set[str] = set()
     i = 0
     n = len(tokens)

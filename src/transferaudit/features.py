@@ -1,16 +1,16 @@
 """Tokens and n-grams of policy segments.
 
-The token pipeline is fixed: lowercase -> drop non-ASCII -> ASCII letter
-runs -> drop stop words -> stem; n-grams are built over its tokens.  A
-vocabulary numbers the n-grams of a model and records their document
-frequencies, so that TF-IDF weights can be computed as count * ln(N / n_i);
-the weighing and the vocabulary file live with the classifier
-(`classifier.py`).
+The token pipeline is fixed: fold to lowercase ASCII -> letter runs -> drop
+stop words -> stem; n-grams are built over its tokens.  A vocabulary
+numbers the n-grams of a model and records their document frequencies, so
+that TF-IDF weights can be computed as count * ln(N / n_i); the weighing
+and the vocabulary file live with the classifier (`classifier.py`).
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from functools import cache
 
@@ -22,8 +22,20 @@ TF = "tf"
 TFIDF = "tfidf"
 SCHEMES = (BC, TF, TFIDF)
 
-# the words of lowercased text: ASCII letter runs, shared with the rule layer
+# the words of folded text: ASCII letter runs, shared with the rule layer
 WORD_RUNS = re.compile(r"[a-z]+")
+
+
+def fold(text: str) -> str:
+    """The lowercase ASCII form of text that the classifiers, the rules and the
+    gazetteer read.  Non-ASCII text is NFKD-decomposed, loses its combining
+    marks and format characters (soft hyphens), gets a space for each other
+    non-ASCII character and is lowercased again (NFKD gives "h" from "ℌ")."""
+    lowered = text.lower()
+    if lowered.isascii():
+        return lowered
+    return "".join(c if c.isascii() else "" if unicodedata.category(c) in ("Mn", "Mc", "Me", "Cf")
+                   else " " for c in unicodedata.normalize("NFKD", lowered)).lower()
 
 
 @cache
@@ -34,13 +46,12 @@ def stopword_list() -> frozenset[str]:
 
 
 def tokenize(text: str) -> list[str]:
-    """Normalize text to a token list; may be empty.
+    """The stems of the words of folded text that are no stop words; may be empty.
 
     Punctuation and digits separate tokens and are dropped with them.
     """
-    text = text.lower().encode("ascii", "ignore").decode("ascii")
     stops = stopword_list()
-    return [stem(t) for t in WORD_RUNS.findall(text) if t not in stops]
+    return [stem(t) for t in WORD_RUNS.findall(fold(text)) if t not in stops]
 
 
 def check_ngram_range(ngram_min: int, ngram_max: int) -> None:

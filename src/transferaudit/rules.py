@@ -6,7 +6,8 @@ Terms are stemmed at parse time; a rule matches when, inside one sentence,
 stemmed tokens satisfying consecutive clauses lie within the clause window
 (in either order).  Matching reads one `{stem: [positions]}` dict per
 sentence, which needs only the stems that are rule terms; `sentence_stems`
-is the one place a segment is split into sentences, words and stems.
+is the one place folded text (`features.fold`) is split into sentences,
+words and stems.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import ParseError, RuleParseError
-from .features import WORD_RUNS
+from .features import WORD_RUNS, fold
 from .lines import data_lines
 from .stemmer import stem
 
@@ -102,13 +103,13 @@ def rule_terms(rules: list[ProximityRule]) -> frozenset[str]:
     return frozenset(term for rule in rules for clause in rule.clauses for term in clause)
 
 
-def sentence_stems(lowered: str) -> Iterator[tuple[list[str], list[str]]]:
-    """Each sentence of lowercased text as its words and their stems.
+def sentence_stems(folded: str) -> Iterator[tuple[list[str], list[str]]]:
+    """Each sentence of folded text as its words and their stems.
 
     Sentences split on . ! ? ; and words are the ASCII letter runs; a word's
     position in its sentence is its index in both lists.
     """
-    for sentence in SENTENCE_ENDS.split(lowered):
+    for sentence in SENTENCE_ENDS.split(folded):
         words = WORD_RUNS.findall(sentence)
         yield words, [stem(word) for word in words]
 
@@ -144,4 +145,4 @@ def matched_elements(rules: list[ProximityRule], segment_text: str) -> set[str]:
     """
     terms = rule_terms(rules)
     return elements_in_sentences(rules, (term_positions(stems, terms)
-                                         for _, stems in sentence_stems(segment_text.lower())))
+                                         for _, stems in sentence_stems(fold(segment_text))))

@@ -5,9 +5,9 @@ only on flagged segments and extracts target countries (gazetteer), the
 adequacy claim (second linear classifier) and safeguard/copy elements
 (proximity rules).  Representative and privacy-shield rules run on every
 segment.  Policy-level annotations OR the segment flags and union countries.
-A segment is analysed in one pass: each word is stemmed once, for the rule
-positions and, when the segment's lowercase is ASCII, for the classifiers'
-tokens; the two classifiers share one n-gram list.  The annotation JSON
+A segment is folded (`features.fold`) and analysed in one pass: each word
+is stemmed once, for the rule positions and for the classifiers' tokens;
+the two classifiers share one n-gram list.  The annotation JSON
 form that `annotate` writes and `check`/`report` read is defined here too.
 """
 
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .countries import CountryDictionary, check_country_code, detect_target_countries
 from .errors import ParseError
-from .features import extract_ngrams, stopword_list, tokenize
+from .features import extract_ngrams, fold, stopword_list
 from .lines import json_records, json_string, json_type_error
 from .rules import (
     ProximityRule,
@@ -163,16 +163,12 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
 
 def annotate_segment(annotator: SegmentAnnotator, segment_text: str) -> SegmentAnnotation:
     """Annotate one segment; layer-two elements stay off unless gated in."""
-    lowered = segment_text.lower()
     stops = stopword_list()
     tokens: list[str] = []
     sentences = []
-    for words, stems in sentence_stems(lowered):
+    for words, stems in sentence_stems(fold(segment_text)):
         tokens += [stemmed for word, stemmed in zip(words, stems) if word not in stops]
         sentences.append(term_positions(stems, annotator.rule_terms))
-    if not lowered.isascii():
-        # tokenize drops non-ASCII letters before it splits, joining words at them
-        tokens = tokenize(segment_text)
     elements = elements_in_sentences(annotator.rules, sentences)
     flags = {name: name in elements for name in UNGATED_ELEMENTS}
     intention = annotator.intention_model

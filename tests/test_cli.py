@@ -516,6 +516,34 @@ def test_annotate_reports_the_first_bad_policy(model_dir, tmp_path, capsys, monk
                 1, lines[0], f"error: {bad[first]}\n")
 
 
+# scraped-HTML characters for ASCII ones: accented letters, non-breaking
+# spaces and curly apostrophes
+_NON_ASCII_TWIN = str.maketrans({"e": "\u00e9", "E": "\u00c9", " ": "\u00a0", "'": "\u2019"})
+
+
+@pytest.mark.parametrize("mode", ["fullstop", "blankline"])
+def test_annotate_reads_a_non_ascii_twin_as_its_original(model_dir, tmp_path, capsys,
+                                                         monkeypatch, mode):
+    """Each policy and its twin, which is the policy with scraped-HTML
+    characters, give the same annotation line, app id aside."""
+    twins = []
+    for policy in map(Path, POLICIES):
+        twin = tmp_path / f"twin.{policy.name}"
+        text = policy.read_text(encoding="utf-8")
+        twin.write_text(text.translate(_NON_ASCII_TWIN), encoding="utf-8")
+        assert text.isascii() and not twin.read_text(encoding="utf-8").isascii()
+        twins.append(twin)
+    lines = []
+    for policies in (POLICIES, twins):
+        code, out, err = _annotate_outcome(model_dir, policies, capsys, monkeypatch, 1,
+                                           "--mode", mode)
+        assert (code, err) == (0, "")
+        lines.append([_without(json.loads(line), "app_id") for line in out.splitlines()])
+    assert len(lines[0]) == len(POLICIES)
+    assert lines[0] == lines[1]
+    assert any('"countries": ["' in line for line in lines[0])
+
+
 def test_segment_names_a_non_utf8_policy(tmp_path, capsys):
     latin = tmp_path / "latin.txt"
     latin.write_bytes(b"We transfer \xff data to Japan.")

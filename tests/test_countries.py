@@ -1,5 +1,7 @@
 """Country gazetteer and detection tests."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,9 +11,11 @@ from transferaudit.countries import (
     CountryDictionary,
     detect_target_countries,
     load_country_dictionary,
-    normalize_token,
+    phrase_tokens,
 )
 from transferaudit.errors import ParseError
+from transferaudit.features import fold
+from transferaudit.lines import tab_records
 
 EU_NAMES = ["Germany", "France", "Spain", "Italy", "Ireland", "Sweden",
             "Poland", "Netherlands", "Austria", "Portugal", "Norway",
@@ -22,11 +26,71 @@ def detect(text, dictionary):
     return detect_target_countries(text.split(), dictionary)
 
 
-def test_normalize_token_strips_edge_punctuation():
-    assert normalize_token("(EEA),") == "eea"
-    assert normalize_token("Singapore.") == "singapore"
-    assert normalize_token("U.S.") == "u.s"
-    assert normalize_token("California-based") == "california-based"
+def test_phrase_tokens_strip_edge_punctuation():
+    assert phrase_tokens("(EEA),") == ["eea"]
+    assert phrase_tokens("Singapore.") == ["singapore"]
+    assert phrase_tokens("U.S.") == ["u.s"]
+    assert phrase_tokens("California-based") == ["california-based"]
+
+
+def test_phrase_tokens_split_at_slashes_apostrophes_and_non_ascii_punctuation():
+    assert phrase_tokens("China/India") == ["china", "india"]
+    assert phrase_tokens("China\u2014and\u00a0India") == ["china", "and", "india"]
+    assert phrase_tokens("\u201cChina\u2019s\u201d") == ["china", "s"]
+    assert phrase_tokens("People's") == ["people", "s"]
+    assert phrase_tokens("Cura\u00e7ao, (M\u00e9xico)") == ["curacao", "mexico"]
+    assert phrase_tokens("--/''") == []
+
+
+_PHRASE_PIECES = ["U.S.", "(EEA),", "California-based", "People's", "a/b", "\u2019s", "\u201c",
+                  "\u00e9", "\u00a0", "\u2014", " ", "-", ".", "/", "'", "x", "7"]
+
+
+@given(st.lists(st.one_of(st.characters(), st.sampled_from(_PHRASE_PIECES)), max_size=20)
+       .map("".join))
+def test_phrase_tokens_are_the_stripped_runs_of_folded_text(text):
+    runs = re.split(r"[\s/']+", fold(text))
+    stripped = (re.sub(r"^[^0-9a-z]+|[^0-9a-z]+$", "", run) for run in runs)
+    assert phrase_tokens(text) == [token for token in stripped if token]
+
+
+@pytest.mark.parametrize("text, codes", [
+    # separators that are not whitespace: a slash and non-ASCII punctuation
+    ("servers in China/India", {"CN", "IN"}),
+    ("China\u2014and India", {"CN", "IN"}),
+    ("to the\u00a0United States", {"US"}),
+    ("in \u201cJapan\u201d", {"JP"}),
+    # an apostrophe, curly or straight, splits off a possessive
+    ("China\u2019s servers", {"CN"}),
+    ("China's servers", {"CN"}),
+    ("the People's Republic of China", {"CN"}),
+    ("offices in Cote d'Ivoire", {"CI"}),
+    ("offices in C\u00f4te d\u2019Ivoire", {"CI"}),
+    # internal hyphens and dots stay, as on ASCII text
+    ("a California-based company", set()),
+    ("the U.S. and the UAE", {"US", "AE"}),
+])
+def test_separators_and_possessives(country_dictionary, text, codes):
+    assert detect(text, country_dictionary) == codes
+
+
+def _shipped_surfaces():
+    return [(code, surface) for _, (code, _, surface) in tab_records(
+        None, "code TAB form_type TAB surface", "country_dictionary.tsv")]
+
+
+def test_every_shipped_surface_is_found_in_every_setting(country_dictionary):
+    """Each surface form gives its own code, or nothing for an EU member,
+    alone and after a slash, in curly quotes, before a possessive and joined
+    to the next word by an em dash."""
+    surfaces = _shipped_surfaces()
+    assert len(surfaces) == 447
+    for code, surface in surfaces:
+        expected = {code} - EU_MEMBERS_2020
+        for text in [surface, f"hosting/{surface}", f"\u201c{surface}\u201d",
+                     f"{surface}\u2019s servers", f"{surface}'s servers",
+                     f"{surface}\u2014and more"]:
+            assert detect(text, country_dictionary) == expected, text
 
 
 def test_china_and_singapore(country_dictionary):

@@ -8,6 +8,7 @@ was built on, and `TextClassifier.weigh` of n-grams against the string-keyed
 
 import math
 import re
+import unicodedata
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from transferaudit.features import (
     TFIDF,
     check_ngram_range,
     extract_ngrams,
+    fold,
     stopword_list,
     tokenize,
 )
 from transferaudit.linear import LinearModel, TrainConfig
+from transferaudit.rules import sentence_stems
 from transferaudit.stemmer import stem
 
 
@@ -48,7 +51,7 @@ def test_tokenize_stems_inflected_forms():
 
 
 def test_tokenize_non_ascii_removed():
-    assert tokenize("café data") == ["caf", "data"]
+    assert tokenize("café data") == ["cafe", "data"]
 
 
 def test_tokenize_empty_result_is_allowed():
@@ -56,9 +59,16 @@ def test_tokenize_empty_result_is_allowed():
 
 
 def _reference_tokenize(text):
-    """The default path of the former switchable pipeline, step by step."""
+    """The token pipeline, step by step."""
     text = text.lower()
-    text = text.encode("ascii", "ignore").decode("ascii")
+    if not text.isascii():
+        chars = []
+        for c in unicodedata.normalize("NFKD", text):
+            if c.isascii():
+                chars.append(c)
+            elif not (unicodedata.category(c).startswith("M") or unicodedata.category(c) == "Cf"):
+                chars.append(" ")  # combining marks and format characters are dropped
+        text = "".join(chars).lower()
     tokens = re.findall(r"[a-z]+", text)
     stops = stopword_list()
     tokens = [t for t in tokens if t not in stops]
@@ -69,8 +79,10 @@ def _reference_tokenize(text):
 # words (stop words are dropped before stemming: "does" stems to a non-stop
 # word, "others" to a stop word), inflected forms, non-ASCII letters, and
 # characters whose lowercase is ASCII (KELVIN SIGN -> "k", DOTTED CAPITAL I ->
-# "i" + combining dot)
-_PIECES = ["\u212a", "\u0130", "\u00df", "caf\u00e9", "na\u00efve", "ipv4", "123", "2nd",
+# "i" + combining dot), characters whose NFKD is uppercase ASCII or several
+# letters, and a soft hyphen
+_PIECES = ["\u212a", "\u0130", "\u00df", "caf\u00e9", "na\u00efve", "\u210c", "\ufb01",
+           "trans\u00adfer", "ipv4", "123", "2nd",
            "e-mail", "U.S.", "the", "The", "of", "and", "does", "others", "transferred",
            "countries", "\u00c9TATS", " ", "\n", "\t", "\u00a0", ",", "!", "'s", "_", "data"]
 
@@ -79,6 +91,52 @@ _PIECES = ["\u212a", "\u0130", "\u00df", "caf\u00e9", "na\u00efve", "ipv4", "123
        .map("".join))
 def test_tokenize_matches_reference_pipeline(text):
     assert tokenize(text) == _reference_tokenize(text)
+
+
+@given(st.text())
+def test_fold_is_idempotent_lowercase_ascii(text):
+    folded = fold(text)
+    assert folded.isascii()
+    assert fold(folded) == folded
+    assert not any(c.isupper() for c in folded)
+    if text.lower().isascii():
+        assert folded == text.lower()
+
+
+@given(st.text())
+def test_tokenize_is_the_rule_words_less_stop_words_stemmed(text):
+    """One tokenization: the classifiers' tokens are the words that the rules
+    read, less stop words, stemmed."""
+    stops = stopword_list()
+    assert tokenize(text) == [stemmed for words, stems in sentence_stems(fold(text))
+                              for word, stemmed in zip(words, stems) if word not in stops]
+
+
+@pytest.mark.parametrize("text, tokens", [
+    # a non-breaking space and an em dash separate words
+    ("data\u2014transferred to the\u00a0United States", ["data", "transfer", "unit", "state"]),
+    # a curly apostrophe separates too, so "we\u2019ll" is no "well"
+    ("we\u2019ll share", ["share"]),
+    # accents are dropped, not the letters that carry them
+    ("na\u00efve", ["naiv"]),
+    ("\u00c9TATS-UNIS", ["etat", "uni"]),
+    # a soft hyphen joins the parts of its word
+    ("trans\u00adfer", ["transfer"]),
+    # NFKD gives uppercase ASCII from letterlike symbols and ligatures
+    ("\u210cost \ufb01le", ["host", "file"]),
+])
+def test_tokenize_non_ascii_text(text, tokens):
+    assert tokenize(text) == tokens
+
+
+def test_fold_keeps_ascii_punctuation():
+    assert fold("U.S.\u00a0/ Caf\u00e9-based; \u201cChina\u2019s\u201d") == \
+        "u.s. / cafe-based;  china s "
+
+
+def test_rules_read_the_words_of_the_classifiers():
+    assert [stems for _, stems in sentence_stems(fold("na\u00efve transfer. Caf\u00e9"))] == \
+        [["naiv", "transfer"], ["cafe"]]
 
 
 def test_stopword_list_size_is_fixed():

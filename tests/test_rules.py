@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from transferaudit.errors import ParseError, RuleParseError
+from transferaudit.features import fold
 from transferaudit.rules import ProximityRule, load_rules, matched_elements, parse_rule
 from transferaudit.stemmer import stem
 from transferaudit.transparency import default_rules
@@ -62,6 +63,14 @@ def test_scc_rule_matches_within_window():
     rule = parse_rule(SCC_RULE)
     # stems: standard .. contractu .. claus; gap standard->claus is 2
     assert matched_elements([rule], "we implement measures such as standard contractual clauses")
+
+
+def test_scc_rule_matches_folded_text():
+    rule = parse_rule(SCC_RULE)
+    # a non-breaking space separates words, a soft hyphen and an accent do not
+    assert matched_elements([rule], "Standard\u00a0contractual clau\u00adses")
+    assert matched_elements([rule], "standard contractual claus\u00e9s")
+    assert not matched_elements([rule], "standard\u2026 the clause")  # "..." ends a sentence
 
 
 def test_scc_rule_same_sentence_constraint():
@@ -184,10 +193,10 @@ def test_parse_rejects(text):
 
 
 def _reference_matched_elements(rules, segment_text):
-    """The former matcher: stem each sentence's words once, then rescan the
-    stemmed tokens for every clause of every rule."""
+    """The former matcher over folded text: stem each sentence's words once,
+    then rescan the stemmed tokens for every clause of every rule."""
     sentences = []
-    for raw in re.split(r"[.!?;]", segment_text.lower()):
+    for raw in re.split(r"[.!?;]", fold(segment_text)):
         tokens = [stem(t) for t in re.findall(r"[a-z]+", raw)]
         if tokens:
             sentences.append(tokens)

@@ -14,7 +14,7 @@ from transferaudit.countries import (
     EU_MEMBERS_2020,
     CountryDictionary,
     detect_target_countries,
-    normalize_token,
+    phrase_tokens,
 )
 from transferaudit.features import TF, extract_ngrams, stopword_list, tokenize
 from transferaudit.linear import TrainConfig, intention_label
@@ -188,9 +188,9 @@ def test_equal_segments_load_as_one_object(policies):
 
 
 def _reference_countries(segment_tokens_raw, dictionary):
-    """The former gazetteer scan: try every phrase length up to the longest
-    at every token."""
-    tokens = [t for t in (normalize_token(t) for t in segment_tokens_raw) if t]
+    """The former gazetteer scan over the phrase tokens: try every phrase
+    length up to the longest at every token."""
+    tokens = phrase_tokens(" ".join(segment_tokens_raw))
     max_len = max(map(len, dictionary.phrases), default=1)
     found = set()
     i = 0
@@ -209,7 +209,8 @@ def _reference_countries(segment_tokens_raw, dictionary):
 
 def _reference_annotation(annotator, text):
     """The composition the one-pass annotation must equal: the rule matcher,
-    each classifier on the text, and the former gazetteer scan."""
+    each classifier on the text, and the former gazetteer scan, each of
+    which folds the text itself."""
     elements = matched_elements(annotator.rules, text)
     flags = {name: name in elements for name in UNGATED_ELEMENTS}
     if not annotator.intention_model.predict_text(text):
@@ -240,7 +241,7 @@ def annotators(annotator, intention_corpus):
 # names of one to four tokens; half the segments add letters whose lowercase
 # is not ASCII or is ASCII only after lowercasing (KELVIN SIGN -> "k", "İ" ->
 # "i" + U+0307), and any character as a separator.  A SOFT HYPHEN inside a
-# word splits it for the rules, while `tokenize` drops it and joins the word.
+# word is dropped, joining the word, for the rules and classifiers alike.
 _ASCII_WORDS = [
     "we", "transfer", "transferred", "your", "personal", "data", "information",
     "countries", "outside", "processed", "servers", "located", "adequate", "adequacy",
@@ -325,9 +326,10 @@ def test_gazetteer_index_equals_former_scan_on_any_dictionary(surfaces, tokens):
         _reference_countries(tokens, dictionary)
 
 
-def test_reference_composition_covers_both_paths(annotators):
-    """Fixed segments on the ASCII and the non-ASCII path, intention
-    positive and negative, also for words split at a non-ASCII letter."""
+def test_reference_composition_on_ascii_and_other_text(annotators):
+    """Fixed segments, ASCII or not, intention positive and negative: text
+    that is not ASCII takes the one path of folded text, also where a word
+    holds an accented letter."""
     texts = [
         "We transfer your personal data to servers in the United States; "
         "standard contractual clauses apply. You can obtain a copy.",
@@ -345,6 +347,8 @@ def test_reference_composition_covers_both_paths(annotators):
             assert got == _reference_annotation(ann, text)
             seen.add((text.lower().isascii(), got.intention))
     assert seen >= {(True, True), (True, False), (False, True)}
+    for ann in annotators:  # the accents fold away
+        assert ann.annotate_segment(texts[1]) == ann.annotate_segment(texts[0])
 
 
 def test_stop_words_are_in_the_generated_segments():
