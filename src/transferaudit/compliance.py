@@ -1,7 +1,11 @@
 """Transfer typing and per-transfer disclosure verdicts.
 
 Each (event, destination country) pair gets exactly one transfer type and
-one verdict.  Evaluation order is normative: intra-EU legs are out of scope;
+one verdict, from the elements its type requires (`_REQUIRED`): the EU
+representative for a first-party transfer (Art. 27); the intention, the
+target countries and either the adequacy decision (Art. 45) or a valid
+safeguard and the means to get a copy (Arts. 46-49) for a third-party one.
+Evaluation order is normative: intra-EU legs are out of scope;
 first-party transfers need only the EU-representative disclosure; for
 third-party transfers an undisclosed intention is an omission, a disclosed
 country set that misses the actual destination is an inconsistency, and
@@ -13,14 +17,13 @@ from __future__ import annotations
 import datetime
 import functools
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple
 
 from .countries import check_country_code
 from .errors import ParseError
 from .flows import FIRST_PARTY, TransferEvent
 from .lines import data_lines
-from .transparency import PolicyAnnotation
+from .transparency import FLAGS, PolicyAnnotation, flag_values
 
 INTRA_EU = "intra_eu"
 T1_FIRST_PARTY = "t1_first_party_non_eu"
@@ -138,14 +141,18 @@ class Verdict(NamedTuple):
     recipient_hq: str | None = None
 
 
-# The policy flags a judgment reads, in the order `_verdict_core` unpacks them.
-_policy_flags = attrgetter("intention", "adequacy", "scc", "bcr", "explicit_consent",
-                           "copy_means", "representative", "privacy_shield")
+# `target_countries` is disclosed when the policy names countries; `safeguard`
+# when it names SCC, BCR, consent without an idle-stage flow or a valid shield.
+_REQUIRED = {
+    T1_FIRST_PARTY: frozenset({"representative"}),
+    T2_ADEQUACY: frozenset({"intention", "target_countries", "adequacy"}),
+    T3_NO_ADEQUACY: frozenset({"intention", "target_countries", "safeguard", "copy_means"}),
+}
 
 
 def _case(event: TransferEvent, policy: PolicyAnnotation, juris: JurisdictionConfig) -> tuple:
     """What a judgment reads of one (event, policy, jurisdiction), whatever the country."""
-    return (*_policy_flags(policy), bool(policy.countries), event.any_idle_flow,
+    return (*flag_values(policy), bool(policy.countries), event.any_idle_flow,
             juris.framework_valid("privacy_shield"))
 
 
@@ -157,49 +164,37 @@ def _verdict_core(ttype: str, disclosed: bool,
     `disclosed` says whether the policy's country set holds the destination.
     The key takes 4 transfer types times 2**12 bool combinations at most.
     """
-    (intention, adequacy, scc, bcr, explicit_consent, copy_means, representative,
-     privacy_shield, has_countries, idle, shield_valid) = case
     if ttype == INTRA_EU:
         return NOT_APPLICABLE, frozenset(), None
+    *flags, has_countries, idle, shield_valid = case
+    shown = {name for name, value in zip(FLAGS, flags) if value}
+    required = _REQUIRED[ttype]
     if ttype == T1_FIRST_PARTY:
-        if representative:
-            return FD, frozenset(), None
-        return OD, frozenset({"representative"}), None
+        missing = required - shown
+        return (OD if missing else FD), missing, None
+    if "intention" not in shown:
+        return OD, required, None
 
-    if not intention:
-        missing = {"intention", "target_countries"}
-        if ttype == T2_ADEQUACY:
-            missing.add("adequacy")
-        else:
-            missing.update(("safeguard", "copy_means"))
-        return OD, frozenset(missing), None
-
-    missing = set()
+    if has_countries:
+        shown.add("target_countries")
+    consent, shield = "explicit_consent" in shown, "privacy_shield" in shown
+    if "scc" in shown or "bcr" in shown or (consent and not idle) or (shield and shield_valid):
+        shown.add("safeguard")
+    missing = required - shown
     reason = None
-    if not has_countries:
-        missing.add("target_countries")
-    if ttype == T2_ADEQUACY:
-        if not adequacy:
-            missing.add("adequacy")
-    else:
-        # a safeguard holds unless every one the policy names is void
+    if "safeguard" in missing:  # every safeguard the policy names is void
         reasons = []
-        if explicit_consent and idle:
+        if consent:
             reasons.append("explicit consent nullified by idle-stage transfer")
-        if privacy_shield and not shield_valid:
+        if shield:
             reasons.append("privacy shield framework invalidated")
-        if not (scc or bcr or (explicit_consent and not idle)
-                or (privacy_shield and shield_valid)):
-            missing.add("safeguard")
-            reason = "; ".join(reasons) or None
-        if not copy_means:
-            missing.add("copy_means")
+        reason = "; ".join(reasons) or None
 
     if not missing and disclosed:
         return FD, frozenset(), None
     if has_countries and not disclosed:
-        return ID, frozenset(missing), reason
-    return AD, frozenset(missing), reason
+        return ID, missing, reason
+    return AD, missing, reason
 
 
 def _judge(ttype: str, event: TransferEvent, country: str, policy: PolicyAnnotation,

@@ -29,13 +29,15 @@ WORD_RUNS = re.compile(r"[a-z]+")
 def fold(text: str) -> str:
     """The lowercase ASCII form of text that the classifiers, the rules and the
     gazetteer read.  Non-ASCII text is NFKD-decomposed, loses its combining
-    marks and format characters (soft hyphens), gets a space for each other
-    non-ASCII character and is lowercased again (NFKD gives "h" from "ℌ")."""
+    marks and format characters (soft hyphens) except the zero-width space,
+    which separates words, gets a space for each other non-ASCII character
+    and is lowercased again (NFKD gives "h" from "ℌ")."""
     lowered = text.lower()
     if lowered.isascii():
         return lowered
+    decomposed = unicodedata.normalize("NFKD", lowered.replace("\u200b", " "))
     return "".join(c if c.isascii() else "" if unicodedata.category(c) in ("Mn", "Mc", "Me", "Cf")
-                   else " " for c in unicodedata.normalize("NFKD", lowered)).lower()
+                   else " " for c in decomposed).lower()
 
 
 @cache

@@ -21,7 +21,7 @@ from .compliance import (
     AppAssessment,
 )
 from .errors import AuditError
-from .transparency import PolicyAnnotation
+from .transparency import ELEMENT_FIELDS, PolicyAnnotation
 
 TEXT_TABLE = "text_table"
 MACHINE_LINES = "machine_lines"
@@ -29,14 +29,14 @@ MACHINE_LINES = "machine_lines"
 TRANSFER_TYPES = (INTRA_EU, T1_FIRST_PARTY, T2_ADEQUACY, T3_NO_ADEQUACY)
 VERDICT_CLASSES = (FD, AD, ID, OD, NOT_APPLICABLE)
 
-# Table-style element order: apps disclosing them and segment statements
-ELEMENTS = ("representative", "intention", "target_country", "adequacy",
-            "scc", "bcr", "explicit_consent", "copy_means", "privacy_shield")
+# The element rows, apps disclosing them and segment statements: the
+# annotation fields in order, with `countries` shown as `target_country`
+ELEMENTS = tuple("target_country" if e == "countries" else e for e in ELEMENT_FIELDS)
 
 
 _type_and_class = attrgetter("transfer_type", "verdict_class")
 # an annotation's values for ELEMENTS, in order
-_element_values = attrgetter(*("countries" if e == "target_country" else e for e in ELEMENTS))
+_element_values = attrgetter(*ELEMENT_FIELDS)
 
 
 def _tally_elements(counts: Counter) -> dict[str, int]:

@@ -2,7 +2,8 @@
 
 Grammar: ``CLAUSE (w/<int> CLAUSE)*`` with ``CLAUSE := '(' term ('|' term)* ')'``
 and single-quoted terms, e.g. ``('contract'|'standard') w/4 ('model'|'clause')``.
-Terms are stemmed at parse time; a rule matches when, inside one sentence,
+Terms are folded (`features.fold`) and stemmed at parse time, and each must
+fold to one word of letters a-z; a rule matches when, inside one sentence,
 stemmed tokens satisfying consecutive clauses lie within the clause window
 (in either order).  Matching reads one `{stem: [positions]}` dict per
 sentence, which needs only the stems that are rule terms; `sentence_stems`
@@ -28,6 +29,11 @@ _WINDOW = re.compile(r"\s*w/(\d*)")  # \d: int() reads every Unicode decimal dig
 
 SENTENCE_ENDS = re.compile(r"[.!?;]")
 
+# The transparency elements that rules detect: the element ids a rules file
+# may name.
+RULE_ELEMENTS = ("representative", "scc", "bcr", "explicit_consent", "copy_means",
+                 "privacy_shield")
+
 
 @dataclass(frozen=True)
 class ProximityRule:
@@ -51,10 +57,11 @@ def parse_rule(rule_text: str, rule_id: str = "") -> ProximityRule:
             raise RuleParseError("expected a clause `('term'|'term')`", pos)
         terms = []
         for term in _TERM.finditer(rule_text, clause.start(1), clause.end(1)):
-            if not term[1].isalpha():
-                raise RuleParseError(f"term must be alphabetic, got {term[1]!r}",
+            word = fold(term[1])
+            if not WORD_RUNS.fullmatch(word):
+                raise RuleParseError(f"term must fold to one word of a-z, got {term[1]!r}",
                                      term.start(1))
-            terms.append(stem(term[1].lower()))
+            terms.append(stem(word))
         clauses.append(frozenset(terms))
         pos = clause.end()
         if not rule_text[pos:].strip():
@@ -73,14 +80,16 @@ def parse_rule(rule_text: str, rule_id: str = "") -> ProximityRule:
 def load_rules(path=None) -> list[ProximityRule]:
     """Rule file: `element_id TAB rule text` per line; default: shipped rules.
 
-    A malformed line is a ParseError naming it, chained from the grammar's
-    RuleParseError.
+    An element id is one of RULE_ELEMENTS.  A malformed line is a ParseError
+    naming it, chained from the grammar's RuleParseError.
     """
     rules = []
     for lineno, line in data_lines(path, "rules.tsv"):
         element_id, sep, text = line.partition("\t")
         if not sep or not element_id or not text.strip():
             raise ParseError("expected `element_id TAB rule`", lineno)
+        if element_id not in RULE_ELEMENTS:
+            raise ParseError(f"unknown element id {element_id!r}", lineno)
         try:
             rules.append(parse_rule(text.strip(), rule_id=element_id))
         except RuleParseError as exc:

@@ -5,6 +5,7 @@ only on flagged segments and extracts target countries (gazetteer), the
 adequacy claim (second linear classifier) and safeguard/copy elements
 (proximity rules).  Representative and privacy-shield rules run on every
 segment.  Policy-level annotations OR the segment flags and union countries.
+The fields of `SegmentAnnotation` name the nine elements, in report order.
 A segment is folded (`features.fold`) and analysed in one pass: each word
 is stemmed once, for the rule positions and for the classifiers' tokens;
 the two classifiers share one n-gram list.  The annotation JSON
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 from .countries import CountryDictionary, check_country_code, detect_target_countries
@@ -24,6 +25,7 @@ from .errors import ParseError
 from .features import extract_ngrams, fold, stopword_list
 from .lines import json_records, json_string, json_type_error
 from .rules import (
+    RULE_ELEMENTS,
     ProximityRule,
     elements_in_sentences,
     load_rules,
@@ -37,8 +39,8 @@ if TYPE_CHECKING:  # a type only: importing classifier loads numpy
 
 # Rule-detected elements; the gated ones count only in segments that state a
 # transfer intention.
-GATED_ELEMENTS = ("scc", "bcr", "explicit_consent", "copy_means")
 UNGATED_ELEMENTS = ("representative", "privacy_shield")
+GATED_ELEMENTS = tuple(name for name in RULE_ELEMENTS if name not in UNGATED_ELEMENTS)
 
 
 def default_rules() -> list[ProximityRule]:
@@ -47,6 +49,7 @@ def default_rules() -> list[ProximityRule]:
 
 @dataclass(frozen=True)
 class SegmentAnnotation:
+    representative: bool = False
     intention: bool = False
     countries: frozenset[str] = frozenset()
     adequacy: bool = False
@@ -54,7 +57,6 @@ class SegmentAnnotation:
     bcr: bool = False
     explicit_consent: bool = False
     copy_means: bool = False
-    representative: bool = False
     privacy_shield: bool = False
 
 
@@ -65,15 +67,16 @@ class PolicyAnnotation(SegmentAnnotation):
     segments: list[SegmentAnnotation] = field(default_factory=list)
 
 
-# The nine transparency elements as annotation fields, in field order; the
-# policy OR and the annotation JSON form are derived from this tuple.
+# The nine transparency elements as annotation fields, in field order, and the
+# eight flags among them; annotations, verdicts and report rows derive from these.
 ELEMENT_FIELDS = tuple(f.name for f in fields(SegmentAnnotation))
-_FLAGS = tuple(name for name in ELEMENT_FIELDS if name != "countries")
-_flag_values = itemgetter(*_FLAGS)
+FLAGS = tuple(name for name in ELEMENT_FIELDS if name != "countries")
+flag_values = attrgetter(*FLAGS)
+_flag_items = itemgetter(*FLAGS)  # the flags of an annotation JSON record
 
 
 def _elements_json(ann) -> dict:
-    obj = {name: getattr(ann, name) for name in _FLAGS}
+    obj = {name: getattr(ann, name) for name in FLAGS}
     obj["countries"] = sorted(ann.countries)
     return obj
 
@@ -96,7 +99,7 @@ def _elements(obj: dict, lineno: int, codes: set[str]) -> dict:
     for code in countries:
         if code not in codes:
             codes.add(check_country_code(code, lineno))
-    elements = dict(zip(_FLAGS, _flag_values(obj)))
+    elements = dict(zip(FLAGS, _flag_items(obj)))
     for name, value in elements.items():
         if not isinstance(value, bool):
             raise json_type_error(name, "boolean", value, lineno)
@@ -143,7 +146,7 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
                 countries = s["countries"]
                 if not isinstance(countries, list):
                     raise json_type_error("countries", "array", countries, lineno)
-                key = (_flag_values(s), tuple(countries))
+                key = (_flag_items(s), tuple(countries))
                 seg = by_key.get(key)
                 if seg is None:
                     seg = SegmentAnnotation(**_elements(s, lineno, codes))
@@ -192,7 +195,7 @@ def annotate_policy(segment_annotations: list[SegmentAnnotation]) -> PolicyAnnot
     segments = list(segment_annotations)
     return PolicyAnnotation(countries=frozenset().union(*(s.countries for s in segments)),
                             segments=segments,
-                            **{name: any(getattr(s, name) for s in segments) for name in _FLAGS})
+                            **{name: any(getattr(s, name) for s in segments) for name in FLAGS})
 
 
 @dataclass(frozen=True)

@@ -584,16 +584,17 @@ def test_scan_drops_unparseable_hostname(tmp_path, capsys, caplog):
 
 
 def test_bad_rule_line_is_input_error_naming_the_line(model_dir, tmp_path, capsys):
-    rules = tmp_path / "rules.tsv"
-    rules.write_text("scc\t('standard') w/4 ('clause')\nbcr\t('a') w/x ('b')\n",
-                     encoding="utf-8")
     policy = tmp_path / "pol.txt"
     policy.write_text("We use standard contractual clauses.", encoding="utf-8")
-    assert main(["annotate", "--model-dir", str(model_dir), "--rules", str(rules),
-                 str(policy)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "line 2" in captured.err
+    rules = tmp_path / "rules.tsv"
+    # a grammar error, and an element id that names no rule element
+    for bad_line in ["bcr\t('a') w/x ('b')", "scc_typo\t('standard')"]:
+        rules.write_text(f"scc\t('standard') w/4 ('clause')\n{bad_line}\n", encoding="utf-8")
+        assert main(["annotate", "--model-dir", str(model_dir), "--rules", str(rules),
+                     str(policy)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err
 
 
 def test_bad_model_line_is_input_error_naming_the_line(model_dir, tmp_path, capsys):

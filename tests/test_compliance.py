@@ -29,11 +29,11 @@ from transferaudit.compliance import (
     judge_transfer,
     load_jurisdiction,
 )
-from transferaudit.compliance import _verdict_core
+from transferaudit.compliance import _REQUIRED, _verdict_core
 from transferaudit.countries import EU_MEMBERS_2020
 from transferaudit.errors import ParseError
 from transferaudit.flows import RecipientInfo, TransferEvent
-from transferaudit.transparency import PolicyAnnotation
+from transferaudit.transparency import FLAGS, PolicyAnnotation
 
 JURIS = load_jurisdiction()
 
@@ -327,3 +327,9 @@ def test_verdict_memo_keys_on_the_case_not_on_the_verdict():
         judge_event(ev, pol, JURIS)
     # at most 4 transfer types x the destination disclosed or not x the idle flag
     assert 0 < _verdict_core.cache_info().currsize <= 16
+
+
+def test_required_elements_are_flags_or_derived():
+    assert set(_REQUIRED) == {T1_FIRST_PARTY, T2_ADEQUACY, T3_NO_ADEQUACY}
+    for names in _REQUIRED.values():
+        assert names <= {*FLAGS, "target_countries", "safeguard"}

@@ -69,6 +69,8 @@ def test_phrase_tokens_are_the_stripped_runs_of_folded_text(text):
     # internal hyphens and dots stay, as on ASCII text
     ("a California-based company", set()),
     ("the U.S. and the UAE", {"US", "AE"}),
+    # a zero-width space separates words
+    ("to the United\u200bStates", {"US"}),
 ])
 def test_separators_and_possessives(country_dictionary, text, codes):
     assert detect(text, country_dictionary) == codes

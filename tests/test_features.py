@@ -66,8 +66,10 @@ def _reference_tokenize(text):
         for c in unicodedata.normalize("NFKD", text):
             if c.isascii():
                 chars.append(c)
+            elif c == "\u200b":
+                chars.append(" ")  # the zero-width space separates words
             elif not (unicodedata.category(c).startswith("M") or unicodedata.category(c) == "Cf"):
-                chars.append(" ")  # combining marks and format characters are dropped
+                chars.append(" ")  # other combining marks and format characters are dropped
         text = "".join(chars).lower()
     tokens = re.findall(r"[a-z]+", text)
     stops = stopword_list()
@@ -80,9 +82,9 @@ def _reference_tokenize(text):
 # word, "others" to a stop word), inflected forms, non-ASCII letters, and
 # characters whose lowercase is ASCII (KELVIN SIGN -> "k", DOTTED CAPITAL I ->
 # "i" + combining dot), characters whose NFKD is uppercase ASCII or several
-# letters, and a soft hyphen
+# letters, a soft hyphen (joins words) and a zero-width space (separates them)
 _PIECES = ["\u212a", "\u0130", "\u00df", "caf\u00e9", "na\u00efve", "\u210c", "\ufb01",
-           "trans\u00adfer", "ipv4", "123", "2nd",
+           "trans\u00adfer", "data\u200btransfer", "\u200b", "ipv4", "123", "2nd",
            "e-mail", "U.S.", "the", "The", "of", "and", "does", "others", "transferred",
            "countries", "\u00c9TATS", " ", "\n", "\t", "\u00a0", ",", "!", "'s", "_", "data"]
 
@@ -124,6 +126,8 @@ def test_tokenize_is_the_rule_words_less_stop_words_stemmed(text):
     ("trans\u00adfer", ["transfer"]),
     # NFKD gives uppercase ASCII from letterlike symbols and ligatures
     ("\u210cost \ufb01le", ["host", "file"]),
+    # a zero-width space separates words
+    ("data\u200btransfer", ["data", "transfer"]),
 ])
 def test_tokenize_non_ascii_text(text, tokens):
     assert tokenize(text) == tokens

@@ -19,7 +19,7 @@ from transferaudit.compliance import (
     Verdict,
 )
 from transferaudit.errors import AuditError
-from transferaudit.reports import MACHINE_LINES, TEXT_TABLE, emit_report, summarize
+from transferaudit.reports import ELEMENTS, MACHINE_LINES, TEXT_TABLE, emit_report, summarize
 from transferaudit.transparency import (
     PolicyAnnotation,
     SegmentAnnotation,
@@ -54,6 +54,12 @@ def sample_inputs():
         "d": PolicyAnnotation(segments=[]),
     }
     return assessments, annotations
+
+
+def test_element_rows_keep_their_order():
+    # the report bytes depend on this order, which the annotation fields give
+    assert ELEMENTS == ("representative", "intention", "target_country", "adequacy",
+                        "scc", "bcr", "explicit_consent", "copy_means", "privacy_shield")
 
 
 def test_summary_counts(sample_inputs):

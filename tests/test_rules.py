@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from transferaudit.errors import ParseError, RuleParseError
 from transferaudit.features import fold
-from transferaudit.rules import ProximityRule, load_rules, matched_elements, parse_rule
+from transferaudit.rules import (
+    RULE_ELEMENTS,
+    ProximityRule,
+    load_rules,
+    matched_elements,
+    parse_rule,
+)
 from transferaudit.stemmer import stem
 from transferaudit.transparency import default_rules
 
@@ -153,6 +159,29 @@ def test_load_rules_rejects_missing_tab(tmp_path):
     assert str(excinfo.value) == "line 2: position 8: window must be >= 1"
 
 
+def test_load_rules_rejects_an_unknown_element_id(tmp_path):
+    path = tmp_path / "rules.tsv"
+    path.write_text("scc\t('standard')\nscc_typo\t('standard')\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_rules(path)
+    assert excinfo.value.line_number == 2
+    assert str(excinfo.value) == "line 2: unknown element id 'scc_typo'"
+
+
+def test_shipped_rules_name_every_rule_element():
+    assert {rule.id for rule in default_rules()} == set(RULE_ELEMENTS)
+
+
+def test_terms_are_folded_as_text_is():
+    assert matched_elements([parse_rule("('caf\u00e9')", "x")], "caf\u00e9") == {"x"}
+    assert matched_elements([parse_rule("('cafe')", "x")], "caf\u00e9") == {"x"}
+    assert parse_rule("('\ufb01le'|'\u212aey')").clauses == (frozenset({"file", "key"}),)
+    # a term that folds to two words is refused at the term
+    with pytest.raises(RuleParseError) as excinfo:
+        parse_rule("('a') w/2 ('stra\u00dfe')")
+    assert excinfo.value.position == 12
+
+
 def test_multiple_rules_same_element_are_alternatives(tmp_path):
     path = tmp_path / "rules.tsv"
     path.write_text(
@@ -185,6 +214,8 @@ def test_parse_accepts(text, clauses, windows):
     # SUPERSCRIPT TWO passes str.isdigit(), but int() rejects it
     "('a') w/0 ('b')", "('a') w/x ('b')", "('a') w/\u00b2 ('b')", "('a') w/1\u00b2 ('b')",
     "('a') w/-1 ('b')", "('a') w/2", "('a') W/2 ('b')", "('a') w /2 ('b')", "('a') x",
+    # terms that fold to a space or to no single word of a-z
+    "('\u00df')", "('a'|'\u4e2d')", "('stra\u00dfe')", "('a\u200bb')",
 ])
 def test_parse_rejects(text):
     with pytest.raises(RuleParseError) as excinfo:

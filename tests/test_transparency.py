@@ -18,8 +18,9 @@ from transferaudit.countries import (
 )
 from transferaudit.features import TF, extract_ngrams, stopword_list, tokenize
 from transferaudit.linear import TrainConfig, intention_label
-from transferaudit.rules import matched_elements
+from transferaudit.rules import RULE_ELEMENTS, matched_elements
 from transferaudit.transparency import (
+    ELEMENT_FIELDS,
     GATED_ELEMENTS,
     UNGATED_ELEMENTS,
     PolicyAnnotation,
@@ -35,6 +36,12 @@ GATED = ("adequacy", "scc", "bcr", "explicit_consent", "copy_means")
 def segments_of(app_id):
     doc = PolicyDocument(app_id, policy_text(app_id))
     return [s.text for s in segment_policy(doc, BLANKLINE)]
+
+
+def test_rule_elements_and_classifier_elements_are_the_annotation_fields():
+    named = [*RULE_ELEMENTS, "intention", "countries", "adequacy"]
+    assert sorted(named) == sorted(ELEMENT_FIELDS)
+    assert set(GATED_ELEMENTS) | set(UNGATED_ELEMENTS) == set(RULE_ELEMENTS)
 
 
 def test_full_disclosure_segment(annotator):
