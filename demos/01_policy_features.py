@@ -7,9 +7,9 @@ and the three weighting schemes.
 
 import math
 
-from transferaudit.classifier import IdVocabulary, number_grams
 from transferaudit.corpus import BLANKLINE, FULLSTOP, PolicyDocument, segment_policy
 from transferaudit.features import BC, TF, TFIDF, extract_ngrams, tokenize
+from transferaudit.training import IdVocabulary, number_grams
 
 POLICY = PolicyDocument(
     app_id="demo.app",

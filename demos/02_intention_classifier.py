@@ -8,10 +8,11 @@ winning configuration.
 import random
 import tempfile
 
-from transferaudit.classifier import TextClassifier, cross_validate, fit_text_classifier
+from transferaudit.classifier import TextClassifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.features import BC, TF, TFIDF
 from transferaudit.linear import TrainConfig, intention_label
+from transferaudit.training import cross_validate, fit_text_classifier
 
 POSITIVE_TEMPLATES = [
     "we may transfer your personal data to countries outside the european economic area",

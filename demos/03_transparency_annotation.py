@@ -6,7 +6,6 @@ annotator combines them with the linear classifiers on whole policies.
 
 import random
 
-from transferaudit.classifier import fit_text_classifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.countries import (
     detect_target_countries,
@@ -15,6 +14,7 @@ from transferaudit.countries import (
 from transferaudit.features import TF, TFIDF
 from transferaudit.linear import TrainConfig, adequacy_label, intention_label
 from transferaudit.rules import matched_elements, parse_rule
+from transferaudit.training import fit_text_classifier
 from transferaudit.transparency import SegmentAnnotator, default_rules
 
 dictionary = load_country_dictionary()

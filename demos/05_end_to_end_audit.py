@@ -7,7 +7,6 @@ an ambiguous disclosure whose consent is nullified by an idle-stage transfer
 
 import random
 
-from transferaudit.classifier import fit_text_classifier
 from transferaudit.compliance import assess_app, load_jurisdiction
 from transferaudit.corpus import (
     BLANKLINE,
@@ -29,6 +28,7 @@ from transferaudit.flows import (
 )
 from transferaudit.linear import TrainConfig, adequacy_label, intention_label
 from transferaudit.reports import TEXT_TABLE, emit_report, summarize
+from transferaudit.training import fit_text_classifier
 from transferaudit.transparency import SegmentAnnotator, default_rules
 
 AAID = "38400000-8cf0-11bd-b23e-10b96e40000d"

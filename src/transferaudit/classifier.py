@@ -3,58 +3,28 @@
 A bundle is what the annotation pipeline actually consumes; it knows how to
 turn raw segment text, or n-grams already computed, into a prediction and
 how to round-trip itself through its two files.  This module alone knows
-their format: a vocabulary file and a model file, each `#key=value` header
-lines and TAB rows read by one reader (`_read_records`), the model naming
-its vocabulary by the hash of the vocabulary file's text.  Fitting
-a bundle and k-fold evaluation share one training path, over n-grams
-computed and numbered once per sample (`labeled_grams`), so a caller that
-does both computes them once.
+their names and format: a vocabulary file and a model file, each
+`#key=value` header lines and TAB rows read by one reader (`_read_records`),
+the model naming its vocabulary by the hash of the vocabulary file's text.
+Bundles are fitted in `training.py`, the only module that imports numpy.
 
-The BC/TF/TF-IDF weighing is defined here for both forms of a vocabulary:
-by n-gram string for a bundle (`TextClassifier.weigh`) and by n-gram id for
-a fit (`IdVocabulary.vector`).  Both give a sample's features as one pair,
-feature indices and their weights in order of first occurrence, which is
-what `linear.train` and `linear.decision_value` read.  A string-keyed
-`Vocabulary` is built only for the bundle.
+`TextClassifier.weigh` gives the BC/TF/TF-IDF weighing by n-gram string, as
+one pair, feature indices and their weights in order of first occurrence,
+which is what `linear.decision_value` reads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from .corpus import Corpus, LabeledSegment, stratified_kfold
 from .errors import ParseError
-from .features import (
-    BC,
-    SCHEMES,
-    TF,
-    TFIDF,
-    Vocabulary,
-    extract_ngrams,
-    parse_ngram_range,
-    tokenize,
-)
-from .linear import (
-    MODIFIED_HUBER,
-    CrossValidationResult,
-    EvalMetrics,
-    Features,
-    LinearModel,
-    TrainConfig,
-    compute_metrics,
-    intention_label,
-    predict,
-    train,
-)
+from .features import BC, SCHEMES, TF, Vocabulary, extract_ngrams, parse_ngram_range, tokenize
+from .linear import MODIFIED_HUBER, Features, LinearModel, TrainConfig, predict
 
 
 def _idf(document_count: int, document_frequency: list[int]) -> list[float]:
@@ -117,15 +87,18 @@ class TextClassifier:
         vocab_text = (directory / f"{name}.vocab.tsv").read_text(encoding="utf-8")
         vocab = _parse_vocabulary(vocab_text)
         model, header = load_model(directory / f"{name}.model.tsv")
-        if model.weights.shape[0] != len(vocab):
+        if len(model.weights) != len(vocab):
             raise ParseError(
-                f"model has {model.weights.shape[0]} weights for a "
-                f"{len(vocab)}-feature vocabulary"
-            )
+                f"model has {len(model.weights)} weights for a {len(vocab)}-feature vocabulary")
         if header["vocab_sha256"] != bytes_hash(vocab_text.encode("utf-8")):
             raise ParseError("vocabulary file does not match the model's vocab hash")
         return cls(ngram=parse_ngram_range(header["ngram"]), vocabulary=vocab,
                    scheme=header["scheme"], model=model)
+
+
+def saved(directory, name: str) -> bool:
+    """Whether `directory` holds a bundle's model file saved under `name`."""
+    return Path(directory, f"{name}.model.tsv").exists()
 
 
 def bytes_hash(data: bytes) -> str:
@@ -164,7 +137,7 @@ def model_bytes(model: LinearModel, *, scheme: str, ngram: tuple[int, int],
         f"#loss={MODIFIED_HUBER}",
         f"#vocab_sha256={vocab_hash}",
     ]
-    lines.extend(f"{idx}\t{weight!r}" for idx, weight in enumerate(model.weights.tolist()))
+    lines.extend(f"{idx}\t{weight!r}" for idx, weight in enumerate(model.weights))
     lines.append(f"#bias={float(model.bias)!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -251,7 +224,7 @@ def load_model(path) -> tuple[LinearModel, dict[str, str]]:
         lambda _, fields: (int(fields[0]), _finite(fields[1])), "weight")
     cfg = TrainConfig(alpha=float(header["alpha"]), epochs=int(header["epochs"]),
                       eta0=float(header["eta0"]), seed=int(header["seed"]))
-    return LinearModel(weights=np.array(weights), bias=float(header["bias"]), config=cfg), header
+    return LinearModel(weights=tuple(weights), bias=float(header["bias"]), config=cfg), header
 
 
 def _document_count(text: str) -> None:
@@ -292,163 +265,3 @@ def _parse_vocabulary(text: str) -> Vocabulary:
 def load_vocabulary(path) -> Vocabulary:
     """Read a vocabulary file written by `save_vocabulary`."""
     return _parse_vocabulary(Path(path).read_text(encoding="utf-8"))
-
-
-def labeled_grams(corpus: Corpus, ngram: tuple[int, int],
-                  label_fn: Callable[[LabeledSegment], int]) -> NumberedGrams:
-    """Each sample's n-grams over the range, numbered, and its label.
-
-    Computed once per corpus, they serve any number of fits and folds.
-    """
-    gram_lists = [extract_ngrams(tokenize(s.segment.text), *ngram) for s in corpus.samples]
-    return number_grams(gram_lists, [label_fn(s) for s in corpus.samples], ngram)
-
-
-@dataclass(frozen=True)
-class NumberedGrams:
-    """Labeled samples whose n-grams over the range `ngram` are numbered
-    once, for every fit.
-
-    `grams` holds the distinct n-grams in string order, so that an n-gram's
-    id is its rank.  Sample i keeps the ids of its distinct n-grams in
-    first-occurrence order, `ids[i]`, and their counts as floats,
-    `counts[i]`.
-    """
-
-    ngram: tuple[int, int]
-    grams: list[str]
-    ids: list[np.ndarray]
-    counts: list[np.ndarray]
-    labels: list[int]
-
-
-def number_grams(gram_lists: list[list[str]], labels: list[int],
-                 ngram: tuple[int, int]) -> NumberedGrams:
-    """Number each sample's n-grams over the range (see `NumberedGrams`)."""
-    grams = sorted(set().union(*gram_lists))
-    rank = {gram: i for i, gram in enumerate(grams)}.__getitem__
-    ids, counts = [], []
-    for sample in gram_lists:
-        count = Counter(sample)
-        ids.append(np.fromiter(map(rank, count), dtype=np.int64, count=len(count)))
-        counts.append(np.fromiter(count.values(), dtype=np.float64, count=len(count)))
-    return NumberedGrams(ngram=ngram, grams=grams, ids=ids, counts=counts, labels=list(labels))
-
-
-class IdVocabulary:
-    """The vocabulary of some of the samples, by n-gram id.
-
-    A feature is an n-gram with a document frequency above 0 among those
-    samples, and features are numbered in string order.  `vector` weighs
-    sample i as `TextClassifier.weigh` weighs its n-grams against
-    `vocabulary()`.
-    """
-
-    def __init__(self, data: NumberedGrams, among: Sequence[int], scheme: str):
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown weighting scheme {scheme!r}")
-        if not among:
-            raise ValueError("need at least one segment to build a vocabulary")
-        df = np.bincount(np.concatenate([data.ids[i] for i in among]),
-                         minlength=len(data.grams))
-        self.data, self.scheme, self.document_count = data, scheme, len(among)
-        self.ids = np.flatnonzero(df)
-        self.document_frequency = df[self.ids]
-        # an n-gram id's feature index, or -1 for an n-gram out of the vocabulary
-        self.feature = np.full(len(data.grams), -1, dtype=np.int64)
-        self.feature[self.ids] = np.arange(self.ids.size)
-        if scheme == TFIDF:
-            self.idf = np.array(_idf(self.document_count, self.document_frequency.tolist()))
-
-    def __len__(self):
-        return self.ids.size
-
-    def vector(self, i: int) -> Features:
-        """Sample i's feature indices and weights, as int64 and float64 arrays."""
-        feature = self.feature[self.data.ids[i]]
-        known = feature >= 0
-        idx = feature[known]
-        if self.scheme == BC:
-            return idx, np.ones(idx.size)
-        values = self.data.counts[i][known]
-        if self.scheme == TFIDF:
-            values *= self.idf[idx]
-            weighted = values != 0.0
-            idx, values = idx[weighted], values[weighted]
-        return idx, values
-
-    def vocabulary(self) -> Vocabulary:
-        grams = self.data.grams
-        return Vocabulary(
-            feature_to_index={grams[g]: i for i, g in enumerate(self.ids.tolist())},
-            document_frequency=self.document_frequency.tolist(),
-            document_count=self.document_count,
-        )
-
-
-def _fit(vocab: IdVocabulary, among: Sequence[int], train_cfg: TrainConfig) -> LinearModel:
-    """Train on the samples `among`, weighed against the vocabulary."""
-    labels = vocab.data.labels
-    return train([(vocab.vector(i), labels[i]) for i in among], train_cfg, len(vocab))
-
-
-def fit_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfig) -> TextClassifier:
-    """Build the vocabulary on all the samples, and train."""
-    everyone = range(len(data.labels))
-    vocab = IdVocabulary(data, everyone, scheme)
-    model = _fit(vocab, everyone, train_cfg)
-    return TextClassifier(ngram=data.ngram, vocabulary=vocab.vocabulary(), scheme=scheme,
-                          model=model)
-
-
-def fit_text_classifier(corpus: Corpus, ngram: tuple[int, int], scheme: str,
-                        train_cfg: TrainConfig,
-                        label_fn: Callable[[LabeledSegment], int]) -> TextClassifier:
-    """Build the vocabulary on the full corpus, and train."""
-    return fit_grams(labeled_grams(corpus, ngram, label_fn), scheme, train_cfg)
-
-
-@dataclass(frozen=True)
-class _CrossValidation:
-    data: NumberedGrams
-    scheme: str
-    train_cfg: TrainConfig
-    folds: list[tuple[list[int], list[int]]]
-    shared_vocab: IdVocabulary | None
-
-    def evaluate(self, fold: int) -> EvalMetrics:
-        train_idx, test_idx = self.folds[fold]
-        vocab = self.shared_vocab
-        if vocab is None:
-            vocab = IdVocabulary(self.data, train_idx, self.scheme)
-        model = _fit(vocab, train_idx, self.train_cfg)
-        predictions = [predict(model, vocab.vector(i)) for i in test_idx]
-        return compute_metrics(predictions, [self.data.labels[i] for i in test_idx])
-
-
-def cross_validate_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfig, k: int,
-                         seed: int, fit_on_all: bool = False) -> CrossValidationResult:
-    """Stratified k-fold evaluation over n-grams already numbered.
-
-    Vocabularies are fitted on the train split of each fold; `fit_on_all`
-    fits one vocabulary on all the samples instead (leaks document
-    frequencies between folds; kept for compatibility experiments).  The
-    folds run in up to min(k, usable CPUs) forked processes, which inherit
-    the samples; each fold's result is the same wherever it runs.
-    """
-    from .parallel import ordered_map  # here, so that loading a model does not import it
-
-    folds = stratified_kfold(data.labels, k, seed)
-    shared_vocab = IdVocabulary(data, range(len(data.labels)), scheme) if fit_on_all else None
-    run = _CrossValidation(data, scheme, train_cfg, folds, shared_vocab)
-    return CrossValidationResult(folds=list(ordered_map(run.evaluate, range(len(folds)))))
-
-
-def cross_validate(corpus: Corpus, ngram: tuple[int, int], scheme: str,
-                   train_cfg: TrainConfig, k: int, seed: int,
-                   fit_on_all: bool = False,
-                   label_fn: Callable[[LabeledSegment], int] = intention_label,
-                   ) -> CrossValidationResult:
-    """Stratified k-fold evaluation of the corpus (see `cross_validate_grams`)."""
-    return cross_validate_grams(labeled_grams(corpus, ngram, label_fn), scheme, train_cfg,
-                                k, seed, fit_on_all)

@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages: `segment` policies, `train`
 classifiers, `annotate` policies, `scan` flow logs, `check` events against
 annotations, `report` aggregate results.  Exit codes: 0 success, 1 input
 error, 2 internal error.  Only `train` and `annotate` import the classifier
-modules, and so numpy, and only they fork worker processes.
+modules, and only they fork worker processes; only `train` imports numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from . import classifier, linear
+    from . import linear, training
 
     label_fns = {"intention": linear.intention_label, "adequacy": linear.adequacy_label}
     train_cfg = linear.TrainConfig(alpha=args.alpha, epochs=args.epochs, seed=args.seed)
@@ -56,17 +56,17 @@ def _cmd_train(args) -> int:
     if not (args.kfold or args.model_out):
         return 0
     # the CV folds and the final fit share the numbered n-grams of each sample
-    grams = classifier.labeled_grams(data, ngram, label_fns[args.task])
+    grams = training.labeled_grams(data, ngram, label_fns[args.task])
     if args.kfold:
-        result = classifier.cross_validate_grams(grams, args.weighting, train_cfg, args.kfold,
-                                                 args.seed, fit_on_all=args.fit_on_all)
+        result = training.cross_validate_grams(grams, args.weighting, train_cfg, args.kfold,
+                                               args.seed, fit_on_all=args.fit_on_all)
         for i, fold in enumerate(result.folds):
             print(f"fold {i}: precision={fold.precision:.4f} recall={fold.recall:.4f} "
                   f"f_measure={fold.f_measure:.4f}")
         means = " ".join(f"{k}={v:.4f}" for k, v in sorted(result.means.items()))
         print(f"mean: {means}")
     if args.model_out:
-        bundle = classifier.fit_grams(grams, args.weighting, train_cfg)
+        bundle = training.fit_grams(grams, args.weighting, train_cfg)
         bundle.save(args.model_out, args.task)
         print(f"saved {args.task} model to {args.model_out}")
     return 0
@@ -77,7 +77,7 @@ def _load_annotator(args) -> transparency.SegmentAnnotator:
 
     intention = classifier.TextClassifier.load(args.model_dir, "intention")
     adequacy = None
-    if Path(args.model_dir, "adequacy.model.tsv").exists():
+    if classifier.saved(args.model_dir, "adequacy"):
         adequacy = classifier.TextClassifier.load(args.model_dir, "adequacy")
     rules = load_rules(args.rules) if args.rules else transparency.default_rules()
     dictionary = load_country_dictionary(args.dict)
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (AuditError, FileNotFoundError, PermissionError, ValueError) as exc:
+    except (AuditError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failures

@@ -4,7 +4,7 @@ The token pipeline is fixed: fold to lowercase ASCII -> letter runs -> drop
 stop words -> stem; n-grams are built over its tokens.  A vocabulary
 numbers the n-grams of a model and records their document frequencies, so
 that TF-IDF weights can be computed as count * ln(N / n_i); the weighing
-and the vocabulary file live with the classifier (`classifier.py`).
+lives in `classifier.py` and `training.py`, the vocabulary file in the first.
 """
 
 from __future__ import annotations

@@ -6,16 +6,11 @@ eta0 / (1 + alpha*eta0*t) with t counting individual updates, and sample
 order is reshuffled each epoch under the configured seed, so training is
 fully deterministic.  A sample's features are one pair, its feature
 indices and their values in the order `classifier` weighs them, which
-`train` and `decision_value` both read.
+`training.train` and `decision_value` both read.
 
-Weights are kept as v * scale (Bottou's scaled-weight SGD), so the decay
-step is one multiply of `scale`.  Each epoch's step sizes are computed in
-one numpy expression, the same IEEE operations in the same order as one
-update at a time, and each update gathers its sample's weights once,
-updates them in place and writes them back: the model keeps every bit.
-
-This module holds training, scoring and metrics only; the model file is
-part of the classifier bundle's format (`classifier.py`).
+This module holds the model, its scoring and metrics, in pure Python; the
+SGD loop is in `training.py` and the model file is part of the classifier
+bundle's format (`classifier.py`).
 """
 
 from __future__ import annotations
@@ -24,10 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .corpus import LabeledSegment
-from .errors import DegenerateTraining, ShapeError
+from .errors import ShapeError
 
 MODIFIED_HUBER = "modified_huber"
 
@@ -70,97 +63,31 @@ class TrainConfig:
             raise ValueError(f"eta0 must be positive and finite, got {self.eta0!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearModel:
-    weights: np.ndarray
+    weights: tuple[float, ...]
     bias: float
     config: TrainConfig
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.weights)) or not math.isfinite(self.bias):
+        if not all(map(math.isfinite, self.weights)) or not math.isfinite(self.bias):
             raise ValueError("model parameters must be finite")
-
-
-def train(samples: Sequence[tuple[Features, int]], cfg: TrainConfig,
-          dim: int) -> LinearModel:
-    """Fit the hyperplane by SGD to `(features, label)` pairs, whose feature
-    indices (int64 arrays) must lie in 0..dim-1 and whose values are float64
-    arrays; raises DegenerateTraining on one-class input."""
-    indices = [idx for (idx, _), _ in samples]
-    values = [x for (_, x), _ in samples]
-    labels = [y for _, y in samples]
-    classes = sorted(set(labels))
-    if classes != [0, 1]:
-        raise DegenerateTraining(f"need both classes in training data, got labels {classes}")
-    every = np.concatenate(indices)
-    if every.size:
-        lo, hi = int(every.min()), int(every.max())
-        if lo < 0 or hi >= dim:
-            raise ShapeError(f"feature index {lo if lo < 0 else hi} outside dimension {dim}")
-    ys = [1.0 if y == 1 else -1.0 for y in labels]
-
-    n = len(ys)
-    alpha = cfg.alpha
-    decay = cfg.alpha * cfg.eta0
-    rng = np.random.default_rng(cfg.seed)
-    v = np.zeros(dim)
-    scale = 1.0
-    bias = 0.0
-    # 0-d arrays for the update's two scalars: numpy takes a Python float
-    # operand through its scalar promotion, which costs more than the
-    # multiply itself on a sample's few dozen features
-    step = np.empty(())
-    div = np.empty(())
-    for epoch in range(cfg.epochs):
-        # the step sizes of this epoch's updates t, as eta0 / (1 + alpha*eta0*t)
-        t = np.arange(epoch * n, (epoch + 1) * n, dtype=np.float64)
-        etas = (cfg.eta0 / (1.0 + decay * t)).tolist()
-        for i, eta in zip(rng.permutation(n).tolist(), etas):
-            idx = indices[i]
-            x = values[i]
-            y = ys[i]
-            w = v[idx]
-            z = y * (scale * float(w.dot(x)) + bias)
-            scale *= 1.0 - eta * alpha
-            if scale < 1e-9:
-                v *= scale
-                scale = 1.0
-                w = v[idx]
-            g = modified_huber_dloss(z)
-            if g != 0.0:
-                # v[idx] -= c * x / scale, computed in place on the gathered w
-                c = eta * g * y
-                step[()] = c
-                div[()] = scale
-                d = x * step
-                d /= div
-                w -= d
-                v[idx] = w
-                bias -= c
-    return LinearModel(weights=v * scale, bias=float(bias), config=cfg)
 
 
 def decision_value(model: LinearModel, x: Features) -> float:
     """w.x + b for a sample's features, indexed against the model's vocabulary.
 
     The sum starts at the bias and adds the features in the sample's order.
-    `item` reads each weight as a Python float: the same value as the
-    array's numpy scalar, so the same sum, at half the cost; a fit's index
-    and value arrays are read as Python numbers for the same reason.
     """
     indices, values = x
-    if isinstance(indices, np.ndarray):
-        indices = indices.tolist()
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    weight = model.weights.item
-    n = model.weights.shape[0]
+    weights = model.weights
+    n = len(weights)
     total = model.bias
     for idx, val in zip(indices, values):
         if not 0 <= idx < n:
             raise ShapeError(f"feature index {idx} outside model dimension {n}")
-        total += weight(idx) * val
-    return float(total)
+        total += weights[idx] * val
+    return total
 
 
 def predict(model: LinearModel, x: Features) -> int:

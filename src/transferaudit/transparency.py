@@ -34,7 +34,7 @@ from .rules import (
     term_positions,
 )
 
-if TYPE_CHECKING:  # a type only: importing classifier loads numpy
+if TYPE_CHECKING:  # a type only: stages without a model need no bundle code
     from .classifier import TextClassifier
 
 # Rule-detected elements; the gated ones count only in segments that state a

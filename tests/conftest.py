@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from transferaudit.classifier import fit_text_classifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.countries import load_country_dictionary
 from transferaudit.features import TF, TFIDF
 from transferaudit.flows import load_catalog, load_flow_log, load_geo_table, load_owner_list
 from transferaudit.linear import TrainConfig, adequacy_label, intention_label
+from transferaudit.training import fit_text_classifier
 from transferaudit.transparency import (
     ELEMENT_FIELDS,
     PolicyAnnotation,

@@ -16,13 +16,7 @@ import pytest
 
 from conftest import policy_text
 
-from transferaudit.classifier import (
-    IdVocabulary,
-    TextClassifier,
-    cross_validate,
-    model_bytes,
-    number_grams,
-)
+from transferaudit.classifier import TextClassifier, model_bytes
 from transferaudit.compliance import (
     AD,
     FD,
@@ -61,10 +55,10 @@ from transferaudit.linear import (
     compute_metrics,
     modified_huber_dloss,
     modified_huber_loss,
-    train,
 )
 from transferaudit.reports import MACHINE_LINES, TEXT_TABLE, emit_report, summarize
 from transferaudit.rules import matched_elements, parse_rule
+from transferaudit.training import IdVocabulary, cross_validate, number_grams, train
 from transferaudit.transparency import PolicyAnnotation
 
 JURIS = load_jurisdiction()
@@ -230,7 +224,7 @@ def test_criterion_3_tfidf_brute_force():
                          range(len(segments)), TFIDF)
     vocab = by_id.vocabulary()
     bundle = TextClassifier(ngram=(1, 2), vocabulary=vocab, scheme=TFIDF,
-                            model=LinearModel(weights=np.zeros(len(vocab)), bias=0.0,
+                            model=LinearModel(weights=(0.0,) * len(vocab), bias=0.0,
                                               config=TrainConfig()))
     n_docs = len(segments)
 

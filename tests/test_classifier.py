@@ -9,20 +9,20 @@ import test_training_reference as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transferaudit import classifier, parallel
-from transferaudit.classifier import (
+from transferaudit import parallel, training
+from transferaudit.classifier import TextClassifier
+from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, stratified_kfold
+from transferaudit.errors import DegenerateTraining, ParseError
+from transferaudit.features import SCHEMES, TF
+from transferaudit.linear import LinearModel, TrainConfig, intention_label
+from transferaudit.training import (
     IdVocabulary,
-    TextClassifier,
     cross_validate,
     fit_grams,
     fit_text_classifier,
     labeled_grams,
     number_grams,
 )
-from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, stratified_kfold
-from transferaudit.errors import DegenerateTraining, ParseError
-from transferaudit.features import SCHEMES, TF
-from transferaudit.linear import LinearModel, TrainConfig, intention_label
 
 PROBES = [
     "we transfer personal data to other countries",
@@ -100,7 +100,7 @@ def test_bundle_round_trips_byte_for_byte(scheme, tmp_path):
     loaded = TextClassifier.load(tmp_path / "crlf", "intention")
     assert (loaded.ngram, loaded.scheme, loaded.vocabulary) == \
         (bundle.ngram, bundle.scheme, bundle.vocabulary)
-    assert loaded.model.weights.tolist() == bundle.model.weights.tolist()
+    assert loaded.model.weights == bundle.model.weights
     assert (loaded.model.bias, loaded.model.config) == (bundle.model.bias, bundle.model.config)
 
 
@@ -236,7 +236,7 @@ def _assert_as_vectorize(data, gram_lists, among, scheme):
     want_vocab = reference._reference_build_vocabulary([gram_lists[i] for i in among], 1, 1)
     assert vocab.vocabulary() == want_vocab
     assert list(vocab.vocabulary().feature_to_index) == list(want_vocab.feature_to_index)
-    model = LinearModel(weights=np.zeros(len(vocab)), bias=0.0, config=TrainConfig())
+    model = LinearModel(weights=(0.0,) * len(vocab), bias=0.0, config=TrainConfig())
     bundle = TextClassifier(ngram=data.ngram, vocabulary=vocab.vocabulary(), scheme=scheme,
                             model=model)
     for i, grams in enumerate(gram_lists):
@@ -276,7 +276,7 @@ fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_metho
 
 def _fold_pids(monkeypatch, tmp_path):
     """Record the process each fold's metrics are computed in."""
-    real = classifier.compute_metrics
+    real = training.compute_metrics
     record = tmp_path / "pids"
 
     def recording(predictions, labels):
@@ -284,7 +284,7 @@ def _fold_pids(monkeypatch, tmp_path):
             fh.write(f"{os.getpid()}\n")
         return real(predictions, labels)
 
-    monkeypatch.setattr(classifier, "compute_metrics", recording)
+    monkeypatch.setattr(training, "compute_metrics", recording)
     return lambda: record.read_text(encoding="utf-8").split()
 
 

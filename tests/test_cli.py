@@ -22,7 +22,7 @@ from conftest import DATA, policy_annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferaudit import classifier, cli, parallel
+from transferaudit import cli, parallel, training
 from transferaudit.cli import main
 from transferaudit.compliance import NO_TRANSFER, _verdict_core, load_jurisdiction
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, save_corpus
@@ -61,6 +61,15 @@ def test_segment_missing_file_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["segment", "{dir}"],
+    ["scan", "--flows", "{dir}", "--catalog", str(DATA / "catalog.tsv")],
+], ids=["segment", "scan"])
+def test_directory_input_is_input_error(tmp_path, capsys, command):
+    assert main([arg.format(dir=tmp_path) for arg in command]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_reports_cv_metrics(tmp_path, capsys, intention_corpus):
     corpus_path = tmp_path / "corpus.tsv"
     save_corpus(intention_corpus, corpus_path)
@@ -94,13 +103,13 @@ def test_kfold_and_model_out_tokenize_each_sample_once(tmp_path, capsys, monkeyp
     capsys.readouterr()
 
     calls = Counter()
-    real = classifier.tokenize
+    real = training.tokenize
 
     def counting(text):
         calls["tokenize"] += 1
         return real(text)
 
-    monkeypatch.setattr(classifier, "tokenize", counting)
+    monkeypatch.setattr(training, "tokenize", counting)
     assert main([*args, "--kfold", "5", "--model-out", str(tmp_path / "both")]) == 0
     assert calls["tokenize"] == len(intention_corpus.samples) == 62
     # sharing the n-grams changes nothing in what either step writes
@@ -736,43 +745,49 @@ import json, sys
 import transferaudit
 package = sorted(m for m in sys.modules if m.startswith("transferaudit."))
 from transferaudit.cli import main
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
+stages, annotate = json.loads(sys.argv[1])
+codes = [main(argv) for argv in stages]
 without_model = "numpy" in sys.modules
-import transferaudit.classifier
-with_classifier = "numpy" in sys.modules
 pool = "multiprocessing" in sys.modules
+codes.append(main(annotate))
+import transferaudit.classifier, transferaudit.linear
+with_model = "numpy" in sys.modules
+import transferaudit.training
+with_training = "numpy" in sys.modules
 # import the model module afresh, alone: it must not need the features module
 for name in [m for m in sys.modules if m.startswith("transferaudit.")]:
     del sys.modules[name]
 import transferaudit.linear
 with open(sys.argv[2], "w") as fh:
-    json.dump([package, codes, without_model, with_classifier, pool,
+    json.dump([package, codes, without_model, pool, with_model, with_training,
                "transferaudit.features" in sys.modules], fh)
 """
 
 
-def test_stages_without_a_model_do_not_import_numpy(tmp_path):
+def test_stages_without_a_model_do_not_import_numpy(model_dir, tmp_path):
     events_path, annotations_path = _write_study(
         tmp_path, [json.dumps(SHIELD_EVENT)], [json.dumps(SHIELD_ANNOTATION)])
     study = ["--events", str(events_path), "--annotations", str(annotations_path)]
-    commands = [
+    stages = [
         ["segment", str(DATA / "policies" / "com.viber.voip.txt")],
         ["scan", "--flows", str(DATA / "flows.jsonl"), "--catalog", str(DATA / "catalog.tsv"),
          "--geo", str(DATA / "geo.tsv")],
         ["check", *study],
         ["report", *study],
     ]
+    annotate = ["annotate", "--model-dir", str(model_dir), *POLICIES]
     result = tmp_path / "probe.json"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands),
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps([stages, annotate]),
                             str(result)], env=env, capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
-    package, codes, without_model, with_classifier, pool, linear_features = json.loads(
-        result.read_text())
+    package, codes, without_model, pool, with_model, with_training, linear_features = \
+        json.loads(result.read_text())
     assert package == []  # a bare `import transferaudit` loads no submodule
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert not without_model
-    assert with_classifier  # the probe does see numpy once a model is imported
     assert not pool  # cross-validation and `annotate` import multiprocessing to fork
+    assert not with_model  # loading and scoring a bundle is pure Python
+    assert with_training  # the probe does see numpy once training is imported
     assert not linear_features  # the model file format lives with the classifier

@@ -10,18 +10,11 @@ import math
 import re
 import unicodedata
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transferaudit.classifier import (
-    IdVocabulary,
-    TextClassifier,
-    load_vocabulary,
-    number_grams,
-    save_vocabulary,
-)
+from transferaudit.classifier import TextClassifier, load_vocabulary, save_vocabulary
 from transferaudit.features import (
     BC,
     TF,
@@ -35,6 +28,7 @@ from transferaudit.features import (
 from transferaudit.linear import LinearModel, TrainConfig
 from transferaudit.rules import sentence_stems
 from transferaudit.stemmer import stem
+from transferaudit.training import IdVocabulary, number_grams
 
 
 def test_tokenize_drops_numbers_punctuation_and_stems():
@@ -172,7 +166,7 @@ def test_extract_ngrams_trigram():
 
 def _bundle(vocab, scheme):
     """A bundle that weighs n-grams against the string-keyed vocabulary."""
-    model = LinearModel(weights=np.zeros(len(vocab)), bias=0.0, config=TrainConfig())
+    model = LinearModel(weights=(0.0,) * len(vocab), bias=0.0, config=TrainConfig())
     return TextClassifier(ngram=(1, 1), vocabulary=vocab, scheme=scheme, model=model)
 
 

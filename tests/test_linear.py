@@ -1,5 +1,6 @@
 """SGD classifier, metric suite and cross-validation tests."""
 
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferaudit.classifier import cross_validate, load_model, model_bytes
+from transferaudit.classifier import load_model, model_bytes
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.errors import DegenerateTraining, ParseError, ShapeError
 from transferaudit.features import TF
@@ -20,8 +21,8 @@ from transferaudit.linear import (
     modified_huber_dloss,
     modified_huber_loss,
     predict,
-    train,
 )
+from transferaudit.training import cross_validate, train
 
 
 def fv(entries):
@@ -97,16 +98,14 @@ def test_training_reduces_mean_loss_on_separable_data():
 def test_predict_bias_only():
     model = train([(fv({0: 1.0}), 1), (fv({0: -1.0}), 0)],
                   TrainConfig(epochs=5, seed=0), dim=1)
-    model.weights[:] = 0.0
-    model.bias = 0.5
+    model = dataclasses.replace(model, weights=(0.0,), bias=0.5)
     assert predict(model, fv({})) == 1
 
 
 def test_predict_tie_goes_negative():
     model = train([(fv({0: 1.0}), 1), (fv({0: -1.0}), 0)],
                   TrainConfig(epochs=5, seed=0), dim=1)
-    model.weights[:] = 0.0
-    model.bias = 0.0
+    model = dataclasses.replace(model, weights=(0.0,), bias=0.0)
     assert decision_value(model, fv({0: 3.0})) == 0.0
     assert predict(model, fv({0: 3.0})) == 0
 
@@ -114,8 +113,7 @@ def test_predict_tie_goes_negative():
 def test_decision_value_dot_product():
     model = train([(fv({0: 1.0}), 1), (fv({1: 1.0}), 0)],
                   TrainConfig(epochs=5, seed=0), dim=2)
-    model.weights[:] = [2.0, -1.0]
-    model.bias = 0.0
+    model = dataclasses.replace(model, weights=(2.0, -1.0), bias=0.0)
     assert decision_value(model, fv({0: 1.0, 1: 1.0})) == pytest.approx(1.0)
     assert predict(model, fv({0: 1.0, 1: 1.0})) == 1
 
@@ -127,11 +125,11 @@ def test_decision_value_index_out_of_range():
         decision_value(model, fv({5: 1.0}))
 
 
-def _reference_decision_value(model, x):
-    """The former scoring loop, over numpy scalars."""
-    total = model.bias
+def _reference_decision_value(weights, bias, x):
+    """The former scoring loop, over numpy scalars of a weight array."""
+    total = bias
     for idx, val in zip(*x):
-        total += model.weights[idx] * val
+        total += weights[idx] * val
     return float(total)
 
 
@@ -150,21 +148,28 @@ def test_score_is_bit_equal_to_numpy_scalar_score(weights, data):
     # biases that cancel the features' sum, summed in other orders
     for bias in [data.draw(_VALUES), -math.fsum(products), -sum(reversed(products)),
                  -sum(sorted(products))]:
-        model = LinearModel(weights=w, bias=float(bias), config=TrainConfig())
-        expected = _reference_decision_value(model, x)
-        # as arrays, the form of a fit's samples, and as lists, that of a
-        # bundle's weighed n-grams
-        for form in (x, (x[0].tolist(), x[1].tolist())):
-            assert decision_value(model, form).hex() == expected.hex()
-            assert predict(model, form) == (1 if expected > 0.0 else 0)
+        model = LinearModel(weights=tuple(weights), bias=float(bias), config=TrainConfig())
+        expected = _reference_decision_value(w, bias, x)
+        # as lists, the one form that scoring reads
+        form = (x[0].tolist(), x[1].tolist())
+        assert decision_value(model, form).hex() == expected.hex()
+        assert predict(model, form) == (1 if expected > 0.0 else 0)
+
+
+def test_model_weights_cannot_be_assigned():
+    model = LinearModel(weights=(0.5, -0.25), bias=0.0, config=TrainConfig())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.weights = (0.0, 0.0)
+    with pytest.raises(TypeError):
+        model.weights[0] = 0.0
 
 
 def test_prediction_invariant_under_positive_scaling():
     samples = _blobs(n=60)
     model = train(samples, TrainConfig(epochs=20, seed=3), dim=6)
     before = [predict(model, x) for x, _ in samples]
-    model.weights *= 7.5
-    model.bias *= 7.5
+    model = dataclasses.replace(model, weights=tuple(w * 7.5 for w in model.weights),
+                                bias=model.bias * 7.5)
     after = [predict(model, x) for x, _ in samples]
     assert before == after
 
@@ -325,7 +330,7 @@ def test_train_deterministic_and_serializable(tmp_path):
 
 
 def _model_lines(tmp_path):
-    model = LinearModel(weights=np.array([0.5, -0.25, 2.0]), bias=0.125, config=TrainConfig())
+    model = LinearModel(weights=(0.5, -0.25, 2.0), bias=0.125, config=TrainConfig())
     path = tmp_path / "model.tsv"
     path.write_bytes(model_bytes(model, scheme=TF, ngram=(1, 2), vocab_hash="cafe"))
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -339,7 +344,7 @@ def test_load_reads_weight_lines_in_any_order(tmp_path):
     path.write_text("\n".join([*head, rows[2], rows[1], "00\t0.5", *tail]) + "\n",
                     encoding="utf-8")
     loaded, _ = load_model(path)
-    assert loaded.weights.tolist() == model.weights.tolist()
+    assert loaded.weights == model.weights
     assert loaded.bias == model.bias
 
 
@@ -391,11 +396,11 @@ def _reference_train(samples, cfg, dim):
                 v[indices[i]] -= eta * g * ys[i] * values[i] / scale
                 bias -= eta * g * ys[i]
             t += 1
-    return LinearModel(weights=v * scale, bias=float(bias), config=cfg), rescales
+    return LinearModel(weights=tuple((v * scale).tolist()), bias=float(bias), config=cfg), rescales
 
 
 def _bits(model):
-    return model.weights.tobytes(), float.hex(model.bias)
+    return np.array(model.weights).tobytes(), float.hex(model.bias)
 
 
 # feature values as each weighting scheme makes them: bc 1.0, tf a count,

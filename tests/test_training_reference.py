@@ -16,13 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from transferaudit.classifier import (
-    bytes_hash,
-    cross_validate,
-    fit_text_classifier,
-    model_bytes,
-    vocabulary_bytes,
-)
+from transferaudit.classifier import bytes_hash, model_bytes, vocabulary_bytes
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.features import (
     BC,
@@ -39,8 +33,8 @@ from transferaudit.linear import (
     compute_metrics,
     intention_label,
     predict,
-    train,
 )
+from transferaudit.training import cross_validate, fit_text_classifier, train
 
 
 def _reference_extract_ngrams(tokens, ngram_min, ngram_max):

@@ -8,7 +8,7 @@ from conftest import policy_annotations, policy_text
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transferaudit.classifier import TextClassifier, fit_text_classifier
+from transferaudit.classifier import TextClassifier
 from transferaudit.corpus import BLANKLINE, PolicyDocument, segment_policy
 from transferaudit.countries import (
     EU_MEMBERS_2020,
@@ -19,6 +19,7 @@ from transferaudit.countries import (
 from transferaudit.features import TF, extract_ngrams, stopword_list, tokenize
 from transferaudit.linear import TrainConfig, intention_label
 from transferaudit.rules import RULE_ELEMENTS, matched_elements
+from transferaudit.training import fit_text_classifier
 from transferaudit.transparency import (
     ELEMENT_FIELDS,
     GATED_ELEMENTS,
@@ -89,8 +90,6 @@ def test_gating_blocks_layer_two(annotator):
 
 def test_gating_invariant_with_stub_classifier(annotator):
     # force layer one to 0: every gated flag must stay off no matter the text
-    import numpy as np
-
     from transferaudit.classifier import TextClassifier
     from transferaudit.features import TF, Vocabulary
     from transferaudit.linear import LinearModel, TrainConfig
@@ -100,7 +99,7 @@ def test_gating_invariant_with_stub_classifier(annotator):
         ngram=(1, 1),
         vocabulary=Vocabulary({"x": 0}, [1], 1),
         scheme=TF,
-        model=LinearModel(weights=np.zeros(1), bias=-1.0, config=TrainConfig()),
+        model=LinearModel(weights=(0.0,), bias=-1.0, config=TrainConfig()),
     )
     stub = SegmentAnnotator(
         intention_model=never, adequacy_model=annotator.adequacy_model,
