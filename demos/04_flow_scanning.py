@@ -57,7 +57,8 @@ for fqdn in ("app.adjust.com", "cdn.viber.com", "tracker.unlisted.io"):
           f"owner={info.owner_name}")
 
 print("\n== geolocation ==")
-geo = GeoTable(networks=((ipaddress.ip_network("104.16.0.0/12"), "US"),),
+# a network is (IP version, prefix length, network address as an int)
+geo = GeoTable(networks=(((4, 12, int(ipaddress.ip_address("104.16.0.0"))), "US"),),
                fqdns={"yandex.net": "RU"})
 print(f"  ip 104.18.3.7            -> {geolocate(geo, ip='104.18.3.7')}")
 print(f"  fqdn a.b.yandex.net      -> {geolocate(geo, fqdn='a.b.yandex.net')}")

@@ -16,9 +16,11 @@ import hashlib
 import ipaddress
 import logging
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cache
+from operator import attrgetter
 from types import MappingProxyType
 
 from .countries import check_country_code
@@ -118,19 +120,25 @@ def load_catalog(path) -> PersonalDataCatalog:
     return PersonalDataCatalog(entries=entries)
 
 
+# a lowercase-hex digest lies inside a maximal run of 32 or more hex digits
+_HEX_RUN = re.compile(rb"[0-9a-f]{32,}")
+
+
 def scan_payload(payload: bytes, catalog: PersonalDataCatalog) -> set[str]:
     """Data types whose search forms occur in the payload.
 
     Plain values match case-insensitively; Base64 and hex digests match
-    case-sensitively (digests are lowercase hex).
+    case-sensitively (digests are lowercase hex).  Digests are looked for
+    only in the payload's hex runs, joined by a byte that no digest holds.
     """
     lowered = payload.lower()
+    hex_runs = b" ".join(_HEX_RUN.findall(payload))
     found = set()
     for entry in catalog.entries:
         if entry.plain in lowered:
             found.add(entry.name)
             continue
-        if any(form in payload for form in entry.digest_forms):
+        if hex_runs and any(form in hex_runs for form in entry.digest_forms):
             found.add(entry.name)
             continue
         if any(form in payload for form in entry.base64_forms):
@@ -243,7 +251,51 @@ def classify_recipient(app_tokens: frozenset[str], dest_fqdn: str,
     return RecipientInfo(kind=UNKNOWN)
 
 
-Network = ipaddress.IPv4Network | ipaddress.IPv6Network
+# (IP version, prefix length, network address as an int without host bits)
+Network = tuple[int, int, int]
+
+# canonical CIDR text of each family, ASCII digits only; an IPv4 octet is
+# 0-255 without a leading zero, as ipaddress requires
+_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_OCTET_VALUES = {str(octet): octet for octet in range(256)}  # faster than int()
+_IPV4_CIDR = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}(?:/([0-9]{{1,3}}))?")
+_IPV6_CIDR = re.compile(r"([0-9A-Fa-f]{1,4}(?::[0-9A-Fa-f]{1,4})*)?"
+                        r"(?:(::)([0-9A-Fa-f]{1,4}(?::[0-9A-Fa-f]{1,4})*)?)?"
+                        r"(?:/([0-9]{1,3}))?")
+
+
+def _canonical_network(key: str) -> Network | None:
+    """The network of dotted-quad IPv4 or hex-group IPv6 CIDR text, else None.
+
+    The prefix length is optional (a single address), an IPv6 address has
+    at most one `::`, and host bits are masked off, all as
+    `ipaddress.ip_network(key, strict=False)` does.  None means the key is
+    not of these forms, not that ipaddress rejects it.
+    """
+    match = _IPV4_CIDR.fullmatch(key)
+    if match is not None:
+        a, b, c, d, prefix = match.groups()
+        version, bits = 4, 32
+        value = (_OCTET_VALUES[a] << 24 | _OCTET_VALUES[b] << 16
+                 | _OCTET_VALUES[c] << 8 | _OCTET_VALUES[d])
+    else:
+        match = _IPV6_CIDR.fullmatch(key)
+        if match is None:
+            return None
+        head, gap, tail, prefix = match.groups()
+        head_groups = head.split(":") if head else []
+        tail_groups = tail.split(":") if tail else []
+        # `::` stands for one or more zero groups; without it there are eight
+        missing = 8 - len(head_groups) - len(tail_groups)
+        if missing < 1 if gap else missing:
+            return None
+        version, bits = 6, 128
+        groups = head_groups + ["0"] * missing + tail_groups
+        value = int("".join([group.zfill(4) for group in groups]), 16)
+    prefixlen = bits if prefix is None else int(prefix)
+    if prefixlen > bits:
+        return None
+    return version, prefixlen, value & ((1 << prefixlen) - 1) << (bits - prefixlen)
 
 
 @dataclass(frozen=True)
@@ -265,9 +317,8 @@ class GeoTable:
         object.__setattr__(self, "networks", tuple(self.networks))
         object.__setattr__(self, "fqdns", MappingProxyType(dict(self.fqdns)))
         by_prefix: dict[tuple[int, int], dict[int, str]] = {}
-        for net, code in self.networks:
-            by_prefix.setdefault((net.version, net.prefixlen), {}) \
-                .setdefault(int(net.network_address), code)
+        for (version, prefixlen, network), code in self.networks:
+            by_prefix.setdefault((version, prefixlen), {}).setdefault(network, code)
         index: dict[int, list[tuple[int, dict[int, str]]]] = {4: [], 6: []}
         for (version, prefixlen), codes in sorted(by_prefix.items(),
                                                   key=lambda item: -item[0][1]):
@@ -297,17 +348,27 @@ class GeoTable:
 
 
 def load_geo_table(path) -> GeoTable:
-    """Geo table: `cidr_or_fqdn TAB ISO code` per line."""
+    """Geo table: `cidr_or_fqdn TAB ISO code` per line.
+
+    A key that `ipaddress.ip_network(key, strict=False)` accepts is a
+    network; canonical CIDR text is parsed without it.  Any other key is an
+    FQDN.  A repeated network or FQDN keeps its first-listed code.
+    """
     networks: list[tuple[Network, str]] = []
     fqdns: dict[str, str] = {}
     codes: set[str] = set()  # each checked once: tables repeat a few codes over many lines
     for lineno, (key, code) in tab_records(path, "cidr_or_fqdn TAB code"):
         if code not in codes:
             codes.add(check_country_code(code, lineno))
-        try:
-            networks.append((ipaddress.ip_network(key, strict=False), code))
-        except ValueError:
-            fqdns[key.lower()] = code
+        network = _canonical_network(key)
+        if network is None:
+            try:
+                net = ipaddress.ip_network(key, strict=False)
+            except ValueError:
+                fqdns.setdefault(key.lower(), code)
+                continue
+            network = net.version, net.prefixlen, int(net.network_address)
+        networks.append((network, code))
     return GeoTable(networks=tuple(networks), fqdns=fqdns)
 
 
@@ -404,6 +465,8 @@ def _recipient(kind, owner, hq, lineno: int) -> RecipientInfo:
 def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
     """Parse `scan` output, one JSON object per line, grouped by app id.
 
+    Each app's events come in `recipient_domain` order, whatever the order
+    of the lines, and an app names a recipient domain on one line only.
     Only `app_id`, `recipient_domain` and `dest_countries` are required; a
     missing recipient kind reads as third party.  `app_id` and
     `recipient_domain` must be JSON strings, `recipient_owner` a JSON string
@@ -448,7 +511,17 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
             raise ParseError(f"event record lacks field {exc}", lineno) from exc
         except TypeError as exc:
             raise ParseError(f"bad event record: {exc}", lineno) from exc
-        by_app.setdefault(app_id, []).append(event)
+        events = by_app.get(app_id)
+        if events is None:
+            by_app[app_id] = [event]
+        elif domain > events[-1].recipient_domain:  # `scan` writes domains in order
+            events.append(event)
+        else:
+            at = bisect_left(events, domain, key=attrgetter("recipient_domain"))
+            if events[at].recipient_domain == domain:
+                raise ParseError(f"repeated event for app_id {app_id!r} and "
+                                 f"recipient_domain {domain!r}", lineno)
+            events.insert(at, event)
     return by_app
 
 

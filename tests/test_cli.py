@@ -237,8 +237,8 @@ def _annotation(app_id, **flags):
     return json.dumps({"app_id": app_id, **segment, "segments": [segment]})
 
 
-def _event(app_id, countries, kind=THIRD_PARTY, idle=False):
-    return json.dumps({"app_id": app_id, "recipient_domain": f"{app_id}.example",
+def _event(app_id, countries, kind=THIRD_PARTY, idle=False, domain="tracker.example"):
+    return json.dumps({"app_id": app_id, "recipient_domain": domain,
                        "dest_countries": countries, "recipient_kind": kind,
                        "recipient_owner": "Owner" if kind == THIRD_PARTY else None,
                        "recipient_hq": "US" if kind == THIRD_PARTY else None,
@@ -249,11 +249,11 @@ def _event(app_id, countries, kind=THIRD_PARTY, idle=False):
 # and each reason a safeguard can be void for, alone and together.
 COVERAGE_EVENTS = [
     _event("full.app", ["US", "JP", "DE"]),  # FD, ID against {US}, NA
-    _event("full.app", ["US"], kind=FIRST_PARTY),  # FD: representative named
+    _event("full.app", ["US"], kind=FIRST_PARTY, domain="cdn.example"),  # FD: representative named
     _event("omits.app", ["US", "JP"]),  # OD: no intention
-    _event("omits.app", ["CN"], kind=FIRST_PARTY),  # OD: no representative
+    _event("omits.app", ["CN"], kind=FIRST_PARTY, domain="cdn.example"),  # OD: no representative
     _event("consent.app", ["RU"], idle=True),  # AD: consent void when idle
-    _event("consent.app", ["US"], idle=False),  # AD: no countries named
+    _event("consent.app", ["US"], idle=False, domain="cdn.example"),  # AD: no countries named
     _event("shield.app", ["US"]),  # AD after the shield's invalidation
     _event("both.app", ["US"], idle=True),  # AD: both reasons
     _event("unannotated.app", ["IE"]),
@@ -433,6 +433,21 @@ def test_repeated_app_id_in_annotations_is_input_error(tmp_path, capsys, command
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 2: repeated app_id 'full.app'\n"
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_repeated_event_of_an_app_and_domain_is_input_error(tmp_path, capsys, command):
+    # `scan` writes one event per app and recipient domain; the repeat need
+    # not follow the line it repeats
+    events = [_event("full.app", ["US"]), _event("full.app", ["DE"], domain="cdn.example"),
+              _event("full.app", ["JP"])]
+    events_path, annotations_path = _write_study(tmp_path, events, [])
+    assert main([command, "--events", str(events_path),
+                 "--annotations", str(annotations_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 3: repeated event for app_id 'full.app' "
+                            "and recipient_domain 'tracker.example'\n")
 
 
 def test_annotate_refuses_policy_files_of_one_app_id(model_dir, tmp_path, capsys):
@@ -700,7 +715,7 @@ _events = st.lists(st.fixed_dictionaries({
                                unique=True, max_size=3),
     "recipient_kind": st.sampled_from([FIRST_PARTY, THIRD_PARTY]),
     "any_idle_flow": st.booleans(),
-}), max_size=12)
+}), max_size=12, unique_by=lambda e: (e["app_id"], e["recipient_domain"]))
 _annotations = st.dictionaries(st.sampled_from(["a", "b", "e", "f"]), policy_annotations,
                                max_size=4)
 
@@ -737,6 +752,22 @@ def test_check_and_report_agree(events, annotations):
     assert sum(int(v) for k, v in report.items() if k.startswith("verdicts.")) == \
         sum(verdicts.values())
     assert int(report["total_apps"]) == sum(overall.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(_events, _annotations, st.data())
+def test_check_does_not_depend_on_event_line_order(events, annotations, data):
+    lines = [json.dumps(e) for e in events]
+    shuffled = data.draw(st.permutations(lines))
+    annotation_lines = [json.dumps(annotation_json(app, p)) for app, p in annotations.items()]
+    outputs = []
+    for event_lines in (lines, shuffled):
+        with tempfile.TemporaryDirectory() as tmp:
+            events_path, annotations_path = _write_study(Path(tmp), event_lines,
+                                                         annotation_lines)
+            outputs.append(_stdout_of(["check", "--events", str(events_path),
+                                       "--annotations", str(annotations_path)]))
+    assert outputs[0] == outputs[1]
 
 
 # Runs in a fresh interpreter, because pytest has imported numpy already.

@@ -4,6 +4,7 @@ import base64
 import dataclasses
 import ipaddress
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from transferaudit.flows import (
     scan_payload,
     tokenize_app_identity,
 )
+from transferaudit.flows import _canonical_network
 
 AAID = "38400000-8cf0-11bd-b23e-10b96e40000d"
 # digest/encoding oracle values computed independently before the build
@@ -36,6 +38,11 @@ AAID_B64 = "Mzg0MDAwMDAtOGNmMC0xMWJkLWIyM2UtMTBiOTZlNDAwMDBk"
 @pytest.fixture(scope="module")
 def aaid_catalog():
     return PersonalDataCatalog(entries=[CatalogEntry("AAID", AAID)])
+
+
+def _triple(net):
+    """A `GeoTable` network, from an `ipaddress` network."""
+    return net.version, net.prefixlen, int(net.network_address)
 
 
 def test_catalog_forms_match_frozen_oracle(aaid_catalog):
@@ -70,8 +77,15 @@ def test_scan_empty_payload(aaid_catalog):
     assert scan_payload(b"", aaid_catalog) == set()
 
 
+def _naive_scan(payload, catalog):
+    """Reference: a type is found iff some search form is a byte substring."""
+    lowered = payload.lower()
+    return {entry.name for entry in catalog.entries
+            if entry.plain in lowered
+            or any(form in payload for form in entry.digest_forms + entry.base64_forms)}
+
+
 def test_scan_matches_naive_oracle(catalog):
-    # soundness: report a type iff some search form is a byte substring
     payloads = [
         b"nothing here",
         f"x={AAID}".encode(),
@@ -80,14 +94,33 @@ def test_scan_matches_naive_oracle(catalog):
         base64.b64encode(b"unrelated"),
     ]
     for payload in payloads:
-        lowered = payload.lower()
-        expected = set()
-        for entry in catalog.entries:
-            forms_ci = [entry.plain]
-            forms_cs = list(entry.digest_forms) + list(entry.base64_forms)
-            if any(f in lowered for f in forms_ci) or any(f in payload for f in forms_cs):
-                expected.add(entry.name)
-        assert scan_payload(payload, catalog) == expected
+        assert scan_payload(payload, catalog) == _naive_scan(payload, catalog)
+
+
+@pytest.mark.parametrize("digest", [AAID_MD5, AAID_SHA1, AAID_SHA256])
+@pytest.mark.parametrize("template, found", [
+    ("{digest}", True),
+    ("{digest}&sig=1", True),  # at the start
+    ("sig=1&{digest}", True),  # at the end
+    ("id=09af{digest}77e0", True),  # inside a longer hex run
+    ("id=0BADF00D{digest}CAFE", True),  # next to uppercase hex
+    ("id={head}g{tail}", False),  # split by a non-hex byte
+    ("id={pad}{head}-{tail}{pad}", False),  # ... that ends one long hex run
+    ("id={upper}", False),  # digests match lowercase only
+])
+def test_scan_finds_digests_only_as_lowercase_hex(aaid_catalog, digest, template, found):
+    payload = template.format(digest=digest, head=digest[:10], tail=digest[10:],
+                              upper=digest.upper(), pad="0" * 32).encode()
+    assert scan_payload(payload, aaid_catalog) == ({"AAID"} if found else set())
+
+
+@given(st.lists(st.sampled_from([
+    AAID_MD5, AAID_SHA1, AAID_SHA256, AAID_SHA256.upper(), AAID_B64, AAID.upper(),
+    "0", "f", "a9", "F", "g", " ", "=", "-", "0123456789abcdef" * 2,
+]), max_size=8))
+def test_scan_matches_naive_scan_on_hex_mixtures(catalog, fragments):
+    payload = "".join(fragments).encode()
+    assert scan_payload(payload, catalog) == _naive_scan(payload, catalog)
 
 
 def test_identity_tokens_messenger_app():
@@ -122,8 +155,8 @@ def test_ip_literal_destination(literal, owner_list, catalog, caplog):
         extract_sld(literal)
     assert classify_recipient(frozenset({"viber"}), literal, owner_list).kind == "unknown"
     # geolocated by its address, then dropped as an unknown recipient
-    geo = GeoTable(networks=((ipaddress.ip_network("185.151.204.0/22"), "US"),
-                             (ipaddress.ip_network("2001:db8::/32"), "DE")))
+    geo = GeoTable(networks=((_triple(ipaddress.ip_network("185.151.204.0/22")), "US"),
+                             (_triple(ipaddress.ip_network("2001:db8::/32")), "DE")))
     flow = FlowRecord("com.viber.voip", "1", "active", literal, dest_ip=literal,
                       detected_types=frozenset({"AAID"}))
     assert geolocate(geo, ip=literal, fqdn=literal) is not None
@@ -195,11 +228,37 @@ def test_geolocate_most_specific_cidr(tmp_path):
     assert geolocate(table, ip="2001:db8::1") == "JP"
 
 
+def test_repeated_fqdn_keeps_first_listed_code(tmp_path):
+    path = tmp_path / "geo.tsv"
+    path.write_text("yandex.net\tRU\nYandex.NET\tDE\n", encoding="utf-8")
+    table = load_geo_table(path)
+    assert geolocate(table, fqdn="startup.mobile.yandex.net") == "RU"
+
+
+def test_canonical_cidrs_load_without_ipaddress(tmp_path, monkeypatch):
+    # parsing a network with ipaddress costs more than the rest of its line
+    path = tmp_path / "geo.tsv"
+    path.write_text("10.0.0.0/8\tUS\n10.1.2.3/16\tRU\n192.0.2.1\tDE\n::/0\tJP\n"
+                    "2001:db8::/32\tFR\n2001:0DB8:0:0:0:0:0:1/128\tIT\n", encoding="utf-8")
+    calls = []
+    ip_network = ipaddress.ip_network
+    monkeypatch.setattr(ipaddress, "ip_network",
+                        lambda *args, **kwargs: calls.append(args) or ip_network(*args, **kwargs))
+    loaded = set(sys.modules)
+    table = load_geo_table(path)
+    assert calls == []
+    assert set(sys.modules) - loaded == set()
+    assert len(table.networks) == 6
+    assert [table.lookup_ip(ip) for ip in ("10.1.9.9", "10.2.0.1", "192.0.2.1", "2001:db8::1",
+                                           "2001:db8::2", "fe80::1")] == \
+        ["RU", "US", "DE", "IT", "FR", "JP"]
+
+
 def test_geo_table_is_immutable(geo_table):
     with pytest.raises(dataclasses.FrozenInstanceError):
         geo_table.networks = ()
     with pytest.raises(AttributeError):
-        geo_table.networks.append((ipaddress.ip_network("10.0.0.0/8"), "US"))
+        geo_table.networks.append(((4, 8, 10 << 24), "US"))
     with pytest.raises(TypeError):
         geo_table.fqdns["example.com"] = "US"
 
@@ -254,9 +313,72 @@ def _geo_cases(draw):
 @given(_geo_cases())
 def test_lookup_ip_matches_linear_reference(case):
     networks, probes = case
-    table = GeoTable(networks=tuple(networks))
+    table = GeoTable(networks=tuple((_triple(net), code) for net, code in networks))
     for ip in probes:
         assert table.lookup_ip(ip) == _linear_lookup(networks, ip), ip
+
+
+def _ip_network_triple(text):
+    try:
+        return _triple(ipaddress.ip_network(text, strict=False))
+    except ValueError:
+        return None
+
+
+_NON_ASCII_DIGITS = [chr(0x0660 + d) for d in range(10)] + [chr(0xFF10 + d) for d in range(10)]
+
+
+@st.composite
+def _cidr_texts(draw):
+    """(texts the parser must read as ipaddress does, texts it may leave to ipaddress)."""
+    v = draw(st.sampled_from([4, 6]))
+    # zero runs make `::` compression likely
+    chunks = st.lists(st.one_of(st.sampled_from([0, 0, 1, 0xFFFF]), st.integers(0, 0xFFFF)),
+                      min_size=2 if v == 4 else 8, max_size=2 if v == 4 else 8)
+    value = 0
+    for chunk in draw(chunks):
+        value = value << 16 | chunk
+    prefixlen = draw(st.integers(0, _BITS[v]))
+    addr = _ADDRESS[v](value)  # host bits set, masked off by strict=False
+    net = _NETWORK[v]((value, prefixlen), strict=False)
+    forms = [str(addr), f"{addr}/{prefixlen}", f"{addr}/{prefixlen:02d}",
+             f"{addr}/{_BITS[v] + draw(st.integers(1, 999))}",
+             f" {addr}/{prefixlen}", f"{addr}/{prefixlen} ", f"{addr} /{prefixlen}"]
+    if v == 6:
+        forms += [addr.exploded, f"{addr.exploded}/{prefixlen}",
+                  f"{str(addr).upper()}/{prefixlen}", f"{addr.exploded.upper()}/{prefixlen}"]
+    else:
+        octets = str(addr).split(".")
+        at = draw(st.integers(0, 3))
+        octets[at] = "0" + octets[at]
+        forms += [".".join(octets) + f"/{prefixlen}"]
+    at = draw(st.sampled_from([i for i, ch in enumerate(forms[1]) if ch.isdigit()]))
+    forms.append(forms[1][:at] + draw(st.sampled_from(_NON_ASCII_DIGITS)) + forms[1][at + 1:])
+    deferred = [f"{addr}/{prefixlen:04d}", f"{addr}/{net.netmask}", f"{addr}/{net.hostmask}"]
+    if v == 6:
+        deferred += [f"{addr}%eth0/{prefixlen}", f"::ffff:{_ADDRESS[4](value & 0xFFFFFFFF)}"]
+    return forms, deferred
+
+
+@given(_cidr_texts())
+def test_cidr_parser_agrees_with_ipaddress(case):
+    forms, deferred = case
+    for text in forms:
+        assert _canonical_network(text) == _ip_network_triple(text), text
+    for text in deferred:
+        parsed = _canonical_network(text)
+        assert parsed is None or parsed == _ip_network_triple(text), text
+
+
+@pytest.mark.parametrize("text", [
+    "0.0.0.0/0", "255.255.255.255/32", "::", "::/0", "1::", "1:2:3:4:5:6:7::",
+    "::1:2:3:4:5:6:7", "1:2:3:4:5:6:7:8/128",  # read as ipaddress reads them
+    "", "/8", "1.2.3.4/", "1.2.3", "1.2.3.4.5", "256.1.1.1", "1.2.3.4/33", "::/129",
+    ":::", "1:2:3:4:5:6:7", "1:2:3:4:5:6:7:8:9", "1::2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8::",
+    "2001:db8::1::2", "::g", "12345::", "1.2.3.4\n",  # rejected by both
+])
+def test_cidr_parser_edges(text):
+    assert _canonical_network(text) == _ip_network_triple(text)
 
 
 def test_flow_record_validation():
