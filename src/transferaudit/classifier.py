@@ -4,8 +4,9 @@ A bundle is what the annotation pipeline actually consumes; it knows how to
 turn raw segment text, or n-grams already computed, into a prediction and
 how to round-trip itself through its two files.  This module alone knows
 their names and format: a vocabulary file and a model file, each
-`#key=value` header lines and TAB rows read by one reader (`_read_records`),
-the model naming its vocabulary by the hash of the vocabulary file's text.
+`#key=value` header lines and one row per feature, read by one reader
+(`_read_records`); a feature's index is its row in both files, and the
+model names its vocabulary by the hash of the vocabulary file's text.
 Bundles are fitted in `training.py`, the only module that imports numpy.
 
 `TextClassifier.weigh` gives the BC/TF/TF-IDF weighing by n-gram string, as
@@ -107,12 +108,14 @@ def bytes_hash(data: bytes) -> str:
 
 
 def vocabulary_bytes(vocab: Vocabulary) -> bytes:
-    """The `#N=` header, then one `feature TAB index TAB df` line per feature
-    in string order."""
-    lines = [f"#N={vocab.document_count}"]
-    for feature in sorted(vocab.feature_to_index):
-        idx = vocab.feature_to_index[feature]
-        lines.append(f"{feature}\t{idx}\t{vocab.document_frequency[idx]}")
+    """The `#N=` header, then one `feature TAB df` line per feature in string
+    order; a feature's index is its row.  A vocabulary whose indices are not
+    its features' string ranks cannot be read back, so it is refused."""
+    features = sorted(vocab.feature_to_index)
+    if list(map(vocab.feature_to_index.get, features)) != list(range(len(features))):
+        raise ValueError("a saved vocabulary must number its features by string rank")
+    lines = [f"#N={vocab.document_count}",
+             *map("{}\t{}".format, features, vocab.document_frequency)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -137,26 +140,26 @@ def model_bytes(model: LinearModel, *, scheme: str, ngram: tuple[int, int],
         f"#loss={MODIFIED_HUBER}",
         f"#vocab_sha256={vocab_hash}",
     ]
-    lines.extend(f"{idx}\t{weight!r}" for idx, weight in enumerate(model.weights))
+    lines.extend(map(repr, model.weights))
     lines.append(f"#bias={float(model.bias)!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _read_records(text: str, usage: str, header_checks: dict[str, Callable[[str], object]],
-                  row: Callable[[int, list[str]], tuple[int, object]], noun: str,
-                  ) -> tuple[dict[str, str], list]:
+                  row: Callable[[str], object]) -> tuple[dict[str, str], list]:
     """Read a vocabulary or model file's text.
 
     `#key=value` lines are the header: each key of `header_checks` exactly
     once, its value passing the key's check.  Every other non-empty line is
-    a `usage` row (`a TAB b`), which `row` reads, given its line number, as
-    (index, value); the indices are 0..n-1 in any order.  Returns the header
-    values and the row values in index order.  A bare `#` line is skipped,
-    and a ValueError is a ParseError naming its line.
+    a `usage` row (`a TAB b`), which `row` reads as one value; the header
+    lines before a row have been checked when it is read.  Returns the
+    header values and the row values in file order: a row's index is its
+    position among the rows.  A bare `#` line is skipped, and a ValueError
+    is a ParseError naming its line.
     """
     header: dict[str, str] = {}
-    values: dict[int, object] = {}
-    count = usage.count(" TAB ") + 1
+    values: list = []
+    tabs = usage.count(" TAB ")
     for lineno, line in enumerate(text.split("\n"), start=1):
         try:
             if line[:1] == "#":
@@ -172,22 +175,15 @@ def _read_records(text: str, usage: str, header_checks: dict[str, Callable[[str]
                 header_checks[key](value)
                 header[key] = value
             elif line:
-                fields = line.split("\t")
-                if len(fields) != count:
+                if line.count("\t") != tabs:
                     raise ParseError(f"expected `{usage}`", lineno)
-                idx, value = row(lineno, fields)
-                if idx in values:
-                    raise ParseError(f"repeated {noun} index {idx}", lineno)
-                values[idx] = value
+                values.append(row(line))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
     missing = header_checks.keys() - header.keys()
     if missing:
         raise ParseError(f"missing header fields: {sorted(missing)}")
-    try:  # n distinct indices are dense iff each of 0..n-1 is one of them
-        return header, [values[i] for i in range(len(values))]
-    except KeyError:
-        raise ParseError(f"{noun} indices are not dense 0..n-1") from None
+    return header, values
 
 
 def _one_of(*allowed: str):
@@ -217,47 +213,47 @@ def load_model(path) -> tuple[LinearModel, dict[str, str]]:
 
     A header key that `model_bytes` does not write, a missing or repeated
     one, or a value that it could not have written, is a ParseError; so is
-    a repeated, missing or non-finite weight.
+    a row that is not one finite weight.
     """
-    header, weights = _read_records(
-        Path(path).read_text(encoding="utf-8"), "index TAB weight", _MODEL_HEADER,
-        lambda _, fields: (int(fields[0]), _finite(fields[1])), "weight")
+    header, weights = _read_records(Path(path).read_text(encoding="utf-8"), "weight",
+                                    _MODEL_HEADER, _finite)
     cfg = TrainConfig(alpha=float(header["alpha"]), epochs=int(header["epochs"]),
                       eta0=float(header["eta0"]), seed=int(header["seed"]))
     return LinearModel(weights=tuple(weights), bias=float(header["bias"]), config=cfg), header
 
 
-def _document_count(text: str) -> None:
-    if (n := int(text)) < 1:
-        raise ValueError(f"#N= must be at least 1, got {n}")
-
-
 def _parse_vocabulary(text: str) -> Vocabulary:
     """A vocabulary file's text as a `Vocabulary`.
 
-    `#N=` must be at least 1 and every df in 1..N, so that each TF-IDF
-    weight is defined; a line that breaks this, or repeats a feature or an
-    index, is a ParseError naming it.
+    `#N=` comes before the rows and is at least 1, every df is in 1..N, so
+    that each TF-IDF weight is defined, and each feature comes after the one
+    before it in string order, which also refuses a repeated feature; a line
+    that breaks this is a ParseError naming it.
     """
     feature_to_index: dict[str, int] = {}
-    top = [0, None]  # the largest df and its line: N may follow the rows
+    previous = ""
+    document_count = 0
 
-    def row(lineno: int, fields: list[str]) -> tuple[int, int]:
-        feature, idx, df = fields[0], int(fields[1]), int(fields[2])
-        if df < 1:
-            raise ValueError(f"df must be at least 1, got {df}")
-        if feature in feature_to_index:
-            raise ValueError(f"repeated feature {feature!r}")
-        feature_to_index[feature] = idx
-        if df > top[0]:
-            top[:] = df, lineno
-        return idx, df
+    def read_count(text: str) -> None:
+        nonlocal document_count
+        if (document_count := int(text)) < 1:
+            raise ValueError(f"#N= must be at least 1, got {document_count}")
 
-    header, dfs = _read_records(text, "feature TAB index TAB df", {"N": _document_count},
-                                row, "vocabulary")
-    document_count = int(header["N"])
-    if top[0] > document_count:
-        raise ParseError(f"df {top[0]} exceeds #N={document_count}", top[1])
+    def row(line: str) -> int:
+        nonlocal previous
+        feature, _, df = line.partition("\t")
+        df = int(df)
+        if not 1 <= df <= document_count:
+            raise ValueError(f"df {df} is not in 1..#N={document_count}" if document_count
+                             else "a row before the #N= line")
+        if feature <= previous and feature_to_index:
+            raise ValueError(f"repeated feature {feature!r}" if feature == previous else
+                             f"feature {feature!r} does not follow {previous!r} in string order")
+        previous = feature
+        feature_to_index[feature] = len(feature_to_index)
+        return df
+
+    _, dfs = _read_records(text, "feature TAB df", {"N": read_count}, row)
     return Vocabulary(feature_to_index=feature_to_index, document_frequency=dfs,
                       document_count=document_count)
 

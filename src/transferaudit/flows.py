@@ -327,12 +327,16 @@ class GeoTable:
         object.__setattr__(self, "_index", index)
 
     def lookup_ip(self, ip: str) -> str | None:
-        try:
-            addr = ipaddress.ip_address(ip)
-        except ValueError:
-            return None
-        value = int(addr)
-        for mask, codes in self._index[addr.version]:
+        """None where `ipaddress.ip_address` rejects `ip`; canonical text skips it."""
+        network = None if "/" in ip else _canonical_network(ip)
+        if network is None:
+            try:
+                address = ipaddress.ip_address(ip)
+            except ValueError:
+                return None
+            network = address.version, address.max_prefixlen, int(address)
+        version, _, value = network
+        for mask, codes in self._index[version]:
             code = codes.get(value & mask)
             if code is not None:
                 return code

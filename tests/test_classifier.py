@@ -70,17 +70,20 @@ def test_load_detects_vocab_model_mismatch(bundle, tmp_path):
     bundle.save(tmp_path, "intention")
     vocab_path = tmp_path / "intention.vocab.tsv"
     lines = vocab_path.read_text(encoding="utf-8").splitlines()
-    # swap two feature indices: the stored vocab hash must no longer match
-    head, a, b = lines[0], lines[1], lines[2]
-    fa, ia, da = a.split("\t")
-    fb, ib, db = b.split("\t")
-    lines[1] = f"{fa}\t{ib}\t{da}"
-    lines[2] = f"{fb}\t{ia}\t{db}"
-    vocab_path.write_text("\n".join([head, *lines[1:]]) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    # swap the dfs of two rows: the file still reads, but the stored vocab
+    # hash must no longer match
+    head, a = lines[0], lines[1]
+    fa, da = a.split("\t")
+    at, b = next((i, line) for i, line in enumerate(lines[2:], start=2)
+                 if line.split("\t")[1] != da)
+    fb, db = b.split("\t")
+    swapped = [*lines]
+    swapped[1], swapped[at] = f"{fa}\t{db}", f"{fb}\t{da}"
+    vocab_path.write_text("\n".join(swapped) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="vocab hash"):
         TextClassifier.load(tmp_path, "intention")
-    # the same content with two data lines swapped: the hash names the text
-    vocab_path.write_text("\n".join([head, b, a, *lines[3:]]) + "\n", encoding="utf-8")
+    # the same content padded with a blank line: the hash names the text
+    vocab_path.write_text("\n".join([head, "", *lines[1:]]) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match="vocab hash"):
         TextClassifier.load(tmp_path, "intention")
 
@@ -119,6 +122,7 @@ def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
                                   "#alpha=inf", "#eta0=0", "#eta0=nan", "#eta0=-inf", "#epochs=1.5",
                                   "#epochs=0", "#bias=zz", "#bias=nan",
                                   "0\tabc", "x\t0.5", "0\tnan", "1\tinf",
+                                  "abc", "nan", "inf", "-inf", "0.5\t",
                                   "#scheme=bc", "#=x"])
 def test_load_rejects_bad_header_line(bundle, tmp_path, line):
     bundle.save(tmp_path, "intention")
@@ -151,13 +155,18 @@ def test_load_rejects_repeated_weight_index(bundle, tmp_path):
     bundle.save(tmp_path, "intention")
     model_path = tmp_path / "intention.model.tsv"
     lines = model_path.read_text(encoding="utf-8").splitlines()
-    # the repeated index goes last, just before the closing #bias line
-    lines.insert(len(lines) - 1, "0\t123.0")
-    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError) as exc:
-        TextClassifier.load(tmp_path, "intention")
-    assert exc.value.line_number == len(lines) - 1
-    assert "repeated weight index 0" in str(exc.value)
+    # a weight's index is its row: a row that repeats index 0 in the
+    # indexed `index TAB weight` form is refused by its line, and a weight
+    # row too many or too few by the weight count
+    at = len(lines) - 1  # just before the closing #bias line
+    for rows, message, lineno in [
+            ([*lines[:at], "0\t123.0", *lines[at:]], "expected `weight`", at + 1),
+            ([*lines[:at], "123.0", *lines[at:]], "weights for a", None),
+            ([*lines[:at - 1], *lines[at:]], "weights for a", None)]:
+        model_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as exc:
+            TextClassifier.load(tmp_path, "intention")
+        assert exc.value.line_number == lineno
 
 
 def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
@@ -165,18 +174,24 @@ def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
     vocab_path = tmp_path / "intention.vocab.tsv"
     lines = vocab_path.read_text(encoding="utf-8").splitlines()
     n = int(lines[0].removeprefix("#N="))
-    feature, idx, _ = lines[1].split("\t")
+    feature, _ = lines[1].split("\t")
     # each bad line is line 2; without N >= 1 and 1 <= df <= N, some
     # TF-IDF weight ln(N / df) would be undefined
     for bad, rest in [("#N=q", lines[1:]), ("#N=0", lines[1:]), ("#N=-2", lines[1:]),
-                      (f"{feature}\t{idx}\t0", lines[2:]),
-                      (f"{feature}\t{idx}\t-1", lines[2:]),
-                      (f"{feature}\t{idx}\t{n + 1}", lines[2:]),
+                      (f"{feature}\t0", lines[2:]),
+                      (f"{feature}\t-1", lines[2:]),
+                      (f"{feature}\t{n + 1}", lines[2:]),
+                      (f"{feature}\t1\t1", lines[2:]), (feature, lines[2:]),
                       (f"#N={n}", lines[1:]), ("#=x", lines[1:])]:
         vocab_path.write_text("\n".join([lines[0], bad, *rest]) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             TextClassifier.load(tmp_path, "intention")
         assert exc.value.line_number == 2, bad
+    # `#N=` must come before the rows, which are checked against it
+    vocab_path.write_text("\n".join([*lines[1:], lines[0]]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="before the #N= line") as exc:
+        TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == 1
 
 
 def test_load_rejects_a_repeated_vocabulary_feature_or_index(bundle, tmp_path):
@@ -184,12 +199,12 @@ def test_load_rejects_a_repeated_vocabulary_feature_or_index(bundle, tmp_path):
     vocab_path = tmp_path / "intention.vocab.tsv"
     lines = vocab_path.read_text(encoding="utf-8").splitlines()
     first, second = (line.split("\t") for line in lines[1:3])
-    # line 3 repeats line 2's feature, or its index; the other fields keep
-    # the vocabulary's indices and dfs whole
-    for bad, message in [(f"{first[0]}\t{second[1]}\t{second[2]}",
-                          f"repeated feature '{first[0]}'"),
-                         (f"{second[0]}\t{first[1]}\t{second[2]}",
-                          f"repeated vocabulary index {first[1]}")]:
+    # a feature's index is its row, so line 3 may neither repeat line 2's
+    # feature nor come before it in string order, nor give an index in the
+    # indexed `feature TAB index TAB df` form
+    for bad, message in [(f"{first[0]}\t{second[1]}", f"repeated feature '{first[0]}'"),
+                         (f"{first[0][:-1]}\t{second[1]}", "does not follow"),
+                         (f"{second[0]}\t1\t{second[1]}", "expected `feature TAB df`")]:
         vocab_path.write_text("\n".join([*lines[:2], bad, *lines[3:]]) + "\n",
                               encoding="utf-8")
         with pytest.raises(ParseError, match=message) as exc:

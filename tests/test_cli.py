@@ -636,6 +636,28 @@ def test_bad_model_line_is_input_error_naming_the_line(model_dir, tmp_path, caps
     assert "line 2" in captured.err
 
 
+def test_a_bundle_in_the_indexed_format_is_input_error(model_dir, tmp_path, capsys):
+    """Files that give each row an index, as bundles saved before a
+    feature's index became its row did, do not load: the first such row is
+    named and `annotate` exits 1; such a bundle must be trained again."""
+    policy = tmp_path / "pol.txt"
+    policy.write_text("We transfer data to Japan.", encoding="utf-8")
+    for suffix, indexed, lineno in [("vocab", lambda i, row: row.replace("\t", f"\t{i}\t"), 2),
+                                    ("model", lambda i, row: f"{i}\t{row}", 9)]:
+        models = tmp_path / suffix
+        shutil.copytree(model_dir, models)
+        path = models / f"intention.{suffix}.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+        for index, at in enumerate(rows):
+            lines[at] = indexed(index, lines[at])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["annotate", "--model-dir", str(models), str(policy)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {lineno}: expected `" in captured.err, suffix
+
+
 _SHIPPED = resources.files("transferaudit.data")
 _FRAMEWORK = "privacy_shield\tUS\t2020-07-16"
 

@@ -14,11 +14,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transferaudit.classifier import TextClassifier, load_vocabulary, save_vocabulary
+from transferaudit.classifier import (
+    TextClassifier,
+    load_vocabulary,
+    save_vocabulary,
+    vocabulary_bytes,
+)
 from transferaudit.features import (
     BC,
     TF,
     TFIDF,
+    Vocabulary,
     check_ngram_range,
     extract_ngrams,
     fold,
@@ -242,6 +248,14 @@ def test_vocabulary_roundtrip(tmp_path):
     assert loaded.feature_to_index == vocab.feature_to_index
     assert loaded.document_frequency == vocab.document_frequency
     assert loaded.document_count == vocab.document_count
+
+
+def test_vocabulary_bytes_refuses_indices_that_are_not_string_ranks():
+    # the file gives no index: a feature's index is its row in string order
+    assert vocabulary_bytes(Vocabulary({"b": 1, "a": 0}, [2, 1], 2)) == b"#N=2\na\t2\nb\t1\n"
+    for feature_to_index in ({"b": 0, "a": 1}, {"a": 0, "b": 2}):
+        with pytest.raises(ValueError, match="string rank"):
+            vocabulary_bytes(Vocabulary(feature_to_index, [1, 1, 1], 2))
 
 
 @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=8),

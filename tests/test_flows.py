@@ -307,6 +307,12 @@ def _geo_cases(draw):
             probes += [str(_ADDRESS[v](anchor)), str(_ADDRESS[v](flipped))]
         probes += [str(_ADDRESS[v](x))
                    for x in draw(st.lists(st.integers(0, 2 ** _BITS[v] - 1), max_size=3))]
+    # address text other than the canonical forms, and prefixed addresses
+    for anchor in map(_ADDRESS[4], anchors[4]):
+        a, b, c, d = anchor.packed
+        probes += [f"{a:03d}.{b:02d}.{c}.{d}", f"::ffff:{anchor}", f"{anchor}/32"]
+    for anchor in map(_ADDRESS[6], anchors[6]):
+        probes += [str(anchor).upper(), anchor.exploded, f"{anchor}%eth0", f"{anchor}/128"]
     return networks, probes
 
 

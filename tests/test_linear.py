@@ -339,24 +339,25 @@ def _model_lines(tmp_path):
 
 def test_load_reads_weight_lines_in_any_order(tmp_path):
     model, path, head, rows, tail = _model_lines(tmp_path)
-    assert rows == ["0\t0.5", "1\t-0.25", "2\t2.0"]
-    # out of order, and an index not written as model_bytes writes it
-    path.write_text("\n".join([*head, rows[2], rows[1], "00\t0.5", *tail]) + "\n",
+    assert rows == ["0.5", "-0.25", "2.0"]
+    # a weight's index is its row, whatever the order of the values; a
+    # weight not written as model_bytes writes it reads as its value
+    path.write_text("\n".join([*head, rows[2], rows[1], "00.50", *tail]) + "\n",
                     encoding="utf-8")
     loaded, _ = load_model(path)
-    assert loaded.weights == model.weights
+    assert loaded.weights == model.weights[::-1]
     assert loaded.bias == model.bias
 
 
 def test_load_names_a_weight_line_without_a_tab(tmp_path):
-    # the two lines hold two TABs between them, and their even and odd
-    # fields read as indices 0, 1 and weights; the first line is still bad
+    # a weight line is one field without a TAB: of these two lines the
+    # first reads as a weight, and the second, which holds TABs, is named
     _, path, head, rows, tail = _model_lines(tmp_path)
     path.write_text("\n".join([*head, "0", "0.5\t1\t0.25", rows[2], *tail]) + "\n",
                     encoding="utf-8")
-    with pytest.raises(ParseError, match="expected `index TAB weight`") as exc:
+    with pytest.raises(ParseError, match="expected `weight`") as exc:
         load_model(path)
-    assert exc.value.line_number == 9
+    assert exc.value.line_number == 10
 
 
 @settings(max_examples=25, deadline=None)
