@@ -13,7 +13,6 @@ from transferaudit.flows import (
     CatalogEntry,
     FlowRecord,
     GeoTable,
-    PersonalDataCatalog,
     build_transfer_events,
     classify_recipient,
     extract_sld,
@@ -24,13 +23,13 @@ from transferaudit.flows import (
 )
 
 AAID = "38400000-8cf0-11bd-b23e-10b96e40000d"
-catalog = PersonalDataCatalog(entries=[
+catalog = (
     CatalogEntry("AAID", AAID),
     CatalogEntry("GPS_LOCATION", "40.416775,-3.703790"),
-])
+)
 
 print("== derived search forms ==")
-entry = catalog.entries[0]
+entry = catalog[0]
 print(f"plain : {entry.plain.decode()}")
 print(f"b64   : {entry.base64_forms[0].decode()}")
 for name, form in zip(("md5", "sha1", "sha256"), entry.digest_forms):
@@ -69,12 +68,12 @@ print("\n== transfer events ==")
 # an app's identity is its package name plus every cert org and store name
 # that any of its flows carries
 flows = [
-    FlowRecord("com.viber.voip", "14.5", "active", "app.adjust.com",
+    FlowRecord("com.viber.voip", "active", "app.adjust.com",
                dest_ip="104.18.3.7", payload=f"ad_id={AAID}".encode(),
                cert_org="Viber Media", store_name="Viber Messenger"),
-    FlowRecord("com.viber.voip", "14.5", "idle", "app.adjust.com",
+    FlowRecord("com.viber.voip", "idle", "app.adjust.com",
                country="US", payload=f"boot={AAID}".encode()),
-    FlowRecord("com.viber.voip", "14.5", "active", "time.google.com",
+    FlowRecord("com.viber.voip", "active", "time.google.com",
                country="US", payload=b"sync"),
 ]
 events = build_transfer_events(flows, catalog, owners, geo)

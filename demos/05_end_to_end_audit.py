@@ -22,7 +22,6 @@ from transferaudit.flows import (
     CatalogEntry,
     FlowRecord,
     GeoTable,
-    PersonalDataCatalog,
     build_transfer_events,
     load_owner_list,
 )
@@ -57,13 +56,13 @@ POLICIES = {
 }
 
 FLOWS = [
-    FlowRecord("app.full", "1.0", "active", "api.adjust.com", country="US",
+    FlowRecord("app.full", "active", "api.adjust.com", country="US",
                payload=f"id={AAID}".encode()),
-    FlowRecord("app.consent", "1.0", "idle", "metrics.mail.ru", country="RU",
+    FlowRecord("app.consent", "idle", "metrics.mail.ru", country="RU",
                payload=f"id={AAID}".encode()),
-    FlowRecord("app.mismatch", "1.0", "active", "ads.vungle.com", country="US",
+    FlowRecord("app.mismatch", "active", "ads.vungle.com", country="US",
                payload=f"id={AAID}".encode()),
-    FlowRecord("app.silent", "1.0", "active", "sdk.smaato.net", country="US",
+    FlowRecord("app.silent", "active", "sdk.smaato.net", country="US",
                payload=f"id={AAID}".encode()),
 ]
 
@@ -109,7 +108,7 @@ annotator = SegmentAnnotator(
 )
 
 # --- scan flows into events --------------------------------------------------
-catalog = PersonalDataCatalog(entries=[CatalogEntry("AAID", AAID)])
+catalog = (CatalogEntry("AAID", AAID),)
 events = build_transfer_events(FLOWS, catalog, load_owner_list(), GeoTable())
 events_by_app = {}
 for event in events:

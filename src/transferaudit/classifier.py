@@ -154,8 +154,7 @@ def _read_records(text: str, usage: str, header_checks: dict[str, Callable[[str]
     a `usage` row (`a TAB b`), which `row` reads as one value; the header
     lines before a row have been checked when it is read.  Returns the
     header values and the row values in file order: a row's index is its
-    position among the rows.  A bare `#` line is skipped, and a ValueError
-    is a ParseError naming its line.
+    position among the rows.  A ValueError is a ParseError naming its line.
     """
     header: dict[str, str] = {}
     values: list = []
@@ -163,8 +162,6 @@ def _read_records(text: str, usage: str, header_checks: dict[str, Callable[[str]
     for lineno, line in enumerate(text.split("\n"), start=1):
         try:
             if line[:1] == "#":
-                if line == "#":
-                    continue
                 key, _, value = line[1:].partition("=")
                 if not key or not value:
                     raise ParseError(f"malformed header {line!r}", lineno)

@@ -239,17 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geo")
     p.set_defaults(fn=_cmd_scan)
 
-    p = sub.add_parser("check", help="judge events against policy annotations")
-    p.add_argument("--events", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--jurisdiction")
+    # the inputs of `check` and `report`
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--events", required=True)
+    study.add_argument("--annotations", required=True)
+    study.add_argument("--jurisdiction")
+
+    p = sub.add_parser("check", parents=[study],
+                       help="judge events against policy annotations")
     p.add_argument("--date", help="override the assessment date (ISO)")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("report", help="aggregate events + annotations into a report")
-    p.add_argument("--events", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--jurisdiction")
+    p = sub.add_parser("report", parents=[study],
+                       help="aggregate events + annotations into a report")
     p.add_argument("--format", choices=[reports.TEXT_TABLE, reports.MACHINE_LINES],
                    default=reports.TEXT_TABLE)
     p.set_defaults(fn=_cmd_report, date=None)

@@ -44,7 +44,6 @@ NO_TRANSFER = "no_personal_data_transfer"
 @dataclass(frozen=True)
 class FrameworkRule:
     name: str
-    alias_country: str
     invalid_from: datetime.date
 
 
@@ -95,8 +94,8 @@ def load_jurisdiction(path=None) -> JurisdictionConfig:
         if len(parts) != 3:
             raise ParseError(f"bad framework line {entry!r}", lineno)
         name, alias, invalid_from = parts
-        frameworks.append(FrameworkRule(name, check_country_code(alias, lineno),
-                                        _iso_date(invalid_from, lineno)))
+        check_country_code(alias, lineno)  # checked but not kept
+        frameworks.append(FrameworkRule(name, _iso_date(invalid_from, lineno)))
     dates = sections["assessment_date"]
     if len(dates) != 1:
         raise ParseError("need exactly one assessment_date",

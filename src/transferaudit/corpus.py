@@ -35,7 +35,6 @@ def _check_labels(intention_label: int, element_labels: frozenset[str]) -> None:
 class PolicyDocument:
     app_id: str
     raw_text: str
-    source_uri: str | None = None
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ class CountryDictionary:
     """Surface-form phrases (normalized token tuples) mapped to ISO codes."""
 
     phrases: dict[tuple[str, ...], str] = field(default_factory=dict)
-    form_types: dict[tuple[str, ...], str] = field(default_factory=dict)
     # the phrase lengths for each first token, longest first, indexed from
     # `phrases` when built and by `add` after
     lengths_by_first: dict[str, tuple[int, ...]] = field(
@@ -65,7 +64,7 @@ class CountryDictionary:
         if len(key) not in lengths:
             self.lengths_by_first[key[0]] = tuple(sorted((*lengths, len(key)), reverse=True))
 
-    def add(self, code: str, form_type: str, surface: str) -> None:
+    def add(self, code: str, surface: str) -> None:
         key = tuple(phrase_tokens(surface))
         if not key:
             raise ValueError(f"surface form {surface!r} normalizes to nothing")
@@ -73,12 +72,14 @@ class CountryDictionary:
         if existing is not None and existing != code:
             raise ValueError(f"surface form {surface!r} maps to both {existing} and {code}")
         self.phrases[key] = code
-        self.form_types[key] = form_type
         self._index(key)
 
 
 def load_country_dictionary(path=None) -> CountryDictionary:
-    """Load `code TAB form_type TAB surface` lines; default: shipped gazetteer."""
+    """Load `code TAB form_type TAB surface` lines; default: shipped gazetteer.
+
+    The form type is checked but not kept.
+    """
     dictionary = CountryDictionary()
     for lineno, (code, form_type, surface) in tab_records(
             path, "code TAB form_type TAB surface", "country_dictionary.tsv"):
@@ -86,7 +87,7 @@ def load_country_dictionary(path=None) -> CountryDictionary:
         if form_type not in FORM_TYPES:
             raise ParseError(f"bad form type {form_type!r}", lineno)
         try:
-            dictionary.add(code, form_type, surface)
+            dictionary.add(code, surface)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
     return dictionary

@@ -17,7 +17,7 @@ import ipaddress
 import logging
 import re
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from operator import attrgetter
@@ -65,7 +65,6 @@ def generic_tokens() -> frozenset[str]:
 @dataclass(frozen=True)
 class FlowRecord:
     app_id: str
-    app_version: str
     stage: str
     dest_fqdn: str
     dest_ip: str | None = None
@@ -104,12 +103,7 @@ class CatalogEntry:
         ))
 
 
-@dataclass
-class PersonalDataCatalog:
-    entries: list[CatalogEntry] = field(default_factory=list)
-
-
-def load_catalog(path) -> PersonalDataCatalog:
+def load_catalog(path) -> tuple[CatalogEntry, ...]:
     """Catalog file: `data_type TAB device_value` per line."""
     entries = []
     usage = "data_type TAB device_value"
@@ -117,14 +111,14 @@ def load_catalog(path) -> PersonalDataCatalog:
         if not name or not value:
             raise ParseError(f"expected `{usage}`", lineno)
         entries.append(CatalogEntry(name=name, device_value=value))
-    return PersonalDataCatalog(entries=entries)
+    return tuple(entries)
 
 
 # a lowercase-hex digest lies inside a maximal run of 32 or more hex digits
 _HEX_RUN = re.compile(rb"[0-9a-f]{32,}")
 
 
-def scan_payload(payload: bytes, catalog: PersonalDataCatalog) -> set[str]:
+def scan_payload(payload: bytes, catalog: Sequence[CatalogEntry]) -> set[str]:
     """Data types whose search forms occur in the payload.
 
     Plain values match case-insensitively; Base64 and hex digests match
@@ -134,7 +128,7 @@ def scan_payload(payload: bytes, catalog: PersonalDataCatalog) -> set[str]:
     lowered = payload.lower()
     hex_runs = b" ".join(_HEX_RUN.findall(payload))
     found = set()
-    for entry in catalog.entries:
+    for entry in catalog:
         if entry.plain in lowered:
             found.add(entry.name)
             continue
@@ -151,28 +145,24 @@ class RecipientInfo:
     kind: str
     owner_name: str | None = None
     hq_country: str | None = None
-    category: str | None = None
 
 
 @dataclass(frozen=True)
 class DomainOwnerEntry:
-    sld: str
     owner: str
-    parent: str | None
     hq_country: str
-    category: str
 
 
 def load_owner_list(path=None) -> dict[str, DomainOwnerEntry]:
-    """Owner list: `sld TAB owner TAB parent TAB hq_country TAB category`."""
+    """Owner list: `sld TAB owner TAB parent TAB hq_country TAB category`,
+    keyed by SLD; the parent and category columns are not kept."""
     owners: dict[str, DomainOwnerEntry] = {}
-    for lineno, (sld, owner, parent, hq, category) in tab_records(
+    for lineno, (sld, owner, _, hq, _) in tab_records(
             path, "sld TAB owner TAB parent TAB hq_country TAB category", "owner_list.tsv"):
         sld = sld.lower()
         if sld in owners:
             raise ParseError(f"duplicate SLD {sld!r}", lineno)
-        owners[sld] = DomainOwnerEntry(sld, owner, parent or None,
-                                       check_country_code(hq, lineno), category)
+        owners[sld] = DomainOwnerEntry(owner, check_country_code(hq, lineno))
     return owners
 
 
@@ -247,7 +237,7 @@ def classify_recipient(app_tokens: frozenset[str], dest_fqdn: str,
     entry = owner_list.get(sld)
     if entry is not None:
         return RecipientInfo(kind=THIRD_PARTY, owner_name=entry.owner,
-                             hq_country=entry.hq_country, category=entry.category)
+                             hq_country=entry.hq_country)
     return RecipientInfo(kind=UNKNOWN)
 
 
@@ -400,7 +390,8 @@ class TransferEvent:
     any_idle_flow: bool
 
 
-# the optional text fields of a flow; app_id, stage and dest_fqdn are required
+# the optional text fields of a flow, app_version checked but not kept;
+# app_id, stage and dest_fqdn are required
 _FLOW_STRINGS = ("app_version", "dest_ip", "payload_b64", "cert_org", "store_name")
 
 
@@ -426,7 +417,6 @@ def load_flow_log(path) -> list[FlowRecord]:
                     codes.add(check_country_code(country, lineno))
                 records.append(FlowRecord(
                     app_id=json_string(obj, "app_id", lineno),
-                    app_version=obj.get("app_version", ""),
                     stage=json_string(obj, "stage", lineno),
                     dest_fqdn=json_string(obj, "dest_fqdn", lineno),
                     dest_ip=obj.get("dest_ip"),
@@ -471,13 +461,13 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
 
     Each app's events come in `recipient_domain` order, whatever the order
     of the lines, and an app names a recipient domain on one line only.
-    Only `app_id`, `recipient_domain` and `dest_countries` are required; a
-    missing recipient kind reads as third party.  `app_id` and
-    `recipient_domain` must be JSON strings, `recipient_owner` a JSON string
-    or null, the two lists JSON arrays, `any_idle_flow` a JSON boolean,
-    the recipient kind first or third party and every country an ISO-3166
-    alpha-2 code.  Equal recipients and equal type or country lists share
-    one frozen object each, and each is checked once, when first seen.
+    Every key that `event_json` writes is required; other keys are ignored.
+    `app_id` and `recipient_domain` must be JSON strings, `recipient_owner`
+    a JSON string or null, the two lists JSON arrays, `any_idle_flow` a JSON
+    boolean, the recipient kind first or third party and every country (the
+    recipient's hq, unless null) an ISO-3166 alpha-2 code.  Equal recipients
+    and equal type or country lists share one frozen object each, and each
+    is checked once, when first seen.
     """
     by_app: dict[str, list[TransferEvent]] = {}
     recipients: dict[tuple, RecipientInfo] = {}
@@ -487,17 +477,17 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
         try:
             app_id = json_string(obj, "app_id", lineno)
             domain = json_string(obj, "recipient_domain", lineno)
-            types = obj.get("data_types", [])
+            types = obj["data_types"]
             countries = obj["dest_countries"]
-            idle = obj.get("any_idle_flow", False)
+            idle = obj["any_idle_flow"]
             if not isinstance(types, list):
                 raise json_type_error("data_types", "array", types, lineno)
             if not isinstance(countries, list):
                 raise json_type_error("dest_countries", "array", countries, lineno)
             if not isinstance(idle, bool):
                 raise json_type_error("any_idle_flow", "boolean", idle, lineno)
-            recipient_key = (obj.get("recipient_kind", THIRD_PARTY),
-                             obj.get("recipient_owner"), obj.get("recipient_hq"))
+            recipient_key = (obj["recipient_kind"], obj["recipient_owner"],
+                             obj["recipient_hq"])
             recipient = recipients.get(recipient_key)
             if recipient is None:
                 recipient = recipients[recipient_key] = _recipient(*recipient_key, lineno)
@@ -529,7 +519,7 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
     return by_app
 
 
-def build_transfer_events(flows: list[FlowRecord], catalog: PersonalDataCatalog,
+def build_transfer_events(flows: list[FlowRecord], catalog: Sequence[CatalogEntry],
                           owner_list: dict[str, DomainOwnerEntry],
                           geo_table: GeoTable) -> list[TransferEvent]:
     """Scan, attribute and geolocate flows, grouped per (app, SLD).

@@ -16,7 +16,7 @@ bundle's format (`classifier.py`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 from .corpus import LabeledSegment
@@ -152,8 +152,7 @@ def compute_metrics(predictions: Sequence[int], labels: Sequence[int]) -> EvalMe
     )
 
 
-_METRIC_NAMES = ("precision", "recall", "f_measure", "npv", "specificity",
-                 "f_measure_negative", "accuracy")
+_METRIC_NAMES = tuple(f.name for f in fields(EvalMetrics) if f.name != "confusion")
 
 
 @dataclass

@@ -214,25 +214,6 @@ def fit_text_classifier(corpus: Corpus, ngram: tuple[int, int], scheme: str,
     return fit_grams(labeled_grams(corpus, ngram, label_fn), scheme, train_cfg)
 
 
-@dataclass(frozen=True)
-class _CrossValidation:
-    data: NumberedGrams
-    scheme: str
-    train_cfg: TrainConfig
-    folds: list[tuple[list[int], list[int]]]
-    shared_vocab: IdVocabulary | None
-
-    def evaluate(self, fold: int) -> EvalMetrics:
-        train_idx, test_idx = self.folds[fold]
-        vocab = self.shared_vocab
-        if vocab is None:
-            vocab = IdVocabulary(self.data, train_idx, self.scheme)
-        model = _fit(vocab, train_idx, self.train_cfg)
-        predictions = [predict(model, (idx.tolist(), x.tolist()))
-                       for idx, x in map(vocab.vector, test_idx)]
-        return compute_metrics(predictions, [self.data.labels[i] for i in test_idx])
-
-
 def cross_validate_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfig, k: int,
                          seed: int, fit_on_all: bool = False) -> CrossValidationResult:
     """Stratified k-fold evaluation over n-grams already numbered.
@@ -241,12 +222,23 @@ def cross_validate_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfi
     fits one vocabulary on all the samples instead (leaks document
     frequencies between folds; kept for compatibility experiments).  The
     folds run in up to min(k, usable CPUs) forked processes, which inherit
-    the samples; each fold's result is the same wherever it runs.
+    the samples and `evaluate` itself; each fold's result is the same
+    wherever it runs.
     """
     folds = stratified_kfold(data.labels, k, seed)
     shared_vocab = IdVocabulary(data, range(len(data.labels)), scheme) if fit_on_all else None
-    run = _CrossValidation(data, scheme, train_cfg, folds, shared_vocab)
-    return CrossValidationResult(folds=list(ordered_map(run.evaluate, range(len(folds)))))
+
+    def evaluate(fold: int) -> EvalMetrics:
+        train_idx, test_idx = folds[fold]
+        vocab = shared_vocab
+        if vocab is None:
+            vocab = IdVocabulary(data, train_idx, scheme)
+        model = _fit(vocab, train_idx, train_cfg)
+        predictions = [predict(model, (idx.tolist(), x.tolist()))
+                       for idx, x in map(vocab.vector, test_idx)]
+        return compute_metrics(predictions, [data.labels[i] for i in test_idx])
+
+    return CrossValidationResult(folds=list(ordered_map(evaluate, range(len(folds)))))
 
 
 def cross_validate(corpus: Corpus, ngram: tuple[int, int], scheme: str,

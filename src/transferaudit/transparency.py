@@ -120,7 +120,9 @@ _decode_annotation = json.JSONDecoder(parse_int=_no_number, parse_float=_no_numb
 
 def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     """Parse `annotate` output, one JSON object per line, keyed by app id;
-    an app id may have one record only.
+    an app id may have one record only.  Every key that `annotation_json`
+    writes is required, in a record and in each of its segments; other keys
+    are ignored.
 
     Segments with equal values load as one shared `SegmentAnnotation`, which
     is safe because the class is frozen: a study repeats a few thousand
@@ -138,7 +140,7 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     for lineno, obj in json_records(lines, _decode_annotation):
         try:
             app_id = json_string(obj, "app_id", lineno)
-            records = obj.get("segments", [])
+            records = obj["segments"]
             if not isinstance(records, list):
                 raise json_type_error("segments", "array", records, lineno)
             segments = []

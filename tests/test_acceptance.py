@@ -43,7 +43,6 @@ from transferaudit.countries import (
 from transferaudit.features import TF, TFIDF, extract_ngrams
 from transferaudit.flows import (
     CatalogEntry,
-    PersonalDataCatalog,
     RecipientInfo,
     TransferEvent,
     build_transfer_events,
@@ -405,7 +404,7 @@ def test_criterion_8_payload_scanning():
         "sha1": "4dfaa92388699ac6539885aef1719293879985bf",
         "sha256": "d4181bb455a74b3bc8b37c75ac9b2c702eb6b9930bd040b861403b31ca85634d",
     }
-    catalog = PersonalDataCatalog(entries=[CatalogEntry("AAID", aaid)])
+    catalog = (CatalogEntry("AAID", aaid),)
     for name, form in forms.items():
         payload = f"prefix {form} suffix".encode()
         assert scan_payload(payload, catalog) == {"AAID"}, name

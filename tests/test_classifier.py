@@ -123,7 +123,7 @@ def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
                                   "#epochs=0", "#bias=zz", "#bias=nan",
                                   "0\tabc", "x\t0.5", "0\tnan", "1\tinf",
                                   "abc", "nan", "inf", "-inf", "0.5\t",
-                                  "#scheme=bc", "#=x"])
+                                  "#scheme=bc", "#=x", "#"])
 def test_load_rejects_bad_header_line(bundle, tmp_path, line):
     bundle.save(tmp_path, "intention")
     model_path = tmp_path / "intention.model.tsv"
@@ -182,7 +182,7 @@ def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
                       (f"{feature}\t-1", lines[2:]),
                       (f"{feature}\t{n + 1}", lines[2:]),
                       (f"{feature}\t1\t1", lines[2:]), (feature, lines[2:]),
-                      (f"#N={n}", lines[1:]), ("#=x", lines[1:])]:
+                      (f"#N={n}", lines[1:]), ("#=x", lines[1:]), ("#", lines[1:])]:
         vocab_path.write_text("\n".join([lines[0], bad, *rest]) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             TextClassifier.load(tmp_path, "intention")

@@ -198,7 +198,7 @@ def test_full_pipeline(model_dir, tmp_path, capsys):
 
 SHIELD_EVENT = {
     "app_id": "shield.app", "recipient_domain": "tracker.example",
-    "dest_countries": ["US"], "recipient_kind": "third_party",
+    "data_types": ["AAID"], "dest_countries": ["US"], "recipient_kind": "third_party",
     "recipient_owner": "Tracker", "recipient_hq": "US", "any_idle_flow": False}
 SHIELD_SEGMENT = {
     "intention": True, "countries": ["US"], "adequacy": False, "scc": False,
@@ -239,7 +239,8 @@ def _annotation(app_id, **flags):
 
 def _event(app_id, countries, kind=THIRD_PARTY, idle=False, domain="tracker.example"):
     return json.dumps({"app_id": app_id, "recipient_domain": domain,
-                       "dest_countries": countries, "recipient_kind": kind,
+                       "data_types": ["AAID"], "dest_countries": countries,
+                       "recipient_kind": kind,
                        "recipient_owner": "Owner" if kind == THIRD_PARTY else None,
                        "recipient_hq": "US" if kind == THIRD_PARTY else None,
                        "any_idle_flow": idle})
@@ -339,6 +340,9 @@ def _with_segment(**fields):
                  segments=[SHIELD_SEGMENT, {**SHIELD_SEGMENT, **fields}])
 
 
+# the event keys that `scan` always writes and that were once filled in when missing
+_EVENT_KEYS = ("data_types", "recipient_kind", "recipient_owner", "recipient_hq",
+               "any_idle_flow")
 _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
                            "segments": [SHIELD_SEGMENT, {"intention": False}]})
 
@@ -373,6 +377,10 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
     ("annotations", _with_segment(countries="US")),
     ("annotations", _with_segment(countries=["de"])),
     ("annotations", _with_segment(scc="false")),
+    # every key the writer writes is required
+    *[("events", _without({**SHIELD_EVENT, "app_id": "other.app"}, key))
+      for key in _EVENT_KEYS],
+    ("annotations", _without({**SHIELD_ANNOTATION, "app_id": "other.app"}, "segments")),
 ], ids=["event-no-domain", "event-no-app", "event-bad-json", "event-not-object",
         "annotation-no-scc", "segment-missing-fields", "annotation-bad-json",
         "annotation-not-object", "event-countries-string", "event-types-string",
@@ -382,8 +390,10 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
         "annotation-countries-string", "annotation-lowercase-country",
         "annotation-intention-string", "annotation-segments-object",
         "annotation-app-number", "annotation-app-null", "segment-countries-string",
-        "segment-lowercase-country", "segment-flag-string"])
+        "segment-lowercase-country", "segment-flag-string",
+        *[f"event-no-{key}" for key in _EVENT_KEYS], "annotation-no-segments"])
 def test_malformed_record_is_input_error(tmp_path, capsys, command, which, bad_line):
+    record = {"events": SHIELD_EVENT, "annotations": SHIELD_ANNOTATION}[which]
     lines = {"events": [json.dumps(SHIELD_EVENT)],
              "annotations": [json.dumps(SHIELD_ANNOTATION)]}
     lines[which] += ["", bad_line]
@@ -393,6 +403,11 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, which, bad_l
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: line 3: ")
+    # a record that lacks a key of its form names the key
+    with contextlib.suppress(ValueError):
+        obj = json.loads(bad_line)
+        for key in record.keys() - obj.keys() if isinstance(obj, dict) else ():
+            assert f"lacks field {key!r}" in captured.err
 
 
 @pytest.mark.parametrize("command", ["check", "report"])
@@ -733,9 +748,12 @@ def test_bad_corpus_is_input_error(tmp_path, capsys):
 _events = st.lists(st.fixed_dictionaries({
     "app_id": st.sampled_from(["a", "b", "c", "d"]),
     "recipient_domain": st.sampled_from(["adjust.com", "yandex.net", "a.com"]),
+    "data_types": st.lists(st.sampled_from(["AAID", "IMEI"]), unique=True, max_size=2),
     "dest_countries": st.lists(st.sampled_from(["DE", "US", "IL", "CN", "JP"]),
                                unique=True, max_size=3),
     "recipient_kind": st.sampled_from([FIRST_PARTY, THIRD_PARTY]),
+    "recipient_owner": st.sampled_from([None, "Adjust", "Yandex"]),
+    "recipient_hq": st.sampled_from([None, "DE", "RU"]),
     "any_idle_flow": st.booleans(),
 }), max_size=12, unique_by=lambda e: (e["app_id"], e["recipient_domain"]))
 _annotations = st.dictionaries(st.sampled_from(["a", "b", "e", "f"]), policy_annotations,

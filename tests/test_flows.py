@@ -15,7 +15,6 @@ from transferaudit.flows import (
     CatalogEntry,
     FlowRecord,
     GeoTable,
-    PersonalDataCatalog,
     build_transfer_events,
     classify_recipient,
     extract_sld,
@@ -37,7 +36,7 @@ AAID_B64 = "Mzg0MDAwMDAtOGNmMC0xMWJkLWIyM2UtMTBiOTZlNDAwMDBk"
 
 @pytest.fixture(scope="module")
 def aaid_catalog():
-    return PersonalDataCatalog(entries=[CatalogEntry("AAID", AAID)])
+    return (CatalogEntry("AAID", AAID),)
 
 
 def _triple(net):
@@ -46,14 +45,14 @@ def _triple(net):
 
 
 def test_catalog_forms_match_frozen_oracle(aaid_catalog):
-    entry = aaid_catalog.entries[0]
+    entry = aaid_catalog[0]
     assert entry.digest_forms == (AAID_MD5.encode(), AAID_SHA1.encode(),
                                   AAID_SHA256.encode())
     assert AAID_B64.encode() in entry.base64_forms
 
 
 def test_digest_hex_lengths(catalog):
-    for entry in catalog.entries:
+    for entry in catalog:
         md5, sha1, sha256 = entry.digest_forms
         assert len(md5) == 32 and len(sha1) == 40 and len(sha256) == 64
 
@@ -80,7 +79,7 @@ def test_scan_empty_payload(aaid_catalog):
 def _naive_scan(payload, catalog):
     """Reference: a type is found iff some search form is a byte substring."""
     lowered = payload.lower()
-    return {entry.name for entry in catalog.entries
+    return {entry.name for entry in catalog
             if entry.plain in lowered
             or any(form in payload for form in entry.digest_forms + entry.base64_forms)}
 
@@ -157,7 +156,7 @@ def test_ip_literal_destination(literal, owner_list, catalog, caplog):
     # geolocated by its address, then dropped as an unknown recipient
     geo = GeoTable(networks=((_triple(ipaddress.ip_network("185.151.204.0/22")), "US"),
                              (_triple(ipaddress.ip_network("2001:db8::/32")), "DE")))
-    flow = FlowRecord("com.viber.voip", "1", "active", literal, dest_ip=literal,
+    flow = FlowRecord("com.viber.voip", "active", literal, dest_ip=literal,
                       detected_types=frozenset({"AAID"}))
     assert geolocate(geo, ip=literal, fqdn=literal) is not None
     assert build_transfer_events([flow], catalog, owner_list, geo) == []
@@ -389,9 +388,9 @@ def test_cidr_parser_edges(text):
 
 def test_flow_record_validation():
     with pytest.raises(ValueError):
-        FlowRecord("app", "1", "paused", "x.com")
+        FlowRecord("app", "paused", "x.com")
     with pytest.raises(ValueError):
-        FlowRecord("app", "1", "idle", "")
+        FlowRecord("app", "idle", "")
 
 
 def test_build_events_from_fixture(flow_records, catalog, owner_list, geo_table):
@@ -425,11 +424,11 @@ def test_build_events_from_fixture(flow_records, catalog, owner_list, geo_table)
 # one app reaching an owner-listed SLD both through an app-named host (first
 # party) and a third-party host: the group must not depend on flow order
 _MIXED_GROUP_FLOWS = [
-    FlowRecord("com.acme.app", "1", "active", "acme.onesignal.com", country="US",
+    FlowRecord("com.acme.app", "active", "acme.onesignal.com", country="US",
                detected_types=frozenset({"AAID"})),
-    FlowRecord("com.acme.app", "1", "idle", "api.onesignal.com", country="US",
+    FlowRecord("com.acme.app", "idle", "api.onesignal.com", country="US",
                detected_types=frozenset({"GPS_LOCATION"})),
-    FlowRecord("com.acme.app", "1", "active", "push.acme.onesignal.com", country="DE",
+    FlowRecord("com.acme.app", "active", "push.acme.onesignal.com", country="DE",
                detected_types=frozenset({"AAID"})),
 ]
 
@@ -443,16 +442,15 @@ def test_events_independent_of_flow_order(flow_records, catalog, owner_list, geo
     assert build_transfer_events(flows, catalog, owner_list, geo_table) == expected
     mixed = next(e for e in expected if e.app_id == "com.acme.app")
     assert mixed.recipient.kind == "third_party"
-    assert (mixed.recipient.owner_name, mixed.recipient.hq_country,
-            mixed.recipient.category) == ("OneSignal", "US", "messaging")
+    assert (mixed.recipient.owner_name, mixed.recipient.hq_country) == ("OneSignal", "US")
 
 
 def test_app_identity_is_union_over_flows(catalog, owner_list, geo_table):
     # "zappy" is an identity token only through the cert org of one flow
     flows = [
-        FlowRecord("com.example.app", "1", "active", "api.zappy.com", country="US",
+        FlowRecord("com.example.app", "active", "api.zappy.com", country="US",
                    detected_types=frozenset({"AAID"}), cert_org="Zappy Inc"),
-        FlowRecord("com.example.app", "1", "idle", "api.zappy.com", country="US",
+        FlowRecord("com.example.app", "idle", "api.zappy.com", country="US",
                    detected_types=frozenset({"AAID"})),
     ]
     for ordered in (flows, flows[::-1]):

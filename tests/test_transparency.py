@@ -327,7 +327,7 @@ def test_gazetteer_index_equals_former_scan_on_any_dictionary(surfaces, tokens):
     """Phrases that are prefixes of others, with other codes, overlap at will."""
     dictionary = CountryDictionary()
     for surface, code in surfaces.items():
-        dictionary.add(code, "name", surface)
+        dictionary.add(code, surface)
     assert detect_target_countries(tokens, dictionary) == \
         _reference_countries(tokens, dictionary)
 
