@@ -340,7 +340,7 @@ def _with_segment(**fields):
                  segments=[SHIELD_SEGMENT, {**SHIELD_SEGMENT, **fields}])
 
 
-# the event keys that `scan` always writes and that were once filled in when missing
+# the event keys that a reader could pass over with a default value
 _EVENT_KEYS = ("data_types", "recipient_kind", "recipient_owner", "recipient_hq",
                "any_idle_flow")
 _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
