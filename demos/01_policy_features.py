@@ -27,8 +27,8 @@ print("== segmentation ==")
 for mode in (FULLSTOP, BLANKLINE):
     segments = segment_policy(POLICY, mode)
     print(f"{mode}: {len(segments)} segments")
-    for seg in segments:
-        print(f"  [{seg.index}] {seg.text[:70]}...")
+    for i, seg in enumerate(segments):
+        print(f"  [{i}] {seg.text[:70]}...")
 
 # note: "U.S." survives full-stop mode thanks to the abbreviation guard
 

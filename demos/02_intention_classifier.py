@@ -41,7 +41,7 @@ for i in range(300):
     # light noise so folds differ
     if rng.random() < 0.5:
         words.insert(rng.randrange(len(words)), rng.choice(["please", "always", "currently"]))
-    samples.append(LabeledSegment(PolicySegment("demo", i, " ".join(words)),
+    samples.append(LabeledSegment(PolicySegment("demo", " ".join(words)),
                                   1 if positive else 0))
 corpus = Corpus(samples=samples)
 print(f"corpus: {len(corpus)} segments, {corpus.positive_count} positive")

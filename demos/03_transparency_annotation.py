@@ -58,8 +58,8 @@ intent_neg = [
     "you may opt out of marketing emails at any time",
 ]
 intent_corpus = Corpus(samples=(
-    [LabeledSegment(PolicySegment("c", i, t), 1) for i, t in enumerate(intent_pos * 3)]
-    + [LabeledSegment(PolicySegment("c", 100 + i, t), 0) for i, t in enumerate(intent_neg * 3)]
+    [LabeledSegment(PolicySegment("c", t), 1) for t in intent_pos * 3]
+    + [LabeledSegment(PolicySegment("c", t), 0) for t in intent_neg * 3]
 ))
 adeq_pos = [
     "israel is recognized by the european commission as providing an adequate level of protection",
@@ -68,9 +68,9 @@ adeq_pos = [
 ]
 adeq_neg = intent_pos
 adeq_corpus = Corpus(samples=(
-    [LabeledSegment(PolicySegment("c", i, t), 1, frozenset({"adequacy"}))
-     for i, t in enumerate(adeq_pos * 3)]
-    + [LabeledSegment(PolicySegment("c", 100 + i, t), 1) for i, t in enumerate(adeq_neg * 3)]
+    [LabeledSegment(PolicySegment("c", t), 1, frozenset({"adequacy"}))
+     for t in adeq_pos * 3]
+    + [LabeledSegment(PolicySegment("c", t), 1) for t in adeq_neg * 3]
 ))
 
 annotator = SegmentAnnotator(

@@ -53,7 +53,7 @@ print(f"app identity tokens: {sorted(tokens)}")
 for fqdn in ("app.adjust.com", "cdn.viber.com", "tracker.unlisted.io"):
     info = classify_recipient(tokens, fqdn, owners)
     print(f"  {fqdn:<24} sld={extract_sld(fqdn):<14} kind={info.kind:<12} "
-          f"owner={info.owner_name}")
+          f"owner={info.owner}")
 
 print("\n== geolocation ==")
 # a network is (IP version, prefix length, network address as an int)

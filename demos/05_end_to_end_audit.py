@@ -89,13 +89,13 @@ adeq_pos = [
 ]
 
 intent_corpus = Corpus(samples=(
-    [LabeledSegment(PolicySegment("c", i, t), 1) for i, t in enumerate(intent_pos * 4)]
-    + [LabeledSegment(PolicySegment("c", 99 + i, t), 0) for i, t in enumerate(intent_neg * 4)]
+    [LabeledSegment(PolicySegment("c", t), 1) for t in intent_pos * 4]
+    + [LabeledSegment(PolicySegment("c", t), 0) for t in intent_neg * 4]
 ))
 adeq_corpus = Corpus(samples=(
-    [LabeledSegment(PolicySegment("c", i, t), 1, frozenset({"adequacy"}))
-     for i, t in enumerate(adeq_pos * 4)]
-    + [LabeledSegment(PolicySegment("c", 99 + i, t), 1) for i, t in enumerate(intent_pos * 4)]
+    [LabeledSegment(PolicySegment("c", t), 1, frozenset({"adequacy"}))
+     for t in adeq_pos * 4]
+    + [LabeledSegment(PolicySegment("c", t), 1) for t in intent_pos * 4]
 ))
 
 annotator = SegmentAnnotator(
@@ -135,7 +135,7 @@ for app_id, policy_text in POLICIES.items():
             extra = f" mismatch {actual} vs {sorted(disclosed)}"
         if v.invalid_safeguard_reason:
             extra += f" ({v.invalid_safeguard_reason})"
-        print(f"{app_id:<14} {v.recipient_domain:<12} {v.country} "
+        print(f"{app_id:<14} {v.event.recipient_domain:<12} {v.country} "
               f"{v.transfer_type:<22} -> {v.verdict_class}{extra}")
     print(f"{app_id:<14} overall: {assessment.overall}\n")
 

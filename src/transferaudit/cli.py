@@ -152,7 +152,7 @@ def _verdict_line(v: compliance.Verdict) -> str:
     if v.country_mismatch:
         actual, disclosed = v.country_mismatch
         mismatch = f"{actual}!={','.join(sorted(disclosed))}"
-    return (f"{v.app_id}\t{v.recipient_domain}\t{v.country}\t{v.transfer_type}\t"
+    return (f"{v.event.app_id}\t{v.event.recipient_domain}\t{v.country}\t{v.transfer_type}\t"
             f"{v.verdict_class}\t{','.join(sorted(v.missing_elements)) or '-'}\t"
             f"{mismatch}\t{v.invalid_safeguard_reason or '-'}\n")
 

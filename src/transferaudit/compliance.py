@@ -129,15 +129,12 @@ def classify_transfer_type(event: TransferEvent, country: str,
 
 class Verdict(NamedTuple):
     verdict_class: str
-    app_id: str
-    recipient_domain: str
+    event: TransferEvent
     country: str
     transfer_type: str
     missing_elements: frozenset[str] = frozenset()
     country_mismatch: tuple[str, frozenset[str]] | None = None
     invalid_safeguard_reason: str | None = None
-    recipient_owner: str | None = None
-    recipient_hq: str | None = None
 
 
 # `target_countries` is disclosed when the policy names countries; `safeguard`
@@ -199,10 +196,8 @@ def _verdict_core(ttype: str, disclosed: bool,
 def _judge(ttype: str, event: TransferEvent, country: str, policy: PolicyAnnotation,
            case: tuple) -> Verdict:
     verdict_class, missing, reason = _verdict_core(ttype, country in policy.countries, case)
-    recipient = event.recipient
-    return Verdict(verdict_class, event.app_id, event.recipient_domain, country, ttype,
-                   missing, (country, policy.countries) if verdict_class == ID else None,
-                   reason, recipient.owner_name, recipient.hq_country)
+    return Verdict(verdict_class, event, country, ttype, missing,
+                   (country, policy.countries) if verdict_class == ID else None, reason)
 
 
 def judge_transfer(ttype: str, event: TransferEvent, country: str,

@@ -40,7 +40,6 @@ class PolicyDocument:
 @dataclass(frozen=True)
 class PolicySegment:
     doc_id: str
-    index: int
     text: str
 
 
@@ -94,8 +93,7 @@ def segment_policy(doc: PolicyDocument, separator_mode: str = FULLSTOP) -> list[
         chunks.append(text[start:].strip())
     else:
         raise ValueError(f"unknown separator mode {separator_mode!r}")
-    segments = [c for c in chunks if c]
-    return [PolicySegment(doc.app_id, i, c) for i, c in enumerate(segments)]
+    return [PolicySegment(doc.app_id, c) for c in chunks if c]
 
 
 _ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
@@ -134,9 +132,8 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path) -> Corpus:
-    """Parse the corpus line format; segment indices run per document."""
+    """Parse the corpus line format."""
     samples: list[LabeledSegment] = []
-    next_index: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -150,12 +147,8 @@ def load_corpus(path) -> Corpus:
                 raise ParseError(f"intention must be 0 or 1, got {intention_s!r}", lineno)
             labels = frozenset() if labels_s == "-" else frozenset(labels_s.split(";"))
             text = _unescape(text_s, lineno)
-            index = next_index.get(doc_id, 0)
-            next_index[doc_id] = index + 1
             try:
-                sample = LabeledSegment(
-                    PolicySegment(doc_id, index, text), int(intention_s), labels
-                )
+                sample = LabeledSegment(PolicySegment(doc_id, text), int(intention_s), labels)
             except ValueError as exc:
                 raise LabelError(str(exc), lineno) from exc
             samples.append(sample)

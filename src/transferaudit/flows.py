@@ -16,7 +16,6 @@ import hashlib
 import ipaddress
 import logging
 import re
-from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -142,27 +141,28 @@ def scan_payload(payload: bytes, catalog: Sequence[CatalogEntry]) -> set[str]:
 
 @dataclass(frozen=True)
 class RecipientInfo:
+    """First party, unknown, or a third party with its owner-list entry's owner and hq."""
+
     kind: str
-    owner_name: str | None = None
+    owner: str | None = None
     hq_country: str | None = None
 
 
-@dataclass(frozen=True)
-class DomainOwnerEntry:
-    owner: str
-    hq_country: str
+FIRST_PARTY_RECIPIENT = RecipientInfo(FIRST_PARTY)
+UNKNOWN_RECIPIENT = RecipientInfo(UNKNOWN)
 
 
-def load_owner_list(path=None) -> dict[str, DomainOwnerEntry]:
+def load_owner_list(path=None) -> dict[str, RecipientInfo]:
     """Owner list: `sld TAB owner TAB parent TAB hq_country TAB category`,
-    keyed by SLD; the parent and category columns are not kept."""
-    owners: dict[str, DomainOwnerEntry] = {}
+    the third-party recipient of each SLD; the parent and category columns
+    are not kept."""
+    owners: dict[str, RecipientInfo] = {}
     for lineno, (sld, owner, _, hq, _) in tab_records(
             path, "sld TAB owner TAB parent TAB hq_country TAB category", "owner_list.tsv"):
         sld = sld.lower()
         if sld in owners:
             raise ParseError(f"duplicate SLD {sld!r}", lineno)
-        owners[sld] = DomainOwnerEntry(owner, check_country_code(hq, lineno))
+        owners[sld] = RecipientInfo(THIRD_PARTY, owner, check_country_code(hq, lineno))
     return owners
 
 
@@ -221,24 +221,20 @@ def tokenize_app_identity(package_name: str, cert_org: str | None = None,
 
 
 def classify_recipient(app_tokens: frozenset[str], dest_fqdn: str,
-                       owner_list: dict[str, DomainOwnerEntry]) -> RecipientInfo:
+                       owner_list: Mapping[str, RecipientInfo]) -> RecipientInfo:
     """First-party token match first, then owner-list lookup, else unknown.
 
     An IP-literal destination names no domain, so its recipient is unknown.
     """
     if _is_ip_literal(dest_fqdn):
-        return RecipientInfo(kind=UNKNOWN)
+        return UNKNOWN_RECIPIENT
     labels = _fqdn_labels(dest_fqdn)
     sld = extract_sld(dest_fqdn)
     suffix_count = sld.count(".")  # labels taken by the public suffix
     domain_bag = {l for l in labels[:-suffix_count] if l != "www"}
     if domain_bag & app_tokens:
-        return RecipientInfo(kind=FIRST_PARTY)
-    entry = owner_list.get(sld)
-    if entry is not None:
-        return RecipientInfo(kind=THIRD_PARTY, owner_name=entry.owner,
-                             hq_country=entry.hq_country)
-    return RecipientInfo(kind=UNKNOWN)
+        return FIRST_PARTY_RECIPIENT
+    return owner_list.get(sld, UNKNOWN_RECIPIENT)
 
 
 # (IP version, prefix length, network address as an int without host bits)
@@ -439,21 +435,25 @@ def event_json(event: TransferEvent) -> dict:
         "data_types": sorted(event.data_types),
         "dest_countries": sorted(event.dest_countries),
         "recipient_kind": event.recipient.kind,
-        "recipient_owner": event.recipient.owner_name,
+        "recipient_owner": event.recipient.owner,
         "recipient_hq": event.recipient.hq_country,
         "any_idle_flow": event.any_idle_flow,
     }
 
 
 def _recipient(kind, owner, hq, lineno: int) -> RecipientInfo:
-    if kind not in (FIRST_PARTY, THIRD_PARTY):
+    """The recipient of one of the two forms `event_json` writes."""
+    if kind == FIRST_PARTY:
+        if owner is not None or hq is not None:
+            raise ParseError(f"a {FIRST_PARTY} recipient needs a null recipient_owner and "
+                             f"recipient_hq, got {owner!r} and {hq!r}", lineno)
+        return FIRST_PARTY_RECIPIENT
+    if kind != THIRD_PARTY:
         raise ParseError(f"recipient_kind must be {FIRST_PARTY} or {THIRD_PARTY}, "
                          f"got {kind!r}", lineno)
-    if owner is not None and not isinstance(owner, str):
+    if not isinstance(owner, str):
         raise json_type_error("recipient_owner", "string", owner, lineno)
-    if hq is not None:
-        check_country_code(hq, lineno)
-    return RecipientInfo(kind, owner, hq)
+    return RecipientInfo(THIRD_PARTY, owner, check_country_code(hq, lineno))
 
 
 def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
@@ -462,14 +462,16 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
     Each app's events come in `recipient_domain` order, whatever the order
     of the lines, and an app names a recipient domain on one line only.
     Every key that `event_json` writes is required; other keys are ignored.
-    `app_id` and `recipient_domain` must be JSON strings, `recipient_owner`
-    a JSON string or null, the two lists JSON arrays, `any_idle_flow` a JSON
-    boolean, the recipient kind first or third party and every country (the
-    recipient's hq, unless null) an ISO-3166 alpha-2 code.  Equal recipients
-    and equal type or country lists share one frozen object each, and each
-    is checked once, when first seen.
+    `app_id` and `recipient_domain` must be JSON strings, the two lists JSON
+    arrays, `any_idle_flow` a JSON boolean and every country an ISO-3166
+    alpha-2 code.  The recipient takes one of the two forms `scan` writes:
+    `first_party` with a null `recipient_owner` and `recipient_hq`, or
+    `third_party` with a JSON string owner and an ISO-3166 alpha-2 hq.
+    Equal recipients and equal type or country lists share one frozen
+    object each, and each is checked once, when first seen.
     """
     by_app: dict[str, list[TransferEvent]] = {}
+    seen: set[tuple[str, str]] = set()
     recipients: dict[tuple, RecipientInfo] = {}
     type_sets: dict[tuple, frozenset[str]] = {}
     country_sets: dict[tuple, frozenset[str]] = {}
@@ -505,22 +507,19 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
             raise ParseError(f"event record lacks field {exc}", lineno) from exc
         except TypeError as exc:
             raise ParseError(f"bad event record: {exc}", lineno) from exc
-        events = by_app.get(app_id)
-        if events is None:
-            by_app[app_id] = [event]
-        elif domain > events[-1].recipient_domain:  # `scan` writes domains in order
-            events.append(event)
-        else:
-            at = bisect_left(events, domain, key=attrgetter("recipient_domain"))
-            if events[at].recipient_domain == domain:
-                raise ParseError(f"repeated event for app_id {app_id!r} and "
-                                 f"recipient_domain {domain!r}", lineno)
-            events.insert(at, event)
+        pair = (app_id, domain)
+        if pair in seen:
+            raise ParseError(f"repeated event for app_id {app_id!r} and "
+                             f"recipient_domain {domain!r}", lineno)
+        seen.add(pair)
+        by_app.setdefault(app_id, []).append(event)
+    for events in by_app.values():
+        events.sort(key=attrgetter("recipient_domain"))
     return by_app
 
 
 def build_transfer_events(flows: list[FlowRecord], catalog: Sequence[CatalogEntry],
-                          owner_list: dict[str, DomainOwnerEntry],
+                          owner_list: Mapping[str, RecipientInfo],
                           geo_table: GeoTable) -> list[TransferEvent]:
     """Scan, attribute and geolocate flows, grouped per (app, SLD).
 

@@ -35,6 +35,7 @@ ELEMENTS = tuple("target_country" if e == "countries" else e for e in ELEMENT_FI
 
 
 _type_and_class = attrgetter("transfer_type", "verdict_class")
+_recipient = attrgetter("event.recipient")
 # an annotation's values for ELEMENTS, in order
 _element_values = attrgetter(*ELEMENT_FIELDS)
 
@@ -92,9 +93,10 @@ def summarize(assessments: list[AppAssessment],
         else:
             summary.apps_non_eu += 1
         type_class.update(map(_type_and_class, verdicts))
-        owned = [v for v in verdicts if v.recipient_owner]
-        apps_per_owner.update({v.recipient_owner for v in owned})
-        owner_hq.update((v.recipient_owner, v.recipient_hq) for v in owned if v.recipient_hq)
+        # a list, in verdict order: an owner's hq is the last one written
+        owned = [r for r in map(_recipient, verdicts) if r.owner]
+        apps_per_owner.update({r.owner for r in owned})
+        owner_hq.update((r.owner, r.hq_country) for r in owned)
     for (t, cls), count in type_class.items():
         summary.verdict_counts[t][cls] = count
     summary.overall_counts = dict(overall)

@@ -104,10 +104,15 @@ def labeled_grams(corpus: Corpus, ngram: tuple[int, int],
                   label_fn: Callable[[LabeledSegment], int]) -> NumberedGrams:
     """Each sample's n-grams over the range, numbered, and its label.
 
-    Computed once per corpus, they serve any number of fits and folds.
+    The samples are put in one canonical order first, so that every fit and
+    fold is a function of the corpus as a multiset, not of its line order:
+    samples with equal keys are equal.  Computed once per corpus, the
+    n-grams serve any number of fits and folds.
     """
-    gram_lists = [extract_ngrams(tokenize(s.segment.text), *ngram) for s in corpus.samples]
-    return number_grams(gram_lists, [label_fn(s) for s in corpus.samples], ngram)
+    samples = sorted(corpus.samples, key=lambda s: (
+        s.segment.text, s.intention_label, sorted(s.element_labels), s.segment.doc_id))
+    gram_lists = [extract_ngrams(tokenize(s.segment.text), *ngram) for s in samples]
+    return number_grams(gram_lists, [label_fn(s) for s in samples], ngram)
 
 
 @dataclass(frozen=True)

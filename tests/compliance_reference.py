@@ -34,10 +34,7 @@ def safeguard_validity(policy, event, juris):
 
 
 def judge_transfer(ttype, event, country, policy, juris):
-    base = dict(app_id=event.app_id, recipient_domain=event.recipient_domain,
-                country=country, transfer_type=ttype,
-                recipient_owner=event.recipient.owner_name,
-                recipient_hq=event.recipient.hq_country)
+    base = dict(event=event, country=country, transfer_type=ttype)
     if ttype == INTRA_EU:
         return Verdict(NOT_APPLICABLE, **base)
     if ttype == T1_FIRST_PARTY:
@@ -89,7 +86,8 @@ def verdict_line(v):
         actual, disclosed = v.country_mismatch
         mismatch = f"{actual}!={','.join(sorted(disclosed))}"
     return "\t".join([
-        v.app_id, v.recipient_domain, v.country, v.transfer_type, v.verdict_class,
+        v.event.app_id, v.event.recipient_domain, v.country, v.transfer_type,
+        v.verdict_class,
         ",".join(sorted(v.missing_elements)) or "-",
         mismatch or "-",
         v.invalid_safeguard_reason or "-",

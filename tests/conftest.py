@@ -123,11 +123,11 @@ ADEQUACY_NEGATIVES = [
 
 def _build_corpus(positives, negatives, element=None):
     samples = []
-    for i, text in enumerate(positives):
+    for text in positives:
         labels = frozenset({element}) if element else frozenset()
-        samples.append(LabeledSegment(PolicySegment("corpus", i, text), 1, labels))
-    for i, text in enumerate(negatives, start=len(positives)):
-        samples.append(LabeledSegment(PolicySegment("corpus", i, text), 0))
+        samples.append(LabeledSegment(PolicySegment("corpus", text), 1, labels))
+    for text in negatives:
+        samples.append(LabeledSegment(PolicySegment("corpus", text), 0))
     return Corpus(samples=samples)
 
 
@@ -140,11 +140,11 @@ def intention_corpus():
 def adequacy_corpus():
     # adequacy training set: all segments already disclose a transfer intention
     samples = []
-    for i, text in enumerate(ADEQUACY_POSITIVES):
-        samples.append(LabeledSegment(PolicySegment("corpus", i, text), 1,
+    for text in ADEQUACY_POSITIVES:
+        samples.append(LabeledSegment(PolicySegment("corpus", text), 1,
                                       frozenset({"adequacy"})))
-    for i, text in enumerate(ADEQUACY_NEGATIVES, start=len(ADEQUACY_POSITIVES)):
-        samples.append(LabeledSegment(PolicySegment("corpus", i, text), 1))
+    for text in ADEQUACY_NEGATIVES:
+        samples.append(LabeledSegment(PolicySegment("corpus", text), 1))
     return Corpus(samples=samples)
 
 

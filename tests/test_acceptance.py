@@ -102,7 +102,7 @@ def test_criterion_1_truth_table_equivalence():
     pairs = 0
     for kind in ("first_party", "third_party"):
         recipient = (RecipientInfo(kind="first_party") if kind == "first_party"
-                     else RecipientInfo(kind="third_party", owner_name="O", hq_country="US"))
+                     else RecipientInfo(kind="third_party", owner="O", hq_country="US"))
         for country_class in ("eu", "adequacy", "other"):
             actual = actual_for[country_class]
             if kind == "first_party" or country_class == "eu":
@@ -174,7 +174,7 @@ def scenario_assessments(annotator, flow_records, catalog, owner_list, geo_table
 
 def test_criterion_2_full_disclosure_scenario(scenario_assessments):
     assessment, policy = scenario_assessments["com.viber.voip"]
-    classes = {v.recipient_domain: v.verdict_class for v in assessment.verdicts}
+    classes = {v.event.recipient_domain: v.verdict_class for v in assessment.verdicts}
     assert classes["adjust.com"] == FD
     assert classes["viber.com"] == NOT_APPLICABLE
     assert policy.countries >= {"US", "RU", "AU", "BR"}
@@ -264,7 +264,7 @@ def test_criterion_4_classifier_sanity():
         if i < 50:
             at = rng.randint(0, len(words))
             words[at:at] = rng.choice(markers).split()
-        samples.append(LabeledSegment(PolicySegment("d", i, " ".join(words)),
+        samples.append(LabeledSegment(PolicySegment("d", " ".join(words)),
                                       1 if i < 50 else 0))
     result = cross_validate(Corpus(samples=samples), (1, 2), TF,
                             TrainConfig(alpha=1e-3, epochs=20, seed=4), k=5, seed=4)
@@ -454,7 +454,7 @@ def test_criterion_10_determinism_and_throughput(annotator):
     assert blob_a == blob_b
 
     event = TransferEvent("a", "x.com", frozenset({"AAID"}), frozenset({"US"}),
-                          RecipientInfo(kind="third_party", owner_name="O",
+                          RecipientInfo(kind="third_party", owner="O",
                                         hq_country="US"), False)
     policy = PolicyAnnotation(intention=True, countries=frozenset({"US"}),
                               scc=True, copy_means=True)
@@ -495,9 +495,9 @@ def test_criterion_11_stratification_property():
         ratio = rng.uniform(0.01, 0.5)
         positives = max(1, int(n * ratio))
         negatives = max(1, n - positives)
-        samples = [LabeledSegment(PolicySegment("d", i, f"p{i}"), 1)
+        samples = [LabeledSegment(PolicySegment("d", f"p{i}"), 1)
                    for i in range(positives)]
-        samples += [LabeledSegment(PolicySegment("d", positives + i, f"n{i}"), 0)
+        samples += [LabeledSegment(PolicySegment("d", f"n{i}"), 0)
                     for i in range(negatives)]
         corpus = Corpus(samples=samples)
         k = min(5, len(corpus))

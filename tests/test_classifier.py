@@ -44,10 +44,10 @@ def _corpus():
         "notifications can be turned off",
         "we protect your account with encryption",
     ]
-    samples = [LabeledSegment(PolicySegment("c", i, t), 1)
-               for i, t in enumerate(positives * 3)]
-    samples += [LabeledSegment(PolicySegment("c", 90 + i, t), 0)
-                for i, t in enumerate(negatives * 3)]
+    samples = [LabeledSegment(PolicySegment("c", t), 1)
+               for t in positives * 3]
+    samples += [LabeledSegment(PolicySegment("c", t), 0)
+                for t in negatives * 3]
     return Corpus(samples=samples)
 
 
@@ -323,7 +323,7 @@ def test_pooled_folds_equal_in_process_folds(monkeypatch, tmp_path, intention_co
 def _one_positive_corpus():
     texts = ["we transfer data abroad", "we use cookies", "delete your account",
              "settings can change", "we protect your account"]
-    return Corpus(samples=[LabeledSegment(PolicySegment("c", i, t), int(i == 0))
+    return Corpus(samples=[LabeledSegment(PolicySegment("c", t), int(i == 0))
                            for i, t in enumerate(texts)])
 
 

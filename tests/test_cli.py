@@ -3,11 +3,13 @@
 import contextlib
 import dataclasses
 import datetime
+import functools
 import gc
 import io
 import json
 import multiprocessing
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -118,9 +120,52 @@ def test_kfold_and_model_out_tokenize_each_sample_once(tmp_path, capsys, monkeyp
         assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
+def _order_corpus_lines() -> list[str]:
+    """Corpus lines that repeat texts: some lines are equal, and some equal
+    texts differ in label, element labels or document."""
+    rng = random.Random(5)
+    texts = ["we transfer your data to servers abroad", "we use cookies",
+             "data is stored in the united states", "delete your account at any time",
+             "an adequacy decision covers japan", "partners outside the eu process data",
+             "you can change the settings", "we share data with partners"]
+    lines = []
+    for _ in range(40):
+        text = rng.choice(texts)
+        intention = int(rng.random() < 0.6)
+        elements = "adequacy" if intention and rng.random() < 0.5 else "-"
+        lines.append(f"{rng.choice('ab')}\t{intention}\t{elements}\t{text}\n")
+    return lines
+
+
+def _train_outcome(corpus_lines: list[str], task: str) -> tuple[str, dict[str, bytes]]:
+    """`train --kfold 3 --model-out` stdout and model files, for these lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path, models = Path(tmp) / "corpus.tsv", Path(tmp) / "models"
+        corpus_path.write_text("".join(corpus_lines), encoding="utf-8")
+        out = _stdout_of(["train", "--task", task, "--corpus", str(corpus_path),
+                          "--kfold", "3", "--epochs", "5", "--seed", "2",
+                          "--model-out", str(models)])
+        files = {p.name: p.read_bytes() for p in models.iterdir()}
+    return out.replace(str(models), "MODELS"), files
+
+
+_ORDER_CORPUS = _order_corpus_lines()
+
+
+@functools.cache
+def _train_outcome_in_file_order(task: str) -> tuple[str, dict[str, bytes]]:
+    return _train_outcome(_ORDER_CORPUS, task)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.permutations(_ORDER_CORPUS), st.sampled_from(["intention", "adequacy"]))
+def test_training_does_not_depend_on_corpus_line_order(lines, task):
+    assert _train_outcome(lines, task) == _train_outcome_in_file_order(task)
+
+
 def test_kfold_leaving_a_fold_empty_is_input_error(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.tsv"
-    save_corpus(Corpus(samples=[LabeledSegment(PolicySegment("c", i, t), i) for i, t in
+    save_corpus(Corpus(samples=[LabeledSegment(PolicySegment("c", t), i) for i, t in
                                 enumerate(["we use cookies", "we transfer data abroad"])]),
                 corpus_path)
     assert main(["train", "--corpus", str(corpus_path), "--kfold", "2"]) == 1
@@ -134,7 +179,7 @@ def test_failing_fold_exits_as_it_does_in_process(tmp_path, capsys, monkeypatch)
     corpus_path = tmp_path / "corpus.tsv"
     texts = ["we transfer data abroad", "we use cookies", "delete your account",
              "settings can change"]
-    save_corpus(Corpus(samples=[LabeledSegment(PolicySegment("c", i, t), int(i == 0))
+    save_corpus(Corpus(samples=[LabeledSegment(PolicySegment("c", t), int(i == 0))
                                 for i, t in enumerate(texts)]), corpus_path)
     outcomes = []
     for cpus in (1, 2):
@@ -340,6 +385,9 @@ def _with_segment(**fields):
                  segments=[SHIELD_SEGMENT, {**SHIELD_SEGMENT, **fields}])
 
 
+# the first event under another app id: a case built on it fails for the
+# field it changes, not as a repeated (app_id, recipient_domain) event
+OTHER_EVENT = {**SHIELD_EVENT, "app_id": "other.app"}
 # the event keys that a reader could pass over with a default value
 _EVENT_KEYS = ("data_types", "recipient_kind", "recipient_owner", "recipient_hq",
                "any_idle_flow")
@@ -358,16 +406,21 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
     ("annotations", "{not json}"),
     ("annotations", '"text"'),
     # a wrongly typed or unchecked value is no value to coerce
-    ("events", _with(SHIELD_EVENT, dest_countries="US")),
-    ("events", _with(SHIELD_EVENT, data_types="imei")),
-    ("events", _with(SHIELD_EVENT, dest_countries=["de"])),
-    ("events", _with(SHIELD_EVENT, recipient_kind="first-party")),
-    ("events", _with(SHIELD_EVENT, recipient_hq="us")),
-    ("events", _with(SHIELD_EVENT, any_idle_flow="yes")),
-    ("events", _with(SHIELD_EVENT, recipient_domain=7)),
-    ("events", _with(SHIELD_EVENT, recipient_owner=7)),
-    ("events", _with(SHIELD_EVENT, app_id=None)),
-    ("events", _with(SHIELD_EVENT, recipient_domain=None)),
+    ("events", _with(OTHER_EVENT, dest_countries="US")),
+    ("events", _with(OTHER_EVENT, data_types="imei")),
+    ("events", _with(OTHER_EVENT, dest_countries=["de"])),
+    ("events", _with(OTHER_EVENT, recipient_kind="first-party")),
+    ("events", _with(OTHER_EVENT, recipient_hq="us")),
+    ("events", _with(OTHER_EVENT, any_idle_flow="yes")),
+    ("events", _with(OTHER_EVENT, recipient_domain=7)),
+    ("events", _with(OTHER_EVENT, recipient_owner=7)),
+    ("events", _with(OTHER_EVENT, app_id=None)),
+    ("events", _with(OTHER_EVENT, recipient_domain=None)),
+    # a recipient takes one of the two forms `scan` writes
+    ("events", _with(OTHER_EVENT, recipient_kind=FIRST_PARTY, recipient_hq=None)),
+    ("events", _with(OTHER_EVENT, recipient_kind=FIRST_PARTY, recipient_owner=None)),
+    ("events", _with(OTHER_EVENT, recipient_owner=None)),
+    ("events", _with(OTHER_EVENT, recipient_hq=None)),
     ("annotations", _with(SHIELD_ANNOTATION, countries="US")),
     ("annotations", _with(SHIELD_ANNOTATION, countries=["us"])),
     ("annotations", _with(SHIELD_ANNOTATION, intention="yes")),
@@ -378,15 +431,15 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
     ("annotations", _with_segment(countries=["de"])),
     ("annotations", _with_segment(scc="false")),
     # every key the writer writes is required
-    *[("events", _without({**SHIELD_EVENT, "app_id": "other.app"}, key))
-      for key in _EVENT_KEYS],
+    *[("events", _without(OTHER_EVENT, key)) for key in _EVENT_KEYS],
     ("annotations", _without({**SHIELD_ANNOTATION, "app_id": "other.app"}, "segments")),
 ], ids=["event-no-domain", "event-no-app", "event-bad-json", "event-not-object",
         "annotation-no-scc", "segment-missing-fields", "annotation-bad-json",
         "annotation-not-object", "event-countries-string", "event-types-string",
         "event-lowercase-country", "event-kind-typo", "event-lowercase-hq",
         "event-idle-string", "event-domain-number", "event-owner-number",
-        "event-app-null", "event-domain-null",
+        "event-app-null", "event-domain-null", "event-first-party-owner",
+        "event-first-party-hq", "event-third-party-owner-null", "event-third-party-hq-null",
         "annotation-countries-string", "annotation-lowercase-country",
         "annotation-intention-string", "annotation-segments-object",
         "annotation-app-number", "annotation-app-null", "segment-countries-string",
@@ -745,17 +798,21 @@ def test_bad_corpus_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-_events = st.lists(st.fixed_dictionaries({
+# the two recipient forms `scan` writes
+_recipients = st.one_of(
+    st.just({"recipient_kind": FIRST_PARTY, "recipient_owner": None, "recipient_hq": None}),
+    st.fixed_dictionaries({"recipient_kind": st.just(THIRD_PARTY),
+                           "recipient_owner": st.sampled_from(["Adjust", "Yandex"]),
+                           "recipient_hq": st.sampled_from(["DE", "RU"])}))
+_events = st.lists(st.builds(lambda event, recipient: {**event, **recipient},
+                             st.fixed_dictionaries({
     "app_id": st.sampled_from(["a", "b", "c", "d"]),
     "recipient_domain": st.sampled_from(["adjust.com", "yandex.net", "a.com"]),
     "data_types": st.lists(st.sampled_from(["AAID", "IMEI"]), unique=True, max_size=2),
     "dest_countries": st.lists(st.sampled_from(["DE", "US", "IL", "CN", "JP"]),
                                unique=True, max_size=3),
-    "recipient_kind": st.sampled_from([FIRST_PARTY, THIRD_PARTY]),
-    "recipient_owner": st.sampled_from([None, "Adjust", "Yandex"]),
-    "recipient_hq": st.sampled_from([None, "DE", "RU"]),
     "any_idle_flow": st.booleans(),
-}), max_size=12, unique_by=lambda e: (e["app_id"], e["recipient_domain"]))
+}), _recipients), max_size=12, unique_by=lambda e: (e["app_id"], e["recipient_domain"]))
 _annotations = st.dictionaries(st.sampled_from(["a", "b", "e", "f"]), policy_annotations,
                                max_size=4)
 

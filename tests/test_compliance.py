@@ -37,7 +37,7 @@ from transferaudit.transparency import FLAGS, PolicyAnnotation
 
 JURIS = load_jurisdiction()
 
-THIRD = RecipientInfo(kind="third_party", owner_name="Owner", hq_country="US")
+THIRD = RecipientInfo(kind="third_party", owner="Owner", hq_country="US")
 FIRST = RecipientInfo(kind="first_party")
 
 
@@ -244,17 +244,17 @@ def test_adequacy_move_only_flips_t2_t3():
 
 def test_aggregate_compliant():
     verdicts = [
-        Verdict(FD, "a", "x.com", "US", T3_NO_ADEQUACY),
-        Verdict(FD, "a", "y.com", "US", T3_NO_ADEQUACY),
-        Verdict(NOT_APPLICABLE, "a", "z.com", "IE", INTRA_EU),
+        Verdict(FD, event({"US"}, app_id="a", domain="x.com"), "US", T3_NO_ADEQUACY),
+        Verdict(FD, event({"US"}, app_id="a", domain="y.com"), "US", T3_NO_ADEQUACY),
+        Verdict(NOT_APPLICABLE, event({"IE"}, app_id="a", domain="z.com"), "IE", INTRA_EU),
     ]
     assert AppAssessment("a", verdicts).overall == COMPLIANT
 
 
 def test_aggregate_one_bad_verdict_taints_app():
     verdicts = [
-        Verdict(FD, "a", "x.com", "US", T3_NO_ADEQUACY),
-        Verdict(AD, "a", "y.com", "RU", T3_NO_ADEQUACY),
+        Verdict(FD, event({"US"}, app_id="a", domain="x.com"), "US", T3_NO_ADEQUACY),
+        Verdict(AD, event({"RU"}, app_id="a", domain="y.com"), "RU", T3_NO_ADEQUACY),
     ]
     assert AppAssessment("a", verdicts).overall == POTENTIALLY_NON_COMPLIANT
 

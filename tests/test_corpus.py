@@ -24,7 +24,6 @@ def test_segment_two_sentences():
     doc = PolicyDocument("app", "We transfer data. We use cookies.")
     segments = segment_policy(doc, FULLSTOP)
     assert [s.text for s in segments] == ["We transfer data", "We use cookies"]
-    assert [s.index for s in segments] == [0, 1]
 
 
 def test_segment_empty_document_rejected():
@@ -79,9 +78,9 @@ def test_fullstop_reconstruction(sentences):
 def _corpus(pos, neg):
     samples = []
     for i in range(pos):
-        samples.append(LabeledSegment(PolicySegment("d", i, f"positive {i}"), 1))
+        samples.append(LabeledSegment(PolicySegment("d", f"positive {i}"), 1))
     for i in range(neg):
-        samples.append(LabeledSegment(PolicySegment("d", pos + i, f"negative {i}"), 0))
+        samples.append(LabeledSegment(PolicySegment("d", f"negative {i}"), 0))
     return Corpus(samples=samples)
 
 
@@ -98,25 +97,25 @@ def test_corpus_counts():
 
 def test_labeled_segment_rejects_unknown_label():
     with pytest.raises(ValueError):
-        LabeledSegment(PolicySegment("d", 0, "x"), 1, frozenset({"sccx"}))
+        LabeledSegment(PolicySegment("d", "x"), 1, frozenset({"sccx"}))
 
 
 def test_labeled_segment_rejects_elements_without_intention():
     with pytest.raises(ValueError):
-        LabeledSegment(PolicySegment("d", 0, "x"), 0, frozenset({"scc"}))
+        LabeledSegment(PolicySegment("d", "x"), 0, frozenset({"scc"}))
 
 
 def test_representative_allowed_without_intention():
-    sample = LabeledSegment(PolicySegment("d", 0, "x"), 0, frozenset({"representative"}))
+    sample = LabeledSegment(PolicySegment("d", "x"), 0, frozenset({"representative"}))
     assert sample.intention_label == 0
 
 
 def test_corpus_roundtrip(tmp_path):
     samples = [
-        LabeledSegment(PolicySegment("app.one", 0, "We transfer data\tto the U.S."), 1,
+        LabeledSegment(PolicySegment("app.one", "We transfer data\tto the U.S."), 1,
                        frozenset({"scc", "country:US"})),
-        LabeledSegment(PolicySegment("app.one", 1, "Multi\nline segment \\ with slash"), 0),
-        LabeledSegment(PolicySegment("app.two", 0, "Nothing to see"), 0,
+        LabeledSegment(PolicySegment("app.one", "Multi\nline segment \\ with slash"), 0),
+        LabeledSegment(PolicySegment("app.two", "Nothing to see"), 0,
                        frozenset({"representative"})),
     ]
     path = tmp_path / "corpus.tsv"

@@ -12,15 +12,21 @@ from hypothesis import strategies as st
 
 from transferaudit.errors import DomainError, ParseError
 from transferaudit.flows import (
+    FIRST_PARTY_RECIPIENT,
+    THIRD_PARTY,
     CatalogEntry,
     FlowRecord,
     GeoTable,
+    RecipientInfo,
+    TransferEvent,
     build_transfer_events,
     classify_recipient,
+    event_json,
     extract_sld,
     geolocate,
     load_flow_log,
     load_geo_table,
+    read_events,
     scan_payload,
     tokenize_app_identity,
 )
@@ -167,14 +173,15 @@ def test_classify_third_party(owner_list):
     info = classify_recipient(frozenset({"viber", "voip", "messenger"}),
                               "app.adjust.com", owner_list)
     assert info.kind == "third_party"
-    assert info.owner_name == "Adjust"
+    assert info.owner == "Adjust"
     assert info.hq_country == "US"
+    assert info is owner_list["adjust.com"]
 
 
 def test_classify_first_party_token_match(owner_list):
     info = classify_recipient(frozenset({"hulu", "plus"}), "play.hulu.com", owner_list)
     assert info.kind == "first_party"
-    assert info.owner_name is None
+    assert info.owner is None
 
 
 def test_classify_unknown_fallthrough(owner_list):
@@ -401,7 +408,7 @@ def test_build_events_from_fixture(flow_records, catalog, owner_list, geo_table)
     assert adjust.data_types == {"AAID"}
     assert adjust.dest_countries == {"US"}
     assert adjust.recipient.kind == "third_party"
-    assert adjust.recipient.owner_name == "Adjust"
+    assert adjust.recipient.owner == "Adjust"
     assert not adjust.any_idle_flow
 
     yandex = by_key[("pm.tap.vpn", "yandex.net")]
@@ -442,7 +449,7 @@ def test_events_independent_of_flow_order(flow_records, catalog, owner_list, geo
     assert build_transfer_events(flows, catalog, owner_list, geo_table) == expected
     mixed = next(e for e in expected if e.app_id == "com.acme.app")
     assert mixed.recipient.kind == "third_party"
-    assert (mixed.recipient.owner_name, mixed.recipient.hq_country) == ("OneSignal", "US")
+    assert (mixed.recipient.owner, mixed.recipient.hq_country) == ("OneSignal", "US")
 
 
 def test_app_identity_is_union_over_flows(catalog, owner_list, geo_table):
@@ -493,3 +500,27 @@ def test_load_flow_log_rejects_a_wrongly_typed_field(tmp_path, field, value):
     with pytest.raises(ParseError) as excinfo:
         load_flow_log(path)
     assert excinfo.value.line_number == 2
+
+
+# the two recipient forms `scan` writes: first party, and third party with
+# the owner and hq of an owner-list entry
+_recipients = st.one_of(
+    st.just(FIRST_PARTY_RECIPIENT),
+    st.builds(RecipientInfo, st.just(THIRD_PARTY), st.text(max_size=8),
+              st.sampled_from(["US", "DE", "RU", "CN"])))
+_transfer_events = st.lists(
+    st.builds(TransferEvent, st.text(max_size=4), st.text(max_size=6),
+              st.frozensets(st.text(max_size=5), max_size=3),
+              st.frozensets(st.sampled_from(["US", "DE", "JP", "IL"]), max_size=3),
+              _recipients, st.booleans()),
+    max_size=12, unique_by=lambda e: (e.app_id, e.recipient_domain))
+
+
+@given(_transfer_events, st.data())
+def test_event_json_round_trips_in_any_line_order(events, data):
+    lines = [json.dumps(event_json(e), sort_keys=True) + "\n" for e in events]
+    got = read_events(data.draw(st.permutations(lines)))
+    want: dict[str, list[TransferEvent]] = {}
+    for event in sorted(events, key=lambda e: e.recipient_domain):
+        want.setdefault(event.app_id, []).append(event)
+    assert got == want

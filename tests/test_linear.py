@@ -275,7 +275,7 @@ def _marker_corpus(n=500, positive_share=0.1, seed=9):
             label = 1
         else:
             label = 0
-        samples.append(LabeledSegment(PolicySegment("d", i, " ".join(words)), label))
+        samples.append(LabeledSegment(PolicySegment("d", " ".join(words)), label))
     return Corpus(samples=samples)
 
 

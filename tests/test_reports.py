@@ -19,6 +19,7 @@ from transferaudit.compliance import (
     Verdict,
 )
 from transferaudit.errors import AuditError
+from transferaudit.flows import FIRST_PARTY_RECIPIENT, THIRD_PARTY, RecipientInfo, TransferEvent
 from transferaudit.reports import ELEMENTS, MACHINE_LINES, TEXT_TABLE, emit_report, summarize
 from transferaudit.transparency import (
     PolicyAnnotation,
@@ -30,8 +31,10 @@ from transferaudit.transparency import (
 
 def verdict(cls, app, ttype=T3_NO_ADEQUACY, domain="x.com", country="US",
             owner=None, hq=None):
-    return Verdict(cls, app, domain, country, ttype,
-                   recipient_owner=owner, recipient_hq=hq)
+    recipient = RecipientInfo(THIRD_PARTY, owner, hq) if owner else FIRST_PARTY_RECIPIENT
+    event = TransferEvent(app, domain, frozenset({"AAID"}), frozenset({country}),
+                          recipient, False)
+    return Verdict(cls, event, country, ttype)
 
 
 @pytest.fixture()

@@ -7,7 +7,10 @@ extracts the n-grams again from the tokens.  Folds are dealt over a
 relabeled corpus.  The SGD loop, prediction and metrics are shared; they
 are not what changed.  Fold metrics must be exactly equal, and model and
 vocabulary files byte-identical, so the n-grams of a sample must reach
-training in the same order.
+training in the same order.  The references train in corpus order, so the
+generated corpora come in the canonical order that training puts any
+corpus in; `test_cli` checks that the line order of a corpus does not
+matter.
 """
 
 import math
@@ -152,7 +155,8 @@ def _generated_corpus(seed, n=60):
             words.insert(rng.randrange(len(words) + 1), "adequate protection")
         text = " ".join(words).capitalize() + rng.choice([".", "!", ""])
         labels = frozenset({"adequacy"}) if kind == 0 else frozenset()
-        samples.append(LabeledSegment(PolicySegment("g", i, text), int(kind < 3), labels))
+        samples.append(LabeledSegment(PolicySegment("g", text), int(kind < 3), labels))
+    samples.sort(key=lambda s: (s.segment.text, s.intention_label, sorted(s.element_labels)))
     return Corpus(samples=samples)
 
 
