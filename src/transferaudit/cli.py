@@ -138,7 +138,7 @@ def _assess_study(args, all_apps: bool):
     app_ids = set(events_by_app)
     if all_apps:
         app_ids |= set(annotations)
-    empty = transparency.PolicyAnnotation()
+    empty = transparency.annotate_policy([])
     assessments = [
         compliance.assess_app(app_id, events_by_app.get(app_id, []),
                               annotations.get(app_id, empty), juris)

@@ -7,13 +7,11 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import EmptyDocument, FoldError, LabelError, ParseError
+from .transparency import LABELED_ELEMENTS, UNGATED_ELEMENTS
 
 FULLSTOP = "fullstop"
 BLANKLINE = "blankline"
 
-ELEMENT_LABELS = frozenset(
-    ["adequacy", "scc", "bcr", "explicit_consent", "copy_means", "representative"]
-)
 _COUNTRY_LABEL = re.compile(r"^country:[A-Z]{2}$")
 _BLANKLINE_SPLIT = re.compile(r"\n\s*\n")
 # a period followed by whitespace (as str.isspace() has it) or end of text
@@ -24,11 +22,12 @@ def _check_labels(intention_label: int, element_labels: frozenset[str]) -> None:
     if intention_label not in (0, 1):
         raise ValueError(f"intention label must be 0 or 1, got {intention_label!r}")
     for label in element_labels:
-        if label not in ELEMENT_LABELS and not _COUNTRY_LABEL.match(label):
+        if label not in LABELED_ELEMENTS and not _COUNTRY_LABEL.match(label):
             raise ValueError(f"unknown element label {label!r}")
-    # representative is disclosable outside transfer-intention segments
-    if element_labels - {"representative"} and intention_label != 1:
-        raise ValueError("non-representative elements require intention label 1")
+    # the ungated elements are disclosable outside transfer-intention segments
+    if intention_label != 1 and element_labels.difference(UNGATED_ELEMENTS):
+        raise ValueError(f"labels other than {', '.join(UNGATED_ELEMENTS)} "
+                         "require intention label 1")
 
 
 @dataclass(frozen=True)

@@ -396,8 +396,8 @@ def load_flow_log(path) -> list[FlowRecord]:
 
     The text fields must be JSON strings, of which `app_id`, `stage` and
     `dest_fqdn` are required and not null; `detected_types` must be a JSON
-    array and `country` an ISO-3166 alpha-2 code; each distinct country is
-    checked once.
+    array of strings, `payload_b64` strict Base64 and `country` an ISO-3166
+    alpha-2 code; each distinct country is checked once.
     """
     records = []
     codes: set[str] = set()
@@ -406,8 +406,9 @@ def load_flow_log(path) -> list[FlowRecord]:
             try:
                 check_json_strings(obj, _FLOW_STRINGS, lineno)
                 detected = obj.get("detected_types")
-                if detected is not None and not isinstance(detected, list):
-                    raise json_type_error("detected_types", "array", detected, lineno)
+                if detected is not None and not (isinstance(detected, list) and all(
+                        isinstance(name, str) for name in detected)):
+                    raise json_type_error("detected_types", "array of strings", detected, lineno)
                 country = obj.get("country")
                 if country is not None and country not in codes:
                     codes.add(check_country_code(country, lineno))
@@ -417,7 +418,8 @@ def load_flow_log(path) -> list[FlowRecord]:
                     dest_fqdn=json_string(obj, "dest_fqdn", lineno),
                     dest_ip=obj.get("dest_ip"),
                     country=country,
-                    payload=base64.b64decode(obj["payload_b64"]) if obj.get("payload_b64") else b"",
+                    payload=(base64.b64decode(obj["payload_b64"], validate=True)
+                             if obj.get("payload_b64") else b""),
                     detected_types=frozenset(detected) if detected is not None else None,
                     cert_org=obj.get("cert_org"),
                     store_name=obj.get("store_name"),
@@ -463,10 +465,11 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
     of the lines, and an app names a recipient domain on one line only.
     Every key that `event_json` writes is required; other keys are ignored.
     `app_id` and `recipient_domain` must be JSON strings, the two lists JSON
-    arrays, `any_idle_flow` a JSON boolean and every country an ISO-3166
-    alpha-2 code.  The recipient takes one of the two forms `scan` writes:
-    `first_party` with a null `recipient_owner` and `recipient_hq`, or
-    `third_party` with a JSON string owner and an ISO-3166 alpha-2 hq.
+    arrays, every data type a JSON string, `any_idle_flow` a JSON boolean and
+    every country an ISO-3166 alpha-2 code.  The recipient takes one of the
+    two forms `scan` writes: `first_party` with a null `recipient_owner` and
+    `recipient_hq`, or `third_party` with a JSON string owner and an ISO-3166
+    alpha-2 hq.
     Equal recipients and equal type or country lists share one frozen
     object each, and each is checked once, when first seen.
     """
@@ -496,6 +499,8 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
             types_key = tuple(types)
             data_types = type_sets.get(types_key)
             if data_types is None:
+                if not all(isinstance(name, str) for name in types_key):
+                    raise json_type_error("data_types", "array of strings", types, lineno)
                 data_types = type_sets[types_key] = frozenset(types_key)
             countries_key = tuple(countries)
             dest_countries = country_sets.get(countries_key)

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .corpus import LabeledSegment
 from .errors import ShapeError
+
+if TYPE_CHECKING:  # a type only: the corpus labels name the elements of `transparency`
+    from .corpus import LabeledSegment
 
 MODIFIED_HUBER = "modified_huber"
 

@@ -73,6 +73,8 @@ ELEMENT_FIELDS = tuple(f.name for f in fields(SegmentAnnotation))
 FLAGS = tuple(name for name in ELEMENT_FIELDS if name != "countries")
 flag_values = attrgetter(*FLAGS)
 _flag_items = itemgetter(*FLAGS)  # the flags of an annotation JSON record
+# the flags a labeled corpus names per segment; intention has a column of its own
+LABELED_ELEMENTS = frozenset(FLAGS) - {"intention"}
 
 
 def _elements_json(ann) -> dict:
@@ -122,7 +124,7 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     """Parse `annotate` output, one JSON object per line, keyed by app id;
     an app id may have one record only.  Every key that `annotation_json`
     writes is required, in a record and in each of its segments; other keys
-    are ignored.
+    are ignored.  A policy is `annotate_policy` of its segments; its keys must agree.
 
     Segments with equal values load as one shared `SegmentAnnotation`, which
     is safe because the class is frozen: a study repeats a few thousand
@@ -154,7 +156,13 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
                     seg = SegmentAnnotation(**_elements(s, lineno, codes))
                     seg = by_key[key] = by_value.setdefault(seg, seg)
                 segments.append(seg)
-            policy = PolicyAnnotation(segments=segments, **_elements(obj, lineno, codes))
+            policy = annotate_policy(segments)
+            countries = obj["countries"]
+            if (_flag_items(obj) != flag_values(policy) or not isinstance(countries, list)
+                    or set(countries) != policy.countries):
+                stated = _elements(obj, lineno, codes)  # a wrongly typed element fails as such
+                names = ", ".join(n for n in ELEMENT_FIELDS if stated[n] != getattr(policy, n))
+                raise ParseError(f"the policy's {names} are not the OR of its segments", lineno)
             if app_id in annotations:
                 # keeping either record would make verdicts depend on their order
                 raise ParseError(f"repeated app_id {app_id!r}", lineno)
@@ -195,9 +203,10 @@ def annotate_segment(annotator: SegmentAnnotator, segment_text: str) -> SegmentA
 def annotate_policy(segment_annotations: list[SegmentAnnotation]) -> PolicyAnnotation:
     """Element-wise OR over segments; a policy discloses what any segment does."""
     segments = list(segment_annotations)
-    return PolicyAnnotation(countries=frozenset().union(*(s.countries for s in segments)),
+    distinct = {id(s): s for s in segments}.values()  # a reader shares equal segments
+    return PolicyAnnotation(countries=frozenset().union(*(s.countries for s in distinct)),
                             segments=segments,
-                            **{name: any(getattr(s, name) for s in segments) for name in FLAGS})
+                            **dict(zip(FLAGS, map(any, zip(*map(flag_values, distinct))))))
 
 
 @dataclass(frozen=True)

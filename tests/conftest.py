@@ -12,10 +12,10 @@ from transferaudit.flows import load_catalog, load_flow_log, load_geo_table, loa
 from transferaudit.linear import TrainConfig, adequacy_label, intention_label
 from transferaudit.training import fit_text_classifier
 from transferaudit.transparency import (
-    ELEMENT_FIELDS,
-    PolicyAnnotation,
+    FLAGS,
     SegmentAnnotation,
     SegmentAnnotator,
+    annotate_policy,
     default_rules,
 )
 
@@ -201,14 +201,10 @@ def policy_text(app_id: str) -> str:
     return (DATA / "policies" / f"{app_id}.txt").read_text(encoding="utf-8")
 
 
-def _annotations(cls, **extra):
-    """Strategy for an annotation of `cls` over a small value space, so that
-    generated segments repeat values."""
-    flags = {name: st.booleans() for name in ELEMENT_FIELDS if name != "countries"}
-    countries = st.frozensets(st.sampled_from(["US", "CN", "IL", "DE"]), max_size=3)
-    return st.builds(cls, countries=countries, **flags, **extra)
-
-
-segment_annotations = _annotations(SegmentAnnotation)
-policy_annotations = _annotations(
-    PolicyAnnotation, segments=st.lists(segment_annotations, max_size=8))
+# Segment annotations over a small value space, so that generated segments
+# repeat values, and the policies that `annotate` builds from them.
+segment_annotations = st.builds(
+    SegmentAnnotation, countries=st.frozensets(st.sampled_from(["US", "CN", "IL", "DE"]),
+                                               max_size=3),
+    **dict.fromkeys(FLAGS, st.booleans()))
+policy_annotations = st.lists(segment_annotations, max_size=8).map(annotate_policy)

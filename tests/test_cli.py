@@ -21,7 +21,7 @@ from pathlib import Path
 import compliance_reference as reference
 import pytest
 from conftest import DATA, policy_annotations
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transferaudit import cli, parallel, training
@@ -29,7 +29,7 @@ from transferaudit.cli import main
 from transferaudit.compliance import NO_TRANSFER, _verdict_core, load_jurisdiction
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, save_corpus
 from transferaudit.flows import FIRST_PARTY, THIRD_PARTY, read_events
-from transferaudit.transparency import annotation_json, read_annotations
+from transferaudit.transparency import ELEMENT_FIELDS, FLAGS, annotation_json, read_annotations
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +249,7 @@ SHIELD_SEGMENT = {
     "intention": True, "countries": ["US"], "adequacy": False, "scc": False,
     "bcr": False, "explicit_consent": False, "copy_means": True,
     "representative": False, "privacy_shield": True}
-SHIELD_ANNOTATION = {"app_id": "shield.app", **SHIELD_SEGMENT, "segments": []}
+SHIELD_ANNOTATION = {"app_id": "shield.app", **SHIELD_SEGMENT, "segments": [SHIELD_SEGMENT]}
 
 
 def _write_study(tmp_path, events, annotations):
@@ -430,6 +430,14 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
     ("annotations", _with_segment(countries="US")),
     ("annotations", _with_segment(countries=["de"])),
     ("annotations", _with_segment(scc="false")),
+    ("events", _with(OTHER_EVENT, data_types=[7, "AAID"])),
+    ("events", _with(OTHER_EVENT, data_types=[7])),
+    # a policy discloses what its segments disclose, and no more or less
+    ("annotations", _with(SHIELD_ANNOTATION, app_id="other.app", scc=True)),
+    ("annotations", _with(SHIELD_ANNOTATION, app_id="other.app", copy_means=False)),
+    ("annotations", _with(SHIELD_ANNOTATION, app_id="other.app", countries=["CN", "US"])),
+    ("annotations", _with(SHIELD_ANNOTATION, app_id="other.app", countries=[])),
+    ("annotations", _with(SHIELD_ANNOTATION, app_id="other.app", countries={"US": True})),
     # every key the writer writes is required
     *[("events", _without(OTHER_EVENT, key)) for key in _EVENT_KEYS],
     ("annotations", _without({**SHIELD_ANNOTATION, "app_id": "other.app"}, "segments")),
@@ -443,7 +451,10 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
         "annotation-countries-string", "annotation-lowercase-country",
         "annotation-intention-string", "annotation-segments-object",
         "annotation-app-number", "annotation-app-null", "segment-countries-string",
-        "segment-lowercase-country", "segment-flag-string",
+        "segment-lowercase-country", "segment-flag-string", "event-type-number-and-string",
+        "event-type-number", "annotation-unsupported-flag", "annotation-unstated-flag",
+        "annotation-unsupported-country", "annotation-unstated-country",
+        "annotation-countries-object",
         *[f"event-no-{key}" for key in _EVENT_KEYS], "annotation-no-segments"])
 def test_malformed_record_is_input_error(tmp_path, capsys, command, which, bad_line):
     record = {"events": SHIELD_EVENT, "annotations": SHIELD_ANNOTATION}[which]
@@ -461,6 +472,91 @@ def test_malformed_record_is_input_error(tmp_path, capsys, command, which, bad_l
         obj = json.loads(bad_line)
         for key in record.keys() - obj.keys() if isinstance(obj, dict) else ():
             assert f"lacks field {key!r}" in captured.err
+
+
+# one valid record of each input line form, each key of which the fuzz test
+# below replaces with an arbitrary JSON value; the flow's null country
+# leaves its dest_ip to be geolocated
+_FUZZ_FLOW = {"app_id": "com.viber.voip", "app_version": "14.5.0", "cert_org": "Viber Media",
+              "dest_fqdn": "app.adjust.com", "dest_ip": "185.151.204.10", "country": None,
+              "payload_b64": "YWRfaWQ9Mzg0MDAwMDA=", "detected_types": ["AAID"],
+              "stage": "active", "store_name": "Viber Messenger"}
+_FUZZ_RECORDS = {"flow": _FUZZ_FLOW, "event": SHIELD_EVENT, "annotation": SHIELD_ANNOTATION,
+                 "segment": SHIELD_SEGMENT}
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(form, key) for form, record in _FUZZ_RECORDS.items()
+                        for key in record]), _json_values)
+@example(("flow", "detected_types"), [7, "AAID"])
+def test_no_input_value_is_an_internal_error(form_and_key, value):
+    form, key = form_and_key
+    record = {**_FUZZ_RECORDS[form], key: value}
+    if form == "segment":
+        record = {**SHIELD_ANNOTATION, "segments": [record]}
+    lines = {"flow": [json.dumps(_FUZZ_FLOW)], "event": [json.dumps(SHIELD_EVENT)],
+             "annotation": [json.dumps(SHIELD_ANNOTATION)]}
+    lines["annotation" if form == "segment" else form] = [json.dumps(record)]
+    with tempfile.TemporaryDirectory() as tmp:
+        flows_path = Path(tmp) / "flows.jsonl"
+        flows_path.write_text(lines["flow"][0] + "\n", encoding="utf-8")
+        events_path, annotations_path = _write_study(Path(tmp), lines["event"],
+                                                     lines["annotation"])
+        study = ["--events", str(events_path), "--annotations", str(annotations_path)]
+        runs = [["check", *study], ["report", *study]] if form != "flow" else [
+            ["scan", "--flows", str(flows_path), "--catalog", str(DATA / "catalog.tsv"),
+             "--geo", str(DATA / "geo.tsv")]]
+        for argv in runs:
+            out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1), err.getvalue()
+            if code == 1:
+                assert err.getvalue().startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_policy_values_no_segment_states_are_input_error(tmp_path, capsys, command):
+    # read as stated, the policy would make this transfer fully disclosed
+    segment = {**dict.fromkeys(SHIELD_SEGMENT, False), "countries": []}
+    record = {"app_id": "a.app", **segment, "intention": True, "countries": ["CN"],
+              "scc": True, "copy_means": True, "segments": [segment]}
+    events_path, annotations_path = _write_study(
+        tmp_path, [_event("a.app", ["CN"])], [json.dumps(record)])
+    assert main([command, "--events", str(events_path),
+                 "--annotations", str(annotations_path)]) == 1
+    assert capsys.readouterr() == ("", "error: line 1: the policy's intention, countries, "
+                                       "scc, copy_means are not the OR of its segments\n")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(policy_annotations, min_size=1, max_size=4), st.data())
+def test_a_policy_value_its_segments_do_not_give_is_input_error(policies, data):
+    records = [annotation_json(f"app{i}", p) for i, p in enumerate(policies)]
+    line = data.draw(st.integers(0, len(records) - 1))
+    record = records[line]
+    name = data.draw(st.sampled_from(FLAGS + ("countries",)))
+    if name == "countries":
+        record["countries"] = sorted(record["countries"] + [data.draw(st.sampled_from(
+            sorted({"US", "CN", "IL", "DE", "JP"} - set(record["countries"]))))])
+    else:
+        record[name] = not record[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        events_path, annotations_path = _write_study(
+            Path(tmp), [], [json.dumps(r) for r in records])
+        for command in ("check", "report"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main([command, "--events", str(events_path),
+                             "--annotations", str(annotations_path)]) == 1
+            assert err.getvalue() == (f"error: line {line + 1}: the policy's {name} "
+                                      "are not the OR of its segments\n")
 
 
 @pytest.mark.parametrize("command", ["check", "report"])
@@ -849,6 +945,22 @@ def test_check_and_report_agree(events, annotations):
     assert sum(int(v) for k, v in report.items() if k.startswith("verdicts.")) == \
         sum(verdicts.values())
     assert int(report["total_apps"]) == sum(overall.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(_annotations)
+def test_report_counts_a_statement_for_every_app_that_discloses(annotations):
+    with tempfile.TemporaryDirectory() as tmp:
+        events_path, annotations_path = _write_study(
+            Path(tmp), [], [json.dumps(annotation_json(app, p)) for app, p in annotations.items()])
+        report = dict(ln.split("=", 1) for ln in _stdout_of(
+            ["report", "--events", str(events_path), "--annotations", str(annotations_path),
+             "--format", "machine_lines"]).splitlines())
+    apps = {k.partition(".")[2]: int(v) for k, v in report.items()
+            if k.startswith("element_apps.")}
+    assert len(apps) == len(ELEMENT_FIELDS)
+    for element, count in apps.items():
+        assert int(report[f"element_statements.{element}"]) >= count, element
 
 
 @settings(max_examples=30, deadline=None)

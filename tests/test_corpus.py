@@ -140,6 +140,28 @@ def test_load_corpus_unknown_label(tmp_path):
     assert excinfo.value.line_number == 1
 
 
+def test_load_corpus_allows_the_ungated_elements_without_intention(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("a\t0\tprivacy_shield\tWe rely on the Privacy Shield\n"
+                    "b\t0\tprivacy_shield;representative\tOur EU representative\n",
+                    encoding="utf-8")
+    assert [s.element_labels for s in load_corpus(path).samples] == [
+        {"privacy_shield"}, {"privacy_shield", "representative"}]
+
+
+@pytest.mark.parametrize("intention, labels", [
+    ("0", "scc"), ("0", "privacy_shield;scc"), ("0", "country:US"), ("1", "intention"),
+    ("1", "countries")])
+def test_load_corpus_rejects_a_label_its_intention_does_not_allow(tmp_path, intention, labels):
+    # intention has a column of its own, and countries are labeled one by one
+    path = tmp_path / "corpus.tsv"
+    path.write_text(f"a\t1\t-\tWe transfer data\nb\t{intention}\t{labels}\tSome text\n",
+                    encoding="utf-8")
+    with pytest.raises(LabelError) as excinfo:
+        load_corpus(path)
+    assert excinfo.value.line_number == 2
+
+
 def test_load_corpus_malformed_line(tmp_path):
     path = tmp_path / "corpus.tsv"
     path.write_text("a\t1\tonly three fields\n", encoding="utf-8")
