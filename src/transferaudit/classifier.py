@@ -1,13 +1,11 @@
 """Text classifier bundle: n-gram range + vocabulary + linear model.
 
-A bundle is what the annotation pipeline actually consumes; it knows how to
-turn raw segment text, or n-grams already computed, into a prediction and
-how to round-trip itself through its two files.  This module alone knows
-their names and format: a vocabulary file and a model file, each
-`#key=value` header lines and one row per feature, read by one reader
-(`_read_records`); a feature's index is its row in both files, and the
-model names its vocabulary by the hash of the vocabulary file's text.
-Bundles are fitted in `training.py`, the only module that imports numpy.
+A bundle turns raw segment text, or n-grams already computed, into a
+prediction.  `TextClassifier.save` and `.load` are its whole file API: this
+module alone knows the names and layout of its two files, a vocabulary and a
+model, in which a feature's index is its row, and `load` reads exactly what
+`save` writes.  Bundles are fitted in `training.py`, the only module that
+imports numpy.
 
 `TextClassifier.weigh` gives the BC/TF/TF-IDF weighing by n-gram string, as
 one pair, feature indices and their weights in order of first occurrence,
@@ -18,8 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import count, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -73,121 +73,57 @@ class TextClassifier:
         return _idf(self.vocabulary.document_count, self.vocabulary.document_frequency)
 
     def save(self, directory, name: str) -> None:
+        """Write the vocabulary file, `#N=` and a `feature TAB df` row per
+        feature in string order, and the model file, the `_MODEL_HEADER`
+        lines, a `repr` weight per row and `#bias=`.  A feature's index is
+        its row, so a vocabulary numbered otherwise is refused."""
+        vocab, cfg = self.vocabulary, self.model.config
+        features = sorted(vocab.feature_to_index)
+        if list(map(vocab.feature_to_index.get, features)) != list(range(len(features))):
+            raise ValueError("a saved vocabulary must number its features by string rank")
+        vocab_text = "\n".join([f"#N={vocab.document_count}",
+                                *map("{}\t{}".format, features, vocab.document_frequency)]) + "\n"
+        model_lines = [f"#scheme={self.scheme}", f"#ngram={self.ngram[0]}-{self.ngram[1]}",
+                       f"#alpha={cfg.alpha!r}", f"#eta0={cfg.eta0!r}", f"#epochs={cfg.epochs}",
+                       f"#seed={cfg.seed}", f"#loss={MODIFIED_HUBER}",
+                       f"#vocab_sha256={_text_hash(vocab_text)}",
+                       *map(repr, self.model.weights), f"#bias={float(self.model.bias)!r}"]
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        vocab_bytes = save_vocabulary(self.vocabulary, directory / f"{name}.vocab.tsv")
-        (directory / f"{name}.model.tsv").write_bytes(model_bytes(
-            self.model, scheme=self.scheme, ngram=self.ngram,
-            vocab_hash=bytes_hash(vocab_bytes)))
+        for suffix, text in ("vocab", vocab_text), ("model", "\n".join(model_lines) + "\n"):
+            (directory / f"{name}.{suffix}.tsv").write_bytes(text.encode("utf-8"))
 
     @classmethod
     def load(cls, directory, name: str) -> "TextClassifier":
-        """Read a bundle that `save` wrote; the model's `#vocab_sha256=` must
-        be the hash of the vocabulary file's text."""
+        """Read a bundle in exactly the layout that `save` writes; any other
+        line is a ParseError naming it.  The model holds one weight per
+        vocabulary feature, and its `#vocab_sha256=` is the hash of the
+        vocabulary file's text."""
         directory = Path(directory)
         vocab_text = (directory / f"{name}.vocab.tsv").read_text(encoding="utf-8")
-        vocab = _parse_vocabulary(vocab_text)
-        model, header = load_model(directory / f"{name}.model.tsv")
-        if len(model.weights) != len(vocab):
+        vocab = _read_vocabulary(vocab_text)
+        model_text = (directory / f"{name}.model.tsv").read_text(encoding="utf-8")
+        header, weights = _read_model(model_text)
+        if len(weights) != len(vocab):
             raise ParseError(
-                f"model has {len(model.weights)} weights for a {len(vocab)}-feature vocabulary")
-        if header["vocab_sha256"] != bytes_hash(vocab_text.encode("utf-8")):
+                f"model has {len(weights)} weights for a {len(vocab)}-feature vocabulary")
+        if header["vocab_sha256"] != _text_hash(vocab_text):
             raise ParseError("vocabulary file does not match the model's vocab hash")
+        cfg = TrainConfig(alpha=float(header["alpha"]), epochs=int(header["epochs"]),
+                          eta0=float(header["eta0"]), seed=int(header["seed"]))
+        model = LinearModel(weights=tuple(weights), bias=float(header["bias"]), config=cfg)
         return cls(ngram=parse_ngram_range(header["ngram"]), vocabulary=vocab,
                    scheme=header["scheme"], model=model)
 
 
-def saved(directory, name: str) -> bool:
-    """Whether `directory` holds a bundle's model file saved under `name`."""
-    return Path(directory, f"{name}.model.tsv").exists()
+def _text_hash(text: str) -> str:
+    """The short SHA-256 that a model header stores for its vocabulary file's text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def bytes_hash(data: bytes) -> str:
-    """The short SHA-256 that a model header stores for its vocabulary file."""
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
-def vocabulary_bytes(vocab: Vocabulary) -> bytes:
-    """The `#N=` header, then one `feature TAB df` line per feature in string
-    order; a feature's index is its row.  A vocabulary whose indices are not
-    its features' string ranks cannot be read back, so it is refused."""
-    features = sorted(vocab.feature_to_index)
-    if list(map(vocab.feature_to_index.get, features)) != list(range(len(features))):
-        raise ValueError("a saved vocabulary must number its features by string rank")
-    lines = [f"#N={vocab.document_count}",
-             *map("{}\t{}".format, features, vocab.document_frequency)]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def save_vocabulary(vocab: Vocabulary, path) -> bytes:
-    """Write `vocabulary_bytes`; returns the bytes written."""
-    data = vocabulary_bytes(vocab)
-    Path(path).write_bytes(data)
-    return data
-
-
-def model_bytes(model: LinearModel, *, scheme: str, ngram: tuple[int, int],
-                vocab_hash: str) -> bytes:
-    """Exact-decimal serialization; repr() round-trips every float."""
-    cfg = model.config
-    lines = [
-        f"#scheme={scheme}",
-        f"#ngram={ngram[0]}-{ngram[1]}",
-        f"#alpha={cfg.alpha!r}",
-        f"#eta0={cfg.eta0!r}",
-        f"#epochs={cfg.epochs}",
-        f"#seed={cfg.seed}",
-        f"#loss={MODIFIED_HUBER}",
-        f"#vocab_sha256={vocab_hash}",
-    ]
-    lines.extend(map(repr, model.weights))
-    lines.append(f"#bias={float(model.bias)!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _read_records(text: str, usage: str, header_checks: dict[str, Callable[[str], object]],
-                  row: Callable[[str], object]) -> tuple[dict[str, str], list]:
-    """Read a vocabulary or model file's text.
-
-    `#key=value` lines are the header: each key of `header_checks` exactly
-    once, its value passing the key's check.  Every other non-empty line is
-    a `usage` row (`a TAB b`), which `row` reads as one value; the header
-    lines before a row have been checked when it is read.  Returns the
-    header values and the row values in file order: a row's index is its
-    position among the rows.  A ValueError is a ParseError naming its line.
-    """
-    header: dict[str, str] = {}
-    values: list = []
-    tabs = usage.count(" TAB ")
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        try:
-            if line[:1] == "#":
-                key, _, value = line[1:].partition("=")
-                if not key or not value:
-                    raise ParseError(f"malformed header {line!r}", lineno)
-                if key not in header_checks:
-                    raise ParseError(f"unknown header key {key!r}", lineno)
-                if key in header:
-                    raise ParseError(f"repeated header key {key!r}", lineno)
-                header_checks[key](value)
-                header[key] = value
-            elif line:
-                if line.count("\t") != tabs:
-                    raise ParseError(f"expected `{usage}`", lineno)
-                values.append(row(line))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-    missing = header_checks.keys() - header.keys()
-    if missing:
-        raise ParseError(f"missing header fields: {sorted(missing)}")
-    return header, values
-
-
-def _one_of(*allowed: str):
-    def check(value: str) -> None:
-        if value not in allowed:
-            raise ValueError(f"expected one of {', '.join(allowed)}, got {value!r}")
-    return check
+def _one_of(allowed: tuple[str, ...], value: str) -> None:
+    if value not in allowed:
+        raise ValueError(f"expected one of {', '.join(allowed)}, got {value!r}")
 
 
 def _finite(text: str) -> float:
@@ -197,64 +133,102 @@ def _finite(text: str) -> float:
     return value
 
 
-# each header key `model_bytes` writes, and the check its value must pass
-_MODEL_HEADER = {"scheme": _one_of(*SCHEMES), "ngram": parse_ngram_range,
+# the model file's header keys, in the order `save` writes them, and the
+# check each value must pass; `#bias=` is the file's last line
+_MODEL_HEADER = {"scheme": partial(_one_of, SCHEMES), "ngram": parse_ngram_range,
                  "alpha": lambda v: TrainConfig(alpha=float(v)),
                  "eta0": lambda v: TrainConfig(eta0=float(v)),
                  "epochs": lambda v: TrainConfig(epochs=int(v)), "seed": int,
-                 "loss": _one_of(MODIFIED_HUBER), "vocab_sha256": str, "bias": _finite}
+                 "loss": partial(_one_of, (MODIFIED_HUBER,)), "vocab_sha256": str}
 
 
-def load_model(path) -> tuple[LinearModel, dict[str, str]]:
-    """Read a model file; returns the model and its header fields.
-
-    A header key that `model_bytes` does not write, a missing or repeated
-    one, or a value that it could not have written, is a ParseError; so is
-    a row that is not one finite weight.
-    """
-    header, weights = _read_records(Path(path).read_text(encoding="utf-8"), "weight",
-                                    _MODEL_HEADER, _finite)
-    cfg = TrainConfig(alpha=float(header["alpha"]), epochs=int(header["epochs"]),
-                      eta0=float(header["eta0"]), seed=int(header["seed"]))
-    return LinearModel(weights=tuple(weights), bias=float(header["bias"]), config=cfg), header
-
-
-def _parse_vocabulary(text: str) -> Vocabulary:
-    """A vocabulary file's text as a `Vocabulary`.
-
-    `#N=` comes before the rows and is at least 1, every df is in 1..N, so
-    that each TF-IDF weight is defined, and each feature comes after the one
-    before it in string order, which also refuses a repeated feature; a line
-    that breaks this is a ParseError naming it.
-    """
-    feature_to_index: dict[str, int] = {}
-    previous = ""
-    document_count = 0
-
-    def read_count(text: str) -> None:
-        nonlocal document_count
-        if (document_count := int(text)) < 1:
-            raise ValueError(f"#N= must be at least 1, got {document_count}")
-
-    def row(line: str) -> int:
-        nonlocal previous
-        feature, _, df = line.partition("\t")
-        df = int(df)
-        if not 1 <= df <= document_count:
-            raise ValueError(f"df {df} is not in 1..#N={document_count}" if document_count
-                             else "a row before the #N= line")
-        if feature <= previous and feature_to_index:
-            raise ValueError(f"repeated feature {feature!r}" if feature == previous else
-                             f"feature {feature!r} does not follow {previous!r} in string order")
-        previous = feature
-        feature_to_index[feature] = len(feature_to_index)
-        return df
-
-    _, dfs = _read_records(text, "feature TAB df", {"N": read_count}, row)
-    return Vocabulary(feature_to_index=feature_to_index, document_frequency=dfs,
-                      document_count=document_count)
+def _headers(lines: list[str], at: int, checks: dict[str, Callable[[str], object]],
+             header: dict[str, str]) -> dict[str, str]:
+    """`header` with one `#key=value` line per key of `checks` added, in its
+    order from `lines[at]` on; a line that is not the next key's, or whose
+    value fails the key's check, is a ParseError naming it."""
+    for lineno, (key, check) in enumerate(checks.items(), start=at + 1):
+        if lineno > len(lines):
+            raise ParseError(f"expected `#{key}=`, got the end of the file", lineno)
+        line = lines[lineno - 1]
+        if not line.startswith(f"#{key}="):
+            name = line[1:].partition("=")[0]
+            raise ParseError(f"repeated header key {name!r}" if line[:1] == "#" and name in header
+                             else f"expected `#{key}=`, got {line!r}", lineno)
+        try:
+            check(value := line[len(key) + 2:])
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
+        header[key] = value
+    return header
 
 
-def load_vocabulary(path) -> Vocabulary:
-    """Read a vocabulary file written by `save_vocabulary`."""
-    return _parse_vocabulary(Path(path).read_text(encoding="utf-8"))
+def _first_bad_row(rows: list[str], start: int,
+                   check: Callable[[str, str | None], None]) -> ParseError | None:
+    """The first of `rows`, numbered from line `start`, for which `check(row,
+    previous row)` raises ValueError, as a ParseError naming its line.  The
+    readers check the rows in bulk and look here only when that fails."""
+    for lineno, row, previous in zip(count(start), rows, [None, *rows]):
+        try:
+            check(row, previous)
+        except ValueError as exc:
+            return ParseError(str(exc), lineno)
+    return None
+
+
+def _read_vocabulary(text: str) -> Vocabulary:
+    """A vocabulary file's text: `#N=` on line 1, at least 1, then one
+    `feature TAB df` row per line, each df in 1..N, so that every TF-IDF
+    weight is defined, and the features in strictly increasing string order."""
+    lines, ended = text.removesuffix("\n").split("\n"), text.endswith("\n")
+    n = int(_headers(lines, 0, {"N": int}, {})["N"])
+    rows, body = lines[1:], text[len(lines[0]) + 1:]
+    if n < 1:
+        raise ParseError(f"#N= must be at least 1, got {n}", 1)
+    if ended and list(map(str.count, rows, repeat("\t"))).count(1) == len(rows) \
+            and body[:1] != "#" and "\n#" not in body:
+        cells = body.replace("\t", "\n").split("\n")
+        features = cells[:-1:2]
+        with suppress(ValueError):
+            dfs = list(map(int, cells[1::2]))
+            if (min(dfs, default=1) >= 1 and max(dfs, default=n) <= n
+                    and all(map(str.__lt__, features, features[1:]))):
+                return Vocabulary(dict(zip(features, count())), dfs, n)
+
+    def check(row: str, previous: str | None) -> None:
+        if row[:1] == "#" or row.count("\t") != 1:
+            raise ValueError(f"expected `feature TAB df`, got {row!r}")
+        feature, _, df = row.partition("\t")
+        if not 1 <= int(df) <= n:
+            raise ValueError(f"df {df} is not in 1..#N={n}")
+        before = previous is not None and previous.partition("\t")[0]
+        if before is not False and feature <= before:
+            raise ValueError(f"repeated feature {feature!r}" if feature == before else
+                             f"feature {feature!r} does not follow {before!r} in string order")
+
+    raise _first_bad_row(rows, 2, check) or ParseError("no newline at the end of the file",
+                                                       len(lines))
+
+
+def _read_model(text: str) -> tuple[dict[str, str], list[float]]:
+    """A model file's header values, `bias` included, and its weights: the
+    `_MODEL_HEADER` lines in its order, one finite weight without a TAB per
+    line, the weight of the feature of its row, and `#bias=` as the last line."""
+    lines, ended = text.removesuffix("\n").split("\n"), text.endswith("\n")
+    header = _headers(lines, 0, _MODEL_HEADER, {})
+    rows, weights = lines[len(header):-1], None
+    with suppress(ValueError):
+        weights = list(map(float, rows))
+    if (weights is None or not all(map(math.isfinite, weights))
+            or any(map(str.__contains__, rows, repeat("\t")))):
+
+        def check(row: str, _: str | None) -> None:
+            if row[:1] in ("", "#") or "\t" in row:
+                raise ValueError(f"expected `weight`, got {row!r}")
+            _finite(row)
+
+        raise _first_bad_row(rows, len(header) + 1, check)
+    _headers(lines, max(len(lines) - 1, len(header)), {"bias": _finite}, header)
+    if not ended:
+        raise ParseError("no newline at the end of the file", len(lines))
+    return header, weights

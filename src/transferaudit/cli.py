@@ -76,9 +76,7 @@ def _load_annotator(args) -> transparency.SegmentAnnotator:
     from . import classifier
 
     intention = classifier.TextClassifier.load(args.model_dir, "intention")
-    adequacy = None
-    if classifier.saved(args.model_dir, "adequacy"):
-        adequacy = classifier.TextClassifier.load(args.model_dir, "adequacy")
+    adequacy = classifier.TextClassifier.load(args.model_dir, "adequacy")
     rules = load_rules(args.rules) if args.rules else transparency.default_rules()
     dictionary = load_country_dictionary(args.dict)
     return transparency.SegmentAnnotator(

@@ -3,8 +3,9 @@
 The token pipeline is fixed: fold to lowercase ASCII -> letter runs -> drop
 stop words -> stem; n-grams are built over its tokens.  A vocabulary
 numbers the n-grams of a model and records their document frequencies, so
-that TF-IDF weights can be computed as count * ln(N / n_i); the weighing
-lives in `classifier.py` and `training.py`, the vocabulary file in the first.
+that TF-IDF weights can be computed as count * ln(N / n_i).  The weighing
+lives in `classifier.py` and `training.py`; the vocabulary file is written
+and read with its model by `TextClassifier.save` and `.load`.
 """
 
 from __future__ import annotations

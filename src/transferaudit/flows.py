@@ -284,6 +284,19 @@ def _canonical_network(key: str) -> Network | None:
     return version, prefixlen, value & ((1 << prefixlen) - 1) << (bits - prefixlen)
 
 
+def _parse_address(text: str) -> Network | None:
+    """One IP address as a network of its full prefix length, or None where
+    `ipaddress.ip_address` rejects `text`; canonical text skips ipaddress."""
+    network = None if "/" in text else _canonical_network(text)
+    if network is None:
+        try:
+            address = ipaddress.ip_address(text)
+        except ValueError:
+            return None
+        network = address.version, address.max_prefixlen, int(address)
+    return network
+
+
 @dataclass(frozen=True)
 class GeoTable:
     """Offline CIDR->country plus FQDN->country lookups.
@@ -313,15 +326,11 @@ class GeoTable:
         object.__setattr__(self, "_index", index)
 
     def lookup_ip(self, ip: str) -> str | None:
-        """None where `ipaddress.ip_address` rejects `ip`; canonical text skips it."""
-        network = None if "/" in ip else _canonical_network(ip)
-        if network is None:
-            try:
-                address = ipaddress.ip_address(ip)
-            except ValueError:
-                return None
-            network = address.version, address.max_prefixlen, int(address)
-        version, _, value = network
+        """None where `ipaddress.ip_address` rejects `ip`."""
+        address = _parse_address(ip)
+        if address is None:
+            return None
+        version, _, value = address
         for mask, codes in self._index[version]:
             code = codes.get(value & mask)
             if code is not None:
@@ -397,7 +406,8 @@ def load_flow_log(path) -> list[FlowRecord]:
     The text fields must be JSON strings, of which `app_id`, `stage` and
     `dest_fqdn` are required and not null; `detected_types` must be a JSON
     array of strings, `payload_b64` strict Base64 and `country` an ISO-3166
-    alpha-2 code; each distinct country is checked once.
+    alpha-2 code; each distinct country is checked once.  A `dest_ip` must
+    be one address that `ipaddress.ip_address` accepts.
     """
     records = []
     codes: set[str] = set()
@@ -412,11 +422,14 @@ def load_flow_log(path) -> list[FlowRecord]:
                 country = obj.get("country")
                 if country is not None and country not in codes:
                     codes.add(check_country_code(country, lineno))
+                dest_ip = obj.get("dest_ip")
+                if dest_ip is not None and _parse_address(dest_ip) is None:
+                    raise ValueError(f"dest_ip {dest_ip!r} is not an IP address")
                 records.append(FlowRecord(
                     app_id=json_string(obj, "app_id", lineno),
                     stage=json_string(obj, "stage", lineno),
                     dest_fqdn=json_string(obj, "dest_fqdn", lineno),
-                    dest_ip=obj.get("dest_ip"),
+                    dest_ip=dest_ip,
                     country=country,
                     payload=(base64.b64decode(obj["payload_b64"], validate=True)
                              if obj.get("payload_b64") else b""),

@@ -9,8 +9,8 @@ indices and their values in the order `classifier` weighs them, which
 `training.train` and `decision_value` both read.
 
 This module holds the model, its scoring and metrics, in pure Python; the
-SGD loop is in `training.py` and the model file is part of the classifier
-bundle's format (`classifier.py`).
+SGD loop is in `training.py`, and the model file is written and read with
+its vocabulary by `TextClassifier.save` and `.load` (`classifier.py`).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import policy_text
 
-from transferaudit.classifier import TextClassifier, model_bytes
+from transferaudit.classifier import TextClassifier
 from transferaudit.compliance import (
     AD,
     FD,
@@ -40,7 +40,7 @@ from transferaudit.countries import (
     EU_MEMBERS_2020,
     detect_target_countries,
 )
-from transferaudit.features import TF, TFIDF, extract_ngrams
+from transferaudit.features import TF, TFIDF, Vocabulary, extract_ngrams
 from transferaudit.flows import (
     CatalogEntry,
     RecipientInfo,
@@ -446,12 +446,13 @@ def test_criterion_9_metric_suite():
 
 # -- criterion 10: determinism and throughput ---------------------------------
 
-def test_criterion_10_determinism_and_throughput(annotator):
+def test_criterion_10_determinism_and_throughput(annotator, tmp_path):
     samples = [((np.array([0]), np.array([1.0])), 1), ((np.array([0]), np.array([-1.0])), 0)]
     cfg = TrainConfig(alpha=1e-3, epochs=25, seed=99)
-    blob_a = model_bytes(train(samples, cfg, dim=1), scheme=TF, ngram=(1, 2), vocab_hash="00")
-    blob_b = model_bytes(train(samples, cfg, dim=1), scheme=TF, ngram=(1, 2), vocab_hash="00")
-    assert blob_a == blob_b
+    for name in ("a", "b"):
+        TextClassifier(ngram=(1, 2), vocabulary=Vocabulary({"x": 0}, [1], 1), scheme=TF,
+                       model=train(samples, cfg, dim=1)).save(tmp_path, name)
+    assert (tmp_path / "a.model.tsv").read_bytes() == (tmp_path / "b.model.tsv").read_bytes()
 
     event = TransferEvent("a", "x.com", frozenset({"AAID"}), frozenset({"US"}),
                           RecipientInfo(kind="third_party", owner="O",

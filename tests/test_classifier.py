@@ -2,6 +2,9 @@
 
 import multiprocessing
 import os
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from transferaudit import parallel, training
 from transferaudit.classifier import TextClassifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, stratified_kfold
 from transferaudit.errors import DegenerateTraining, ParseError
-from transferaudit.features import SCHEMES, TF
+from transferaudit.features import SCHEMES, TF, Vocabulary
 from transferaudit.linear import LinearModel, TrainConfig, intention_label
 from transferaudit.training import (
     IdVocabulary,
@@ -82,10 +85,11 @@ def test_load_detects_vocab_model_mismatch(bundle, tmp_path):
     vocab_path.write_text("\n".join(swapped) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match="vocab hash"):
         TextClassifier.load(tmp_path, "intention")
-    # the same content padded with a blank line: the hash names the text
+    # the same content padded with a blank line breaks the layout
     vocab_path.write_text("\n".join([head, "", *lines[1:]]) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="vocab hash"):
+    with pytest.raises(ParseError, match="expected `feature TAB df`, got ''") as exc:
         TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == 2
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -141,14 +145,20 @@ def test_load_rejects_a_repeated_or_missing_header_key(bundle, tmp_path, key):
     model_path = tmp_path / "intention.model.tsv"
     lines = model_path.read_text(encoding="utf-8").splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith(f"#{key}="))
-    # the same line again, right after the first: the second names its line
+    # the same line again, right after the first: the second names its line,
+    # except that a first `#bias=` before the last line is itself misplaced;
+    # a line where the weight rows start is not a weight
     model_path.write_text("\n".join([*lines[:at + 1], *lines[at:]]) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=f"repeated header key '{key}'") as exc:
+    message = (f"expected `weight`, got '#{key}=" if key in ("vocab_sha256", "bias")
+               else f"repeated header key '{key}'")
+    with pytest.raises(ParseError, match=message) as exc:
         TextClassifier.load(tmp_path, "intention")
-    assert exc.value.line_number == at + 2
+    assert exc.value.line_number == (at + 1 if key == "bias" else at + 2)
+    # without it, the line where it belonged is named
     model_path.write_text("\n".join([*lines[:at], *lines[at + 1:]]) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=f"missing header fields: \\['{key}'\\]"):
+    with pytest.raises(ParseError, match=f"expected `#{key}=`") as exc:
         TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == (at if key == "bias" else at + 1)
 
 
 def test_load_rejects_repeated_weight_index(bundle, tmp_path):
@@ -187,9 +197,9 @@ def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
         with pytest.raises(ParseError) as exc:
             TextClassifier.load(tmp_path, "intention")
         assert exc.value.line_number == 2, bad
-    # `#N=` must come before the rows, which are checked against it
+    # `#N=` is line 1, before the rows, which are checked against it
     vocab_path.write_text("\n".join([*lines[1:], lines[0]]) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="before the #N= line") as exc:
+    with pytest.raises(ParseError, match="expected `#N=`") as exc:
         TextClassifier.load(tmp_path, "intention")
     assert exc.value.line_number == 1
 
@@ -210,6 +220,144 @@ def test_load_rejects_a_repeated_vocabulary_feature_or_index(bundle, tmp_path):
         with pytest.raises(ParseError, match=message) as exc:
             TextClassifier.load(tmp_path, "intention")
         assert exc.value.line_number == 3, bad
+
+
+def _edit(lines, at, *new, drop=0):
+    """`lines` with `drop` lines from index `at` replaced by `new`."""
+    return [*lines[:at], *new, *lines[at + drop:]]
+
+
+def _swap(lines, a, b):
+    lines = list(lines)
+    lines[a], lines[b] = lines[b], lines[a]
+    return lines
+
+
+def _text(lines, end="\n"):
+    return "\n".join(lines) + end
+
+
+# (file, its text from its lines, line named, message): each text breaks
+# the layout that `save` writes, and the first line in file order that
+# breaks it is named; a negative line counts from the end of the text
+_LAYOUT_CASES = {
+    "count-below-one": ("vocab", lambda ls: _text(["#N=0", *ls[1:]]), 1, "at least 1"),
+    "vocab-blank-line": ("vocab", lambda ls: _text(_edit(ls, 2, "")), 3,
+                         "expected `feature TAB df`, got ''"),
+    "model-blank-line": ("model", lambda ls: _text(_edit(ls, 8, "")), 9,
+                         "expected `weight`, got ''"),
+    # "#x" sorts before every feature, so only its `#` breaks the layout
+    "vocab-header-among-rows": ("vocab", lambda ls: _text(_edit(ls, 1, "#x\t1")), 2,
+                                "expected `feature TAB df`, got '#x"),
+    "vocab-count-among-rows": ("vocab", lambda ls: _text(_edit(ls, 2, ls[0])), 3, "got '#N="),
+    "model-header-among-rows": ("model", lambda ls: _text(_edit(ls, 9, ls[5])), 10,
+                                "got '#seed="),
+    # float() would read the weight and skip the TAB
+    "weight-with-a-tab": ("model", lambda ls: _text(_edit(ls, 8, ls[8] + "\t", drop=1)), 9,
+                          "expected `weight`"),
+    "headers-swapped": ("model", lambda ls: _text(_swap(ls, 2, 3)), 3, "expected `#alpha=`"),
+    "header-after-bias": ("model", lambda ls: _text([*ls, ls[5]]), -2, "got '#bias="),
+    "vocab-no-final-newline": ("vocab", lambda ls: _text(ls, ""), -1, "no newline at the end"),
+    "model-no-final-newline": ("model", lambda ls: _text(ls, ""), -1, "no newline at the end"),
+    "text-after-final-newline": ("model", lambda ls: _text(ls) + "0.5\n1.5", -3, "got '#bias="),
+    # the TABs of two rows moved so that the cells, taken in file order,
+    # are those of the rows as written
+    "zero-then-two-tabs": ("vocab", lambda ls: _text(_edit(
+        ls, 1, ls[1].split("\t")[0], ls[1].split("\t")[1] + "\t" + ls[2], drop=2)), 2,
+        "expected `feature TAB df`"),
+    "two-bad-rows": ("vocab", lambda ls: _text(_edit(_swap(ls, 3, 4), 2,
+                                                     ls[2].split("\t")[0] + "\t0", drop=1)),
+                     3, "df 0 is not in"),
+    "two-bad-weights": ("model", lambda ls: _text(_edit(_edit(ls, 11, "x", drop=1), 9, "nan",
+                                                        drop=1)), 10, "not finite"),
+}
+
+
+@pytest.mark.parametrize("case", _LAYOUT_CASES)
+def test_load_refuses_any_other_layout(bundle, tmp_path, case):
+    suffix, text_of, lineno, message = _LAYOUT_CASES[case]
+    bundle.save(tmp_path, "intention")
+    path = tmp_path / f"intention.{suffix}.tsv"
+    text = text_of(path.read_text(encoding="utf-8").splitlines())
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as exc:
+        TextClassifier.load(tmp_path, "intention")
+    lines = text.count("\n") + (not text.endswith("\n"))
+    assert exc.value.line_number == (lineno if lineno > 0 else lines + 1 + lineno)
+
+
+def test_a_fit_without_features_round_trips(tmp_path):
+    # segments of stop words and digits only have no n-gram
+    corpus = Corpus(samples=[LabeledSegment(PolicySegment("c", text), label)
+                             for text, label in [("the of and", 1), ("2021 !", 0)]])
+    bundle = fit_text_classifier(corpus, (1, 2), TF, TrainConfig(seed=1), intention_label)
+    assert len(bundle.vocabulary) == 0
+    bundle.save(tmp_path, "intention")
+    assert (tmp_path / "intention.vocab.tsv").read_text(encoding="utf-8") == "#N=2\n"
+    assert TextClassifier.load(tmp_path, "intention") == bundle
+
+
+# text that UTF-8 encodes; a feature holds no line break or TAB and does
+# not start with `#`, since no row does
+_TEXT = st.characters(blacklist_categories=("Cs",))
+_FEATURE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+                   max_size=6).filter(lambda f: not f.startswith("#"))
+_WEIGHT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     1e308, -1e308, sys.float_info.max]))
+
+
+@st.composite
+def _bundles(draw):
+    features = sorted(draw(st.sets(_FEATURE, max_size=12)))
+    n = draw(st.integers(1, 10 ** 6))
+    dfs = draw(st.lists(st.integers(1, n), min_size=len(features), max_size=len(features)))
+    weights = draw(st.lists(_WEIGHT, min_size=len(features), max_size=len(features)))
+    config = TrainConfig(alpha=draw(st.floats(1e-9, 10.0)), epochs=draw(st.integers(1, 99)),
+                         eta0=draw(st.floats(1e-9, 10.0)), seed=draw(st.integers(0, 2 ** 32)))
+    lo = draw(st.integers(1, 4))
+    return TextClassifier(
+        ngram=(lo, draw(st.integers(lo, 4))), scheme=draw(st.sampled_from(SCHEMES)),
+        vocabulary=Vocabulary(dict(zip(features, range(len(features)))), dfs, n),
+        model=LinearModel(weights=tuple(weights), bias=draw(_WEIGHT), config=config))
+
+
+def _files(directory):
+    return [(Path(directory) / f"b.{suffix}.tsv").read_bytes() for suffix in ("vocab", "model")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bundles())
+def test_save_load_save_is_the_identity(bundle):
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        bundle.save(a, "b")
+        loaded = TextClassifier.load(a, "b")
+        loaded.save(b, "b")
+        assert _files(a) == _files(b)
+    assert loaded == bundle
+    # == treats -0.0 and 0.0 alike; their hex forms do not
+    assert list(map(float.hex, loaded.model.weights)) == list(map(float.hex, bundle.model.weights))
+    assert loaded.model.bias.hex() == bundle.model.bias.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["vocab", "model"]),
+       st.sampled_from(["insert", "delete", "duplicate", "replace"]),
+       st.integers(0, 10 ** 6), st.text(_TEXT, max_size=20))
+def test_any_one_line_edit_loads_or_is_a_parse_error(bundle, suffix, kind, at, text):
+    with tempfile.TemporaryDirectory() as directory:
+        bundle.save(directory, "b")
+        path = Path(directory) / f"b.{suffix}.tsv"
+        # the last item is what follows the final newline
+        lines = path.read_text(encoding="utf-8").split("\n")
+        at %= len(lines)
+        lines[at:at + (kind != "insert")] = {"insert": [text], "delete": [], "replace": [text],
+                                              "duplicate": [lines[at]] * 2}[kind]
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        try:
+            TextClassifier.load(directory, "b")
+        except ParseError:
+            pass
 
 
 def test_a_fit_saves_the_range_its_grams_were_numbered_over(tmp_path):

@@ -822,6 +822,21 @@ def test_a_bundle_in_the_indexed_format_is_input_error(model_dir, tmp_path, caps
         assert f"line {lineno}: expected `" in captured.err, suffix
 
 
+def test_annotate_needs_the_adequacy_bundle(model_dir, tmp_path, capsys):
+    """Without `adequacy.*` the annotator would call no segment adequate,
+    and every transfer to an adequacy country would lose that disclosure;
+    `annotate` refuses to start instead."""
+    models = tmp_path / "models"
+    models.mkdir()
+    for name in ("intention.model.tsv", "intention.vocab.tsv"):
+        shutil.copy(model_dir / name, models / name)
+    policy = DATA / "policies" / "com.forqan.tech.Jobs.txt"
+    assert main(["annotate", "--model-dir", str(models), str(policy)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2]") and "adequacy." in captured.err
+
+
 _SHIPPED = resources.files("transferaudit.data")
 _FRAMEWORK = "privacy_shield\tUS\t2020-07-16"
 

@@ -14,12 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from transferaudit.classifier import (
-    TextClassifier,
-    load_vocabulary,
-    save_vocabulary,
-    vocabulary_bytes,
-)
+from transferaudit.classifier import TextClassifier
 from transferaudit.features import (
     BC,
     TF,
@@ -242,20 +237,20 @@ def test_vectorize_out_of_vocabulary_is_empty():
 
 def test_vocabulary_roundtrip(tmp_path):
     vocab, _ = _weighings([extract_ngrams(["a", "b"], 1, 2), extract_ngrams(["b", "c"], 1, 2)])
-    path = tmp_path / "vocab.tsv"
-    save_vocabulary(vocab, path)
-    loaded = load_vocabulary(path)
+    _bundle(vocab, TF).save(tmp_path, "v")
+    loaded = TextClassifier.load(tmp_path, "v").vocabulary
     assert loaded.feature_to_index == vocab.feature_to_index
     assert loaded.document_frequency == vocab.document_frequency
     assert loaded.document_count == vocab.document_count
 
 
-def test_vocabulary_bytes_refuses_indices_that_are_not_string_ranks():
+def test_save_refuses_indices_that_are_not_string_ranks(tmp_path):
     # the file gives no index: a feature's index is its row in string order
-    assert vocabulary_bytes(Vocabulary({"b": 1, "a": 0}, [2, 1], 2)) == b"#N=2\na\t2\nb\t1\n"
+    _bundle(Vocabulary({"b": 1, "a": 0}, [2, 1], 2), TF).save(tmp_path, "v")
+    assert (tmp_path / "v.vocab.tsv").read_bytes() == b"#N=2\na\t2\nb\t1\n"
     for feature_to_index in ({"b": 0, "a": 1}, {"a": 0, "b": 2}):
         with pytest.raises(ValueError, match="string rank"):
-            vocabulary_bytes(Vocabulary(feature_to_index, [1, 1, 1], 2))
+            _bundle(Vocabulary(feature_to_index, [1, 1, 1], 2), TF).save(tmp_path, "w")
 
 
 @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=8),

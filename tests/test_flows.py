@@ -488,13 +488,15 @@ def test_load_flow_log_bad_json(tmp_path):
     ("country", "de"), ("country", 49), ("detected_types", "imei"), ("dest_fqdn", 5),
     ("dest_ip", 5), ("app_id", ["com.zappy"]), ("app_id", None), ("stage", None),
     ("dest_fqdn", None), ("detected_types", [7, "AAID"]), ("detected_types", [7]),
-    ("payload_b64", "ab!cd")])
+    ("payload_b64", "ab!cd"), ("dest_ip", "999.1.1.1"), ("dest_ip", "abc"),
+    ("dest_ip", "1.2.3.4/8"), ("dest_ip", "")])
 def test_load_flow_log_rejects_a_wrongly_typed_field(tmp_path, field, value):
     # a lowercase code would be judged outside the EU, a string split into letters,
     # the integer 5 read as the address 0.0.0.5, a null where a string is
     # required would reach the grouping of flows, a number among the detected
-    # types would be written as a data type, and a non-Base64 character would
-    # be skipped, decoding other bytes
+    # types would be written as a data type, a non-Base64 character would
+    # be skipped, decoding other bytes, and an address that is none would
+    # drop its flow as one to an unresolved country
     record = {"app_id": "com.zappy", "stage": "active", "dest_fqdn": "api.zappy.com",
               "country": "DE", "detected_types": ["IMEI"]}
     path = tmp_path / "flows.jsonl"

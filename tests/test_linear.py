@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferaudit.classifier import load_model, model_bytes
+from transferaudit.classifier import TextClassifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.errors import DegenerateTraining, ParseError, ShapeError
-from transferaudit.features import TF
+from transferaudit.features import TF, Vocabulary
 from transferaudit.linear import (
     LinearModel,
     TrainConfig,
@@ -314,25 +314,30 @@ def test_train_deterministic_and_serializable(tmp_path):
     m2 = train(samples, cfg, dim=6)
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
-    blob1 = model_bytes(m1, scheme=TF, ngram=(1, 2), vocab_hash="cafe")
-    blob2 = model_bytes(m2, scheme=TF, ngram=(1, 2), vocab_hash="cafe")
-    assert blob1 == blob2
+    for name, model in (("m1", m1), ("m2", m2)):
+        _bundle(model).save(tmp_path, name)
+    for suffix in ("vocab", "model"):
+        assert ((tmp_path / f"m1.{suffix}.tsv").read_bytes()
+                == (tmp_path / f"m2.{suffix}.tsv").read_bytes())
 
-    path = tmp_path / "model.tsv"
-    path.write_bytes(model_bytes(m1, scheme=TF, ngram=(1, 2), vocab_hash="cafe"))
-    loaded, header = load_model(path)
-    assert np.array_equal(loaded.weights, m1.weights)
-    assert loaded.bias == m1.bias
-    assert header["scheme"] == TF
-    assert header["ngram"] == "1-2"
-    assert header["vocab_sha256"] == "cafe"
-    assert loaded.config == cfg
+    loaded = TextClassifier.load(tmp_path, "m1")
+    assert np.array_equal(loaded.model.weights, m1.weights)
+    assert loaded.model.bias == m1.bias
+    assert (loaded.scheme, loaded.ngram) == (TF, (1, 2))
+    assert loaded.model.config == cfg
+
+
+def _bundle(model):
+    """A TF 1-2 bundle of `model` over one feature per weight."""
+    n = len(model.weights)
+    vocab = Vocabulary({f"f{i}": i for i in range(n)}, [1] * n, 1)
+    return TextClassifier(ngram=(1, 2), vocabulary=vocab, scheme=TF, model=model)
 
 
 def _model_lines(tmp_path):
     model = LinearModel(weights=(0.5, -0.25, 2.0), bias=0.125, config=TrainConfig())
-    path = tmp_path / "model.tsv"
-    path.write_bytes(model_bytes(model, scheme=TF, ngram=(1, 2), vocab_hash="cafe"))
+    _bundle(model).save(tmp_path, "m")
+    path = tmp_path / "m.model.tsv"
     lines = path.read_text(encoding="utf-8").splitlines()
     return model, path, lines[:8], lines[8:11], lines[11:]
 
@@ -341,10 +346,10 @@ def test_load_reads_weight_lines_in_any_order(tmp_path):
     model, path, head, rows, tail = _model_lines(tmp_path)
     assert rows == ["0.5", "-0.25", "2.0"]
     # a weight's index is its row, whatever the order of the values; a
-    # weight not written as model_bytes writes it reads as its value
+    # weight not written as `save` writes it reads as its value
     path.write_text("\n".join([*head, rows[2], rows[1], "00.50", *tail]) + "\n",
                     encoding="utf-8")
-    loaded, _ = load_model(path)
+    loaded = TextClassifier.load(tmp_path, "m").model
     assert loaded.weights == model.weights[::-1]
     assert loaded.bias == model.bias
 
@@ -356,7 +361,7 @@ def test_load_names_a_weight_line_without_a_tab(tmp_path):
     path.write_text("\n".join([*head, "0", "0.5\t1\t0.25", rows[2], *tail]) + "\n",
                     encoding="utf-8")
     with pytest.raises(ParseError, match="expected `weight`") as exc:
-        load_model(path)
+        TextClassifier.load(tmp_path, "m")
     assert exc.value.line_number == 10
 
 

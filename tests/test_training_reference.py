@@ -19,7 +19,7 @@ import random
 import numpy as np
 import pytest
 
-from transferaudit.classifier import bytes_hash, model_bytes, vocabulary_bytes
+from transferaudit.classifier import TextClassifier
 from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
 from transferaudit.features import (
     BC,
@@ -184,11 +184,11 @@ def test_cross_validate_matches_reference(scheme, ngram, fit_on_all, label_fn, s
                          ids=["intention", "adequacy"])
 @pytest.mark.parametrize("ngram", [(1, 1), (1, 2), (2, 4)], ids=["1-1", "1-2", "2-4"])
 @pytest.mark.parametrize("scheme", [BC, TF, TFIDF])
-def test_fit_matches_reference(scheme, ngram, label_fn, seed):
-    bundle = fit_text_classifier(CORPORA[seed], ngram, scheme, CFG, label_fn)
+def test_fit_matches_reference(scheme, ngram, label_fn, seed, tmp_path):
+    fit_text_classifier(CORPORA[seed], ngram, scheme, CFG, label_fn).save(tmp_path / "got", "m")
     vocab, model = _reference_fit(CORPORA[seed], ngram, scheme, CFG, label_fn)
-    assert vocabulary_bytes(bundle.vocabulary) == vocabulary_bytes(vocab)
-    assert (model_bytes(bundle.model, scheme=scheme, ngram=bundle.ngram,
-                        vocab_hash=bytes_hash(vocabulary_bytes(bundle.vocabulary)))
-            == model_bytes(model, scheme=scheme, ngram=ngram,
-                           vocab_hash=bytes_hash(vocabulary_bytes(vocab))))
+    TextClassifier(ngram=ngram, vocabulary=vocab, scheme=scheme, model=model).save(
+        tmp_path / "want", "m")
+    for suffix in ("vocab", "model"):
+        assert ((tmp_path / "got" / f"m.{suffix}.tsv").read_bytes()
+                == (tmp_path / "want" / f"m.{suffix}.tsv").read_bytes())
