@@ -76,11 +76,16 @@ class TextClassifier:
         """Write the vocabulary file, `#N=` and a `feature TAB df` row per
         feature in string order, and the model file, the `_MODEL_HEADER`
         lines, a `repr` weight per row and `#bias=`.  A feature's index is
-        its row, so a vocabulary numbered otherwise is refused."""
+        its row, so a vocabulary numbered otherwise is refused, and so is a
+        feature that `load` could not read back as one row."""
         vocab, cfg = self.vocabulary, self.model.config
         features = sorted(vocab.feature_to_index)
         if list(map(vocab.feature_to_index.get, features)) != list(range(len(features))):
             raise ValueError("a saved vocabulary must number its features by string rank")
+        for feature in features:
+            if feature[:1] == "#" or "\t" in feature or "\n" in feature or "\r" in feature:
+                raise ValueError(f"a saved feature holds no TAB or line break and does not "
+                                 f"start with `#`, got {feature!r}")
         vocab_text = "\n".join([f"#N={vocab.document_count}",
                                 *map("{}\t{}".format, features, vocab.document_frequency)]) + "\n"
         model_lines = [f"#scheme={self.scheme}", f"#ngram={self.ngram[0]}-{self.ngram[1]}",

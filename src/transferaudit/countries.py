@@ -97,7 +97,8 @@ def detect_target_countries(segment_tokens_raw: list[str],
                             dictionary: CountryDictionary) -> set[str]:
     """Non-EU country codes named in a segment, by longest-phrase scan.
 
-    `segment_tokens_raw` is the segment's whitespace split, `text.split()`.
+    `segment_tokens_raw` is the whitespace split of the segment's text or
+    of its fold (`features.fold`), which give the same phrase tokens.
     """
     tokens = phrase_tokens(" ".join(segment_tokens_raw))
     found: set[str] = set()

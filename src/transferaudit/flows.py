@@ -22,6 +22,9 @@ from functools import cache
 from operator import attrgetter
 from types import MappingProxyType
 
+# `_socket`, as `socket` imports `selectors` and every stage imports this module
+from _socket import AF_INET, AF_INET6, inet_pton
+
 from .countries import check_country_code
 from .errors import DomainError, ParseError
 from .lines import (
@@ -166,14 +169,6 @@ def load_owner_list(path=None) -> dict[str, RecipientInfo]:
     return owners
 
 
-def _is_ip_literal(host: str) -> bool:
-    try:
-        ipaddress.ip_address(host.strip().rstrip("."))
-    except ValueError:
-        return False
-    return True
-
-
 def _fqdn_labels(fqdn: str) -> list[str]:
     fqdn = fqdn.strip().lower().rstrip(".")
     labels = fqdn.split(".")
@@ -226,7 +221,7 @@ def classify_recipient(app_tokens: frozenset[str], dest_fqdn: str,
 
     An IP-literal destination names no domain, so its recipient is unknown.
     """
-    if _is_ip_literal(dest_fqdn):
+    if _parse_address(dest_fqdn.strip().rstrip(".")) is not None:
         return UNKNOWN_RECIPIENT
     labels = _fqdn_labels(dest_fqdn)
     sld = extract_sld(dest_fqdn)
@@ -240,61 +235,34 @@ def classify_recipient(app_tokens: frozenset[str], dest_fqdn: str,
 # (IP version, prefix length, network address as an int without host bits)
 Network = tuple[int, int, int]
 
-# canonical CIDR text of each family, ASCII digits only; an IPv4 octet is
-# 0-255 without a leading zero, as ipaddress requires
-_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-_OCTET_VALUES = {str(octet): octet for octet in range(256)}  # faster than int()
-_IPV4_CIDR = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}(?:/([0-9]{{1,3}}))?")
-_IPV6_CIDR = re.compile(r"([0-9A-Fa-f]{1,4}(?::[0-9A-Fa-f]{1,4})*)?"
-                        r"(?:(::)([0-9A-Fa-f]{1,4}(?::[0-9A-Fa-f]{1,4})*)?)?"
-                        r"(?:/([0-9]{1,3}))?")
 
-
-def _canonical_network(key: str) -> Network | None:
-    """The network of dotted-quad IPv4 or hex-group IPv6 CIDR text, else None.
-
-    The prefix length is optional (a single address), an IPv6 address has
-    at most one `::`, and host bits are masked off, all as
-    `ipaddress.ip_network(key, strict=False)` does.  None means the key is
-    not of these forms, not that ipaddress rejects it.
-    """
-    match = _IPV4_CIDR.fullmatch(key)
-    if match is not None:
-        a, b, c, d, prefix = match.groups()
-        version, bits = 4, 32
-        value = (_OCTET_VALUES[a] << 24 | _OCTET_VALUES[b] << 16
-                 | _OCTET_VALUES[c] << 8 | _OCTET_VALUES[d])
-    else:
-        match = _IPV6_CIDR.fullmatch(key)
-        if match is None:
-            return None
-        head, gap, tail, prefix = match.groups()
-        head_groups = head.split(":") if head else []
-        tail_groups = tail.split(":") if tail else []
-        # `::` stands for one or more zero groups; without it there are eight
-        missing = 8 - len(head_groups) - len(tail_groups)
-        if missing < 1 if gap else missing:
-            return None
-        version, bits = 6, 128
-        groups = head_groups + ["0"] * missing + tail_groups
-        value = int("".join([group.zfill(4) for group in groups]), 16)
-    prefixlen = bits if prefix is None else int(prefix)
-    if prefixlen > bits:
+def _network(text: str) -> Network | None:
+    """The network that `ipaddress.ip_network(text, strict=False)` reads,
+    or None where it rejects `text`.  The C parser `inet_pton` reads the
+    address, a `/prefix` of one to three ASCII digits is read here, and
+    any other text goes to ipaddress."""
+    address, slash, prefix = text.partition("/")
+    family, version, bits = (AF_INET6, 6, 128) if ":" in address else (AF_INET, 4, 32)
+    if not slash or prefix.isascii() and prefix.isdigit() and len(prefix) <= 3:
+        try:
+            value = int.from_bytes(inet_pton(family, address), "big")
+        except (OSError, ValueError):  # ValueError: an embedded NUL
+            pass
+        else:
+            prefixlen = int(prefix) if slash else bits
+            return None if prefixlen > bits else (
+                version, prefixlen, value & ((1 << prefixlen) - 1) << (bits - prefixlen))
+    try:
+        net = ipaddress.ip_network(text, strict=False)
+    except ValueError:
         return None
-    return version, prefixlen, value & ((1 << prefixlen) - 1) << (bits - prefixlen)
+    return net.version, net.prefixlen, int(net.network_address)
 
 
 def _parse_address(text: str) -> Network | None:
     """One IP address as a network of its full prefix length, or None where
-    `ipaddress.ip_address` rejects `text`; canonical text skips ipaddress."""
-    network = None if "/" in text else _canonical_network(text)
-    if network is None:
-        try:
-            address = ipaddress.ip_address(text)
-        except ValueError:
-            return None
-        network = address.version, address.max_prefixlen, int(address)
-    return network
+    `text` is not one address, a `/prefix` included."""
+    return None if "/" in text else _network(text)
 
 
 @dataclass(frozen=True)
@@ -326,7 +294,7 @@ class GeoTable:
         object.__setattr__(self, "_index", index)
 
     def lookup_ip(self, ip: str) -> str | None:
-        """None where `ipaddress.ip_address` rejects `ip`."""
+        """None where `ip` is not one IP address (`_parse_address`)."""
         address = _parse_address(ip)
         if address is None:
             return None
@@ -350,8 +318,8 @@ def load_geo_table(path) -> GeoTable:
     """Geo table: `cidr_or_fqdn TAB ISO code` per line.
 
     A key that `ipaddress.ip_network(key, strict=False)` accepts is a
-    network; canonical CIDR text is parsed without it.  Any other key is an
-    FQDN.  A repeated network or FQDN keeps its first-listed code.
+    network (`_network`), any other key an FQDN.  A repeated network or
+    FQDN keeps its first-listed code.
     """
     networks: list[tuple[Network, str]] = []
     fqdns: dict[str, str] = {}
@@ -359,15 +327,11 @@ def load_geo_table(path) -> GeoTable:
     for lineno, (key, code) in tab_records(path, "cidr_or_fqdn TAB code"):
         if code not in codes:
             codes.add(check_country_code(code, lineno))
-        network = _canonical_network(key)
+        network = _network(key)
         if network is None:
-            try:
-                net = ipaddress.ip_network(key, strict=False)
-            except ValueError:
-                fqdns.setdefault(key.lower(), code)
-                continue
-            network = net.version, net.prefixlen, int(net.network_address)
-        networks.append((network, code))
+            fqdns.setdefault(key.lower(), code)
+        else:
+            networks.append((network, code))
     return GeoTable(networks=tuple(networks), fqdns=fqdns)
 
 
@@ -407,7 +371,7 @@ def load_flow_log(path) -> list[FlowRecord]:
     `dest_fqdn` are required and not null; `detected_types` must be a JSON
     array of strings, `payload_b64` strict Base64 and `country` an ISO-3166
     alpha-2 code; each distinct country is checked once.  A `dest_ip` must
-    be one address that `ipaddress.ip_address` accepts.
+    be one IP address (`_parse_address`).
     """
     records = []
     codes: set[str] = set()

@@ -179,7 +179,8 @@ def annotate_segment(annotator: SegmentAnnotator, segment_text: str) -> SegmentA
     stops = stopword_list()
     tokens: list[str] = []
     sentences = []
-    for words, stems in sentence_stems(fold(segment_text)):
+    folded = fold(segment_text)
+    for words, stems in sentence_stems(folded):
         tokens += [stemmed for word, stemmed in zip(words, stems) if word not in stops]
         sentences.append(term_positions(stems, annotator.rule_terms))
     elements = elements_in_sentences(annotator.rules, sentences)
@@ -194,7 +195,7 @@ def annotate_segment(annotator: SegmentAnnotator, segment_text: str) -> SegmentA
         grams = extract_ngrams(tokens, *adequacy.ngram)
     return SegmentAnnotation(
         intention=True,
-        countries=frozenset(detect_target_countries(segment_text.split(), annotator.dictionary)),
+        countries=frozenset(detect_target_countries(folded.split(), annotator.dictionary)),
         adequacy=adequacy is not None and bool(adequacy.predict_grams(grams)),
         **flags,
     )

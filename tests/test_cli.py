@@ -1004,6 +1004,7 @@ stages, annotate = json.loads(sys.argv[1])
 codes = [main(argv) for argv in stages]
 without_model = "numpy" in sys.modules
 pool = "multiprocessing" in sys.modules
+sockets = sorted({"socket", "selectors"} & set(sys.modules))
 codes.append(main(annotate))
 import transferaudit.classifier, transferaudit.linear
 with_model = "numpy" in sys.modules
@@ -1014,7 +1015,7 @@ for name in [m for m in sys.modules if m.startswith("transferaudit.")]:
     del sys.modules[name]
 import transferaudit.linear
 with open(sys.argv[2], "w") as fh:
-    json.dump([package, codes, without_model, pool, with_model, with_training,
+    json.dump([package, codes, without_model, pool, sockets, with_model, with_training,
                "transferaudit.features" in sys.modules], fh)
 """
 
@@ -1037,12 +1038,13 @@ def test_stages_without_a_model_do_not_import_numpy(model_dir, tmp_path):
     probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps([stages, annotate]),
                             str(result)], env=env, capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
-    package, codes, without_model, pool, with_model, with_training, linear_features = \
-        json.loads(result.read_text())
+    package, codes, without_model, pool, sockets, with_model, with_training, \
+        linear_features = json.loads(result.read_text())
     assert package == []  # a bare `import transferaudit` loads no submodule
     assert codes == [0, 0, 0, 0, 0]
     assert not without_model
     assert not pool  # cross-validation and `annotate` import multiprocessing to fork
+    assert sockets == []  # `flows` reads addresses through `_socket`
     assert not with_model  # loading and scoring a bundle is pure Python
     assert with_training  # the probe does see numpy once training is imported
     assert not linear_features  # the model file format lives with the classifier

@@ -54,6 +54,18 @@ def test_phrase_tokens_are_the_stripped_runs_of_folded_text(text):
     assert phrase_tokens(text) == [token for token in stripped if token]
 
 
+_COUNTRY_PIECES = ["United States", "Cura\u00e7ao", "M\u00e9xico", "Japan", "China", "\u200b",
+                   "e\u0301", "\ufb01", "\u03c2", "\u2028", "\u3000"]
+
+
+@given(st.lists(st.one_of(st.characters(), st.sampled_from(_PHRASE_PIECES + _COUNTRY_PIECES)),
+                max_size=20).map("".join))
+def test_detection_reads_folded_text_as_the_raw_text(country_dictionary, text):
+    # `annotate_segment` hands the gazetteer the segment's one fold
+    assert detect_target_countries(fold(text).split(), country_dictionary) == \
+        detect(text, country_dictionary)
+
+
 @pytest.mark.parametrize("text, codes", [
     # separators that are not whitespace: a slash and non-ASCII punctuation
     ("servers in China/India", {"CN", "IN"}),

@@ -253,6 +253,13 @@ def test_save_refuses_indices_that_are_not_string_ranks(tmp_path):
             _bundle(Vocabulary(feature_to_index, [1, 1, 1], 2), TF).save(tmp_path, "w")
 
 
+@pytest.mark.parametrize("feature", ["a\tb", "a\nb", "a\rb", "#a"])
+def test_save_refuses_features_that_load_refuses(tmp_path, feature):
+    with pytest.raises(ValueError, match="TAB or line break"):
+        _bundle(Vocabulary({feature: 0}, [1], 1), TF).save(tmp_path, "w")
+    assert list(tmp_path.iterdir()) == []  # refused before any file is written
+
+
 @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=8),
                 min_size=1, max_size=20))
 def test_tfidf_bounded_by_tf_times_log_n(segments):
