@@ -9,9 +9,9 @@ import random
 import tempfile
 
 from transferaudit.classifier import TextClassifier
-from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
+from transferaudit.corpus import INTENTION, LabeledSegment, PolicySegment
 from transferaudit.features import BC, TF, TFIDF
-from transferaudit.linear import TrainConfig, intention_label
+from transferaudit.linear import TrainConfig
 from transferaudit.training import cross_validate, fit_text_classifier
 
 POSITIVE_TEMPLATES = [
@@ -33,7 +33,7 @@ NEGATIVE_TEMPLATES = [
 ]
 
 rng = random.Random(2020)
-samples = []
+corpus = []
 for i in range(300):
     positive = i % 10 == 0  # ~10% positive, mirroring the class imbalance
     pool = POSITIVE_TEMPLATES if positive else NEGATIVE_TEMPLATES
@@ -41,10 +41,9 @@ for i in range(300):
     # light noise so folds differ
     if rng.random() < 0.5:
         words.insert(rng.randrange(len(words)), rng.choice(["please", "always", "currently"]))
-    samples.append(LabeledSegment(PolicySegment("demo", " ".join(words)),
-                                  1 if positive else 0))
-corpus = Corpus(samples=samples)
-print(f"corpus: {len(corpus)} segments, {corpus.positive_count} positive")
+    corpus.append(LabeledSegment(PolicySegment("demo", " ".join(words)),
+                                 1 if positive else 0))
+print(f"corpus: {len(corpus)} segments, {sum(s.intention_label for s in corpus)} positive")
 
 print("\nweighting x n-gram grid (stratified 5-fold):")
 print(f"{'scheme':>7} {'ngram':>6} {'precision':>10} {'recall':>8} {'F':>7}")
@@ -65,8 +64,7 @@ _, scheme, ngram_max = best
 print(f"\nselected: {scheme} with 1-{ngram_max} grams")
 
 bundle = fit_text_classifier(corpus, (1, ngram_max), scheme,
-                             TrainConfig(alpha=1e-3, epochs=50, seed=5),
-                             intention_label)
+                             TrainConfig(alpha=1e-3, epochs=50, seed=5), INTENTION)
 
 with tempfile.TemporaryDirectory() as tmp:
     bundle.save(tmp, "intention")

@@ -6,13 +6,13 @@ annotator combines them with the linear classifiers on whole policies.
 
 import random
 
-from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
+from transferaudit.corpus import ADEQUACY, INTENTION, LabeledSegment, PolicySegment
 from transferaudit.countries import (
     detect_target_countries,
     load_country_dictionary,
 )
 from transferaudit.features import TF, TFIDF
-from transferaudit.linear import TrainConfig, adequacy_label, intention_label
+from transferaudit.linear import TrainConfig
 from transferaudit.rules import matched_elements, parse_rule
 from transferaudit.training import fit_text_classifier
 from transferaudit.transparency import SegmentAnnotator, default_rules
@@ -57,27 +57,27 @@ intent_neg = [
     "advertising identifiers help us show relevant advertisements",
     "you may opt out of marketing emails at any time",
 ]
-intent_corpus = Corpus(samples=(
+intent_corpus = (
     [LabeledSegment(PolicySegment("c", t), 1) for t in intent_pos * 3]
     + [LabeledSegment(PolicySegment("c", t), 0) for t in intent_neg * 3]
-))
+)
 adeq_pos = [
     "israel is recognized by the european commission as providing an adequate level of protection",
     "the european commission has issued an adequacy decision covering japan",
     "transfers to canada are covered by an adequacy decision of the commission",
 ]
 adeq_neg = intent_pos
-adeq_corpus = Corpus(samples=(
+adeq_corpus = (
     [LabeledSegment(PolicySegment("c", t), 1, frozenset({"adequacy"}))
      for t in adeq_pos * 3]
     + [LabeledSegment(PolicySegment("c", t), 1) for t in adeq_neg * 3]
-))
+)
 
 annotator = SegmentAnnotator(
     intention_model=fit_text_classifier(
-        intent_corpus, (1, 2), TF, TrainConfig(seed=1), intention_label),
+        intent_corpus, (1, 2), TF, TrainConfig(seed=1), INTENTION),
     adequacy_model=fit_text_classifier(
-        adeq_corpus, (1, 2), TFIDF, TrainConfig(seed=2), adequacy_label),
+        adeq_corpus, (1, 2), TFIDF, TrainConfig(seed=2), ADEQUACY),
     rules=default_rules(),
     dictionary=dictionary,
 )

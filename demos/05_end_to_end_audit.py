@@ -9,8 +9,9 @@ import random
 
 from transferaudit.compliance import assess_app, load_jurisdiction
 from transferaudit.corpus import (
+    ADEQUACY,
     BLANKLINE,
-    Corpus,
+    INTENTION,
     LabeledSegment,
     PolicyDocument,
     PolicySegment,
@@ -25,7 +26,7 @@ from transferaudit.flows import (
     build_transfer_events,
     load_owner_list,
 )
-from transferaudit.linear import TrainConfig, adequacy_label, intention_label
+from transferaudit.linear import TrainConfig
 from transferaudit.reports import TEXT_TABLE, emit_report, summarize
 from transferaudit.training import fit_text_classifier
 from transferaudit.transparency import SegmentAnnotator, default_rules
@@ -88,21 +89,21 @@ adeq_pos = [
     "transfers to canada are covered by an adequacy decision of the commission",
 ]
 
-intent_corpus = Corpus(samples=(
+intent_corpus = (
     [LabeledSegment(PolicySegment("c", t), 1) for t in intent_pos * 4]
     + [LabeledSegment(PolicySegment("c", t), 0) for t in intent_neg * 4]
-))
-adeq_corpus = Corpus(samples=(
+)
+adeq_corpus = (
     [LabeledSegment(PolicySegment("c", t), 1, frozenset({"adequacy"}))
      for t in adeq_pos * 4]
     + [LabeledSegment(PolicySegment("c", t), 1) for t in intent_pos * 4]
-))
+)
 
 annotator = SegmentAnnotator(
     intention_model=fit_text_classifier(
-        intent_corpus, (1, 2), TF, TrainConfig(seed=20), intention_label),
+        intent_corpus, (1, 2), TF, TrainConfig(seed=20), INTENTION),
     adequacy_model=fit_text_classifier(
-        adeq_corpus, (1, 2), TFIDF, TrainConfig(seed=21), adequacy_label),
+        adeq_corpus, (1, 2), TFIDF, TrainConfig(seed=21), ADEQUACY),
     rules=default_rules(),
     dictionary=load_country_dictionary(),
 )

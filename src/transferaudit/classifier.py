@@ -139,8 +139,10 @@ def _finite(text: str) -> float:
 
 
 # the model file's header keys, in the order `save` writes them, and the
-# check each value must pass; `#bias=` is the file's last line
-_MODEL_HEADER = {"scheme": partial(_one_of, SCHEMES), "ngram": parse_ngram_range,
+# check each value must pass; `#bias=` is the file's last line, and
+# `#ngram=` takes only the `lo-hi` form that `save` writes
+_MODEL_HEADER = {"scheme": partial(_one_of, SCHEMES),
+                 "ngram": partial(parse_ngram_range, short=False),
                  "alpha": lambda v: TrainConfig(alpha=float(v)),
                  "eta0": lambda v: TrainConfig(eta0=float(v)),
                  "epochs": lambda v: TrainConfig(epochs=int(v)), "seed": int,

@@ -46,17 +46,13 @@ def _cmd_segment(args) -> int:
 def _cmd_train(args) -> int:
     from . import linear, training
 
-    label_fns = {"intention": linear.intention_label, "adequacy": linear.adequacy_label}
     train_cfg = linear.TrainConfig(alpha=args.alpha, epochs=args.epochs, seed=args.seed)
-    data = corpus.load_corpus(args.corpus)
-    if args.task == "adequacy":
-        # layer-two model: fit on transfer-intention segments only
-        data = corpus.Corpus(samples=[s for s in data.samples if s.intention_label == 1])
+    samples = corpus.load_corpus(args.corpus)
     ngram = parse_ngram_range(args.ngram)
     if not (args.kfold or args.model_out):
         return 0
     # the CV folds and the final fit share the numbered n-grams of each sample
-    grams = training.labeled_grams(data, ngram, label_fns[args.task])
+    grams = training.labeled_grams(samples, ngram, args.task)
     if args.kfold:
         result = training.cross_validate_grams(grams, args.weighting, train_cfg, args.kfold,
                                                args.seed, fit_on_all=args.fit_on_all)
@@ -66,8 +62,7 @@ def _cmd_train(args) -> int:
         means = " ".join(f"{k}={v:.4f}" for k, v in sorted(result.means.items()))
         print(f"mean: {means}")
     if args.model_out:
-        bundle = training.fit_grams(grams, args.weighting, train_cfg)
-        bundle.save(args.model_out, args.task)
+        training.fit_grams(grams, args.weighting, train_cfg).save(args.model_out, args.task)
         print(f"saved {args.task} model to {args.model_out}")
     return 0
 
@@ -75,8 +70,8 @@ def _cmd_train(args) -> int:
 def _load_annotator(args) -> transparency.SegmentAnnotator:
     from . import classifier
 
-    intention = classifier.TextClassifier.load(args.model_dir, "intention")
-    adequacy = classifier.TextClassifier.load(args.model_dir, "adequacy")
+    intention, adequacy = (classifier.TextClassifier.load(args.model_dir, task)
+                           for task in corpus.TASKS)
     rules = load_rules(args.rules) if args.rules else transparency.default_rules()
     dictionary = load_country_dictionary(args.dict)
     return transparency.SegmentAnnotator(
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_segment)
 
     p = sub.add_parser("train", help="train/evaluate a classifier on a corpus")
-    p.add_argument("--task", choices=["intention", "adequacy"], default="intention")
+    p.add_argument("--task", choices=corpus.TASKS, default=corpus.INTENTION)
     p.add_argument("--corpus", required=True)
     p.add_argument("--ngram", default="1-2", help="n-gram range, e.g. 1-2")
     p.add_argument("--weighting", choices=list(SCHEMES), default=TF)

@@ -1,10 +1,11 @@
-"""Policy documents, segmentation, labeled corpora and stratified folds."""
+"""Policy documents, segmentation, labeled corpora, training tasks and stratified folds."""
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .errors import EmptyDocument, FoldError, LabelError, ParseError
 from .transparency import LABELED_ELEMENTS, UNGATED_ELEMENTS
@@ -52,20 +53,19 @@ class LabeledSegment:
         _check_labels(self.intention_label, self.element_labels)
 
 
-@dataclass
-class Corpus:
-    samples: list[LabeledSegment] = field(default_factory=list)
+# the classifiers a corpus trains, by task name: layer one, then layer two
+INTENTION, ADEQUACY = TASKS = ("intention", "adequacy")
 
-    @property
-    def positive_count(self) -> int:
-        return sum(s.intention_label for s in self.samples)
 
-    @property
-    def negative_count(self) -> int:
-        return len(self.samples) - self.positive_count
-
-    def __len__(self):
-        return len(self.samples)
+def task_samples(samples: Iterable[LabeledSegment], task: str) -> list[tuple[LabeledSegment, int]]:
+    """The samples that `task` trains on, each with its 0/1 label.  The
+    adequacy classifier runs on intention-positive segments only, so it
+    learns from those alone."""
+    if task == INTENTION:
+        return [(s, s.intention_label) for s in samples]
+    if task == ADEQUACY:
+        return [(s, int("adequacy" in s.element_labels)) for s in samples if s.intention_label]
+    raise ValueError(f"unknown task {task!r}, expected one of {', '.join(TASKS)}")
 
 
 def segment_policy(doc: PolicyDocument, separator_mode: str = FULLSTOP) -> list[PolicySegment]:
@@ -119,10 +119,10 @@ def _unescape(text: str, lineno: int) -> str:
     return _ESCAPE_SEQUENCE.sub(replace, text)
 
 
-def save_corpus(corpus: Corpus, path) -> None:
+def save_corpus(samples: Iterable[LabeledSegment], path) -> None:
     """One tab-separated sample per line: doc_id, intention, elements, text."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sample in corpus.samples:
+        for sample in samples:
             labels = ";".join(sorted(sample.element_labels)) or "-"
             fh.write(
                 f"{sample.segment.doc_id}\t{sample.intention_label}\t"
@@ -130,7 +130,7 @@ def save_corpus(corpus: Corpus, path) -> None:
             )
 
 
-def load_corpus(path) -> Corpus:
+def load_corpus(path) -> list[LabeledSegment]:
     """Parse the corpus line format."""
     samples: list[LabeledSegment] = []
     with open(path, encoding="utf-8") as fh:
@@ -151,7 +151,7 @@ def load_corpus(path) -> Corpus:
             except ValueError as exc:
                 raise LabelError(str(exc), lineno) from exc
             samples.append(sample)
-    return Corpus(samples=samples)
+    return samples
 
 
 def stratified_kfold(labels: list[int], k: int, seed: int) -> list[tuple[list[int], list[int]]]:

@@ -63,12 +63,16 @@ def check_ngram_range(ngram_min: int, ngram_max: int) -> None:
         raise ValueError(f"bad n-gram range {ngram_min}-{ngram_max}")
 
 
-def parse_ngram_range(text: str) -> tuple[int, int]:
-    """Read the `lo-hi` (or `n`) form of an n-gram range and check it."""
-    lo, _, hi = text.partition("-")
-    ngram = int(lo), int(hi or lo)
-    check_ngram_range(*ngram)
-    return ngram
+# an n-gram range written `n` or `lo-hi`, in ASCII digits from 1 to 4
+_NGRAM_RANGE = re.compile(r"([1-4])(?:-([1-4]))?")
+
+
+def parse_ngram_range(text: str, short: bool = True) -> tuple[int, int]:
+    """Read the `lo-hi` form of an n-gram range, lo <= hi, or where `short`, `n`."""
+    match = _NGRAM_RANGE.fullmatch(text)
+    if not match or not (short or match[2]) or int(match[1]) > int(match[2] or match[1]):
+        raise ValueError(f"bad n-gram range {text!r}")
+    return int(match[1]), int(match[2] or match[1])
 
 
 def extract_ngrams(tokens: list[str], ngram_min: int, ngram_max: int) -> list[str]:

@@ -79,6 +79,8 @@ class FlowRecord:
     def __post_init__(self):
         if self.stage not in (IDLE, ACTIVE):
             raise ValueError(f"stage must be idle or active, got {self.stage!r}")
+        if not self.app_id:
+            raise ValueError("app_id must be non-empty")
         if not self.dest_fqdn:
             raise ValueError("dest_fqdn must be non-empty")
 
@@ -318,8 +320,9 @@ def load_geo_table(path) -> GeoTable:
     """Geo table: `cidr_or_fqdn TAB ISO code` per line.
 
     A key that `ipaddress.ip_network(key, strict=False)` accepts is a
-    network (`_network`), any other key an FQDN.  A repeated network or
-    FQDN keeps its first-listed code.
+    network (`_network`); any other key must be a hostname as a flow's
+    FQDN can name it, without a trailing dot.  A repeated network or FQDN
+    keeps its first-listed code.
     """
     networks: list[tuple[Network, str]] = []
     fqdns: dict[str, str] = {}
@@ -328,10 +331,16 @@ def load_geo_table(path) -> GeoTable:
         if code not in codes:
             codes.add(check_country_code(code, lineno))
         network = _network(key)
-        if network is None:
-            fqdns.setdefault(key.lower(), code)
-        else:
+        if network is not None:
             networks.append((network, code))
+            continue
+        try:
+            hostname = ".".join(_fqdn_labels(key))
+        except DomainError:
+            hostname = None
+        if hostname != key.lower():
+            raise ParseError(f"bad geo key {key!r}: neither a network nor a hostname", lineno)
+        fqdns.setdefault(hostname, code)
     return GeoTable(networks=tuple(networks), fqdns=fqdns)
 
 
@@ -368,10 +377,10 @@ def load_flow_log(path) -> list[FlowRecord]:
     """One JSON object per line; `payload_b64` carries raw payload bytes.
 
     The text fields must be JSON strings, of which `app_id`, `stage` and
-    `dest_fqdn` are required and not null; `detected_types` must be a JSON
-    array of strings, `payload_b64` strict Base64 and `country` an ISO-3166
-    alpha-2 code; each distinct country is checked once.  A `dest_ip` must
-    be one IP address (`_parse_address`).
+    `dest_fqdn` are required and not null or empty; `detected_types` must be
+    a JSON array of strings, `payload_b64` strict Base64 and `country` an
+    ISO-3166 alpha-2 code; each distinct country is checked once.  A
+    `dest_ip` must be one IP address (`_parse_address`).
     """
     records = []
     codes: set[str] = set()
@@ -441,12 +450,12 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
     Each app's events come in `recipient_domain` order, whatever the order
     of the lines, and an app names a recipient domain on one line only.
     Every key that `event_json` writes is required; other keys are ignored.
-    `app_id` and `recipient_domain` must be JSON strings, the two lists JSON
-    arrays, every data type a JSON string, `any_idle_flow` a JSON boolean and
-    every country an ISO-3166 alpha-2 code.  The recipient takes one of the
-    two forms `scan` writes: `first_party` with a null `recipient_owner` and
-    `recipient_hq`, or `third_party` with a JSON string owner and an ISO-3166
-    alpha-2 hq.
+    `app_id` and `recipient_domain` must be non-empty JSON strings, the two
+    lists JSON arrays, every data type a JSON string, `any_idle_flow` a JSON
+    boolean and every country an ISO-3166 alpha-2 code.  The recipient takes
+    one of the two forms `scan` writes: `first_party` with a null
+    `recipient_owner` and `recipient_hq`, or `third_party` with a JSON string
+    owner and an ISO-3166 alpha-2 hq.
     Equal recipients and equal type or country lists share one frozen
     object each, and each is checked once, when first seen.
     """

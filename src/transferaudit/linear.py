@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ShapeError
-
-if TYPE_CHECKING:  # a type only: the corpus labels name the elements of `transparency`
-    from .corpus import LabeledSegment
 
 MODIFIED_HUBER = "modified_huber"
 
@@ -167,11 +164,3 @@ class CrossValidationResult:
             name: sum(getattr(m, name) for m in self.folds) / len(self.folds)
             for name in _METRIC_NAMES
         }
-
-
-def intention_label(sample: LabeledSegment) -> int:
-    return sample.intention_label
-
-
-def adequacy_label(sample: LabeledSegment) -> int:
-    return 1 if "adequacy" in sample.element_labels else 0

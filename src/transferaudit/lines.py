@@ -67,10 +67,12 @@ def json_type_error(name: str, expected: str, value, lineno: int) -> ParseError:
 
 
 def json_string(obj: dict, name: str, lineno: int) -> str:
-    """The required field `name` of `obj`, which must be a JSON string (not null)."""
+    """The required field `name` of `obj`, which must be a non-empty JSON string."""
     value = obj[name]
     if not isinstance(value, str):
         raise json_type_error(name, "string", value, lineno)
+    if not value:
+        raise ParseError(f"{name} must not be empty", lineno)
     return value
 
 

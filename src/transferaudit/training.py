@@ -17,14 +17,13 @@ n-gram id as `TextClassifier.weigh` weighs its n-grams by string.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .classifier import TextClassifier, _idf
-from .corpus import Corpus, LabeledSegment, stratified_kfold
+from .corpus import INTENTION, LabeledSegment, stratified_kfold, task_samples
 from .errors import DegenerateTraining, ShapeError
 from .features import BC, SCHEMES, TFIDF, Vocabulary, extract_ngrams, tokenize
 from .linear import (
@@ -34,7 +33,6 @@ from .linear import (
     LinearModel,
     TrainConfig,
     compute_metrics,
-    intention_label,
     modified_huber_dloss,
     predict,
 )
@@ -100,19 +98,21 @@ def train(samples: Sequence[tuple[Features, int]], cfg: TrainConfig,
     return LinearModel(weights=tuple((v * scale).tolist()), bias=float(bias), config=cfg)
 
 
-def labeled_grams(corpus: Corpus, ngram: tuple[int, int],
-                  label_fn: Callable[[LabeledSegment], int]) -> NumberedGrams:
-    """Each sample's n-grams over the range, numbered, and its label.
+def labeled_grams(samples: Iterable[LabeledSegment], ngram: tuple[int, int],
+                  task: str) -> NumberedGrams:
+    """The n-grams over the range, numbered, and the label of each sample
+    that `task` trains on (`corpus.task_samples`).
 
     The samples are put in one canonical order first, so that every fit and
     fold is a function of the corpus as a multiset, not of its line order:
     samples with equal keys are equal.  Computed once per corpus, the
     n-grams serve any number of fits and folds.
     """
-    samples = sorted(corpus.samples, key=lambda s: (
-        s.segment.text, s.intention_label, sorted(s.element_labels), s.segment.doc_id))
-    gram_lists = [extract_ngrams(tokenize(s.segment.text), *ngram) for s in samples]
-    return number_grams(gram_lists, [label_fn(s) for s in samples], ngram)
+    labeled = sorted(task_samples(samples, task), key=lambda pair: (
+        pair[0].segment.text, pair[0].intention_label, sorted(pair[0].element_labels),
+        pair[0].segment.doc_id))
+    gram_lists = [extract_ngrams(tokenize(s.segment.text), *ngram) for s, _ in labeled]
+    return number_grams(gram_lists, [y for _, y in labeled], ngram)
 
 
 @dataclass(frozen=True)
@@ -212,11 +212,10 @@ def fit_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfig) -> TextC
                           model=model)
 
 
-def fit_text_classifier(corpus: Corpus, ngram: tuple[int, int], scheme: str,
-                        train_cfg: TrainConfig,
-                        label_fn: Callable[[LabeledSegment], int]) -> TextClassifier:
-    """Build the vocabulary on the full corpus, and train."""
-    return fit_grams(labeled_grams(corpus, ngram, label_fn), scheme, train_cfg)
+def fit_text_classifier(samples: Iterable[LabeledSegment], ngram: tuple[int, int],
+                        scheme: str, train_cfg: TrainConfig, task: str) -> TextClassifier:
+    """Build the vocabulary on the samples that `task` trains on, and train."""
+    return fit_grams(labeled_grams(samples, ngram, task), scheme, train_cfg)
 
 
 def cross_validate_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfig, k: int,
@@ -246,11 +245,9 @@ def cross_validate_grams(data: NumberedGrams, scheme: str, train_cfg: TrainConfi
     return CrossValidationResult(folds=list(ordered_map(evaluate, range(len(folds)))))
 
 
-def cross_validate(corpus: Corpus, ngram: tuple[int, int], scheme: str,
-                   train_cfg: TrainConfig, k: int, seed: int,
-                   fit_on_all: bool = False,
-                   label_fn: Callable[[LabeledSegment], int] = intention_label,
-                   ) -> CrossValidationResult:
-    """Stratified k-fold evaluation of the corpus (see `cross_validate_grams`)."""
-    return cross_validate_grams(labeled_grams(corpus, ngram, label_fn), scheme, train_cfg,
+def cross_validate(samples: Iterable[LabeledSegment], ngram: tuple[int, int], scheme: str,
+                   train_cfg: TrainConfig, k: int, seed: int, fit_on_all: bool = False,
+                   task: str = INTENTION) -> CrossValidationResult:
+    """Stratified k-fold evaluation of `task` (see `cross_validate_grams`)."""
+    return cross_validate_grams(labeled_grams(samples, ngram, task), scheme, train_cfg,
                                 k, seed, fit_on_all)

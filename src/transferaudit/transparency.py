@@ -191,12 +191,12 @@ def annotate_segment(annotator: SegmentAnnotator, segment_text: str) -> SegmentA
         return SegmentAnnotation(**flags)
     flags.update((name, name in elements) for name in GATED_ELEMENTS)
     adequacy = annotator.adequacy_model
-    if adequacy is not None and adequacy.ngram != intention.ngram:
+    if adequacy.ngram != intention.ngram:
         grams = extract_ngrams(tokens, *adequacy.ngram)
     return SegmentAnnotation(
         intention=True,
         countries=frozenset(detect_target_countries(folded.split(), annotator.dictionary)),
-        adequacy=adequacy is not None and bool(adequacy.predict_grams(grams)),
+        adequacy=bool(adequacy.predict_grams(grams)),
         **flags,
     )
 
@@ -215,7 +215,7 @@ class SegmentAnnotator:
     """Bundles the models and data files needed to annotate policies."""
 
     intention_model: TextClassifier
-    adequacy_model: TextClassifier | None
+    adequacy_model: TextClassifier
     rules: list[ProximityRule]
     dictionary: CountryDictionary
     rule_terms: frozenset[str] = field(init=False, repr=False)

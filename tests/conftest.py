@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
+from transferaudit.corpus import ADEQUACY, INTENTION, LabeledSegment, PolicySegment
 from transferaudit.countries import load_country_dictionary
 from transferaudit.features import TF, TFIDF
 from transferaudit.flows import load_catalog, load_flow_log, load_geo_table, load_owner_list
-from transferaudit.linear import TrainConfig, adequacy_label, intention_label
+from transferaudit.linear import TrainConfig
 from transferaudit.training import fit_text_classifier
 from transferaudit.transparency import (
     FLAGS,
@@ -128,7 +128,7 @@ def _build_corpus(positives, negatives, element=None):
         samples.append(LabeledSegment(PolicySegment("corpus", text), 1, labels))
     for text in negatives:
         samples.append(LabeledSegment(PolicySegment("corpus", text), 0))
-    return Corpus(samples=samples)
+    return samples
 
 
 @pytest.fixture(scope="session")
@@ -145,21 +145,19 @@ def adequacy_corpus():
                                       frozenset({"adequacy"})))
     for text in ADEQUACY_NEGATIVES:
         samples.append(LabeledSegment(PolicySegment("corpus", text), 1))
-    return Corpus(samples=samples)
+    return samples
 
 
 @pytest.fixture(scope="session")
 def intention_clf(intention_corpus):
     return fit_text_classifier(
-        intention_corpus, (1, 2), TF, TrainConfig(alpha=1e-3, epochs=50, seed=7),
-        intention_label)
+        intention_corpus, (1, 2), TF, TrainConfig(alpha=1e-3, epochs=50, seed=7), INTENTION)
 
 
 @pytest.fixture(scope="session")
 def adequacy_clf(adequacy_corpus):
     return fit_text_classifier(
-        adequacy_corpus, (1, 2), TFIDF, TrainConfig(alpha=1e-3, epochs=50, seed=11),
-        adequacy_label)
+        adequacy_corpus, (1, 2), TFIDF, TrainConfig(alpha=1e-3, epochs=50, seed=11), ADEQUACY)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,6 @@ from transferaudit.compliance import (
 )
 from transferaudit.corpus import (
     BLANKLINE,
-    Corpus,
     LabeledSegment,
     PolicyDocument,
     PolicySegment,
@@ -266,7 +265,7 @@ def test_criterion_4_classifier_sanity():
             words[at:at] = rng.choice(markers).split()
         samples.append(LabeledSegment(PolicySegment("d", " ".join(words)),
                                       1 if i < 50 else 0))
-    result = cross_validate(Corpus(samples=samples), (1, 2), TF,
+    result = cross_validate(samples, (1, 2), TF,
                             TrainConfig(alpha=1e-3, epochs=20, seed=4), k=5, seed=4)
     assert result.means["f_measure"] >= 0.95
     _ok(f"4a separable-corpus CV mean F={result.means['f_measure']:.3f} >= 0.95")
@@ -500,12 +499,11 @@ def test_criterion_11_stratification_property():
                    for i in range(positives)]
         samples += [LabeledSegment(PolicySegment("d", f"n{i}"), 0)
                     for i in range(negatives)]
-        corpus = Corpus(samples=samples)
-        k = min(5, len(corpus))
+        k = min(5, len(samples))
         if k < 2:
             continue
         ideal = positives // k
-        labels = [s.intention_label for s in corpus.samples]
+        labels = [s.intention_label for s in samples]
         for _, test_idx in stratified_kfold(labels, k, seed=trial):
             fold_pos = sum(1 for i in test_idx if i < positives)
             assert abs(fold_pos - ideal) <= 1, (trial, n, positives)

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from transferaudit import parallel, training
 from transferaudit.classifier import TextClassifier
-from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, stratified_kfold
+from transferaudit.corpus import INTENTION, LabeledSegment, PolicySegment, stratified_kfold
 from transferaudit.errors import DegenerateTraining, ParseError
 from transferaudit.features import SCHEMES, TF, Vocabulary
-from transferaudit.linear import LinearModel, TrainConfig, intention_label
+from transferaudit.linear import LinearModel, TrainConfig
 from transferaudit.training import (
     IdVocabulary,
     cross_validate,
@@ -51,12 +51,12 @@ def _corpus():
                for t in positives * 3]
     samples += [LabeledSegment(PolicySegment("c", t), 0)
                 for t in negatives * 3]
-    return Corpus(samples=samples)
+    return samples
 
 
 @pytest.fixture(scope="module")
 def bundle():
-    return fit_text_classifier(_corpus(), (1, 2), TF, TrainConfig(seed=3), intention_label)
+    return fit_text_classifier(_corpus(), (1, 2), TF, TrainConfig(seed=3), INTENTION)
 
 
 def test_save_load_identical_predictions(bundle, tmp_path):
@@ -94,8 +94,7 @@ def test_load_detects_vocab_model_mismatch(bundle, tmp_path):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_bundle_round_trips_byte_for_byte(scheme, tmp_path):
-    bundle = fit_text_classifier(_corpus(), (1, 2), scheme, TrainConfig(seed=3),
-                                 intention_label)
+    bundle = fit_text_classifier(_corpus(), (1, 2), scheme, TrainConfig(seed=3), INTENTION)
     bundle.save(tmp_path / "a", "intention")
     TextClassifier.load(tmp_path / "a", "intention").save(tmp_path / "b", "intention")
     for suffix in ("vocab", "model"):
@@ -122,6 +121,9 @@ def test_default_pipeline_adds_no_header_lines(bundle, tmp_path):
 @pytest.mark.parametrize("line", ["#stemmer=porter", "#stem=maybe",
                                   "#stopword_list_id=klingon", "#stem=false",
                                   "#scheme=foo", "#ngram=x", "#ngram=0-9", "#ngram=3-2",
+                                  # the range in any form but the `lo-hi` that `save` writes
+                                  "#ngram=2", "#ngram=1-", "#ngram=\u0661-\u0662",
+                                  "#ngram= 1-2", "#ngram=1-2 ", "#ngram=01-02", "#ngram=1-2-3",
                                   "#loss=hinge", "#alpha=zz", "#alpha=-1", "#alpha=nan",
                                   "#alpha=inf", "#eta0=0", "#eta0=nan", "#eta0=-inf", "#epochs=1.5",
                                   "#epochs=0", "#bias=zz", "#bias=nan",
@@ -288,9 +290,9 @@ def test_load_refuses_any_other_layout(bundle, tmp_path, case):
 
 def test_a_fit_without_features_round_trips(tmp_path):
     # segments of stop words and digits only have no n-gram
-    corpus = Corpus(samples=[LabeledSegment(PolicySegment("c", text), label)
-                             for text, label in [("the of and", 1), ("2021 !", 0)]])
-    bundle = fit_text_classifier(corpus, (1, 2), TF, TrainConfig(seed=1), intention_label)
+    corpus = [LabeledSegment(PolicySegment("c", text), label)
+              for text, label in [("the of and", 1), ("2021 !", 0)]]
+    bundle = fit_text_classifier(corpus, (1, 2), TF, TrainConfig(seed=1), INTENTION)
     assert len(bundle.vocabulary) == 0
     bundle.save(tmp_path, "intention")
     assert (tmp_path / "intention.vocab.tsv").read_text(encoding="utf-8") == "#N=2\n"
@@ -361,7 +363,7 @@ def test_any_one_line_edit_loads_or_is_a_parse_error(bundle, suffix, kind, at, t
 
 
 def test_a_fit_saves_the_range_its_grams_were_numbered_over(tmp_path):
-    data = labeled_grams(_corpus(), (1, 3), intention_label)
+    data = labeled_grams(_corpus(), (1, 3), INTENTION)
     fit_grams(data, TF, TrainConfig(seed=3)).save(tmp_path, "intention")
     lines = (tmp_path / "intention.model.tsv").read_text(encoding="utf-8").splitlines()
     assert lines[1] == "#ngram=1-3"
@@ -471,8 +473,7 @@ def test_pooled_folds_equal_in_process_folds(monkeypatch, tmp_path, intention_co
 def _one_positive_corpus():
     texts = ["we transfer data abroad", "we use cookies", "delete your account",
              "settings can change", "we protect your account"]
-    return Corpus(samples=[LabeledSegment(PolicySegment("c", t), int(i == 0))
-                           for i, t in enumerate(texts)])
+    return [LabeledSegment(PolicySegment("c", t), int(i == 0)) for i, t in enumerate(texts)]
 
 
 @fork_only

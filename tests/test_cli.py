@@ -27,8 +27,17 @@ from hypothesis import strategies as st
 from transferaudit import cli, parallel, training
 from transferaudit.cli import main
 from transferaudit.compliance import NO_TRANSFER, _verdict_core, load_jurisdiction
-from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment, save_corpus
+from transferaudit.corpus import (
+    ADEQUACY,
+    TASKS,
+    LabeledSegment,
+    PolicySegment,
+    load_corpus,
+    save_corpus,
+)
+from transferaudit.features import TF
 from transferaudit.flows import FIRST_PARTY, THIRD_PARTY, read_events
+from transferaudit.linear import TrainConfig
 from transferaudit.transparency import ELEMENT_FIELDS, FLAGS, annotation_json, read_annotations
 
 
@@ -113,7 +122,7 @@ def test_kfold_and_model_out_tokenize_each_sample_once(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(training, "tokenize", counting)
     assert main([*args, "--kfold", "5", "--model-out", str(tmp_path / "both")]) == 0
-    assert calls["tokenize"] == len(intention_corpus.samples) == 62
+    assert calls["tokenize"] == len(intention_corpus) == 62
     # sharing the n-grams changes nothing in what either step writes
     assert capsys.readouterr().out.startswith(kfold_out)
     for name in ("intention.model.tsv", "intention.vocab.tsv"):
@@ -165,9 +174,8 @@ def test_training_does_not_depend_on_corpus_line_order(lines, task):
 
 def test_kfold_leaving_a_fold_empty_is_input_error(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.tsv"
-    save_corpus(Corpus(samples=[LabeledSegment(PolicySegment("c", t), i) for i, t in
-                                enumerate(["we use cookies", "we transfer data abroad"])]),
-                corpus_path)
+    save_corpus([LabeledSegment(PolicySegment("c", t), i) for i, t in
+                 enumerate(["we use cookies", "we transfer data abroad"])], corpus_path)
     assert main(["train", "--corpus", str(corpus_path), "--kfold", "2"]) == 1
     assert capsys.readouterr() == (
         "", "error: fold 1 gets no test sample: k=2 exceeds the 1 samples of the larger class\n")
@@ -179,8 +187,8 @@ def test_failing_fold_exits_as_it_does_in_process(tmp_path, capsys, monkeypatch)
     corpus_path = tmp_path / "corpus.tsv"
     texts = ["we transfer data abroad", "we use cookies", "delete your account",
              "settings can change"]
-    save_corpus(Corpus(samples=[LabeledSegment(PolicySegment("c", t), int(i == 0))
-                                for i, t in enumerate(texts)]), corpus_path)
+    save_corpus([LabeledSegment(PolicySegment("c", t), int(i == 0))
+                 for i, t in enumerate(texts)], corpus_path)
     outcomes = []
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
@@ -755,6 +763,32 @@ def test_scan_null_required_field_is_input_error_naming_the_line(tmp_path, capsy
     assert captured.err == f"error: line 2: {field} must be a JSON string, got null\n"
 
 
+@pytest.mark.parametrize("field", ["app_id", "stage", "dest_fqdn"])
+def test_scan_empty_required_field_is_input_error_naming_the_line(tmp_path, capsys, field):
+    lines = (DATA / "flows.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = {**json.loads(lines[0]), field: ""}
+    flows_path = tmp_path / "flows.jsonl"
+    flows_path.write_text("\n".join([lines[0], json.dumps(bad), *lines[1:]]) + "\n",
+                          encoding="utf-8")
+    assert main(["scan", "--flows", str(flows_path), "--catalog", str(DATA / "catalog.tsv"),
+                 "--geo", str(DATA / "geo.tsv")]) == 1
+    assert capsys.readouterr() == ("", f"error: line 2: {field} must not be empty\n")
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("which, field", [("events", "app_id"), ("events", "recipient_domain"),
+                                          ("annotations", "app_id")])
+def test_an_empty_id_is_input_error_naming_the_line(tmp_path, capsys, command, which, field):
+    record = {"events": SHIELD_EVENT, "annotations": SHIELD_ANNOTATION}[which]
+    lines = {"events": [json.dumps(SHIELD_EVENT)],
+             "annotations": [json.dumps(SHIELD_ANNOTATION)]}
+    lines[which].append(_with(record, **{field: ""}))
+    events_path, annotations_path = _write_study(tmp_path, **lines)
+    assert main([command, "--events", str(events_path),
+                 "--annotations", str(annotations_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: line 2: {field} must not be empty\n")
+
+
 def test_scan_drops_unparseable_hostname(tmp_path, capsys, caplog):
     args = ["--catalog", str(DATA / "catalog.tsv"), "--geo", str(DATA / "geo.tsv")]
     assert main(["scan", "--flows", str(DATA / "flows.jsonl"), *args]) == 0
@@ -846,6 +880,7 @@ _FRAMEWORK = "privacy_shield\tUS\t2020-07-16"
     ("--owners", _SHIPPED / "owner_list.tsv", None, "bad.example\tBad\t\tUS"),
     ("--geo", DATA / "geo.tsv", None, "10.0.0.0/8"),
     ("--geo", DATA / "geo.tsv", None, "10.0.0.0/8\tde"),
+    ("--geo", DATA / "geo.tsv", None, "10.0.0.0/33\tDE"),
     ("--owners", _SHIPPED / "owner_list.tsv", None, "bad.example\tBad\t\tus\tanalytics"),
     ("--dict", _SHIPPED / "country_dictionary.tsv", None, "US\tname"),
     ("--rules", _SHIPPED / "rules.tsv", None, "scc ('standard')"),
@@ -856,7 +891,7 @@ _FRAMEWORK = "privacy_shield\tUS\t2020-07-16"
     ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", "\nDE\n", "\nde\n"),
     ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", _FRAMEWORK,
      "privacy_shield\tusa\t2020-07-16"),
-], ids=["catalog", "owners", "geo", "geo-code", "owners-hq-code", "dict", "rules", "framework-line", "framework-date",
+], ids=["catalog", "owners", "geo", "geo-code", "geo-key", "owners-hq-code", "dict", "rules", "framework-line", "framework-date",
         "eu-code", "framework-code"])
 def test_malformed_data_line_is_input_error_naming_it(model_dir, tmp_path, capsys,
                                                       option, source, old, new):
@@ -891,15 +926,57 @@ def test_malformed_data_line_is_input_error_naming_it(model_dir, tmp_path, capsy
 
 @pytest.mark.parametrize("extra", [[], ["--kfold", "5"], ["--model-out", "{tmp}/models"]],
                          ids=["no-output", "kfold", "model-out"])
-@pytest.mark.parametrize("ngram", ["1-5", "0-1", "3-2"])
+@pytest.mark.parametrize("ngram", ["1-5", "0-1", "3-2", "1-2-3", "1-", "01-02", " 2"])
 def test_bad_ngram_range_is_input_error(tmp_path, capsys, intention_corpus, ngram, extra):
     corpus_path = tmp_path / "corpus.tsv"
     save_corpus(intention_corpus, corpus_path)
     extra = [arg.format(tmp=tmp_path) for arg in extra]
     assert main(["train", "--corpus", str(corpus_path), "--ngram", ngram, *extra]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "bad n-gram range" in captured.err
+    assert capsys.readouterr() == ("", f"error: bad n-gram range {ngram!r}\n")
+
+
+@pytest.mark.parametrize("ngram, written", [("2", "2-2"), ("1-2", "1-2"), ("3-4", "3-4")])
+def test_ngram_option_takes_both_forms(tmp_path, capsys, intention_corpus, ngram, written):
+    corpus_path = tmp_path / "corpus.tsv"
+    save_corpus(intention_corpus, corpus_path)
+    assert main(["train", "--corpus", str(corpus_path), "--ngram", ngram,
+                 "--model-out", str(tmp_path)]) == 0
+    lines = (tmp_path / "intention.model.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == f"#ngram={written}"
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus_path(tmp_path_factory, intention_corpus, adequacy_corpus):
+    """One corpus for both tasks: intention-negative samples among the rest."""
+    path = tmp_path_factory.mktemp("mixed") / "corpus.tsv"
+    save_corpus([*intention_corpus, *adequacy_corpus], path)
+    return path
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_train_saves_the_bundle_the_library_fits(tmp_path, capsys, mixed_corpus_path, task):
+    assert main(["train", "--task", task, "--corpus", str(mixed_corpus_path), "--seed", "3",
+                 "--model-out", str(tmp_path / "cli")]) == 0
+    training.fit_text_classifier(load_corpus(mixed_corpus_path), (1, 2), TF,
+                                 TrainConfig(seed=3), task).save(tmp_path / "library", task)
+    for suffix in ("vocab", "model"):
+        name = f"{task}.{suffix}.tsv"
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "library" / name).read_bytes()
+
+
+def test_cross_validate_of_adequacy_gives_the_kfold_figures(capsys, mixed_corpus_path):
+    assert main(["train", "--task", "adequacy", "--corpus", str(mixed_corpus_path),
+                 "--seed", "3", "--kfold", "5"]) == 0
+    result = training.cross_validate(load_corpus(mixed_corpus_path), (1, 2), TF,
+                                     TrainConfig(seed=3), 5, 3, task=ADEQUACY)
+    # the intention-negative samples take no part: each fold tests a fifth of the rest
+    samples = load_corpus(mixed_corpus_path)
+    assert sum(fold.confusion.tp + fold.confusion.fp + fold.confusion.fn + fold.confusion.tn
+               for fold in result.folds) == sum(s.intention_label for s in samples) < len(samples)
+    lines = [f"fold {i}: precision={fold.precision:.4f} recall={fold.recall:.4f} "
+             f"f_measure={fold.f_measure:.4f}\n" for i, fold in enumerate(result.folds)]
+    means = " ".join(f"{k}={v:.4f}" for k, v in sorted(result.means.items()))
+    assert capsys.readouterr().out == "".join(lines) + f"mean: {means}\n"
 
 
 def test_bad_corpus_is_input_error(tmp_path, capsys):

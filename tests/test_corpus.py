@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transferaudit.corpus import (
+    ADEQUACY,
     BLANKLINE,
     FULLSTOP,
-    Corpus,
+    INTENTION,
+    TASKS,
     LabeledSegment,
     PolicyDocument,
     PolicySegment,
@@ -16,6 +18,7 @@ from transferaudit.corpus import (
     save_corpus,
     segment_policy,
     stratified_kfold,
+    task_samples,
 )
 from transferaudit.errors import EmptyDocument, FoldError, LabelError, ParseError
 
@@ -81,18 +84,34 @@ def _corpus(pos, neg):
         samples.append(LabeledSegment(PolicySegment("d", f"positive {i}"), 1))
     for i in range(neg):
         samples.append(LabeledSegment(PolicySegment("d", f"negative {i}"), 0))
-    return Corpus(samples=samples)
+    return samples
 
 
 def _labels(corpus):
-    return [s.intention_label for s in corpus.samples]
+    return [s.intention_label for s in corpus]
 
 
 def test_corpus_counts():
-    corpus = _corpus(3, 5)
-    assert corpus.positive_count == 3
-    assert corpus.negative_count == 5
-    assert len(corpus) == 8
+    assert _labels(_corpus(3, 5)) == [1, 1, 1, 0, 0, 0, 0, 0]
+
+
+def test_each_task_picks_and_labels_its_samples():
+    samples = [LabeledSegment(PolicySegment("d", "a"), 1, frozenset({"adequacy", "scc"})),
+               LabeledSegment(PolicySegment("d", "b"), 0, frozenset({"representative"})),
+               LabeledSegment(PolicySegment("d", "c"), 1),
+               LabeledSegment(PolicySegment("d", "d"), 0)]
+    assert TASKS == (INTENTION, ADEQUACY) == ("intention", "adequacy")
+    assert task_samples(samples, INTENTION) == list(zip(samples, [1, 0, 1, 0]))
+    # layer two learns from the intention-positive samples only
+    assert task_samples(samples, ADEQUACY) == [(samples[0], 1), (samples[2], 0)]
+    # a single pass over the samples: a generator serves as well as a list
+    assert task_samples(iter(samples), ADEQUACY) == task_samples(samples, ADEQUACY)
+
+
+@pytest.mark.parametrize("task", ["other", "Intention", "", "country"])
+def test_task_samples_refuses_an_unknown_task(task):
+    with pytest.raises(ValueError, match=f"unknown task {task!r}"):
+        task_samples(_corpus(1, 1), task)
 
 
 def test_labeled_segment_rejects_unknown_label():
@@ -119,17 +138,14 @@ def test_corpus_roundtrip(tmp_path):
                        frozenset({"representative"})),
     ]
     path = tmp_path / "corpus.tsv"
-    save_corpus(Corpus(samples=samples), path)
-    loaded = load_corpus(path)
-    assert loaded.samples == samples
+    save_corpus(samples, path)
+    assert load_corpus(path) == samples
 
 
 def test_load_corpus_counts(tmp_path):
     path = tmp_path / "corpus.tsv"
     path.write_text("a\t1\t-\tWe transfer data\nb\t0\t-\tWe use cookies\n", encoding="utf-8")
-    corpus = load_corpus(path)
-    assert len(corpus) == 2
-    assert corpus.positive_count == 1
+    assert _labels(load_corpus(path)) == [1, 0]
 
 
 def test_load_corpus_unknown_label(tmp_path):
@@ -145,7 +161,7 @@ def test_load_corpus_allows_the_ungated_elements_without_intention(tmp_path):
     path.write_text("a\t0\tprivacy_shield\tWe rely on the Privacy Shield\n"
                     "b\t0\tprivacy_shield;representative\tOur EU representative\n",
                     encoding="utf-8")
-    assert [s.element_labels for s in load_corpus(path).samples] == [
+    assert [s.element_labels for s in load_corpus(path)] == [
         {"privacy_shield"}, {"privacy_shield", "representative"}]
 
 

@@ -4,6 +4,7 @@ import base64
 import dataclasses
 import ipaddress
 import json
+import re
 import sys
 
 import pytest
@@ -239,6 +240,22 @@ def test_repeated_fqdn_keeps_first_listed_code(tmp_path):
     path.write_text("yandex.net\tRU\nYandex.NET\tDE\n", encoding="utf-8")
     table = load_geo_table(path)
     assert geolocate(table, fqdn="startup.mobile.yandex.net") == "RU"
+
+
+@pytest.mark.parametrize("key", ["1.2.3.0/33", "10.0.0.0/x", "300.1.2.3", "X.com.", "_a.b.com",
+                                 "com", " x.com", "x.com ", "a..com", "-a.com", "a.123", ""])
+def test_a_geo_key_neither_network_nor_hostname_names_its_line(tmp_path, key):
+    path = tmp_path / "geo.tsv"
+    path.write_text(f"# geo\n10.0.0.0/8\tUS\n{key}\tDE\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line 3: bad geo key {re.escape(repr(key))}: "):
+        load_geo_table(path)
+
+
+def test_geo_hostname_keys_load_in_any_case(tmp_path):
+    path = tmp_path / "geo.tsv"
+    path.write_text("Example.COM\tUS\nbbc.co.uk\tGB\n4x-1.cdn.net\tDE\n", encoding="utf-8")
+    assert dict(load_geo_table(path).fqdns) == {
+        "example.com": "US", "bbc.co.uk": "GB", "4x-1.cdn.net": "DE"}
 
 
 def test_canonical_cidrs_load_without_ipaddress(tmp_path, monkeypatch):
@@ -519,7 +536,8 @@ _recipients = st.one_of(
     st.builds(RecipientInfo, st.just(THIRD_PARTY), st.text(max_size=8),
               st.sampled_from(["US", "DE", "RU", "CN"])))
 _transfer_events = st.lists(
-    st.builds(TransferEvent, st.text(max_size=4), st.text(max_size=6),
+    # `scan` writes no empty app id or domain, and `read_events` refuses one
+    st.builds(TransferEvent, st.text(min_size=1, max_size=4), st.text(min_size=1, max_size=6),
               st.frozensets(st.text(max_size=5), max_size=3),
               st.frozensets(st.sampled_from(["US", "DE", "JP", "IL"]), max_size=3),
               _recipients, st.booleans()),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transferaudit.classifier import TextClassifier
-from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
+from transferaudit.corpus import LabeledSegment, PolicySegment
 from transferaudit.errors import DegenerateTraining, ParseError, ShapeError
 from transferaudit.features import TF, Vocabulary
 from transferaudit.linear import (
@@ -276,7 +276,7 @@ def _marker_corpus(n=500, positive_share=0.1, seed=9):
         else:
             label = 0
         samples.append(LabeledSegment(PolicySegment("d", " ".join(words)), label))
-    return Corpus(samples=samples)
+    return samples
 
 
 def test_cross_validate_separable_corpus():

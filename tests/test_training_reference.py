@@ -7,7 +7,8 @@ extracts the n-grams again from the tokens.  Folds are dealt over a
 relabeled corpus.  The SGD loop, prediction and metrics are shared; they
 are not what changed.  Fold metrics must be exactly equal, and model and
 vocabulary files byte-identical, so the n-grams of a sample must reach
-training in the same order.  The references train in corpus order, so the
+training in the same order.  The references pick each task's samples
+themselves (`_reference_task`).  They train in corpus order, so the
 generated corpora come in the canonical order that training puts any
 corpus in; `test_cli` checks that the line order of a corpus does not
 matter.
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from transferaudit.classifier import TextClassifier
-from transferaudit.corpus import Corpus, LabeledSegment, PolicySegment
+from transferaudit.corpus import TASKS, LabeledSegment, PolicySegment
 from transferaudit.features import (
     BC,
     SCHEMES,
@@ -32,9 +33,7 @@ from transferaudit.features import (
 from transferaudit.linear import (
     CrossValidationResult,
     TrainConfig,
-    adequacy_label,
     compute_metrics,
-    intention_label,
     predict,
 )
 from transferaudit.training import cross_validate, fit_text_classifier, train
@@ -86,9 +85,9 @@ def _reference_vectorize(tokens, vocab, ngram_min, ngram_max, scheme):
 
 
 def _reference_stratified_kfold(corpus, k, seed):
-    n = len(corpus.samples)
-    positives = [i for i, s in enumerate(corpus.samples) if s.intention_label == 1]
-    negatives = [i for i, s in enumerate(corpus.samples) if s.intention_label == 0]
+    n = len(corpus)
+    positives = [i for i, s in enumerate(corpus) if s.intention_label == 1]
+    negatives = [i for i, s in enumerate(corpus) if s.intention_label == 0]
     rng = random.Random(seed)
     rng.shuffle(positives)
     rng.shuffle(negatives)
@@ -104,14 +103,21 @@ def _reference_stratified_kfold(corpus, k, seed):
     return folds
 
 
-def _reference_cross_validate(corpus, ngram, scheme, train_cfg, k, seed, fit_on_all,
-                              label_fn):
-    tokens = [tokenize(s.segment.text) for s in corpus.samples]
-    labels = [label_fn(s) for s in corpus.samples]
-    relabeled = Corpus(samples=[
-        LabeledSegment(s.segment, y, s.element_labels if y else frozenset())
-        for s, y in zip(corpus.samples, labels)
-    ])
+def _reference_task(corpus, task):
+    """The samples that `task` trains on and their labels: the adequacy
+    model learns from the intention-positive samples only."""
+    if task == "intention":
+        return corpus, [s.intention_label for s in corpus]
+    assert task == "adequacy"
+    kept = [s for s in corpus if s.intention_label == 1]
+    return kept, [int("adequacy" in s.element_labels) for s in kept]
+
+
+def _reference_cross_validate(corpus, ngram, scheme, train_cfg, k, seed, fit_on_all, task):
+    corpus, labels = _reference_task(corpus, task)
+    tokens = [tokenize(s.segment.text) for s in corpus]
+    relabeled = [LabeledSegment(s.segment, y, s.element_labels if y else frozenset())
+                 for s, y in zip(corpus, labels)]
     folds = _reference_stratified_kfold(relabeled, k, seed)
     shared_vocab = _reference_build_vocabulary(tokens, *ngram) if fit_on_all else None
     results = []
@@ -127,11 +133,12 @@ def _reference_cross_validate(corpus, ngram, scheme, train_cfg, k, seed, fit_on_
     return CrossValidationResult(folds=results)
 
 
-def _reference_fit(corpus, ngram, scheme, train_cfg, label_fn):
-    tokens = [tokenize(s.segment.text) for s in corpus.samples]
+def _reference_fit(corpus, ngram, scheme, train_cfg, task):
+    corpus, labels = _reference_task(corpus, task)
+    tokens = [tokenize(s.segment.text) for s in corpus]
     vocab = _reference_build_vocabulary(tokens, *ngram)
-    samples = [(_reference_vectorize(t, vocab, *ngram, scheme), label_fn(s))
-               for t, s in zip(tokens, corpus.samples)]
+    samples = [(_reference_vectorize(t, vocab, *ngram, scheme), y)
+               for t, y in zip(tokens, labels)]
     return vocab, train(samples, train_cfg, len(vocab))
 
 
@@ -157,7 +164,7 @@ def _generated_corpus(seed, n=60):
         labels = frozenset({"adequacy"}) if kind == 0 else frozenset()
         samples.append(LabeledSegment(PolicySegment("g", text), int(kind < 3), labels))
     samples.sort(key=lambda s: (s.segment.text, s.intention_label, sorted(s.element_labels)))
-    return Corpus(samples=samples)
+    return samples
 
 
 CORPORA = {seed: _generated_corpus(seed) for seed in (1, 2)}
@@ -165,28 +172,25 @@ CFG = TrainConfig(alpha=1e-3, epochs=10, seed=3)
 
 
 @pytest.mark.parametrize("seed", sorted(CORPORA))
-@pytest.mark.parametrize("label_fn", [intention_label, adequacy_label],
-                         ids=["intention", "adequacy"])
+@pytest.mark.parametrize("task", TASKS)
 @pytest.mark.parametrize("fit_on_all", [False, True], ids=["per-fold", "fit-on-all"])
 @pytest.mark.parametrize("ngram", [(1, 1), (1, 2), (2, 4)], ids=["1-1", "1-2", "2-4"])
 @pytest.mark.parametrize("scheme", [BC, TF, TFIDF])
-def test_cross_validate_matches_reference(scheme, ngram, fit_on_all, label_fn, seed):
+def test_cross_validate_matches_reference(scheme, ngram, fit_on_all, task, seed):
     corpus = CORPORA[seed]
     got = cross_validate(corpus, ngram, scheme, CFG, k=5, seed=seed, fit_on_all=fit_on_all,
-                         label_fn=label_fn)
-    want = _reference_cross_validate(corpus, ngram, scheme, CFG, 5, seed, fit_on_all,
-                                     label_fn)
+                         task=task)
+    want = _reference_cross_validate(corpus, ngram, scheme, CFG, 5, seed, fit_on_all, task)
     assert got.folds == want.folds
 
 
 @pytest.mark.parametrize("seed", sorted(CORPORA))
-@pytest.mark.parametrize("label_fn", [intention_label, adequacy_label],
-                         ids=["intention", "adequacy"])
+@pytest.mark.parametrize("task", TASKS)
 @pytest.mark.parametrize("ngram", [(1, 1), (1, 2), (2, 4)], ids=["1-1", "1-2", "2-4"])
 @pytest.mark.parametrize("scheme", [BC, TF, TFIDF])
-def test_fit_matches_reference(scheme, ngram, label_fn, seed, tmp_path):
-    fit_text_classifier(CORPORA[seed], ngram, scheme, CFG, label_fn).save(tmp_path / "got", "m")
-    vocab, model = _reference_fit(CORPORA[seed], ngram, scheme, CFG, label_fn)
+def test_fit_matches_reference(scheme, ngram, task, seed, tmp_path):
+    fit_text_classifier(CORPORA[seed], ngram, scheme, CFG, task).save(tmp_path / "got", "m")
+    vocab, model = _reference_fit(CORPORA[seed], ngram, scheme, CFG, task)
     TextClassifier(ngram=ngram, vocabulary=vocab, scheme=scheme, model=model).save(
         tmp_path / "want", "m")
     for suffix in ("vocab", "model"):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from transferaudit.classifier import TextClassifier
-from transferaudit.corpus import BLANKLINE, PolicyDocument, segment_policy
+from transferaudit.corpus import BLANKLINE, INTENTION, PolicyDocument, segment_policy
 from transferaudit.countries import (
     EU_MEMBERS_2020,
     CountryDictionary,
@@ -17,7 +17,7 @@ from transferaudit.countries import (
     phrase_tokens,
 )
 from transferaudit.features import TF, extract_ngrams, stopword_list, tokenize
-from transferaudit.linear import TrainConfig, intention_label
+from transferaudit.linear import TrainConfig
 from transferaudit.rules import RULE_ELEMENTS, matched_elements
 from transferaudit.training import fit_text_classifier
 from transferaudit.transparency import (
@@ -222,24 +222,20 @@ def _reference_annotation(annotator, text):
     if not annotator.intention_model.predict_text(text):
         return SegmentAnnotation(**flags)
     flags.update((name, name in elements) for name in GATED_ELEMENTS)
-    adequacy = annotator.adequacy_model
     return SegmentAnnotation(
         intention=True,
         countries=frozenset(_reference_countries(text.split(), annotator.dictionary)),
-        adequacy=adequacy is not None and bool(adequacy.predict_text(text)),
+        adequacy=bool(annotator.adequacy_model.predict_text(text)),
         **flags)
 
 
 @pytest.fixture(scope="module")
 def annotators(annotator, intention_corpus):
-    """The shared annotator, one whose intention model has a narrower n-gram
-    range than its adequacy model, and one without an adequacy model."""
+    """The shared annotator, and one whose intention model has a narrower
+    n-gram range than its adequacy model."""
     unigram_intention = fit_text_classifier(
-        intention_corpus, (1, 1), TF, TrainConfig(alpha=1e-3, epochs=20, seed=3),
-        intention_label)
-    return [annotator,
-            dataclasses.replace(annotator, intention_model=unigram_intention),
-            dataclasses.replace(annotator, adequacy_model=None)]
+        intention_corpus, (1, 1), TF, TrainConfig(alpha=1e-3, epochs=20, seed=3), INTENTION)
+    return [annotator, dataclasses.replace(annotator, intention_model=unigram_intention)]
 
 
 # words: intention and adequacy wording, rule terms, stop words (some whose
