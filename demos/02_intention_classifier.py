@@ -12,7 +12,7 @@ from transferaudit.classifier import TextClassifier
 from transferaudit.corpus import INTENTION, LabeledSegment, PolicySegment
 from transferaudit.features import BC, TF, TFIDF
 from transferaudit.linear import TrainConfig
-from transferaudit.training import cross_validate, fit_text_classifier
+from transferaudit.training import cross_validate_grams, fit_grams, labeled_grams
 
 POSITIVE_TEMPLATES = [
     "we may transfer your personal data to countries outside the european economic area",
@@ -50,9 +50,8 @@ print(f"{'scheme':>7} {'ngram':>6} {'precision':>10} {'recall':>8} {'F':>7}")
 best = None
 for scheme in (BC, TF, TFIDF):
     for ngram_max in (1, 2, 3):
-        result = cross_validate(corpus, (1, ngram_max), scheme,
-                                TrainConfig(alpha=1e-3, epochs=20, seed=5),
-                                k=5, seed=5)
+        result = cross_validate_grams(labeled_grams(corpus, (1, ngram_max), INTENTION), scheme,
+                                      TrainConfig(alpha=1e-3, epochs=20, seed=5), k=5, seed=5)
         m = result.means
         print(f"{scheme:>7} 1-{ngram_max:<4} {m['precision']:>10.3f} "
               f"{m['recall']:>8.3f} {m['f_measure']:>7.3f}")
@@ -63,8 +62,8 @@ for scheme in (BC, TF, TFIDF):
 _, scheme, ngram_max = best
 print(f"\nselected: {scheme} with 1-{ngram_max} grams")
 
-bundle = fit_text_classifier(corpus, (1, ngram_max), scheme,
-                             TrainConfig(alpha=1e-3, epochs=50, seed=5), INTENTION)
+bundle = fit_grams(labeled_grams(corpus, (1, ngram_max), INTENTION), scheme,
+                   TrainConfig(alpha=1e-3, epochs=50, seed=5))
 
 with tempfile.TemporaryDirectory() as tmp:
     bundle.save(tmp, "intention")

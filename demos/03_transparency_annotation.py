@@ -14,8 +14,8 @@ from transferaudit.countries import (
 from transferaudit.features import TF, TFIDF
 from transferaudit.linear import TrainConfig
 from transferaudit.rules import matched_elements, parse_rule
-from transferaudit.training import fit_text_classifier
-from transferaudit.transparency import SegmentAnnotator, default_rules
+from transferaudit.training import fit_grams, labeled_grams
+from transferaudit.transparency import SegmentAnnotator, annotate_policy, default_rules
 
 dictionary = load_country_dictionary()
 
@@ -74,10 +74,10 @@ adeq_corpus = (
 )
 
 annotator = SegmentAnnotator(
-    intention_model=fit_text_classifier(
-        intent_corpus, (1, 2), TF, TrainConfig(seed=1), INTENTION),
-    adequacy_model=fit_text_classifier(
-        adeq_corpus, (1, 2), TFIDF, TrainConfig(seed=2), ADEQUACY),
+    intention_model=fit_grams(labeled_grams(intent_corpus, (1, 2), INTENTION), TF,
+                              TrainConfig(seed=1)),
+    adequacy_model=fit_grams(labeled_grams(adeq_corpus, (1, 2), ADEQUACY), TFIDF,
+                             TrainConfig(seed=2)),
     rules=default_rules(),
     dictionary=dictionary,
 )
@@ -92,7 +92,7 @@ policy_segments = [
     "adequate protection.",
     "We use cookies to personalize content and measure our audience.",
 ]
-policy = annotator.annotate_policy(policy_segments)
+policy = annotate_policy([annotator.annotate_segment(t) for t in policy_segments])
 for i, seg in enumerate(policy.segments):
     print(f"segment {i}: intention={seg.intention} countries={sorted(seg.countries)} "
           f"adequacy={seg.adequacy} scc={seg.scc} copy={seg.copy_means}")

@@ -28,8 +28,8 @@ from transferaudit.flows import (
 )
 from transferaudit.linear import TrainConfig
 from transferaudit.reports import TEXT_TABLE, emit_report, summarize
-from transferaudit.training import fit_text_classifier
-from transferaudit.transparency import SegmentAnnotator, default_rules
+from transferaudit.training import fit_grams, labeled_grams
+from transferaudit.transparency import SegmentAnnotator, annotate_policy, default_rules
 
 AAID = "38400000-8cf0-11bd-b23e-10b96e40000d"
 
@@ -100,10 +100,10 @@ adeq_corpus = (
 )
 
 annotator = SegmentAnnotator(
-    intention_model=fit_text_classifier(
-        intent_corpus, (1, 2), TF, TrainConfig(seed=20), INTENTION),
-    adequacy_model=fit_text_classifier(
-        adeq_corpus, (1, 2), TFIDF, TrainConfig(seed=21), ADEQUACY),
+    intention_model=fit_grams(labeled_grams(intent_corpus, (1, 2), INTENTION), TF,
+                              TrainConfig(seed=20)),
+    adequacy_model=fit_grams(labeled_grams(adeq_corpus, (1, 2), ADEQUACY), TFIDF,
+                             TrainConfig(seed=21)),
     rules=default_rules(),
     dictionary=load_country_dictionary(),
 )
@@ -125,7 +125,7 @@ annotations = {}
 for app_id, policy_text in POLICIES.items():
     doc = PolicyDocument(app_id, policy_text)
     segments = segment_policy(doc, BLANKLINE)
-    policy = annotator.annotate_policy([s.text for s in segments])
+    policy = annotate_policy([annotator.annotate_segment(s.text) for s in segments])
     annotations[app_id] = policy
     assessment = assess_app(app_id, events_by_app.get(app_id, []), policy, juris)
     assessments.append(assessment)

@@ -89,8 +89,8 @@ class TextClassifier:
         vocab_text = "\n".join([f"#N={vocab.document_count}",
                                 *map("{}\t{}".format, features, vocab.document_frequency)]) + "\n"
         model_lines = [f"#scheme={self.scheme}", f"#ngram={self.ngram[0]}-{self.ngram[1]}",
-                       f"#alpha={cfg.alpha!r}", f"#eta0={cfg.eta0!r}", f"#epochs={cfg.epochs}",
-                       f"#seed={cfg.seed}", f"#loss={MODIFIED_HUBER}",
+                       f"#alpha={float(cfg.alpha)!r}", f"#eta0={float(cfg.eta0)!r}",
+                       f"#epochs={cfg.epochs}", f"#seed={cfg.seed}", f"#loss={MODIFIED_HUBER}",
                        f"#vocab_sha256={_text_hash(vocab_text)}",
                        *map(repr, self.model.weights), f"#bias={float(self.model.bias)!r}"]
         directory = Path(directory)
@@ -138,14 +138,31 @@ def _finite(text: str) -> float:
     return value
 
 
+# A header value in the one form that `save` writes of it: `str` of an int,
+# `repr` of a finite float.  `int` and `float` also take signs, spaces,
+# underscores and non-ASCII digits, which would load as the same value.
+def _int(text: str) -> int:
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"expected {str(value)!r}, got {text!r}")
+    return value
+
+
+def _float(text: str) -> float:
+    value = _finite(text)
+    if repr(value) != text:
+        raise ValueError(f"expected {repr(value)!r}, got {text!r}")
+    return value
+
+
 # the model file's header keys, in the order `save` writes them, and the
 # check each value must pass; `#bias=` is the file's last line, and
 # `#ngram=` takes only the `lo-hi` form that `save` writes
 _MODEL_HEADER = {"scheme": partial(_one_of, SCHEMES),
                  "ngram": partial(parse_ngram_range, short=False),
-                 "alpha": lambda v: TrainConfig(alpha=float(v)),
-                 "eta0": lambda v: TrainConfig(eta0=float(v)),
-                 "epochs": lambda v: TrainConfig(epochs=int(v)), "seed": int,
+                 "alpha": lambda v: TrainConfig(alpha=_float(v)),
+                 "eta0": lambda v: TrainConfig(eta0=_float(v)),
+                 "epochs": lambda v: TrainConfig(epochs=_int(v)), "seed": _int,
                  "loss": partial(_one_of, (MODIFIED_HUBER,)), "vocab_sha256": str}
 
 
@@ -188,7 +205,7 @@ def _read_vocabulary(text: str) -> Vocabulary:
     `feature TAB df` row per line, each df in 1..N, so that every TF-IDF
     weight is defined, and the features in strictly increasing string order."""
     lines, ended = text.removesuffix("\n").split("\n"), text.endswith("\n")
-    n = int(_headers(lines, 0, {"N": int}, {})["N"])
+    n = int(_headers(lines, 0, {"N": _int}, {})["N"])
     rows, body = lines[1:], text[len(lines[0]) + 1:]
     if n < 1:
         raise ParseError(f"#N= must be at least 1, got {n}", 1)
@@ -235,7 +252,7 @@ def _read_model(text: str) -> tuple[dict[str, str], list[float]]:
             _finite(row)
 
         raise _first_bad_row(rows, len(header) + 1, check)
-    _headers(lines, max(len(lines) - 1, len(header)), {"bias": _finite}, header)
+    _headers(lines, max(len(lines) - 1, len(header)), {"bias": _float}, header)
     if not ended:
         raise ParseError("no newline at the end of the file", len(lines))
     return header, weights

@@ -83,7 +83,7 @@ def _annotation_line(annotator: transparency.SegmentAnnotator, mode: str, path: 
     """The annotation JSON line of the policy file at `path`."""
     doc = _policy_document(path)
     segments = corpus.segment_policy(doc, mode)
-    policy = annotator.annotate_policy([s.text for s in segments])
+    policy = transparency.annotate_policy([annotator.annotate_segment(s.text) for s in segments])
     return json.dumps(transparency.annotation_json(doc.app_id, policy), sort_keys=True)
 
 

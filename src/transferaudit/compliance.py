@@ -94,6 +94,9 @@ def load_jurisdiction(path=None) -> JurisdictionConfig:
         if len(parts) != 3:
             raise ParseError(f"bad framework line {entry!r}", lineno)
         name, alias, invalid_from = parts
+        if any(fw.name == name for fw in frameworks):
+            # `framework_valid` would read only the first, so line order would decide
+            raise ParseError(f"repeated framework {name!r}", lineno)
         check_country_code(alias, lineno)  # checked but not kept
         frameworks.append(FrameworkRule(name, _iso_date(invalid_from, lineno)))
     dates = sections["assessment_date"]
@@ -193,25 +196,18 @@ def _verdict_core(ttype: str, disclosed: bool,
     return AD, missing, reason
 
 
-def _judge(ttype: str, event: TransferEvent, country: str, policy: PolicyAnnotation,
-           case: tuple) -> Verdict:
-    verdict_class, missing, reason = _verdict_core(ttype, country in policy.countries, case)
-    return Verdict(verdict_class, event, country, ttype, missing,
-                   (country, policy.countries) if verdict_class == ID else None, reason)
-
-
-def judge_transfer(ttype: str, event: TransferEvent, country: str,
-                   policy: PolicyAnnotation, juris: JurisdictionConfig) -> Verdict:
-    """One verdict per typed (event, country) judgment."""
-    return _judge(ttype, event, country, policy, _case(event, policy, juris))
-
-
 def judge_event(event: TransferEvent, policy: PolicyAnnotation,
                 juris: JurisdictionConfig) -> list[Verdict]:
     """Judge every destination country of one event, in sorted order."""
     case = _case(event, policy, juris)
-    return [_judge(classify_transfer_type(event, country, juris), event, country, policy, case)
-            for country in sorted(event.dest_countries)]
+    verdicts = []
+    for country in sorted(event.dest_countries):
+        ttype = classify_transfer_type(event, country, juris)
+        verdict_class, missing, reason = _verdict_core(ttype, country in policy.countries, case)
+        verdicts.append(Verdict(verdict_class, event, country, ttype, missing,
+                                (country, policy.countries) if verdict_class == ID else None,
+                                reason))
+    return verdicts
 
 
 @dataclass

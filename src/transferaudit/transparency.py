@@ -174,33 +174,6 @@ def read_annotations(lines: Iterable[str]) -> dict[str, PolicyAnnotation]:
     return annotations
 
 
-def annotate_segment(annotator: SegmentAnnotator, segment_text: str) -> SegmentAnnotation:
-    """Annotate one segment; layer-two elements stay off unless gated in."""
-    stops = stopword_list()
-    tokens: list[str] = []
-    sentences = []
-    folded = fold(segment_text)
-    for words, stems in sentence_stems(folded):
-        tokens += [stemmed for word, stemmed in zip(words, stems) if word not in stops]
-        sentences.append(term_positions(stems, annotator.rule_terms))
-    elements = elements_in_sentences(annotator.rules, sentences)
-    flags = {name: name in elements for name in UNGATED_ELEMENTS}
-    intention = annotator.intention_model
-    grams = extract_ngrams(tokens, *intention.ngram)
-    if not intention.predict_grams(grams):
-        return SegmentAnnotation(**flags)
-    flags.update((name, name in elements) for name in GATED_ELEMENTS)
-    adequacy = annotator.adequacy_model
-    if adequacy.ngram != intention.ngram:
-        grams = extract_ngrams(tokens, *adequacy.ngram)
-    return SegmentAnnotation(
-        intention=True,
-        countries=frozenset(detect_target_countries(folded.split(), annotator.dictionary)),
-        adequacy=bool(adequacy.predict_grams(grams)),
-        **flags,
-    )
-
-
 def annotate_policy(segment_annotations: list[SegmentAnnotation]) -> PolicyAnnotation:
     """Element-wise OR over segments; a policy discloses what any segment does."""
     segments = list(segment_annotations)
@@ -221,10 +194,33 @@ class SegmentAnnotator:
     rule_terms: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("intention_model", "adequacy_model"):
+            if getattr(self, name) is None:
+                raise ValueError(f"SegmentAnnotator needs {name}, got None")
         object.__setattr__(self, "rule_terms", rule_terms(self.rules))
 
     def annotate_segment(self, segment_text: str) -> SegmentAnnotation:
-        return annotate_segment(self, segment_text)
-
-    def annotate_policy(self, segment_texts: list[str]) -> PolicyAnnotation:
-        return annotate_policy([self.annotate_segment(t) for t in segment_texts])
+        """Annotate one segment; layer-two elements stay off unless gated in."""
+        stops = stopword_list()
+        tokens: list[str] = []
+        sentences = []
+        folded = fold(segment_text)
+        for words, stems in sentence_stems(folded):
+            tokens += [stemmed for word, stemmed in zip(words, stems) if word not in stops]
+            sentences.append(term_positions(stems, self.rule_terms))
+        elements = elements_in_sentences(self.rules, sentences)
+        flags = {name: name in elements for name in UNGATED_ELEMENTS}
+        intention = self.intention_model
+        grams = extract_ngrams(tokens, *intention.ngram)
+        if not intention.predict_grams(grams):
+            return SegmentAnnotation(**flags)
+        flags.update((name, name in elements) for name in GATED_ELEMENTS)
+        adequacy = self.adequacy_model
+        if adequacy.ngram != intention.ngram:
+            grams = extract_ngrams(tokens, *adequacy.ngram)
+        return SegmentAnnotation(
+            intention=True,
+            countries=frozenset(detect_target_countries(folded.split(), self.dictionary)),
+            adequacy=bool(adequacy.predict_grams(grams)),
+            **flags,
+        )

@@ -10,7 +10,7 @@ from transferaudit.countries import load_country_dictionary
 from transferaudit.features import TF, TFIDF
 from transferaudit.flows import load_catalog, load_flow_log, load_geo_table, load_owner_list
 from transferaudit.linear import TrainConfig
-from transferaudit.training import fit_text_classifier
+from transferaudit.training import fit_grams, labeled_grams
 from transferaudit.transparency import (
     FLAGS,
     SegmentAnnotation,
@@ -150,14 +150,14 @@ def adequacy_corpus():
 
 @pytest.fixture(scope="session")
 def intention_clf(intention_corpus):
-    return fit_text_classifier(
-        intention_corpus, (1, 2), TF, TrainConfig(alpha=1e-3, epochs=50, seed=7), INTENTION)
+    return fit_grams(labeled_grams(intention_corpus, (1, 2), INTENTION), TF,
+                     TrainConfig(alpha=1e-3, epochs=50, seed=7))
 
 
 @pytest.fixture(scope="session")
 def adequacy_clf(adequacy_corpus):
-    return fit_text_classifier(
-        adequacy_corpus, (1, 2), TFIDF, TrainConfig(alpha=1e-3, epochs=50, seed=11), ADEQUACY)
+    return fit_grams(labeled_grams(adequacy_corpus, (1, 2), ADEQUACY), TFIDF,
+                     TrainConfig(alpha=1e-3, epochs=50, seed=11))
 
 
 @pytest.fixture(scope="session")

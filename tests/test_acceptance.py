@@ -29,6 +29,7 @@ from transferaudit.compliance import (
 )
 from transferaudit.corpus import (
     BLANKLINE,
+    INTENTION,
     LabeledSegment,
     PolicyDocument,
     PolicySegment,
@@ -56,8 +57,14 @@ from transferaudit.linear import (
 )
 from transferaudit.reports import MACHINE_LINES, TEXT_TABLE, emit_report, summarize
 from transferaudit.rules import matched_elements, parse_rule
-from transferaudit.training import IdVocabulary, cross_validate, number_grams, train
-from transferaudit.transparency import PolicyAnnotation
+from transferaudit.training import (
+    IdVocabulary,
+    cross_validate_grams,
+    labeled_grams,
+    number_grams,
+    train,
+)
+from transferaudit.transparency import PolicyAnnotation, annotate_policy
 
 JURIS = load_jurisdiction()
 
@@ -166,7 +173,7 @@ def scenario_assessments(annotator, flow_records, catalog, owner_list, geo_table
     for app_id in SCENARIOS:
         doc = PolicyDocument(app_id, policy_text(app_id))
         segments = segment_policy(doc, BLANKLINE)
-        policy = annotator.annotate_policy([s.text for s in segments])
+        policy = annotate_policy([annotator.annotate_segment(s.text) for s in segments])
         out[app_id] = (assess_app(app_id, by_app[app_id], policy, JURIS), policy)
     return out
 
@@ -265,8 +272,8 @@ def test_criterion_4_classifier_sanity():
             words[at:at] = rng.choice(markers).split()
         samples.append(LabeledSegment(PolicySegment("d", " ".join(words)),
                                       1 if i < 50 else 0))
-    result = cross_validate(samples, (1, 2), TF,
-                            TrainConfig(alpha=1e-3, epochs=20, seed=4), k=5, seed=4)
+    result = cross_validate_grams(labeled_grams(samples, (1, 2), INTENTION), TF,
+                                  TrainConfig(alpha=1e-3, epochs=20, seed=4), k=5, seed=4)
     assert result.means["f_measure"] >= 0.95
     _ok(f"4a separable-corpus CV mean F={result.means['f_measure']:.3f} >= 0.95")
 
@@ -307,8 +314,9 @@ def test_criterion_5_corpus_level_reproduction():
     from transferaudit.corpus import load_corpus
 
     corpus = load_corpus(IT100_PATH)
-    result = cross_validate(corpus, (1, 2), TF, TrainConfig(alpha=1e-3, epochs=50, seed=0),
-                            k=5, seed=0, fit_on_all=True)
+    result = cross_validate_grams(labeled_grams(corpus, (1, 2), INTENTION), TF,
+                                  TrainConfig(alpha=1e-3, epochs=50, seed=0), k=5, seed=0,
+                                  fit_on_all=True)
     mean_f = result.means["f_measure"]
     assert 0.859 <= mean_f <= 0.959
     _ok(f"5 corpus-level F={mean_f:.3f} within 0.909 +/- 0.05")
@@ -480,7 +488,7 @@ def test_criterion_10_determinism_and_throughput(annotator, tmp_path):
     policies = [[rng.choice(pool) for _ in range(35)] for _ in range(1000)]
     started = time.perf_counter()
     for segments in policies:
-        annotator.annotate_policy(segments)
+        annotate_policy([annotator.annotate_segment(t) for t in segments])
     elapsed = time.perf_counter() - started
     assert elapsed < 100.0
     _ok(f"10b annotated 1,000 x ~35-segment policies in {elapsed:.1f}s < 100s")

@@ -1,7 +1,9 @@
 """TextClassifier bundle round-trip, n-gram id and fold pool tests."""
 
+import dataclasses
 import multiprocessing
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -20,9 +22,8 @@ from transferaudit.features import SCHEMES, TF, Vocabulary
 from transferaudit.linear import LinearModel, TrainConfig
 from transferaudit.training import (
     IdVocabulary,
-    cross_validate,
+    cross_validate_grams,
     fit_grams,
-    fit_text_classifier,
     labeled_grams,
     number_grams,
 )
@@ -56,7 +57,7 @@ def _corpus():
 
 @pytest.fixture(scope="module")
 def bundle():
-    return fit_text_classifier(_corpus(), (1, 2), TF, TrainConfig(seed=3), INTENTION)
+    return fit_grams(labeled_grams(_corpus(), (1, 2), INTENTION), TF, TrainConfig(seed=3))
 
 
 def test_save_load_identical_predictions(bundle, tmp_path):
@@ -94,7 +95,7 @@ def test_load_detects_vocab_model_mismatch(bundle, tmp_path):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_bundle_round_trips_byte_for_byte(scheme, tmp_path):
-    bundle = fit_text_classifier(_corpus(), (1, 2), scheme, TrainConfig(seed=3), INTENTION)
+    bundle = fit_grams(labeled_grams(_corpus(), (1, 2), INTENTION), scheme, TrainConfig(seed=3))
     bundle.save(tmp_path / "a", "intention")
     TextClassifier.load(tmp_path / "a", "intention").save(tmp_path / "b", "intention")
     for suffix in ("vocab", "model"):
@@ -138,6 +139,45 @@ def test_load_rejects_bad_header_line(bundle, tmp_path, line):
     with pytest.raises(ParseError) as exc:
         TextClassifier.load(tmp_path, "intention")
     assert exc.value.line_number == 2
+
+
+# each value loads as one `save` could write, but is not in the form it writes
+@pytest.mark.parametrize("key, value", [
+    ("seed", "+0"), ("seed", " 0"), ("seed", "-0"), ("seed", "0 "),
+    ("epochs", "0_3"), ("epochs", "\u0663"), ("epochs", "03"),
+    ("alpha", "+1e-3"), ("alpha", "1e-3"), ("alpha", "0.0010"), ("eta0", "1E-2"),
+    ("bias", "+0.5"), ("bias", "5e-1"), ("bias", "0.5 ")])
+def test_load_takes_header_values_only_in_the_saved_form(bundle, tmp_path, key, value):
+    bundle.save(tmp_path, "intention")
+    model_path = tmp_path / "intention.model.tsv"
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"#{key}="))
+    lines[at] = f"#{key}={value}"
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"got {re.escape(repr(value))}$") as exc:
+        TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == at + 1
+
+
+@pytest.mark.parametrize("form", ["+{}", "0{}", " {}", "{} ", "{}_0"])
+def test_load_takes_the_document_count_only_in_the_saved_form(bundle, tmp_path, form):
+    bundle.save(tmp_path, "intention")
+    vocab_path = tmp_path / "intention.vocab.tsv"
+    text = vocab_path.read_text(encoding="utf-8")
+    first, rest = text.split("\n", 1)
+    vocab_path.write_text(f"#N={form.format(first[3:])}\n{rest}", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 1: expected ") as exc:
+        TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == 1
+
+
+def test_save_writes_integral_rates_as_floats(bundle, tmp_path):
+    cfg = TrainConfig(alpha=1, eta0=2, seed=3)
+    bundle = dataclasses.replace(bundle, model=dataclasses.replace(bundle.model, config=cfg))
+    bundle.save(tmp_path, "intention")
+    lines = (tmp_path / "intention.model.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines[2:4] == ["#alpha=1.0", "#eta0=2.0"]
+    assert TextClassifier.load(tmp_path, "intention").model.config == cfg
 
 
 @pytest.mark.parametrize("key", ["scheme", "ngram", "alpha", "eta0", "epochs", "seed", "loss",
@@ -292,7 +332,7 @@ def test_a_fit_without_features_round_trips(tmp_path):
     # segments of stop words and digits only have no n-gram
     corpus = [LabeledSegment(PolicySegment("c", text), label)
               for text, label in [("the of and", 1), ("2021 !", 0)]]
-    bundle = fit_text_classifier(corpus, (1, 2), TF, TrainConfig(seed=1), INTENTION)
+    bundle = fit_grams(labeled_grams(corpus, (1, 2), INTENTION), TF, TrainConfig(seed=1))
     assert len(bundle.vocabulary) == 0
     bundle.save(tmp_path, "intention")
     assert (tmp_path / "intention.vocab.tsv").read_text(encoding="utf-8") == "#N=2\n"
@@ -459,12 +499,13 @@ def _fold_pids(monkeypatch, tmp_path):
 def test_pooled_folds_equal_in_process_folds(monkeypatch, tmp_path, intention_corpus,
                                              scheme, fit_on_all):
     pids = _fold_pids(monkeypatch, tmp_path)
-    args = (intention_corpus, (1, 2), scheme, TrainConfig(epochs=10, seed=4), 5, 4, fit_on_all)
+    args = (labeled_grams(intention_corpus, (1, 2), INTENTION), scheme,
+            TrainConfig(epochs=10, seed=4), 5, 4, fit_on_all)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-    alone = cross_validate(*args)
+    alone = cross_validate_grams(*args)
     assert pids() == [str(os.getpid())] * 5
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
-    pooled = cross_validate(*args)
+    pooled = cross_validate_grams(*args)
     assert len(set(pids()[5:])) > 1 and str(os.getpid()) not in pids()[5:]
     assert pooled.folds == alone.folds
     assert pooled.means == alone.means
@@ -483,4 +524,5 @@ def test_a_failing_fold_raises_its_error_in_the_caller(monkeypatch, cpus):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     with pytest.raises(DegenerateTraining,
                        match=r"^need both classes in training data, got labels \[0\]$"):
-        cross_validate(_one_positive_corpus(), (1, 1), TF, TrainConfig(epochs=2), 2, 0)
+        cross_validate_grams(labeled_grams(_one_positive_corpus(), (1, 1), INTENTION), TF,
+                             TrainConfig(epochs=2), 2, 0)

@@ -957,8 +957,8 @@ def mixed_corpus_path(tmp_path_factory, intention_corpus, adequacy_corpus):
 def test_train_saves_the_bundle_the_library_fits(tmp_path, capsys, mixed_corpus_path, task):
     assert main(["train", "--task", task, "--corpus", str(mixed_corpus_path), "--seed", "3",
                  "--model-out", str(tmp_path / "cli")]) == 0
-    training.fit_text_classifier(load_corpus(mixed_corpus_path), (1, 2), TF,
-                                 TrainConfig(seed=3), task).save(tmp_path / "library", task)
+    grams = training.labeled_grams(load_corpus(mixed_corpus_path), (1, 2), task)
+    training.fit_grams(grams, TF, TrainConfig(seed=3)).save(tmp_path / "library", task)
     for suffix in ("vocab", "model"):
         name = f"{task}.{suffix}.tsv"
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "library" / name).read_bytes()
@@ -967,8 +967,8 @@ def test_train_saves_the_bundle_the_library_fits(tmp_path, capsys, mixed_corpus_
 def test_cross_validate_of_adequacy_gives_the_kfold_figures(capsys, mixed_corpus_path):
     assert main(["train", "--task", "adequacy", "--corpus", str(mixed_corpus_path),
                  "--seed", "3", "--kfold", "5"]) == 0
-    result = training.cross_validate(load_corpus(mixed_corpus_path), (1, 2), TF,
-                                     TrainConfig(seed=3), 5, 3, task=ADEQUACY)
+    grams = training.labeled_grams(load_corpus(mixed_corpus_path), (1, 2), ADEQUACY)
+    result = training.cross_validate_grams(grams, TF, TrainConfig(seed=3), 5, 3)
     # the intention-negative samples take no part: each fold tests a fifth of the rest
     samples = load_corpus(mixed_corpus_path)
     assert sum(fold.confusion.tp + fold.confusion.fp + fold.confusion.fn + fold.confusion.tn

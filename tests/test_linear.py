@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transferaudit.classifier import TextClassifier
-from transferaudit.corpus import LabeledSegment, PolicySegment
+from transferaudit.corpus import INTENTION, LabeledSegment, PolicySegment
 from transferaudit.errors import DegenerateTraining, ParseError, ShapeError
 from transferaudit.features import TF, Vocabulary
 from transferaudit.linear import (
@@ -22,7 +22,7 @@ from transferaudit.linear import (
     modified_huber_loss,
     predict,
 )
-from transferaudit.training import cross_validate, train
+from transferaudit.training import cross_validate_grams, labeled_grams, train
 
 
 def fv(entries):
@@ -281,17 +281,16 @@ def _marker_corpus(n=500, positive_share=0.1, seed=9):
 
 def test_cross_validate_separable_corpus():
     corpus = _marker_corpus()
-    result = cross_validate(corpus, (1, 2), TF, TrainConfig(alpha=1e-3, epochs=20, seed=4),
-                            k=5, seed=4)
+    result = cross_validate_grams(labeled_grams(corpus, (1, 2), INTENTION), TF,
+                                  TrainConfig(alpha=1e-3, epochs=20, seed=4), k=5, seed=4)
     assert result.means["f_measure"] >= 0.95
 
 
 def test_cross_validate_fit_on_all_differs_from_per_fold():
-    corpus = _marker_corpus(n=150, seed=21)
-    kwargs = dict(ngram=(1, 2), scheme=TF,
-                  train_cfg=TrainConfig(epochs=10, seed=2), k=5, seed=2)
-    per_fold = cross_validate(corpus, **kwargs)
-    on_all = cross_validate(corpus, fit_on_all=True, **kwargs)
+    grams = labeled_grams(_marker_corpus(n=150, seed=21), (1, 2), INTENTION)
+    kwargs = dict(scheme=TF, train_cfg=TrainConfig(epochs=10, seed=2), k=5, seed=2)
+    per_fold = cross_validate_grams(grams, **kwargs)
+    on_all = cross_validate_grams(grams, fit_on_all=True, **kwargs)
     # both evaluate the same folds; the shared vocabulary sees every document
     assert len(per_fold.folds) == len(on_all.folds) == 5
     assert on_all.means["f_measure"] >= 0.9
@@ -299,10 +298,9 @@ def test_cross_validate_fit_on_all_differs_from_per_fold():
 
 def test_cross_validate_deterministic():
     corpus = _marker_corpus(n=120)
-    kwargs = dict(ngram=(1, 1), scheme=TF,
-                  train_cfg=TrainConfig(epochs=10, seed=6), k=5, seed=6)
-    a = cross_validate(corpus, **kwargs)
-    b = cross_validate(corpus, **kwargs)
+    kwargs = dict(scheme=TF, train_cfg=TrainConfig(epochs=10, seed=6), k=5, seed=6)
+    a = cross_validate_grams(labeled_grams(corpus, (1, 1), INTENTION), **kwargs)
+    b = cross_validate_grams(labeled_grams(corpus, (1, 1), INTENTION), **kwargs)
     assert a.folds == b.folds
     assert a.means == b.means
 

@@ -36,7 +36,7 @@ from transferaudit.linear import (
     compute_metrics,
     predict,
 )
-from transferaudit.training import cross_validate, fit_text_classifier, train
+from transferaudit.training import cross_validate_grams, fit_grams, labeled_grams, train
 
 
 def _reference_extract_ngrams(tokens, ngram_min, ngram_max):
@@ -178,8 +178,8 @@ CFG = TrainConfig(alpha=1e-3, epochs=10, seed=3)
 @pytest.mark.parametrize("scheme", [BC, TF, TFIDF])
 def test_cross_validate_matches_reference(scheme, ngram, fit_on_all, task, seed):
     corpus = CORPORA[seed]
-    got = cross_validate(corpus, ngram, scheme, CFG, k=5, seed=seed, fit_on_all=fit_on_all,
-                         task=task)
+    got = cross_validate_grams(labeled_grams(corpus, ngram, task), scheme, CFG, k=5, seed=seed,
+                               fit_on_all=fit_on_all)
     want = _reference_cross_validate(corpus, ngram, scheme, CFG, 5, seed, fit_on_all, task)
     assert got.folds == want.folds
 
@@ -189,7 +189,7 @@ def test_cross_validate_matches_reference(scheme, ngram, fit_on_all, task, seed)
 @pytest.mark.parametrize("ngram", [(1, 1), (1, 2), (2, 4)], ids=["1-1", "1-2", "2-4"])
 @pytest.mark.parametrize("scheme", [BC, TF, TFIDF])
 def test_fit_matches_reference(scheme, ngram, task, seed, tmp_path):
-    fit_text_classifier(CORPORA[seed], ngram, scheme, CFG, task).save(tmp_path / "got", "m")
+    fit_grams(labeled_grams(CORPORA[seed], ngram, task), scheme, CFG).save(tmp_path / "got", "m")
     vocab, model = _reference_fit(CORPORA[seed], ngram, scheme, CFG, task)
     TextClassifier(ngram=ngram, vocabulary=vocab, scheme=scheme, model=model).save(
         tmp_path / "want", "m")

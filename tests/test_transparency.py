@@ -19,7 +19,7 @@ from transferaudit.countries import (
 from transferaudit.features import TF, extract_ngrams, stopword_list, tokenize
 from transferaudit.linear import TrainConfig
 from transferaudit.rules import RULE_ELEMENTS, matched_elements
-from transferaudit.training import fit_text_classifier
+from transferaudit.training import fit_grams, labeled_grams
 from transferaudit.transparency import (
     ELEMENT_FIELDS,
     GATED_ELEMENTS,
@@ -116,6 +116,12 @@ def test_gating_invariant_with_stub_classifier(annotator):
     assert ann.representative
 
 
+@pytest.mark.parametrize("name", ["intention_model", "adequacy_model"])
+def test_annotator_refuses_a_missing_classifier(annotator, name):
+    with pytest.raises(ValueError, match=f"^SegmentAnnotator needs {name}, got None$"):
+        dataclasses.replace(annotator, **{name: None})
+
+
 def test_ungated_elements_run_everywhere(annotator):
     text = "Questions may be addressed to our representative in the European Union."
     ann = annotator.annotate_segment(text)
@@ -142,8 +148,8 @@ def test_policy_empty_annotations():
 
 def test_policy_monotonicity(annotator):
     texts = segments_of("com.viber.voip")
-    smaller = annotator.annotate_policy(texts[:1])
-    larger = annotator.annotate_policy(texts)
+    smaller = annotate_policy([annotator.annotate_segment(t) for t in texts[:1]])
+    larger = annotate_policy([annotator.annotate_segment(t) for t in texts])
     for field in ("intention", "adequacy", "scc", "bcr", "explicit_consent",
                   "copy_means", "representative", "privacy_shield"):
         assert getattr(larger, field) >= getattr(smaller, field)
@@ -151,7 +157,8 @@ def test_policy_monotonicity(annotator):
 
 
 def test_full_disclosure_policy_annotation(annotator):
-    policy = annotator.annotate_policy(segments_of("com.viber.voip"))
+    policy = annotate_policy([annotator.annotate_segment(t)
+                              for t in segments_of("com.viber.voip")])
     assert policy.intention
     assert policy.countries >= {"US", "RU", "AU", "BR"}
     assert policy.bcr and policy.copy_means
@@ -159,7 +166,8 @@ def test_full_disclosure_policy_annotation(annotator):
 
 
 def test_omitted_policy_annotation(annotator):
-    policy = annotator.annotate_policy(segments_of("com.tellurionmobile.primalcraft"))
+    policy = annotate_policy([annotator.annotate_segment(t)
+                              for t in segments_of("com.tellurionmobile.primalcraft")])
     assert not policy.intention
     assert policy.countries == frozenset()
     for name in GATED:
@@ -233,8 +241,8 @@ def _reference_annotation(annotator, text):
 def annotators(annotator, intention_corpus):
     """The shared annotator, and one whose intention model has a narrower
     n-gram range than its adequacy model."""
-    unigram_intention = fit_text_classifier(
-        intention_corpus, (1, 1), TF, TrainConfig(alpha=1e-3, epochs=20, seed=3), INTENTION)
+    unigram_intention = fit_grams(labeled_grams(intention_corpus, (1, 1), INTENTION), TF,
+                                  TrainConfig(alpha=1e-3, epochs=20, seed=3))
     return [annotator, dataclasses.replace(annotator, intention_model=unigram_intention)]
 
 
