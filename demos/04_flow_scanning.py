@@ -75,9 +75,13 @@ flows = [
                country="US", payload=f"boot={AAID}".encode()),
     FlowRecord("com.viber.voip", "active", "time.google.com",
                country="US", payload=b"sync"),
+    FlowRecord("com.viber.voip", "active", "104.18.3.7",
+               dest_ip="104.18.3.7", payload=f"ad_id={AAID}".encode()),
 ]
-events = build_transfer_events(flows, catalog, owners, geo)
+events, drops = build_transfer_events(flows, catalog, owners, geo)
 for event in events:
     print(f"  {event.app_id} -> {event.recipient_domain}: types={sorted(event.data_types)} "
           f"countries={sorted(event.dest_countries)} idle={event.any_idle_flow}")
-print("(the empty-payload flow was discarded; both AAID flows grouped)")
+print(f"  dropped: {dict(drops)}")
+print("(the two app.adjust.com flows grouped; the flow without personal data was\n"
+      " discarded, not counted; an IP literal is not a hostname, so its flow was dropped)")

@@ -110,7 +110,7 @@ annotator = SegmentAnnotator(
 
 # --- scan flows into events --------------------------------------------------
 catalog = (CatalogEntry("AAID", AAID),)
-events = build_transfer_events(FLOWS, catalog, load_owner_list(), GeoTable())
+events, _ = build_transfer_events(FLOWS, catalog, load_owner_list(), GeoTable())
 events_by_app = {}
 for event in events:
     events_by_app.setdefault(event.app_id, []).append(event)

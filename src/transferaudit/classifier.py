@@ -202,8 +202,9 @@ def _first_bad_row(rows: list[str], start: int,
 
 def _read_vocabulary(text: str) -> Vocabulary:
     """A vocabulary file's text: `#N=` on line 1, at least 1, then one
-    `feature TAB df` row per line, each df in 1..N, so that every TF-IDF
-    weight is defined, and the features in strictly increasing string order."""
+    `feature TAB df` row per line, each df in 1..N (so that every TF-IDF
+    weight is defined) and in the form `str` writes (ASCII digits, no
+    leading `0`), and the features in strictly increasing string order."""
     lines, ended = text.removesuffix("\n").split("\n"), text.endswith("\n")
     n = int(_headers(lines, 0, {"N": _int}, {})["N"])
     rows, body = lines[1:], text[len(lines[0]) + 1:]
@@ -212,10 +213,12 @@ def _read_vocabulary(text: str) -> Vocabulary:
     if ended and list(map(str.count, rows, repeat("\t"))).count(1) == len(rows) \
             and body[:1] != "#" and "\n#" not in body:
         cells = body.replace("\t", "\n").split("\n")
-        features = cells[:-1:2]
+        features, digits = cells[:-1:2], "".join(cells[1::2])
         with suppress(ValueError):
             dfs = list(map(int, cells[1::2]))
-            if (min(dfs, default=1) >= 1 and max(dfs, default=n) <= n
+            # ASCII digits with no leading 0: each df is at least 1, as `str` writes it
+            if (digits.isascii() and (digits.isdigit() or not rows) and "\t0" not in body
+                    and max(dfs, default=n) <= n
                     and all(map(str.__lt__, features, features[1:]))):
                 return Vocabulary(dict(zip(features, count())), dfs, n)
 
@@ -223,6 +226,8 @@ def _read_vocabulary(text: str) -> Vocabulary:
         if row[:1] == "#" or row.count("\t") != 1:
             raise ValueError(f"expected `feature TAB df`, got {row!r}")
         feature, _, df = row.partition("\t")
+        if not (df.isascii() and df.isdigit()) or df[0] == "0" != df:
+            raise ValueError(f"df {df!r} is not in the form `save` writes")
         if not 1 <= int(df) <= n:
             raise ValueError(f"df {df} is not in 1..#N={n}")
         before = previous is not None and previous.partition("\t")[0]

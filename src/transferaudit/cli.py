@@ -108,9 +108,12 @@ def _cmd_scan(args) -> int:
     catalog = flows.load_catalog(args.catalog)
     owners = flows.load_owner_list(args.owners)
     geo = flows.load_geo_table(args.geo) if args.geo else flows.GeoTable()
-    events = flows.build_transfer_events(records, catalog, owners, geo)
+    events, drops = flows.build_transfer_events(records, catalog, owners, geo)
     for event in events:
         print(json.dumps(flows.event_json(event), sort_keys=True))
+    for reason in flows.DROP_REASONS:
+        if drops[reason]:
+            print(f"flows dropped ({reason}): {drops[reason]}", file=sys.stderr)
     return 0
 
 

@@ -3,10 +3,10 @@
 Consumes captured flow logs (one JSON object per line), detects personal
 data in payloads (plain and Base64/MD5/SHA1/SHA256 encoded), attributes the
 recipient (first-party token match, then owner-list lookup) and geolocates
-the destination.  Flows without personal data, with unresolvable countries
-or with unknown recipients are dropped; the rest group into per-(app, SLD)
-transfer events, whose JSON form (written by `scan`, read by `check` and
-`report`) is defined here too.
+the destination.  Flows without personal data are discarded; a flow that
+carries personal data is dropped for one of `DROP_REASONS`, and counted,
+or joins its per-(app, SLD) transfer event, whose JSON form (written by
+`scan`, read by `check` and `report`) is defined here too.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import ipaddress
-import logging
 import re
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -36,8 +36,6 @@ from .lines import (
     tab_records,
 )
 
-log = logging.getLogger(__name__)
-
 IDLE = "idle"
 ACTIVE = "active"
 
@@ -45,7 +43,11 @@ FIRST_PARTY = "first_party"
 THIRD_PARTY = "third_party"
 UNKNOWN = "unknown"
 
-_LABEL_RE = re.compile(r"^[0-9a-z]([0-9a-z-]*[0-9a-z])?$")
+# why a flow with personal data is dropped, in the order that `scan` reports the counts
+DROP_REASONS = ("unresolved country", "not a hostname", "unknown recipient")
+_UNRESOLVED, _NOT_A_HOSTNAME, _UNKNOWN_RECIPIENT = DROP_REASONS
+
+_LABEL_RE = re.compile(r"[0-9a-z]([0-9a-z-]*[0-9a-z])?")
 _SPLIT_IDENTITY = re.compile(r"[^0-9a-z]+")
 
 
@@ -160,11 +162,18 @@ UNKNOWN_RECIPIENT = RecipientInfo(UNKNOWN)
 def load_owner_list(path=None) -> dict[str, RecipientInfo]:
     """Owner list: `sld TAB owner TAB parent TAB hq_country TAB category`,
     the third-party recipient of each SLD; the parent and category columns
-    are not kept."""
+    are not kept.  Each SLD must be its own `extract_sld`, the key that
+    `classify_recipient` looks up."""
     owners: dict[str, RecipientInfo] = {}
     for lineno, (sld, owner, _, hq, _) in tab_records(
             path, "sld TAB owner TAB parent TAB hq_country TAB category", "owner_list.tsv"):
         sld = sld.lower()
+        try:
+            registrable = extract_sld(sld) == sld
+        except DomainError:
+            registrable = False
+        if not registrable:
+            raise ParseError(f"{sld!r} is not a registrable domain", lineno)
         if sld in owners:
             raise ParseError(f"duplicate SLD {sld!r}", lineno)
         owners[sld] = RecipientInfo(THIRD_PARTY, owner, check_country_code(hq, lineno))
@@ -172,12 +181,12 @@ def load_owner_list(path=None) -> dict[str, RecipientInfo]:
 
 
 def _fqdn_labels(fqdn: str) -> list[str]:
-    fqdn = fqdn.strip().lower().rstrip(".")
+    fqdn = fqdn.lower().rstrip(".")
     labels = fqdn.split(".")
     # no top-level domain is all-numeric, so this rejects IPv4 literals;
     # the colons of an IPv6 literal fail the label pattern
     if (len(labels) < 2 or labels[-1].isdigit()
-            or not all(_LABEL_RE.match(l) for l in labels)):
+            or not all(_LABEL_RE.fullmatch(l) for l in labels)):
         raise DomainError(f"cannot parse FQDN {fqdn!r}")
     return labels
 
@@ -185,14 +194,14 @@ def _fqdn_labels(fqdn: str) -> list[str]:
 def extract_sld(fqdn: str) -> str:
     """Registrable domain under the shipped public-suffix snapshot.
 
-    Raises DomainError for a string that is not a hostname, an IPv4 or IPv6
-    literal included.
+    Raises DomainError for a string that names no host, an IPv4 or IPv6
+    literal included, and for a bare public suffix.
     """
     labels = _fqdn_labels(fqdn)
     suffixes = public_suffixes()
     suffix_len = 1
     for n in (2, 3):
-        if len(labels) > n and ".".join(labels[-n:]) in suffixes:
+        if len(labels) >= n and ".".join(labels[-n:]) in suffixes:
             suffix_len = n
     if len(labels) <= suffix_len:
         raise DomainError(f"{fqdn!r} is only a public suffix")
@@ -221,14 +230,11 @@ def classify_recipient(app_tokens: frozenset[str], dest_fqdn: str,
                        owner_list: Mapping[str, RecipientInfo]) -> RecipientInfo:
     """First-party token match first, then owner-list lookup, else unknown.
 
-    An IP-literal destination names no domain, so its recipient is unknown.
+    Raises DomainError where `extract_sld` does, an IP literal included.
     """
-    if _parse_address(dest_fqdn.strip().rstrip(".")) is not None:
-        return UNKNOWN_RECIPIENT
-    labels = _fqdn_labels(dest_fqdn)
     sld = extract_sld(dest_fqdn)
-    suffix_count = sld.count(".")  # labels taken by the public suffix
-    domain_bag = {l for l in labels[:-suffix_count] if l != "www"}
+    # the host's labels, less those of the public suffix (one per dot of the SLD)
+    domain_bag = set(dest_fqdn.lower().rstrip(".").split(".")[:-sld.count(".")]) - {"www"}
     if domain_bag & app_tokens:
         return FIRST_PARTY_RECIPIENT
     return owner_list.get(sld, UNKNOWN_RECIPIENT)
@@ -380,7 +386,8 @@ def load_flow_log(path) -> list[FlowRecord]:
     `dest_fqdn` are required and not null or empty; `detected_types` must be
     a JSON array of strings, `payload_b64` strict Base64 and `country` an
     ISO-3166 alpha-2 code; each distinct country is checked once.  A
-    `dest_ip` must be one IP address (`_parse_address`).
+    `dest_ip` must be one IP address (`_parse_address`), and `dest_fqdn`
+    must not start or end with whitespace.
     """
     records = []
     codes: set[str] = set()
@@ -398,10 +405,13 @@ def load_flow_log(path) -> list[FlowRecord]:
                 dest_ip = obj.get("dest_ip")
                 if dest_ip is not None and _parse_address(dest_ip) is None:
                     raise ValueError(f"dest_ip {dest_ip!r} is not an IP address")
+                dest_fqdn = json_string(obj, "dest_fqdn", lineno)
+                if dest_fqdn.strip() != dest_fqdn:
+                    raise ValueError(f"dest_fqdn {dest_fqdn!r} starts or ends with whitespace")
                 records.append(FlowRecord(
                     app_id=json_string(obj, "app_id", lineno),
                     stage=json_string(obj, "stage", lineno),
-                    dest_fqdn=json_string(obj, "dest_fqdn", lineno),
+                    dest_fqdn=dest_fqdn,
                     dest_ip=dest_ip,
                     country=country,
                     payload=(base64.b64decode(obj["payload_b64"], validate=True)
@@ -510,24 +520,26 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
 
 
 def build_transfer_events(flows: list[FlowRecord], catalog: Sequence[CatalogEntry],
-                          owner_list: Mapping[str, RecipientInfo],
-                          geo_table: GeoTable) -> list[TransferEvent]:
-    """Scan, attribute and geolocate flows, grouped per (app, SLD).
+                          owner_list: Mapping[str, RecipientInfo], geo_table: GeoTable,
+                          ) -> tuple[list[TransferEvent], Counter[str]]:
+    """Scan, attribute and geolocate flows, grouped per (app, SLD); returns
+    the events and the count of dropped flows per reason of `DROP_REASONS`.
 
-    Flows with no detected personal data are discarded; unresolved countries,
-    unparseable hostnames and unknown recipients are dropped with a logged
-    warning.  A group's recipient is third party if any of its flows was
-    attributed to the owner list, else first party, so it does not depend on
-    the order of the flows.  Third-party attributions within a group agree,
-    since all come from the owner-list entry of the group's SLD.  An app's
-    identity tokens are those of its package name, cert orgs and store names
-    over all of its flows, so they do not depend on that order either.
+    Flows without personal data are discarded, not counted; a flow with some
+    is dropped for the first reason that holds.  A group's recipient is
+    third party if any of its flows was attributed to the owner list, else
+    first party, so it does not depend on the order of the flows.
+    Third-party attributions within a group agree, since all come from the
+    owner-list entry of the group's SLD.  An app's identity tokens are those
+    of its package name, cert orgs and store names over all of its flows, so
+    they do not depend on that order either.
     """
     app_tokens: dict[str, frozenset[str]] = {}
     for app_id, cert_org, store_name in {(f.app_id, f.cert_org, f.store_name) for f in flows}:
         app_tokens[app_id] = app_tokens.get(app_id, frozenset()) | \
             tokenize_app_identity(app_id, cert_org, store_name)
     groups: dict[tuple[str, str], dict] = {}
+    drops: Counter[str] = Counter()
     for flow in flows:
         types = (flow.detected_types if flow.detected_types is not None
                  else scan_payload(flow.payload, catalog))
@@ -536,19 +548,15 @@ def build_transfer_events(flows: list[FlowRecord], catalog: Sequence[CatalogEntr
         country = geolocate(geo_table, ip=flow.dest_ip, fqdn=flow.dest_fqdn,
                             resolved=flow.country)
         if country is None:
-            log.warning("dropping flow %s -> %s: unresolved country",
-                        flow.app_id, flow.dest_fqdn)
+            drops[_UNRESOLVED] += 1
             continue
         try:
-            recipient = classify_recipient(app_tokens[flow.app_id], flow.dest_fqdn,
-                                           owner_list)
+            recipient = classify_recipient(app_tokens[flow.app_id], flow.dest_fqdn, owner_list)
         except DomainError:
-            log.warning("dropping flow %s -> %s: unparseable hostname",
-                        flow.app_id, flow.dest_fqdn)
+            drops[_NOT_A_HOSTNAME] += 1
             continue
         if recipient.kind == UNKNOWN:
-            log.warning("dropping flow %s -> %s: unknown recipient",
-                        flow.app_id, flow.dest_fqdn)
+            drops[_UNKNOWN_RECIPIENT] += 1
             continue
         key = (flow.app_id, extract_sld(flow.dest_fqdn))
         group = groups.setdefault(key, {
@@ -569,4 +577,4 @@ def build_transfer_events(flows: list[FlowRecord], catalog: Sequence[CatalogEntr
             recipient=group["recipient"],
             any_idle_flow=group["idle"],
         ))
-    return events
+    return events, drops

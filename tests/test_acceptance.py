@@ -165,7 +165,7 @@ SCENARIOS = {
 
 @pytest.fixture(scope="module")
 def scenario_assessments(annotator, flow_records, catalog, owner_list, geo_table):
-    events = build_transfer_events(flow_records, catalog, owner_list, geo_table)
+    events, _ = build_transfer_events(flow_records, catalog, owner_list, geo_table)
     by_app = {}
     for event in events:
         by_app.setdefault(event.app_id, []).append(event)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transferaudit import parallel, training
-from transferaudit.classifier import TextClassifier
+from transferaudit.classifier import TextClassifier, _text_hash
 from transferaudit.corpus import INTENTION, LabeledSegment, PolicySegment, stratified_kfold
 from transferaudit.errors import DegenerateTraining, ParseError
 from transferaudit.features import SCHEMES, TF, Vocabulary
@@ -244,6 +244,27 @@ def test_load_rejects_bad_vocabulary_line(bundle, tmp_path):
     with pytest.raises(ParseError, match="expected `#N=`") as exc:
         TextClassifier.load(tmp_path, "intention")
     assert exc.value.line_number == 1
+
+
+@pytest.mark.parametrize("df", ["+1", " 1", "1 ", "01", "1_0", "\u0661", "\uff11"])
+def test_load_takes_a_df_only_in_the_form_save_writes(bundle, tmp_path, df):
+    # `int` reads each of these as a df; the model is given the edited
+    # vocabulary's hash, so that only the form of the df is wrong
+    bundle.save(tmp_path, "intention")
+    vocab_path, model_path = (tmp_path / f"intention.{part}.tsv" for part in ("vocab", "model"))
+    lines = vocab_path.read_text(encoding="utf-8").splitlines()
+    model = model_path.read_text(encoding="utf-8")
+    feature, saved = lines[1].split("\t")
+    for value in (saved, df):
+        text = "\n".join([lines[0], f"{feature}\t{value}", *lines[2:]]) + "\n"
+        vocab_path.write_text(text, encoding="utf-8")
+        model_path.write_text(re.sub("#vocab_sha256=.*", f"#vocab_sha256={_text_hash(text)}",
+                                     model), encoding="utf-8")
+        if value == saved:
+            assert TextClassifier.load(tmp_path, "intention") == bundle
+    with pytest.raises(ParseError, match="is not in the form `save` writes") as exc:
+        TextClassifier.load(tmp_path, "intention")
+    assert exc.value.line_number == 2
 
 
 def test_load_rejects_a_repeated_vocabulary_feature_or_index(bundle, tmp_path):

@@ -789,20 +789,60 @@ def test_an_empty_id_is_input_error_naming_the_line(tmp_path, capsys, command, w
     assert capsys.readouterr() == ("", f"error: line 2: {field} must not be empty\n")
 
 
-def test_scan_drops_unparseable_hostname(tmp_path, capsys, caplog):
-    args = ["--catalog", str(DATA / "catalog.tsv"), "--geo", str(DATA / "geo.tsv")]
-    assert main(["scan", "--flows", str(DATA / "flows.jsonl"), *args]) == 0
-    expected = capsys.readouterr().out
+_SCAN_DATA = ["--catalog", str(DATA / "catalog.tsv"), "--geo", str(DATA / "geo.tsv")]
+# tests/data drops one flow, to an unlisted recipient
+_DATA_DROPS = "flows dropped (unknown recipient): 1\n"
 
+
+def _scan_with(tmp_path, capsys, planted: list[dict]) -> tuple[str, str, str]:
+    """`scan`'s stdout on tests/data, and its stdout and stderr with each of
+    the `planted` flows put after one of the flows of tests/data."""
+    assert main(["scan", "--flows", str(DATA / "flows.jsonl"), *_SCAN_DATA]) == 0
+    clean, err = capsys.readouterr()
+    assert err == _DATA_DROPS
     lines = (DATA / "flows.jsonl").read_text(encoding="utf-8").splitlines()
-    bad = json.loads(lines[0])
-    bad["dest_fqdn"] = "not_a_domain"
-    lines.insert(len(lines) // 2, json.dumps(bad))
+    for i, flow in enumerate(planted):
+        lines.insert(2 * i + 1, json.dumps(flow))
     flows_path = tmp_path / "flows.jsonl"
     flows_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert main(["scan", "--flows", str(flows_path), *args]) == 0
-    assert capsys.readouterr().out == expected
-    assert "not_a_domain: unparseable hostname" in caplog.text
+    assert main(["scan", "--flows", str(flows_path), *_SCAN_DATA]) == 0
+    return clean, *capsys.readouterr()
+
+
+def test_scan_drops_unparseable_hostname(tmp_path, capsys):
+    bad = {**json.loads((DATA / "flows.jsonl").read_text(encoding="utf-8").splitlines()[0]),
+           "dest_fqdn": "not_a_domain"}
+    clean, out, err = _scan_with(tmp_path, capsys, [bad])
+    assert out == clean
+    assert err == "flows dropped (not a hostname): 1\n" + _DATA_DROPS
+
+
+def test_scan_counts_each_dropped_flow_under_one_reason(tmp_path, capsys):
+    flow = {"app_id": "com.viber.voip", "stage": "active", "detected_types": ["AAID"]}
+    clean, out, err = _scan_with(tmp_path, capsys, [
+        {**flow, "dest_fqdn": "api.unlisted-host.io"},  # no country, address or geo entry
+        # an IP literal, located by its address
+        {**flow, "dest_fqdn": "185.151.204.10", "dest_ip": "185.151.204.10"},
+        {**flow, "dest_fqdn": "sdk.unlisted-host.io", "country": "US"},
+    ])
+    assert out == clean
+    assert err == ("flows dropped (unresolved country): 1\n"
+                   "flows dropped (not a hostname): 1\n"
+                   "flows dropped (unknown recipient): 2\n")
+
+
+@pytest.mark.parametrize("host", [" app.adjust.com", "app.adjust.com ", "app.adjust.com\n",
+                                  "\u00a0app.adjust.com"])
+def test_scan_refuses_a_host_with_surrounding_whitespace(tmp_path, capsys, host):
+    # the geo table and `extract_sld` would each read such a host their own way
+    lines = (DATA / "flows.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = {**json.loads(lines[2]), "dest_fqdn": host}
+    flows_path = tmp_path / "flows.jsonl"
+    flows_path.write_text("\n".join([lines[0], json.dumps(bad), *lines[1:]]) + "\n",
+                          encoding="utf-8")
+    assert main(["scan", "--flows", str(flows_path), *_SCAN_DATA]) == 1
+    assert capsys.readouterr() == ("", f"error: line 2: bad flow record: dest_fqdn {host!r} "
+                                       "starts or ends with whitespace\n")
 
 
 def test_bad_rule_line_is_input_error_naming_the_line(model_dir, tmp_path, capsys):
@@ -883,6 +923,8 @@ _FRAMEWORK = "privacy_shield\tUS\t2020-07-16"
     ("--geo", DATA / "geo.tsv", None, "10.0.0.0/33\tDE"),
     ("--owners", _SHIPPED / "owner_list.tsv", None, "bad.example\tBad\t\tus\tanalytics"),
     ("--dict", _SHIPPED / "country_dictionary.tsv", None, "US\tname"),
+    ("--owners", _SHIPPED / "owner_list.tsv", None, "app.adjust.com\tAdjust\t\tUS\tanalytics"),
+    ("--owners", _SHIPPED / "owner_list.tsv", None, "co.uk\tBad\t\tUS\tanalytics"),
     ("--rules", _SHIPPED / "rules.tsv", None, "scc ('standard')"),
     ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", _FRAMEWORK,
      "privacy_shield\tUS"),
@@ -891,7 +933,8 @@ _FRAMEWORK = "privacy_shield\tUS\t2020-07-16"
     ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", "\nDE\n", "\nde\n"),
     ("--jurisdiction", _SHIPPED / "jurisdiction_2020_07.txt", _FRAMEWORK,
      "privacy_shield\tusa\t2020-07-16"),
-], ids=["catalog", "owners", "geo", "geo-code", "geo-key", "owners-hq-code", "dict", "rules", "framework-line", "framework-date",
+], ids=["catalog", "owners", "geo", "geo-code", "geo-key", "owners-hq-code", "dict",
+        "owners-subdomain", "owners-suffix", "rules", "framework-line", "framework-date",
         "eu-code", "framework-code"])
 def test_malformed_data_line_is_input_error_naming_it(model_dir, tmp_path, capsys,
                                                       option, source, old, new):

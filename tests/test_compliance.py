@@ -6,6 +6,7 @@ from importlib import resources
 
 import compliance_reference as reference
 import pytest
+from conftest import policy_annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from transferaudit.compliance import (
     AppAssessment,
     JurisdictionConfig,
     Verdict,
+    assess_app,
     classify_transfer_type,
     judge_event,
     load_jurisdiction,
@@ -33,7 +35,7 @@ from transferaudit.compliance import _REQUIRED, _verdict_core
 from transferaudit.countries import EU_MEMBERS_2020
 from transferaudit.errors import ParseError
 from transferaudit.flows import RecipientInfo, TransferEvent
-from transferaudit.transparency import FLAGS, PolicyAnnotation
+from transferaudit.transparency import FLAGS, PolicyAnnotation, annotate_policy
 
 JURIS = load_jurisdiction()
 
@@ -354,3 +356,24 @@ def test_required_elements_are_flags_or_derived():
     assert set(_REQUIRED) == {T1_FIRST_PARTY, T2_ADEQUACY, T3_NO_ADEQUACY}
     for names in _REQUIRED.values():
         assert names <= {*FLAGS, "target_countries", "safeguard"}
+
+
+# an app's events, to destinations that the generated policies name or miss
+_app_events = st.lists(st.builds(
+    event, st.frozensets(st.sampled_from([*_DESTINATIONS, "CN"]), min_size=1, max_size=3),
+    recipient=_recipients, idle=st.booleans()), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy_annotations, policy_annotations, _app_events, st.sampled_from(_DATES))
+def test_more_disclosure_never_hurts(narrow, extra, events, date):
+    # the wider policy discloses every flag and country that the narrow one does
+    wide = annotate_policy([*narrow.segments, *extra.segments])
+    juris = dataclasses.replace(JURIS, assessment_date=date)
+    before, after = (assess_app("app", events, pol, juris) for pol in (narrow, wide))
+    for was, now in zip(before.verdicts, after.verdicts, strict=True):
+        assert (was.event, was.country) == (now.event, now.country)
+        if was.verdict_class == FD:
+            assert now.verdict_class == FD, (was, now)
+    if before.overall == COMPLIANT:
+        assert after.overall == COMPLIANT

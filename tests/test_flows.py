@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from transferaudit.errors import DomainError, ParseError
 from transferaudit.flows import (
+    DROP_REASONS,
     FIRST_PARTY_RECIPIENT,
     THIRD_PARTY,
     CatalogEntry,
@@ -27,6 +28,7 @@ from transferaudit.flows import (
     geolocate,
     load_flow_log,
     load_geo_table,
+    load_owner_list,
     read_events,
     scan_payload,
     tokenize_app_identity,
@@ -151,23 +153,44 @@ def test_extract_sld():
 
 
 def test_extract_sld_rejects_bare_suffix():
+    for suffix in ("com", "co.uk"):
+        with pytest.raises(DomainError):
+            extract_sld(suffix)
+
+
+@pytest.mark.parametrize("host", [" ad.smaato.net", "ad.smaato.net ", "ad.smaato.net\n"])
+def test_a_host_with_surrounding_whitespace_is_not_a_hostname(host):
+    # a host is read as written, as the geo table reads it, and no label holds a space
     with pytest.raises(DomainError):
-        extract_sld("com")
+        extract_sld(host)
+
+
+@pytest.mark.parametrize("key", ["app.adjust.com", "co.uk", "com", "adjust.com.",
+                                 "185.151.204.10", "adjust_x.com"])
+def test_owner_list_keys_are_registrable_domains(tmp_path, key):
+    # `classify_recipient` looks up `extract_sld` of a host, so no other key can match
+    path = tmp_path / "owners.tsv"
+    path.write_text(f"adjust.com\tAdjust\t\tUS\tanalytics\n{key}\tX\t\tUS\tanalytics\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match="is not a registrable domain") as exc:
+        load_owner_list(path)
+    assert exc.value.line_number == 2
 
 
 @pytest.mark.parametrize("literal", ["185.151.204.10", "2001:db8::1"])
-def test_ip_literal_destination(literal, owner_list, catalog, caplog):
+def test_ip_literal_destination(literal, owner_list, catalog):
     with pytest.raises(DomainError):
         extract_sld(literal)
-    assert classify_recipient(frozenset({"viber"}), literal, owner_list).kind == "unknown"
-    # geolocated by its address, then dropped as an unknown recipient
+    with pytest.raises(DomainError):
+        classify_recipient(frozenset({"viber"}), literal, owner_list)
+    # geolocated by its address, then dropped as not a hostname
     geo = GeoTable(networks=((_triple(ipaddress.ip_network("185.151.204.0/22")), "US"),
                              (_triple(ipaddress.ip_network("2001:db8::/32")), "DE")))
     flow = FlowRecord("com.viber.voip", "active", literal, dest_ip=literal,
                       detected_types=frozenset({"AAID"}))
     assert geolocate(geo, ip=literal, fqdn=literal) is not None
-    assert build_transfer_events([flow], catalog, owner_list, geo) == []
-    assert "unknown recipient" in caplog.text
+    assert build_transfer_events([flow], catalog, owner_list, geo) == \
+        ([], {"not a hostname": 1})
 
 
 def test_classify_third_party(owner_list):
@@ -412,7 +435,8 @@ def test_cidr_parser_edges(text):
 @pytest.mark.parametrize("literal", ["185.151.204.10.", " 2001:db8::1", "fe80::1%eth0",
                                      "::ffff:185.151.204.10"])
 def test_ip_literal_forms_name_no_recipient(literal, owner_list):
-    assert classify_recipient(frozenset({"viber"}), literal, owner_list).kind == "unknown"
+    with pytest.raises(DomainError):
+        classify_recipient(frozenset({"viber"}), literal, owner_list)
 
 
 def test_flow_record_validation():
@@ -423,7 +447,7 @@ def test_flow_record_validation():
 
 
 def test_build_events_from_fixture(flow_records, catalog, owner_list, geo_table):
-    events = build_transfer_events(flow_records, catalog, owner_list, geo_table)
+    events, drops = build_transfer_events(flow_records, catalog, owner_list, geo_table)
     by_key = {(e.app_id, e.recipient_domain): e for e in events}
 
     adjust = by_key[("com.viber.voip", "adjust.com")]
@@ -445,9 +469,10 @@ def test_build_events_from_fixture(flow_records, catalog, owner_list, geo_table)
     viber_cdn = by_key[("com.viber.voip", "viber.com")]
     assert viber_cdn.recipient.kind == "first_party"
 
-    # noise flows were dropped: no-personal-data and unknown-recipient
+    # noise flows were dropped: no-personal-data (not counted) and unknown-recipient
     assert ("com.tellurionmobile.primalcraft", "google.com") not in by_key
     assert all("unlisted" not in domain for _, domain in by_key)
+    assert drops == {"unknown recipient": 1}
 
 
 # one app reaching an owner-listed SLD both through an app-named host (first
@@ -460,16 +485,28 @@ _MIXED_GROUP_FLOWS = [
     FlowRecord("com.acme.app", "active", "push.acme.onesignal.com", country="DE",
                detected_types=frozenset({"AAID"})),
 ]
+# one flow carrying personal data per drop reason, in `DROP_REASONS` order
+_DROPPED_FLOWS = [
+    FlowRecord("com.acme.app", "active", "api.nowhere-listed.io",
+               detected_types=frozenset({"AAID"})),
+    FlowRecord("com.acme.app", "active", "203.0.113.9", country="US",
+               detected_types=frozenset({"AAID"})),
+    FlowRecord("com.acme.app", "idle", "sdk.nowhere-listed.io", country="US",
+               detected_types=frozenset({"AAID"})),
+]
 
 
 @given(st.randoms(use_true_random=False))
 def test_events_independent_of_flow_order(flow_records, catalog, owner_list, geo_table,
                                           rnd):
-    flows = list(flow_records) + _MIXED_GROUP_FLOWS
+    flows = list(flow_records) + _MIXED_GROUP_FLOWS + _DROPPED_FLOWS
     expected = build_transfer_events(flows, catalog, owner_list, geo_table)
     rnd.shuffle(flows)
     assert build_transfer_events(flows, catalog, owner_list, geo_table) == expected
-    mixed = next(e for e in expected if e.app_id == "com.acme.app")
+    events, drops = expected
+    # tests/data drops one flow to an unlisted recipient
+    assert drops == dict(zip(DROP_REASONS, (1, 1, 2)))
+    mixed = next(e for e in events if e.app_id == "com.acme.app")
     assert mixed.recipient.kind == "third_party"
     assert (mixed.recipient.owner, mixed.recipient.hq_country) == ("OneSignal", "US")
 
@@ -483,13 +520,13 @@ def test_app_identity_is_union_over_flows(catalog, owner_list, geo_table):
                    detected_types=frozenset({"AAID"})),
     ]
     for ordered in (flows, flows[::-1]):
-        events = build_transfer_events(ordered, catalog, owner_list, geo_table)
+        events, _ = build_transfer_events(ordered, catalog, owner_list, geo_table)
         assert [(e.recipient_domain, e.recipient.kind, e.any_idle_flow) for e in events] \
             == [("zappy.com", "first_party", True)]
 
 
 def test_event_grouping_is_partition(flow_records, catalog, owner_list, geo_table):
-    events = build_transfer_events(flow_records, catalog, owner_list, geo_table)
+    events, _ = build_transfer_events(flow_records, catalog, owner_list, geo_table)
     keys = [(e.app_id, e.recipient_domain) for e in events]
     assert len(keys) == len(set(keys))
     assert keys == sorted(keys)
