@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
 import functools
 import gc
 import json
@@ -129,8 +128,7 @@ def _assess_study(args, all_apps: bool):
         annotations = transparency.read_annotations(fh)
     juris = compliance.load_jurisdiction(args.jurisdiction)
     if args.date:
-        juris = dataclasses.replace(
-            juris, assessment_date=datetime.date.fromisoformat(args.date))
+        juris = dataclasses.replace(juris, assessment_date=compliance.iso_date(args.date))
     app_ids = set(events_by_app)
     if all_apps:
         app_ids |= set(annotations)
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[study],
                        help="judge events against policy annotations")
-    p.add_argument("--date", help="override the assessment date (ISO)")
+    p.add_argument("--date", help="override the assessment date (YYYY-MM-DD)")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("report", parents=[study],

@@ -70,7 +70,7 @@ def load_jurisdiction(path=None) -> JurisdictionConfig:
     """Sectioned line format: [eu], [adequacy], [frameworks], [assessment_date].
 
     Lines are stripped of surrounding whitespace; every code is an ISO-3166
-    alpha-2 code and every date an ISO date.
+    alpha-2 code and every date is written `YYYY-MM-DD` (`iso_date`).
     """
     sections: dict[str, list[tuple[int, str]]] = {
         "eu": [], "adequacy": [], "frameworks": [], "assessment_date": []}
@@ -98,7 +98,7 @@ def load_jurisdiction(path=None) -> JurisdictionConfig:
             # `framework_valid` would read only the first, so line order would decide
             raise ParseError(f"repeated framework {name!r}", lineno)
         check_country_code(alias, lineno)  # checked but not kept
-        frameworks.append(FrameworkRule(name, _iso_date(invalid_from, lineno)))
+        frameworks.append(FrameworkRule(name, iso_date(invalid_from, lineno)))
     dates = sections["assessment_date"]
     if len(dates) != 1:
         raise ParseError("need exactly one assessment_date",
@@ -107,15 +107,21 @@ def load_jurisdiction(path=None) -> JurisdictionConfig:
         eu_set=frozenset(check_country_code(c, n) for n, c in sections["eu"]),
         adequacy_set=frozenset(check_country_code(c, n) for n, c in sections["adequacy"]),
         invalidated_frameworks=tuple(frameworks),
-        assessment_date=_iso_date(dates[0][1], dates[0][0]),
+        assessment_date=iso_date(dates[0][1], dates[0][0]),
     )
 
 
-def _iso_date(text: str, lineno: int) -> datetime.date:
+def iso_date(text: str, lineno: int | None = None) -> datetime.date:
+    """The date that `text` writes as `YYYY-MM-DD`, the form `date.isoformat()`
+    gives; `fromisoformat` alone also reads `YYYYMMDD` and week dates from
+    Python 3.11 on."""
     try:
-        return datetime.date.fromisoformat(text)
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno) from exc
+        date = datetime.date.fromisoformat(text)
+    except ValueError:
+        date = None
+    if date is None or date.isoformat() != text:
+        raise ParseError(f"{text!r} is not a date written YYYY-MM-DD", lineno)
+    return date
 
 
 def classify_transfer_type(event: TransferEvent, country: str,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import ipaddress
 import re
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
@@ -245,31 +244,26 @@ Network = tuple[int, int, int]
 
 
 def _network(text: str) -> Network | None:
-    """The network that `ipaddress.ip_network(text, strict=False)` reads,
-    or None where it rejects `text`.  The C parser `inet_pton` reads the
-    address, a `/prefix` of one to three ASCII digits is read here, and
-    any other text goes to ipaddress."""
+    """The network that `text` writes, or None where it writes none: an IP
+    address that `inet_pton` reads, optionally with a `/prefix` of one to
+    three ASCII digits no larger than the family's bits.  The host bits are
+    masked off, so `10.1.2.3/8` is `10.0.0.0/8`."""
     address, slash, prefix = text.partition("/")
     family, version, bits = (AF_INET6, 6, 128) if ":" in address else (AF_INET, 4, 32)
-    if not slash or prefix.isascii() and prefix.isdigit() and len(prefix) <= 3:
-        try:
-            value = int.from_bytes(inet_pton(family, address), "big")
-        except (OSError, ValueError):  # ValueError: an embedded NUL
-            pass
-        else:
-            prefixlen = int(prefix) if slash else bits
-            return None if prefixlen > bits else (
-                version, prefixlen, value & ((1 << prefixlen) - 1) << (bits - prefixlen))
-    try:
-        net = ipaddress.ip_network(text, strict=False)
-    except ValueError:
+    if slash and not (prefix.isascii() and prefix.isdigit() and len(prefix) <= 3):
         return None
-    return net.version, net.prefixlen, int(net.network_address)
+    try:
+        value = int.from_bytes(inet_pton(family, address), "big")
+    except (OSError, ValueError):  # ValueError: an embedded NUL
+        return None
+    prefixlen = int(prefix) if slash else bits
+    return None if prefixlen > bits else (
+        version, prefixlen, value & ((1 << prefixlen) - 1) << (bits - prefixlen))
 
 
 def _parse_address(text: str) -> Network | None:
     """One IP address as a network of its full prefix length, or None where
-    `text` is not one address, a `/prefix` included."""
+    `text` is not one address, a `/prefix` or a zone id included."""
     return None if "/" in text else _network(text)
 
 
@@ -325,10 +319,10 @@ class GeoTable:
 def load_geo_table(path) -> GeoTable:
     """Geo table: `cidr_or_fqdn TAB ISO code` per line.
 
-    A key that `ipaddress.ip_network(key, strict=False)` accepts is a
-    network (`_network`); any other key must be a hostname as a flow's
-    FQDN can name it, without a trailing dot.  A repeated network or FQDN
-    keeps its first-listed code.
+    A key that `_network` reads is a network: an IPv4 or IPv6 address,
+    optionally with a `/prefix` of one to three digits.  Any other key must
+    be a hostname as a flow's FQDN can name it, without a trailing dot.  A
+    repeated network or FQDN keeps its first-listed code.
     """
     networks: list[tuple[Network, str]] = []
     fqdns: dict[str, str] = {}
@@ -461,11 +455,12 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
     of the lines, and an app names a recipient domain on one line only.
     Every key that `event_json` writes is required; other keys are ignored.
     `app_id` and `recipient_domain` must be non-empty JSON strings, the two
-    lists JSON arrays, every data type a JSON string, `any_idle_flow` a JSON
-    boolean and every country an ISO-3166 alpha-2 code.  The recipient takes
-    one of the two forms `scan` writes: `first_party` with a null
-    `recipient_owner` and `recipient_hq`, or `third_party` with a JSON string
-    owner and an ISO-3166 alpha-2 hq.
+    lists non-empty JSON arrays (`scan` writes an event only for flows with
+    data types and a country), every data type a JSON string,
+    `any_idle_flow` a JSON boolean and every country an ISO-3166 alpha-2
+    code.  The recipient takes one of the two forms `scan` writes:
+    `first_party` with a null `recipient_owner` and `recipient_hq`, or
+    `third_party` with a JSON string owner and an ISO-3166 alpha-2 hq.
     Equal recipients and equal type or country lists share one frozen
     object each, and each is checked once, when first seen.
     """
@@ -497,10 +492,14 @@ def read_events(lines: Iterable[str]) -> dict[str, list[TransferEvent]]:
             if data_types is None:
                 if not all(isinstance(name, str) for name in types_key):
                     raise json_type_error("data_types", "array of strings", types, lineno)
+                if not types_key:
+                    raise ParseError("data_types must not be empty", lineno)
                 data_types = type_sets[types_key] = frozenset(types_key)
             countries_key = tuple(countries)
             dest_countries = country_sets.get(countries_key)
             if dest_countries is None:
+                if not countries_key:
+                    raise ParseError("dest_countries must not be empty", lineno)
                 dest_countries = country_sets[countries_key] = frozenset(
                     check_country_code(code, lineno) for code in countries_key)
             event = TransferEvent(app_id, domain, data_types, dest_countries, recipient, idle)

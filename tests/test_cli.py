@@ -282,6 +282,13 @@ def test_check_date_override(model_dir, tmp_path, capsys):
                  "--date", "2020-07-20"]) == 0
     after = capsys.readouterr().out
     assert "\tAD\t" in after
+    # Python 3.11's `date.fromisoformat` would also read these as 2020-07-16
+    for date in ("20200716", "2020-W29-4"):
+        assert main(["check", "--events", str(events_path),
+                     "--annotations", str(annotations_path), "--date", date]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {date!r} is not a date written YYYY-MM-DD\n")
 
 
 def _annotation(app_id, **flags):
@@ -440,6 +447,9 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
     ("annotations", _with_segment(scc="false")),
     ("events", _with(OTHER_EVENT, data_types=[7, "AAID"])),
     ("events", _with(OTHER_EVENT, data_types=[7])),
+    # `scan` writes an event only for flows with data types and a country
+    ("events", _with(OTHER_EVENT, data_types=[])),
+    ("events", _with(OTHER_EVENT, dest_countries=[])),
     # a policy discloses what its segments disclose, and no more or less
     ("annotations", _with(SHIELD_ANNOTATION, app_id="other.app", scc=True)),
     ("annotations", _with(SHIELD_ANNOTATION, app_id="other.app", copy_means=False)),
@@ -460,7 +470,8 @@ _BAD_SEGMENT = json.dumps({**SHIELD_ANNOTATION, "app_id": "other.app",
         "annotation-intention-string", "annotation-segments-object",
         "annotation-app-number", "annotation-app-null", "segment-countries-string",
         "segment-lowercase-country", "segment-flag-string", "event-type-number-and-string",
-        "event-type-number", "annotation-unsupported-flag", "annotation-unstated-flag",
+        "event-type-number", "event-types-empty", "event-countries-empty",
+        "annotation-unsupported-flag", "annotation-unstated-flag",
         "annotation-unsupported-country", "annotation-unstated-country",
         "annotation-countries-object",
         *[f"event-no-{key}" for key in _EVENT_KEYS], "annotation-no-segments"])
@@ -1039,9 +1050,11 @@ _events = st.lists(st.builds(lambda event, recipient: {**event, **recipient},
                              st.fixed_dictionaries({
     "app_id": st.sampled_from(["a", "b", "c", "d"]),
     "recipient_domain": st.sampled_from(["adjust.com", "yandex.net", "a.com"]),
-    "data_types": st.lists(st.sampled_from(["AAID", "IMEI"]), unique=True, max_size=2),
+    # `scan` writes no empty type or country list, and `read_events` refuses one
+    "data_types": st.lists(st.sampled_from(["AAID", "IMEI"]), unique=True, min_size=1,
+                           max_size=2),
     "dest_countries": st.lists(st.sampled_from(["DE", "US", "IL", "CN", "JP"]),
-                               unique=True, max_size=3),
+                               unique=True, min_size=1, max_size=3),
     "any_idle_flow": st.booleans(),
 }), _recipients), max_size=12, unique_by=lambda e: (e["app_id"], e["recipient_domain"]))
 _annotations = st.dictionaries(st.sampled_from(["a", "b", "e", "f"]), policy_annotations,

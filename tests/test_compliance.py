@@ -24,6 +24,7 @@ from transferaudit.compliance import (
     T2_ADEQUACY,
     T3_NO_ADEQUACY,
     AppAssessment,
+    FrameworkRule,
     JurisdictionConfig,
     Verdict,
     assess_app,
@@ -309,6 +310,22 @@ def test_jurisdiction_refuses_a_repeated_framework(tmp_path, first):
     assert exc.value.line_number == at + 2
 
 
+@pytest.mark.parametrize("date", ["20200716", "2020-W29-4", "2020-7-16", " 2020-07-16x"])
+@pytest.mark.parametrize("section", ["assessment_date", "frameworks"])
+def test_jurisdiction_dates_are_written_yyyy_mm_dd(tmp_path, section, date):
+    # `date.fromisoformat` reads the first two on Python 3.11 but not on 3.10
+    shipped = resources.files("transferaudit.data").joinpath("jurisdiction_2020_07.txt")
+    lines = shipped.read_text(encoding="utf-8").splitlines()
+    old = {"assessment_date": "2020-07-20", "frameworks": "privacy_shield\tUS\t2020-07-16"}
+    at = lines.index(old[section])
+    lines[at] = old[section].replace(old[section][-10:], date)
+    path = tmp_path / "juris.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="is not a date written YYYY-MM-DD") as exc:
+        load_jurisdiction(path)
+    assert exc.value.line_number == at + 1
+
+
 # A few destinations of each transfer type, and assessment dates on both
 # sides of the privacy shield's invalidation (2020-07-16).
 _DESTINATIONS = ["US", "RU", "JP", "IL", "DE", "IE"]
@@ -377,3 +394,98 @@ def test_more_disclosure_never_hurts(narrow, extra, events, date):
             assert now.verdict_class == FD, (was, now)
     if before.overall == COMPLIANT:
         assert after.overall == COMPLIANT
+
+
+# The properties below follow from the paper's definitions, whatever the
+# encoding of the verdict table.  Each runs over a policy, an app's events
+# and a jurisdiction, drawn by either generator above.
+_studies = st.one_of(
+    _cases().map(lambda case: (case[2], [case[0]], case[3])),
+    st.tuples(policy_annotations, _app_events, st.sampled_from(_DATES).map(
+        lambda date: dataclasses.replace(JURIS, assessment_date=date))))
+_SHIELD_VOID = datetime.date(2020, 7, 16)
+_before_and_after = st.tuples(st.sampled_from([d for d in _DATES if d < _SHIELD_VOID]),
+                              st.sampled_from([d for d in _DATES if d >= _SHIELD_VOID]))
+
+
+def _judged(verdict):
+    """What a verdict says of its leg, less the event it was judged on."""
+    return verdict._replace(event=None)
+
+
+def _valid_safeguards(pol, ev, juris):
+    return {name for name, valid in [
+        ("scc", pol.scc), ("bcr", pol.bcr),
+        ("explicit_consent", pol.explicit_consent and not ev.any_idle_flow),
+        ("privacy_shield", pol.privacy_shield and juris.framework_valid("privacy_shield"))]
+        if valid}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_studies)
+def test_an_idle_flow_moves_only_verdicts_resting_on_consent(study):
+    pol, events, juris = study
+    for ev in events:
+        flipped = dataclasses.replace(ev, any_idle_flow=not ev.any_idle_flow)
+        for was, now in zip(judge_event(ev, pol, juris), judge_event(flipped, pol, juris),
+                            strict=True):
+            if _judged(was) != _judged(now):
+                # consent is the one safeguard that could be valid
+                assert was.transfer_type == T3_NO_ADEQUACY, (was, now)
+                assert pol.explicit_consent, (was, now)
+                assert _valid_safeguards(pol, ev, juris) <= {"explicit_consent"}, (was, now)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_studies, _before_and_after)
+def test_the_shield_invalidation_moves_only_verdicts_resting_on_the_shield(study, dates):
+    pol, events, _ = study
+    before, after = (dataclasses.replace(JURIS, assessment_date=d) for d in dates)
+    assert JURIS.invalidated_frameworks == (FrameworkRule("privacy_shield", _SHIELD_VOID),)
+    for ev in events:
+        for was, now in zip(judge_event(ev, pol, before), judge_event(ev, pol, after),
+                            strict=True):
+            if was != now:
+                # the shield is the one safeguard that could be valid
+                assert was.transfer_type == T3_NO_ADEQUACY, (was, now)
+                assert _valid_safeguards(pol, ev, before) == {"privacy_shield"}, (was, now)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_studies)
+def test_each_country_is_judged_as_an_event_of_its_own(study):
+    pol, events, juris = study
+    for ev in events:
+        alone = [v for country in sorted(ev.dest_countries) for v in judge_event(
+            dataclasses.replace(ev, dest_countries=frozenset({country})), pol, juris)]
+        assert list(map(_judged, judge_event(ev, pol, juris))) == list(map(_judged, alone))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_studies)
+def test_an_intra_eu_leg_is_na_and_a_first_party_leg_reads_the_representative(study):
+    pol, events, juris = study
+    for ev in events:
+        for v in judge_event(ev, pol, juris):
+            intra_eu = v.country in juris.eu_set
+            assert (v.verdict_class == NOT_APPLICABLE) == intra_eu, v
+            if intra_eu:
+                assert v == Verdict(NOT_APPLICABLE, ev, v.country, INTRA_EU), v
+        if ev.recipient == FIRST:
+            # whatever else the policy says, whatever the idle flag and the date
+            bare = dataclasses.replace(ev, any_idle_flow=False)
+            only = policy(representative=pol.representative)
+            assert list(map(_judged, judge_event(ev, pol, juris))) == \
+                list(map(_judged, judge_event(bare, only, JURIS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_studies)
+def test_a_void_safeguard_is_reported_exactly_when_it_leaves_none(study):
+    pol, events, juris = study
+    for ev in events:
+        for v in judge_event(ev, pol, juris):
+            expected = (v.transfer_type == T3_NO_ADEQUACY and pol.intention
+                        and not _valid_safeguards(pol, ev, juris)
+                        and (pol.explicit_consent or pol.privacy_shield))
+            assert (v.invalid_safeguard_reason is not None) == expected, v

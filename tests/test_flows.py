@@ -266,7 +266,9 @@ def test_repeated_fqdn_keeps_first_listed_code(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["1.2.3.0/33", "10.0.0.0/x", "300.1.2.3", "X.com.", "_a.b.com",
-                                 "com", " x.com", "x.com ", "a..com", "-a.com", "a.123", ""])
+                                 "com", " x.com", "x.com ", "a..com", "-a.com", "a.123", "",
+                                 "10.0.0.0/255.0.0.0", "10.0.0.0/0.255.255.255", "10.0.0.0/0008",
+                                 "::/00000", "fe80::%1/64"])
 def test_a_geo_key_neither_network_nor_hostname_names_its_line(tmp_path, key):
     path = tmp_path / "geo.tsv"
     path.write_text(f"# geo\n10.0.0.0/8\tUS\n{key}\tDE\n", encoding="utf-8")
@@ -282,10 +284,12 @@ def test_geo_hostname_keys_load_in_any_case(tmp_path):
 
 
 def test_canonical_cidrs_load_without_ipaddress(tmp_path, monkeypatch):
-    # parsing a network with ipaddress costs more than the rest of its line
+    # parsing a network with ipaddress costs more than the rest of its line,
+    # and a hostname key, which is no network, needs no second parser either
     path = tmp_path / "geo.tsv"
     path.write_text("10.0.0.0/8\tUS\n10.1.2.3/16\tRU\n192.0.2.1\tDE\n::/0\tJP\n"
-                    "2001:db8::/32\tFR\n2001:0DB8:0:0:0:0:0:1/128\tIT\n", encoding="utf-8")
+                    "2001:db8::/32\tFR\n2001:0DB8:0:0:0:0:0:1/128\tIT\n"
+                    "Yandex.NET\tRU\nbbc.co.uk\tGB\n", encoding="utf-8")
     calls = []
     ip_network = ipaddress.ip_network
     monkeypatch.setattr(ipaddress, "ip_network",
@@ -298,6 +302,7 @@ def test_canonical_cidrs_load_without_ipaddress(tmp_path, monkeypatch):
     assert [table.lookup_ip(ip) for ip in ("10.1.9.9", "10.2.0.1", "192.0.2.1", "2001:db8::1",
                                            "2001:db8::2", "fe80::1")] == \
         ["RU", "US", "DE", "IT", "FR", "JP"]
+    assert dict(table.fqdns) == {"yandex.net": "RU", "bbc.co.uk": "GB"}
 
 
 def test_geo_table_is_immutable(geo_table):
@@ -310,10 +315,14 @@ def test_geo_table_is_immutable(geo_table):
 
 
 def _linear_lookup(networks, ip):
-    """Reference: test every network, keep the first of the longest matches."""
+    """Reference: test every network, keep the first of the longest matches.
+
+    An address with a zone id is none that a table holds, so it matches nothing."""
     try:
         addr = ipaddress.ip_address(ip)
     except ValueError:
+        return None
+    if getattr(addr, "scope_id", None) is not None:
         return None
     best, best_len = None, -1
     for net, code in networks:
@@ -382,7 +391,7 @@ _NON_ASCII_DIGITS = [chr(0x0660 + d) for d in range(10)] + [chr(0xFF10 + d) for 
 
 @st.composite
 def _cidr_texts(draw):
-    """Texts the parser must read as ipaddress does."""
+    """Texts the parser must read as ipaddress does, and texts it must refuse."""
     v = draw(st.sampled_from([4, 6]))
     # zero runs make `::` compression likely
     chunks = st.lists(st.one_of(st.sampled_from([0, 0, 1, 0xFFFF]), st.integers(0, 0xFFFF)),
@@ -406,17 +415,28 @@ def _cidr_texts(draw):
         forms += [".".join(octets) + f"/{prefixlen}"]
     at = draw(st.sampled_from([i for i, ch in enumerate(forms[1]) if ch.isdigit()]))
     forms.append(forms[1][:at] + draw(st.sampled_from(_NON_ASCII_DIGITS)) + forms[1][at + 1:])
-    # forms that the fast path may leave to ipaddress
-    forms += [f"{addr}/{prefixlen:04d}", f"{addr}/{net.netmask}", f"{addr}/{net.hostmask}"]
+    # IPv6 addresses that end in IPv4 form
+    forms += [f"::ffff:{_ADDRESS[4](value & 0xFFFFFFFF)}/{prefixlen}",
+              f"::{_ADDRESS[4](value & 0xFFFFFFFF)}"]
+    # forms that ipaddress may read: a four-digit prefix, a netmask or a hostmask, a zone id
+    refused = [f"{addr}/{prefixlen:04d}", f"{addr}/{net.netmask}", f"{addr}/{net.hostmask}"]
     if v == 6:
-        forms += [f"{addr}%eth0/{prefixlen}", f"::ffff:{_ADDRESS[4](value & 0xFFFFFFFF)}"]
-    return forms
+        refused += [f"{addr}%eth0/{prefixlen}", f"{addr}%1"]
+    return forms, refused
 
 
 @given(_cidr_texts())
-def test_cidr_parser_agrees_with_ipaddress(forms):
+def test_cidr_parser_agrees_with_ipaddress(case):
+    forms, refused = case
     for text in forms:
         assert _network(text) == _ip_network_triple(text), text
+    for text in refused:
+        assert _network(text) is None, text
+
+
+# what ipaddress reads and the parser refuses
+_REFUSED_EDGES = {"10.0.0.0/255.0.0.0", "10.0.0.0/0.255.255.255", "10.0.0.0/0008", "::/00000",
+                  "fe80::1%eth0", "fe80::%1/64"}
 
 
 @pytest.mark.parametrize("text", [
@@ -426,10 +446,15 @@ def test_cidr_parser_agrees_with_ipaddress(forms):
     ":::", "1:2:3:4:5:6:7", "1:2:3:4:5:6:7:8:9", "1::2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8::",
     "2001:db8::1::2", "::g", "12345::", "1.2.3.4\n",  # rejected by both
     "1.2.3.4\x00", "\u0661.2.3.4",  # rejected by both; inet_pton raises ValueError, OSError
-    "::ffff:1.2.3.4", "10.0.0.0/255.0.0.0", "fe80::1%eth0",  # read as ipaddress reads them
+    "::ffff:1.2.3.4", "::1.2.3.4", "1:2:3:4:5:6:1.2.3.4",  # read as ipaddress reads them
+    *sorted(_REFUSED_EDGES),
 ])
 def test_cidr_parser_edges(text):
-    assert _network(text) == _ip_network_triple(text)
+    if text in _REFUSED_EDGES:
+        assert _ip_network_triple(text) is not None
+        assert _network(text) is None
+    else:
+        assert _network(text) == _ip_network_triple(text)
 
 
 @pytest.mark.parametrize("literal", ["185.151.204.10.", " 2001:db8::1", "fe80::1%eth0",
@@ -548,7 +573,7 @@ def test_load_flow_log_bad_json(tmp_path):
     ("dest_ip", 5), ("app_id", ["com.zappy"]), ("app_id", None), ("stage", None),
     ("dest_fqdn", None), ("detected_types", [7, "AAID"]), ("detected_types", [7]),
     ("payload_b64", "ab!cd"), ("dest_ip", "999.1.1.1"), ("dest_ip", "abc"),
-    ("dest_ip", "1.2.3.4/8"), ("dest_ip", "")])
+    ("dest_ip", "1.2.3.4/8"), ("dest_ip", ""), ("dest_ip", "fe80::1%eth0")])
 def test_load_flow_log_rejects_a_wrongly_typed_field(tmp_path, field, value):
     # a lowercase code would be judged outside the EU, a string split into letters,
     # the integer 5 read as the address 0.0.0.5, a null where a string is
@@ -573,10 +598,11 @@ _recipients = st.one_of(
     st.builds(RecipientInfo, st.just(THIRD_PARTY), st.text(max_size=8),
               st.sampled_from(["US", "DE", "RU", "CN"])))
 _transfer_events = st.lists(
-    # `scan` writes no empty app id or domain, and `read_events` refuses one
+    # `scan` writes no empty app id, domain, type list or country list, and
+    # `read_events` refuses one
     st.builds(TransferEvent, st.text(min_size=1, max_size=4), st.text(min_size=1, max_size=6),
-              st.frozensets(st.text(max_size=5), max_size=3),
-              st.frozensets(st.sampled_from(["US", "DE", "JP", "IL"]), max_size=3),
+              st.frozensets(st.text(max_size=5), min_size=1, max_size=3),
+              st.frozensets(st.sampled_from(["US", "DE", "JP", "IL"]), min_size=1, max_size=3),
               _recipients, st.booleans()),
     max_size=12, unique_by=lambda e: (e.app_id, e.recipient_domain))
 
