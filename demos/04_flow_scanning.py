@@ -31,7 +31,7 @@ catalog = (
 print("== derived search forms ==")
 entry = catalog[0]
 print(f"plain : {entry.plain.decode()}")
-print(f"b64   : {entry.base64_forms[0].decode()}")
+print(f"b64   : {entry.base64_form.decode()}")
 for name, form in zip(("md5", "sha1", "sha256"), entry.digest_forms):
     print(f"{name:<6}: {form.decode()}")
 

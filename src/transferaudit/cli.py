@@ -117,18 +117,17 @@ def _cmd_scan(args) -> int:
 
 
 def _assess_study(args, all_apps: bool):
-    """Load the events, the annotations and the jurisdiction; assess apps in id order.
-
-    The apps are those with events, plus, with `all_apps`, those
-    that have only an annotation.  Returns the annotations and assessments.
-    """
+    """Load the jurisdiction and `--date`, so their errors show before the
+    study files are read, then the events and annotations; assess apps in id
+    order: those with events plus, with `all_apps`, those with only an
+    annotation.  Returns the annotations and assessments."""
+    juris = compliance.load_jurisdiction(args.jurisdiction)
+    if args.date:
+        juris = dataclasses.replace(juris, assessment_date=compliance.iso_date(args.date))
     with open(args.events, encoding="utf-8") as fh:
         events_by_app = flows.read_events(fh)
     with open(args.annotations, encoding="utf-8") as fh:
         annotations = transparency.read_annotations(fh)
-    juris = compliance.load_jurisdiction(args.jurisdiction)
-    if args.date:
-        juris = dataclasses.replace(juris, assessment_date=compliance.iso_date(args.date))
     app_ids = set(events_by_app)
     if all_apps:
         app_ids |= set(annotations)

@@ -92,15 +92,14 @@ class CatalogEntry:
     device_value: str
     # search forms derived deterministically from the device value
     plain: bytes = field(init=False)
-    base64_forms: tuple[bytes, ...] = field(init=False)
+    # without its `=` padding: a prefix of the padded encoding, so it finds both
+    base64_form: bytes = field(init=False)
     digest_forms: tuple[bytes, ...] = field(init=False)
 
     def __post_init__(self):
         raw = self.device_value.encode("utf-8")
-        b64 = base64.b64encode(raw)
         object.__setattr__(self, "plain", raw.lower())
-        object.__setattr__(self, "base64_forms",
-                           (b64,) if not b64.endswith(b"=") else (b64, b64.rstrip(b"=")))
+        object.__setattr__(self, "base64_form", base64.b64encode(raw).rstrip(b"="))
         object.__setattr__(self, "digest_forms", (
             hashlib.md5(raw).hexdigest().encode("ascii"),
             hashlib.sha1(raw).hexdigest().encode("ascii"),
@@ -140,7 +139,7 @@ def scan_payload(payload: bytes, catalog: Sequence[CatalogEntry]) -> set[str]:
         if hex_runs and any(form in hex_runs for form in entry.digest_forms):
             found.add(entry.name)
             continue
-        if any(form in payload for form in entry.base64_forms):
+        if entry.base64_form in payload:
             found.add(entry.name)
     return found
 

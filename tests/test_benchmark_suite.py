@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from conftest import DATA
 
 from transferaudit.cli import main
 from transferaudit.corpus import save_corpus
-from transferaudit.flows import load_flow_log, load_geo_table
+from transferaudit.flows import (geolocate, load_catalog, load_flow_log, load_geo_table,
+                                 scan_payload)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,7 +79,7 @@ def test_the_tracer_fits_every_stage(tmp_path, intention_corpus, adequacy_corpus
     ]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    counters, stdouts = {}, {}
+    counters, calls, stdouts = {}, {}, {}
     for argv, stdout in stages:
         dump = tmp_path / f"{argv[0]}.json"
         result = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), "trace",
@@ -89,8 +91,20 @@ def test_the_tracer_fits_every_stage(tmp_path, intention_corpus, adequacy_corpus
         traced = json.loads(dump.read_text(encoding="utf-8"))
         assert sorted(traced["absent"]) == _ABSENT, argv[0]
         counters[argv[0]], stdouts[argv[0]] = traced["counters"], result.stdout
-    assert counters["scan"]["flows.in"] == len(load_flow_log(DATA / "flows.jsonl"))
-    assert counters["scan"]["flows.geo_networks"] == \
-        len(load_geo_table(DATA / "geo.tsv").networks)
+        calls[argv[0]] = Counter(traced["names"][span[0]] for span in traced["spans"])
+    flows = load_flow_log(DATA / "flows.jsonl")
+    catalog, geo = load_catalog(DATA / "catalog.tsv"), load_geo_table(DATA / "geo.tsv")
+    assert counters["scan"]["flows.in"] == len(flows)
+    assert counters["scan"]["flows.geo_networks"] == len(geo.networks)
+    # the benchmark derives its scan hit, drop and kept figures from one call
+    # per flow to each of these layers
+    scanned = [f for f in flows if f.detected_types is None]
+    personal = [f for f in flows if (f.detected_types if f.detected_types is not None
+                                     else scan_payload(f.payload, catalog))]
+    located = [f for f in personal
+               if geolocate(geo, ip=f.dest_ip, fqdn=f.dest_fqdn, resolved=f.country)]
+    assert [calls["scan"][f"flows.{layer}"] for layer in
+            ("scan_payload", "geolocate", "classify_recipient")] == \
+        [len(scanned), len(personal), len(located)]
     verdicts = [line for line in stdouts["check"].splitlines() if line.split("\t")[1] != "-"]
     assert counters["check"]["compliance.judgments"] == len(verdicts) > 0

@@ -978,6 +978,30 @@ def test_malformed_data_line_is_input_error_naming_it(model_dir, tmp_path, capsy
     assert f"line {lineno}: " in captured.err
 
 
+def test_check_reads_the_date_before_the_study(tmp_path, capsys):
+    # the study files do not exist: only the date's error shows
+    assert main(["check", "--events", str(tmp_path / "none.jsonl"),
+                 "--annotations", str(tmp_path / "none.jsonl"), "--date", "20200716"]) == 1
+    assert capsys.readouterr() == ("", "error: '20200716' is not a date written YYYY-MM-DD\n")
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_jurisdiction_is_read_before_the_study(tmp_path, capsys, command):
+    bad_juris = tmp_path / "juris.txt"
+    bad_juris.write_text(_SHIPPED.joinpath("jurisdiction_2020_07.txt").read_text(
+        encoding="utf-8").replace(_FRAMEWORK, "privacy_shield\tUS", 1), encoding="utf-8")
+    events_path, annotations_path = _write_study(
+        tmp_path, [json.dumps(SHIELD_EVENT)], [json.dumps(SHIELD_ANNOTATION)])
+    assert main([command, "--events", str(events_path), "--annotations",
+                 str(annotations_path), "--jurisdiction", str(bad_juris)]) == 1
+    expected = capsys.readouterr()
+    assert expected.out == "" and "line " in expected.err
+    # with study files that do not exist, the same error and nothing else
+    assert main([command, "--events", str(tmp_path / "none.jsonl"), "--annotations",
+                 str(tmp_path / "none.jsonl"), "--jurisdiction", str(bad_juris)]) == 1
+    assert capsys.readouterr() == expected
+
+
 @pytest.mark.parametrize("extra", [[], ["--kfold", "5"], ["--model-out", "{tmp}/models"]],
                          ids=["no-output", "kfold", "model-out"])
 @pytest.mark.parametrize("ngram", ["1-5", "0-1", "3-2", "1-2-3", "1-", "01-02", " 2"])

@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import hashlib
 import ipaddress
 import json
 import re
@@ -41,6 +42,9 @@ AAID_MD5 = "5756ae9022b2ea1e47d84fead75220c8"
 AAID_SHA1 = "4dfaa92388699ac6539885aef1719293879985bf"
 AAID_SHA256 = "d4181bb455a74b3bc8b37c75ac9b2c702eb6b9930bd040b861403b31ca85634d"
 AAID_B64 = "Mzg0MDAwMDAtOGNmMC0xMWJkLWIyM2UtMTBiOTZlNDAwMDBk"
+# the fixture catalog's SSID and MAC, whose encodings are padded with `==` and `=`
+SSID, SSID_B64 = "CasaWiFi5G", "Q2FzYVdpRmk1Rw=="
+MAC, MAC_B64 = "a4:5e:60:c2:7a:93", "YTQ6NWU6NjA6YzI6N2E6OTM="
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +61,7 @@ def test_catalog_forms_match_frozen_oracle(aaid_catalog):
     entry = aaid_catalog[0]
     assert entry.digest_forms == (AAID_MD5.encode(), AAID_SHA1.encode(),
                                   AAID_SHA256.encode())
-    assert AAID_B64.encode() in entry.base64_forms
+    assert entry.base64_form == AAID_B64.encode()
 
 
 def test_digest_hex_lengths(catalog):
@@ -70,6 +74,15 @@ def test_digest_hex_lengths(catalog):
 def test_scan_detects_each_form(aaid_catalog, form):
     payload = f"header data {form} trailer".encode()
     assert scan_payload(payload, aaid_catalog) == {"AAID"}
+
+
+@pytest.mark.parametrize("value, padded", [(SSID, SSID_B64), (MAC, MAC_B64)])
+def test_scan_finds_padded_and_unpadded_base64(value, padded):
+    catalog = (CatalogEntry("ID", value),)
+    unpadded = padded.rstrip("=")
+    for form, found in [(padded, True), (unpadded, True), (unpadded[:-1], False)]:
+        payload = f"v={form}&x=1".encode()
+        assert scan_payload(payload, catalog) == ({"ID"} if found else set()), form
 
 
 def test_scan_plain_value_case_insensitive(aaid_catalog):
@@ -86,11 +99,20 @@ def test_scan_empty_payload(aaid_catalog):
 
 
 def _naive_scan(payload, catalog):
-    """Reference: a type is found iff some search form is a byte substring."""
-    lowered = payload.lower()
-    return {entry.name for entry in catalog
-            if entry.plain in lowered
-            or any(form in payload for form in entry.digest_forms + entry.base64_forms)}
+    """Reference: a type is found iff some search form is a byte substring.
+
+    The forms come from each entry's device value alone: the value (in any
+    case), its padded and unpadded Base64 and its lowercase hex digests.
+    """
+    found = set()
+    for entry in catalog:
+        raw = entry.device_value.encode()
+        padded = base64.b64encode(raw)
+        forms = [padded, padded.rstrip(b"=")] + [
+            hashlib.new(name, raw).hexdigest().encode() for name in ("md5", "sha1", "sha256")]
+        if raw.lower() in payload.lower() or any(form in payload for form in forms):
+            found.add(entry.name)
+    return found
 
 
 def test_scan_matches_naive_oracle(catalog):
@@ -124,6 +146,7 @@ def test_scan_finds_digests_only_as_lowercase_hex(aaid_catalog, digest, template
 
 @given(st.lists(st.sampled_from([
     AAID_MD5, AAID_SHA1, AAID_SHA256, AAID_SHA256.upper(), AAID_B64, AAID.upper(),
+    SSID_B64, SSID_B64.rstrip("="),
     "0", "f", "a9", "F", "g", " ", "=", "-", "0123456789abcdef" * 2,
 ]), max_size=8))
 def test_scan_matches_naive_scan_on_hex_mixtures(catalog, fragments):
